@@ -63,7 +63,7 @@ struct Measurement {
 /// Runs `reps` passes of `queries` through the planner. `bypass_cache`
 /// makes every request rebuild (the cold shape); otherwise repeats hit
 /// the plan cache (the warm shape).
-Measurement Run(Planner* planner, PlannerContext* ctx,
+Measurement Run(Planner* planner, WorkerContext* ctx,
                 const std::string& catalog,
                 const std::vector<std::string>& queries, int reps,
                 bool bypass_cache, const char* label) {
@@ -132,7 +132,7 @@ int Main() {
               cold_reps, warm_reps);
 
   Planner& planner = service.planner();
-  PlannerContext ctx;
+  WorkerContext ctx;
   Measurement cold_bound = Run(&planner, &ctx, "bound", queries, cold_reps,
                                /*bypass_cache=*/true, "cold/recursive");
   Measurement cold_free = Run(&planner, &ctx, "free", queries, cold_reps,
@@ -150,7 +150,7 @@ int Main() {
                              cold_bound.plans_per_sec()
                        : 0;
   std::printf("warm vs cold speedup (recursive regime): %.1fx\n", speedup);
-  PlanCacheStats stats = planner.cache().Stats();
+  CacheStats stats = planner.cache().Stats();
   std::printf("plan cache: hits=%llu misses=%llu entries=%llu\n",
               static_cast<unsigned long long>(stats.hits),
               static_cast<unsigned long long>(stats.misses),

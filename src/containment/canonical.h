@@ -40,7 +40,7 @@ Result<bool> UnionContainedInDatalog(const UnionQuery& q1, const Program& p,
 /// analogue of freezing that needs no fresh constants, so fingerprints
 /// computed against *different* interners agree whenever the spellings do.
 /// This is what makes it usable as a cross-worker cache key (see
-/// service/decision_cache.h).
+/// ContainmentService::cache in service/service.h).
 std::string CanonicalRuleFingerprint(const Rule& q, const Interner& interner);
 
 /// Fingerprint of a goal query: the goal's spelling plus the rule

@@ -5,9 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/sharded_lru.h"
 #include "obs/flight.h"
-#include "planner/plan_cache.h"
-#include "service/decision_cache.h"
 
 namespace relcont {
 namespace obs {
@@ -126,7 +125,7 @@ struct MetricsSnapshot {
   std::vector<RegimeDecisions> decisions_by_regime;
   CacheStats cache;
   /// Counters of the planner's plan cache (all zero without a planner).
-  PlanCacheStats plan_cache;
+  CacheStats plan_cache;
 
   std::vector<HistogramBucket> latency_buckets;
   uint64_t latency_sum_micros = 0;

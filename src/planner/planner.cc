@@ -1,128 +1,24 @@
 #include "planner/planner.h"
 
-#include <chrono>
 #include <optional>
 #include <utility>
 
 #include "binding/dom_plan.h"
-#include "common/budget.h"
 #include "containment/canonical.h"
-#include "datalog/parser.h"
 #include "relcont/binding_containment.h"
 #include "relcont/relative_containment.h"
 #include "rewriting/inverse_rules.h"
+#include "service/request_frame.h"
 
 namespace relcont {
 
-namespace {
+Planner::Planner(ContainmentService* service)
+    : service_(service),
+      cache_(service->config().plan_cache_capacity, kCacheShards) {}
 
-Result<GoalQuery> ParseGoalQuery(const std::string& text,
-                                 Interner* interner) {
-  RELCONT_ASSIGN_OR_RETURN(Program program, ParseProgram(text, interner));
-  if (program.rules.empty()) {
-    return Status::InvalidArgument("query text contains no rules");
-  }
-  SymbolId goal = program.rules[0].head.predicate;
-  return GoalQuery{std::move(program), goal};
-}
-
-/// Every option that can change a plan must appear in the key; the budget
-/// fields are deliberately absent for the same reason as the decision
-/// cache's key (service.cc): a bound turns the answer into a non-OK
-/// status, and non-OK results are never cached.
-std::string PlanOptionsFingerprint(const DecideOptions& o) {
-  std::string out = std::to_string(o.unfold.max_disjuncts);
-  out += ',';
-  out += std::to_string(o.dom.max_tree_options);
-  out += ',';
-  out += std::to_string(o.dom.max_rounds);
-  out += ',';
-  out += std::to_string(o.dom.max_core_checks);
-  out += ',';
-  out += std::to_string(o.dom.max_disjunct_size);
-  out += ',';
-  out += std::to_string(o.dom.unfold.max_disjuncts);
-  return out;
-}
-
-/// One newline-free line identifying a planner request in the slow log.
-std::string DescribePlanRequest(const std::string& verb,
-                                const std::string& query,
-                                const std::string& catalog) {
-  std::string out = verb + " " + query + " @" + catalog;
-  for (char& c : out) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  constexpr size_t kMaxLength = 160;
-  if (out.size() > kMaxLength) {
-    out.resize(kMaxLength - 3);
-    out += "...";
-  }
-  return out;
-}
-
-}  // namespace
-
-PlannerContext::PlannerContext() : interner_(std::make_unique<Interner>()) {}
-
-void PlannerContext::Reset() {
-  catalogs_.clear();
-  interner_ = std::make_unique<Interner>();
-}
-
-Planner::Planner(CatalogRegistry* catalogs, ServiceMetrics* metrics,
-                 PlannerConfig config)
-    : catalogs_(catalogs),
-      metrics_(metrics),
-      config_(config),
-      cache_(config.cache_capacity, config.cache_shards) {}
-
-Result<const MaterializedCatalog*> Planner::CatalogFor(
-    const std::string& name, PlannerContext* ctx) {
-  std::shared_ptr<const CatalogSpec> spec = catalogs_->Find(name);
-  if (spec == nullptr) {
-    return Status::InvalidArgument("unknown catalog '" + name + "'");
-  }
-  auto it = ctx->catalogs_.find(name);
-  if (it != ctx->catalogs_.end() && it->second.version == spec->version) {
-    return &it->second;
-  }
-  RELCONT_ASSIGN_OR_RETURN(MaterializedCatalog materialized,
-                           MaterializeCatalog(*spec, ctx->interner()));
-  auto [pos, inserted] =
-      ctx->catalogs_.insert_or_assign(name, std::move(materialized));
-  (void)inserted;
-  return &pos->second;
-}
-
-PlanResponse Planner::Plan(const PlanRequest& request, PlannerContext* ctx) {
-  auto start = std::chrono::steady_clock::now();
-  PlanResponse out;
-  out.request_id = metrics_->flight().NextRequestId();
-  WorkBudget budget;
-  int64_t timeout_ms = request.options.timeout_ms > 0
-                           ? request.options.timeout_ms
-                           : config_.default_timeout_ms;
-  if (timeout_ms > 0) {
-    budget.set_timeout(std::chrono::milliseconds(timeout_ms));
-  }
-  if (request.options.max_steps > 0) {
-    budget.set_max_steps(request.options.max_steps);
-  }
-  std::shared_ptr<trace::TraceContext> trace_ctx;
-  std::optional<trace::TraceScope> trace_scope;
-  if (request.collect_trace || config_.trace_requests) {
-    trace_ctx = std::make_shared<trace::TraceContext>();
-    trace_ctx->set_request_id(out.request_id);
-    trace_scope.emplace(trace_ctx.get());
-  }
-  out.status = [&]() -> Status {
-    if (ctx->interner()->size() > config_.max_worker_symbols) {
-      ctx->Reset();
-    }
-    RELCONT_ASSIGN_OR_RETURN(const MaterializedCatalog* catalog,
-                             CatalogFor(request.catalog, ctx));
-    out.catalog_version = catalog->version;
+PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
+  auto body = [&](RequestState& state, PlanResponse& out) -> Result<Regime> {
+    const MaterializedCatalog* catalog = state.catalog;
     RELCONT_ASSIGN_OR_RETURN(
         GoalQuery query, ParseGoalQuery(request.query_text, ctx->interner()));
     std::string key;
@@ -138,10 +34,10 @@ PlanResponse Planner::Plan(const PlanRequest& request, PlannerContext* ctx) {
         out.num_rules = cached->num_rules;
         out.recursive = cached->recursive;
         out.cache_hit = true;
-        return Status::OK();
+        return out.recursive ? Regime::kSection4 : Regime::kSection3;
       }
     }
-    BudgetScope budget_scope(&budget);
+    BudgetScope budget_scope(&state.budget);
     RELCONT_TRACE_SPAN("planner_plan");
     if (!catalog->patterns.empty()) {
       // Section 4: the executable maximally-contained plan — recursive
@@ -179,85 +75,30 @@ PlanResponse Planner::Plan(const PlanRequest& request, PlannerContext* ctx) {
                                out.num_rules, out.recursive,
                                /*contained=*/false, /*witness_text=*/""});
     }
-    return Status::OK();
-  }();
-  trace_scope.reset();
-  out.latency_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  if (out.status.code() == StatusCode::kBoundReached) {
-    // Aggregation-level attribution: the whole PLAN? request ended in a
-    // bound (whatever inner site minted it), so the planner shows up in
-    // bound_hits{site=...} alongside the low-level sites.
-    NoteBoundSite("planner_plan");
-  }
-  metrics_->RecordPlanRequest(
-      /*rewrite=*/false,
-      out.status.ok() ? (out.recursive ? Regime::kSection4 : Regime::kSection3)
-                      : Regime::kUnknown,
-      out.latency_micros, !out.status.ok());
-  metrics_->RecordBudget(budget.tasks_spawned(), budget.tasks_completed(),
-                         budget.reason() == BudgetReason::kDeadline);
-  if (trace_ctx != nullptr) {
-    metrics_->RecordTrace(
-        out.recursive ? Regime::kSection4 : Regime::kSection3,
-        out.latency_micros, *trace_ctx,
-        DescribePlanRequest("PLAN?", request.query_text, request.catalog),
-        out.request_id);
-  }
-  obs::WideEvent event;
-  event.request_id = out.request_id;
-  event.latency_micros = out.latency_micros;
-  event.catalog_version = out.catalog_version;
-  event.error = out.status.ok() ? 0 : 1;
-  event.cache_hit = out.cache_hit ? 1 : 0;
-  event.bound = out.status.code() == StatusCode::kBoundReached ? 1 : 0;
-  event.set_verb("plan");
-  event.set_regime(RegimeName(
-      out.status.ok()
-          ? (out.recursive ? Regime::kSection4 : Regime::kSection3)
-          : Regime::kUnknown));
-  event.set_catalog(request.catalog);
-  event.set_bound_site(BoundSiteFromStatus(out.status));
-  metrics_->RecordFlight(ServiceVerb::kPlan, event, trace_ctx.get());
-  if (trace_ctx != nullptr) out.trace = std::move(trace_ctx);
-  return out;
+    return out.recursive ? Regime::kSection4 : Regime::kSection3;
+  };
+  auto record = [&](Regime regime, const PlanResponse& out) {
+    service_->metrics().RecordPlanRequest(/*rewrite=*/false, regime,
+                                          out.latency_micros,
+                                          !out.status.ok());
+  };
+  return ServeRequest<PlanResponse>(
+      *service_,
+      {ServiceVerb::kPlan, request.query_text, /*q2_text=*/nullptr,
+       request.catalog, request.options, request.collect_trace,
+       "planner_plan"},
+      ctx, body, record);
 }
 
 RewriteResponse Planner::Rewrite(const RewriteRequest& request,
-                                 PlannerContext* ctx) {
-  auto start = std::chrono::steady_clock::now();
-  RewriteResponse out;
-  out.request_id = metrics_->flight().NextRequestId();
-  WorkBudget budget;
-  int64_t timeout_ms = request.options.timeout_ms > 0
-                           ? request.options.timeout_ms
-                           : config_.default_timeout_ms;
-  if (timeout_ms > 0) {
-    budget.set_timeout(std::chrono::milliseconds(timeout_ms));
-  }
-  if (request.options.max_steps > 0) {
-    budget.set_max_steps(request.options.max_steps);
-  }
-  std::shared_ptr<trace::TraceContext> trace_ctx;
-  std::optional<trace::TraceScope> trace_scope;
-  if (request.collect_trace || config_.trace_requests) {
-    trace_ctx = std::make_shared<trace::TraceContext>();
-    trace_ctx->set_request_id(out.request_id);
-    trace_scope.emplace(trace_ctx.get());
-  }
-  bool used_patterns = false;
-  out.status = [&]() -> Status {
-    if (ctx->interner()->size() > config_.max_worker_symbols) {
-      ctx->Reset();
-    }
-    RELCONT_ASSIGN_OR_RETURN(const MaterializedCatalog* catalog,
-                             CatalogFor(request.catalog, ctx));
-    out.catalog_version = catalog->version;
-    // Set before the cache lookup so cache hits attribute their window
+                                 WorkerContext* ctx) {
+  auto body = [&](RequestState& state,
+                  RewriteResponse& out) -> Result<Regime> {
+    const MaterializedCatalog* catalog = state.catalog;
+    // Known before the cache lookup, so cache hits attribute their window
     // sample to the regime the cached answer came from.
-    used_patterns = !catalog->patterns.empty();
+    bool used_patterns = !catalog->patterns.empty();
+    Regime regime = used_patterns ? Regime::kSection4 : Regime::kSection3;
     RELCONT_ASSIGN_OR_RETURN(
         GoalQuery q1, ParseGoalQuery(request.q1_text, ctx->interner()));
     RELCONT_ASSIGN_OR_RETURN(
@@ -276,10 +117,10 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
         out.contained = cached->contained;
         out.witness_text = std::move(cached->witness_text);
         out.cache_hit = true;
-        return Status::OK();
+        return regime;
       }
     }
-    BudgetScope budget_scope(&budget);
+    BudgetScope budget_scope(&state.budget);
     RELCONT_TRACE_SPAN("planner_rewrite");
     if (used_patterns) {
       // Theorem 4.1: P1^exp ⊑ Q2 over the executable dom plan.
@@ -297,10 +138,7 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
       // comparisons): P1^exp ⊑ Q2 via the expansion.
       RelativeContainmentOptions options;
       options.unfold = request.options.unfold;
-      options.parallel_workers =
-          request.options.parallel_workers > 1
-              ? request.options.parallel_workers
-              : config_.default_parallel_workers;
+      options.parallel_workers = state.parallel_workers;
       Rule witness;
       RELCONT_ASSIGN_OR_RETURN(
           out.contained,
@@ -317,50 +155,19 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
                                /*num_rules=*/0, /*recursive=*/false,
                                out.contained, out.witness_text});
     }
-    return Status::OK();
-  }();
-  trace_scope.reset();
-  out.latency_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  if (out.status.code() == StatusCode::kBoundReached) {
-    NoteBoundSite("planner_rewrite");
-  }
-  metrics_->RecordPlanRequest(
-      /*rewrite=*/true,
-      out.status.ok()
-          ? (used_patterns ? Regime::kSection4 : Regime::kSection3)
-          : Regime::kUnknown,
-      out.latency_micros, !out.status.ok());
-  metrics_->RecordBudget(budget.tasks_spawned(), budget.tasks_completed(),
-                         budget.reason() == BudgetReason::kDeadline);
-  if (trace_ctx != nullptr) {
-    metrics_->RecordTrace(
-        used_patterns ? Regime::kSection4 : Regime::kSection3,
-        out.latency_micros, *trace_ctx,
-        DescribePlanRequest("REWRITE?",
-                            request.q1_text + " => " + request.q2_text,
-                            request.catalog),
-        out.request_id);
-  }
-  obs::WideEvent event;
-  event.request_id = out.request_id;
-  event.latency_micros = out.latency_micros;
-  event.catalog_version = out.catalog_version;
-  event.error = out.status.ok() ? 0 : 1;
-  event.cache_hit = out.cache_hit ? 1 : 0;
-  event.bound = out.status.code() == StatusCode::kBoundReached ? 1 : 0;
-  event.set_verb("rewrite");
-  event.set_regime(RegimeName(
-      out.status.ok()
-          ? (used_patterns ? Regime::kSection4 : Regime::kSection3)
-          : Regime::kUnknown));
-  event.set_catalog(request.catalog);
-  event.set_bound_site(BoundSiteFromStatus(out.status));
-  metrics_->RecordFlight(ServiceVerb::kRewrite, event, trace_ctx.get());
-  if (trace_ctx != nullptr) out.trace = std::move(trace_ctx);
-  return out;
+    return regime;
+  };
+  auto record = [&](Regime regime, const RewriteResponse& out) {
+    service_->metrics().RecordPlanRequest(/*rewrite=*/true, regime,
+                                          out.latency_micros,
+                                          !out.status.ok());
+  };
+  return ServeRequest<RewriteResponse>(
+      *service_,
+      {ServiceVerb::kRewrite, request.q1_text, &request.q2_text,
+       request.catalog, request.options, request.collect_trace,
+       "planner_rewrite"},
+      ctx, body, record);
 }
 
 }  // namespace relcont

@@ -2,14 +2,12 @@
 #define RELCONT_PLANNER_PLANNER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
-#include "planner/plan_cache.h"
+#include "common/sharded_lru.h"
 #include "relcont/decide.h"
 #include "service/catalog.h"
-#include "service/metrics.h"
 #include "trace/trace.h"
 
 namespace relcont {
@@ -21,31 +19,36 @@ namespace relcont {
 /// plan when the catalog carries binding patterns) and decides plan-level
 /// containment `P1^exp ⊑ Q2` (Theorems 4.1/5.2).
 ///
-/// Concurrency model: identical to ContainmentService. Plans are pure
-/// functions of (query, catalog, options), but plan construction mints
-/// fresh symbols through a non-thread-safe Interner, so every
-/// Interner-carrying structure is confined to a PlannerContext owned by
-/// one thread at a time; the shared state is the catalog registry (mutex),
-/// the plan cache (sharded mutexes, values are interner-independent text),
-/// and the metrics (atomics).
+/// Concurrency model: that of ContainmentService (service/service.h), which
+/// owns the planner; every Interner-carrying structure lives in a
+/// WorkerContext used by one thread at a time.
 
-struct PlannerConfig {
-  /// Total plan-cache capacity in entries.
-  size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
-  /// A planner arena is discarded and rebuilt once its interner holds more
-  /// than this many symbols (plan construction mints Skolem functions and
-  /// fresh predicates per request, so arenas grow without bound).
-  int64_t max_worker_symbols = 1 << 20;
-  /// When true every plan request is traced and folded into the metrics
-  /// aggregates (as if collect_trace were set).
-  bool trace_requests = false;
-  /// Deadline applied to requests that do not set their own timeout_ms
-  /// (0 = no default deadline). A request past its deadline answers
-  /// kBoundReached — a bound, never a wrong plan.
-  int64_t default_timeout_ms = 0;
-  /// Default fan-out width for REWRITE?'s per-disjunct containment scan.
-  int default_parallel_workers = 1;
+class ContainmentService;
+
+/// Alias kept only because the service benchmark (servebench/) names it.
+using PlannerContext = WorkerContext;
+/// Alias kept only because the service benchmark (servebench/) names it.
+using PlanCacheStats = CacheStats;
+
+/// A planner result in interner-independent form, so one cache can serve
+/// every worker arena: the plan travels as rendered text (re-parseable by
+/// ParseProgram) rather than as a Program full of thread-local SymbolIds.
+/// PLAN? entries fill the plan fields; REWRITE? entries fill the verdict
+/// fields. Both share the struct so the cache needs a single value type.
+struct CachedPlan {
+  /// PLAN?: the plan rules, one per line (ParseProgram syntax, Skolem
+  /// function terms included for recursive dom plans).
+  std::string plan_text;
+  /// Name of the unary dom accumulator ("" for nonrecursive UCQ plans).
+  std::string dom_predicate;
+  /// Rule count of the plan (0 for REWRITE? entries).
+  int num_rules = 0;
+  /// True when the plan recurses through the dom accumulator.
+  bool recursive = false;
+  /// REWRITE?: the plan-level containment verdict P1^exp ⊑ Q2.
+  bool contained = false;
+  /// Rendered counterexample ("" when none).
+  std::string witness_text;
 };
 
 /// One plan-construction question: the maximally-contained plan of
@@ -106,56 +109,29 @@ struct RewriteResponse {
   std::shared_ptr<const trace::TraceContext> trace;
 };
 
-/// Per-thread working memory for the planner: the interner arena plus the
-/// catalogs materialized against it. NOT thread-safe — one context per
-/// thread, exactly like WorkerContext (service/service.h); it is a
-/// separate type only because the two subsystems retire their arenas
-/// independently.
-class PlannerContext {
- public:
-  PlannerContext();
-
-  Interner* interner() { return interner_.get(); }
-
- private:
-  friend class Planner;
-
-  /// Drops the arena and every structure built against it.
-  void Reset();
-
-  std::unique_ptr<Interner> interner_;
-  std::map<std::string, MaterializedCatalog> catalogs_;
-};
-
-/// The plan service facade. Shares the catalog registry and metrics with
-/// the ContainmentService that fronts it; owns the plan cache.
+/// The plan service facade. Shares the config, catalog registry and
+/// metrics of the ContainmentService that owns it; owns the plan cache.
 class Planner {
  public:
-  /// `catalogs` and `metrics` must outlive the planner (the owning
-  /// ContainmentService guarantees this).
-  Planner(CatalogRegistry* catalogs, ServiceMetrics* metrics,
-          PlannerConfig config = {});
+  /// `service` must outlive the planner (it owns it).
+  explicit Planner(ContainmentService* service);
 
   /// Builds the maximally-contained plan for `request` using the
   /// caller-owned context. Safe to call from many threads as long as each
   /// uses its own context.
-  PlanResponse Plan(const PlanRequest& request, PlannerContext* ctx);
+  PlanResponse Plan(const PlanRequest& request, WorkerContext* ctx);
 
   /// Decides plan-level containment P1^exp ⊑ Q2.
-  RewriteResponse Rewrite(const RewriteRequest& request, PlannerContext* ctx);
+  RewriteResponse Rewrite(const RewriteRequest& request, WorkerContext* ctx);
 
-  PlanCache& cache() { return cache_; }
-  const PlannerConfig& config() const { return config_; }
+  /// The plan cache, keyed by (verb, catalog name + version, canonical
+  /// query fingerprints, plan-shaping options) and tagged by catalog name,
+  /// so a re-registration sweeps exactly that catalog's entries.
+  ShardedLru<CachedPlan>& cache() { return cache_; }
 
  private:
-  /// Materializes `name` into `ctx` (cached by version).
-  Result<const MaterializedCatalog*> CatalogFor(const std::string& name,
-                                                PlannerContext* ctx);
-
-  CatalogRegistry* catalogs_;
-  ServiceMetrics* metrics_;
-  PlannerConfig config_;
-  PlanCache cache_;
+  ContainmentService* service_;
+  ShardedLru<CachedPlan> cache_;
 };
 
 }  // namespace relcont

@@ -81,4 +81,30 @@ size_t CatalogRegistry::size() const {
   return catalogs_.size();
 }
 
+WorkerContext::WorkerContext() : interner_(std::make_unique<Interner>()) {}
+
+Result<const MaterializedCatalog*> WorkerContext::Catalog(
+    const CatalogRegistry& registry, const std::string& name) {
+  std::shared_ptr<const CatalogSpec> spec = registry.Find(name);
+  if (spec == nullptr) {
+    return Status::InvalidArgument("unknown catalog '" + name + "'");
+  }
+  auto it = catalogs_.find(name);
+  if (it != catalogs_.end() && it->second.version == spec->version) {
+    return &it->second;
+  }
+  RELCONT_ASSIGN_OR_RETURN(MaterializedCatalog materialized,
+                           MaterializeCatalog(*spec, interner()));
+  auto [pos, inserted] =
+      catalogs_.insert_or_assign(name, std::move(materialized));
+  (void)inserted;
+  return &pos->second;
+}
+
+void WorkerContext::RetireIfAbove(int64_t max_symbols) {
+  if (interner_->size() <= max_symbols) return;
+  catalogs_.clear();
+  interner_ = std::make_unique<Interner>();
+}
+
 }  // namespace relcont

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "binding/adornment.h"
+#include "common/interner.h"
 #include "common/status.h"
 #include "rewriting/views.h"
 
@@ -90,6 +91,30 @@ class CatalogRegistry {
   /// Immutable once the registry is shared (see set_registration_listener),
   /// so Register may invoke it outside mu_.
   RegistrationListener listener_;
+};
+
+/// Per-thread working memory: an interner arena plus the catalogs
+/// materialized against it. NOT thread-safe — each context must be used by
+/// one thread at a time (constructing one is cheap).
+class WorkerContext {
+ public:
+  WorkerContext();
+
+  Interner* interner() { return interner_.get(); }
+
+  /// `name`'s current snapshot in `registry`, materialized into this arena
+  /// on first use and cached by version.
+  Result<const MaterializedCatalog*> Catalog(const CatalogRegistry& registry,
+                                             const std::string& name);
+
+  /// Drops the arena and every catalog built against it once the interner
+  /// holds more than `max_symbols` symbols (requests mint fresh symbols, so
+  /// a long-lived arena grows without bound).
+  void RetireIfAbove(int64_t max_symbols);
+
+ private:
+  std::unique_ptr<Interner> interner_;
+  std::map<std::string, MaterializedCatalog> catalogs_;
 };
 
 }  // namespace relcont

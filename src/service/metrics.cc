@@ -242,7 +242,7 @@ void ServiceMetrics::set_slow_log_capacity(size_t capacity) {
 }
 
 obs::MetricsSnapshot ServiceMetrics::Snapshot(
-    const CacheStats& cache, const PlanCacheStats& plan_cache) const {
+    const CacheStats& cache, const CacheStats& plan_cache) const {
   obs::MetricsSnapshot s;
   s.version = kVersionString;
   s.trace_compiled_in = trace::kCompiledIn;
@@ -378,7 +378,7 @@ obs::MetricsSnapshot ServiceMetrics::Snapshot(
 }
 
 std::string ServiceMetrics::Dump(const CacheStats& cache,
-                                 const PlanCacheStats& plan_cache) const {
+                                 const CacheStats& plan_cache) const {
   return obs::RenderMetricsText(Snapshot(cache, plan_cache));
 }
 

@@ -17,9 +17,7 @@
 #include "obs/exposition.h"
 #include "obs/flight.h"
 #include "obs/window.h"
-#include "planner/plan_cache.h"
 #include "relcont/decide.h"
-#include "service/decision_cache.h"
 #include "trace/trace.h"
 
 namespace relcont {
@@ -125,7 +123,8 @@ class ServiceMetrics {
     }
   }
 
-  /// Live gauges. Inflight tracks requests inside Service::Decide; open
+  /// Live gauges. Inflight tracks requests inside the request frame of
+  /// any verb (CONTAINED?, PLAN?, REWRITE?; service/request_frame.h); open
   /// connections tracks sockets held by the obs server; batch queue depth
   /// tracks ExecuteBatch items not yet claimed by a worker.
   void IncInflight() { inflight_.fetch_add(1, std::memory_order_relaxed); }
@@ -275,7 +274,7 @@ class ServiceMetrics {
   /// carries the planner's cache counters (defaulted so callers without a
   /// planner keep working).
   obs::MetricsSnapshot Snapshot(const CacheStats& cache,
-                                const PlanCacheStats& plan_cache = {}) const;
+                                const CacheStats& plan_cache = {}) const;
 
   /// Renders a multi-line text dump: request totals, per-regime counts,
   /// the supplied cache counters, the latency histogram as cumulative
@@ -284,7 +283,7 @@ class ServiceMetrics {
   /// counter totals, and the slow-request log. Equivalent to
   /// obs::RenderMetricsText(Snapshot(cache, plan_cache)).
   std::string Dump(const CacheStats& cache,
-                   const PlanCacheStats& plan_cache = {}) const;
+                   const CacheStats& plan_cache = {}) const;
 
  private:
   struct PhaseStat {

@@ -83,7 +83,7 @@ class ServerSession {
   WorkerContext ctx_;
   /// The planner's arena, retired independently of ctx_ (plan construction
   /// mints far more symbols per request than a containment decision).
-  PlannerContext planner_ctx_;
+  WorkerContext planner_ctx_;
   int batch_threads_;
   DecisionObserver observer_;
   /// Named query texts declared with DEFINE.

@@ -2,15 +2,14 @@
 #define RELCONT_SERVICE_SERVICE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/sharded_lru.h"
 #include "planner/planner.h"
 #include "relcont/decide.h"
 #include "service/catalog.h"
-#include "service/decision_cache.h"
 #include "service/metrics.h"
 #include "trace/trace.h"
 
@@ -21,18 +20,22 @@ namespace relcont {
 /// the (Π₂ᴾ-hard) decisions with a canonical-form cache and a thread-pool
 /// batch executor.
 ///
-/// Concurrency model. Decisions are pure functions of
-/// (Q1, Q2, catalog, options), but the library's decision procedures
-/// allocate fresh symbols through a non-thread-safe Interner. The service
-/// therefore confines every Interner-carrying structure to a WorkerContext
-/// owned by exactly one thread at a time; the only shared state is the
-/// catalog registry (mutex), the decision cache (sharded mutexes, values
-/// are interner-independent text), and the metrics (atomics).
+/// Concurrency model. Decisions and plans are pure functions of
+/// (queries, catalog, options), but the library's procedures allocate
+/// fresh symbols through a non-thread-safe Interner. The service therefore
+/// confines every Interner-carrying structure to a WorkerContext
+/// (service/catalog.h) owned by exactly one thread at a time; the only
+/// shared state is the catalog registry (mutex), the decision and plan
+/// caches (sharded mutexes, values are interner-independent text), and the
+/// metrics (atomics).
+
+/// Shard count of the decision and plan caches (the key hash picks the
+/// shard; each shard has its own mutex).
+inline constexpr size_t kCacheShards = 8;
 
 struct ServiceConfig {
   /// Total decision-cache capacity in entries.
   size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
   /// A worker arena is discarded and rebuilt once its interner holds more
   /// than this many symbols (decision procedures mint fresh symbols per
   /// request, so long-lived arenas grow without bound).
@@ -54,7 +57,6 @@ struct ServiceConfig {
   /// from the decision cache: plans are large values with a different
   /// working set).
   size_t plan_cache_capacity = 4096;
-  size_t plan_cache_shards = 8;
   /// Long trailing window for the sliding-window latency percentiles, in
   /// seconds (the short window is fixed at 10 s). Clamped to the window
   /// ring size (obs::WindowRing::kMaxWindowSecs).
@@ -111,23 +113,14 @@ struct DecisionResponse {
   std::shared_ptr<const trace::TraceContext> trace;
 };
 
-/// Per-thread working memory: the interner arena plus the catalogs
-/// materialized against it. NOT thread-safe — each context must be used by
-/// one thread at a time (constructing one is cheap).
-class WorkerContext {
- public:
-  WorkerContext();
-
-  Interner* interner() { return interner_.get(); }
-
- private:
-  friend class ContainmentService;
-
-  /// Drops the arena and every structure built against it.
-  void Reset();
-
-  std::unique_ptr<Interner> interner_;
-  std::map<std::string, MaterializedCatalog> catalogs_;
+/// A containment decision in interner-independent form, so one cache can
+/// serve every worker arena: the witness travels as rendered text rather
+/// than as a Rule full of thread-local SymbolIds.
+struct CachedDecision {
+  bool contained = false;
+  Regime regime = Regime::kUnknown;
+  /// Rendered witness ("" when the decision has none).
+  std::string witness_text;
 };
 
 class ContainmentService {
@@ -135,7 +128,11 @@ class ContainmentService {
   explicit ContainmentService(ServiceConfig config = {});
 
   CatalogRegistry& catalogs() { return catalogs_; }
-  DecisionCache& cache() { return cache_; }
+  /// The decision cache, keyed by the canonical fingerprint of
+  /// (Q1, Q2, catalog name + version, options) — see
+  /// CanonicalProgramFingerprint in containment/canonical.h for why the
+  /// key is invariant under variable renaming and rule reordering.
+  ShardedLru<CachedDecision>& cache() { return cache_; }
   ServiceMetrics& metrics() { return metrics_; }
   Planner& planner() { return planner_; }
   const ServiceConfig& config() const { return config_; }
@@ -156,15 +153,11 @@ class ContainmentService {
                                WorkerContext* ctx);
 
  private:
-  /// Materializes `request.catalog` into `ctx` (cached by version).
-  Result<const MaterializedCatalog*> CatalogFor(const std::string& name,
-                                                WorkerContext* ctx);
-
   ServiceConfig config_;
   CatalogRegistry catalogs_;
-  DecisionCache cache_;
+  ShardedLru<CachedDecision> cache_;
   ServiceMetrics metrics_;
-  /// Declared after catalogs_ and metrics_ (it points at both).
+  /// Declared last: it reads config_, catalogs_ and metrics_.
   Planner planner_;
 };
 

@@ -21,6 +21,7 @@
 #include "planner/planner.h"
 #include "relcont/decide.h"
 #include "relcont/pi2p_reduction.h"
+#include "service/service.h"
 
 namespace relcont {
 namespace {
@@ -412,16 +413,14 @@ TEST(BoundSiteAttributionTest, PlannerTripIsAttributed) {
     query_text += '\n';
   }
 
-  CatalogRegistry catalogs;
-  ServiceMetrics metrics;
-  ASSERT_TRUE(catalogs.Register("qbf", views_text).ok());
-  Planner planner(&catalogs, &metrics);
-  PlannerContext ctx;
+  ContainmentService service;
+  ASSERT_TRUE(service.catalogs().Register("qbf", views_text).ok());
+  WorkerContext ctx;
   PlanRequest request;
   request.query_text = query_text;
   request.catalog = "qbf";
   request.options.max_steps = 1;
-  PlanResponse response = planner.Plan(request, &ctx);
+  PlanResponse response = service.planner().Plan(request, &ctx);
   ASSERT_EQ(response.status.code(), StatusCode::kBoundReached)
       << response.status.ToString();
   // The planner attributes the whole bound request to its own aggregate

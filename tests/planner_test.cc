@@ -1,8 +1,9 @@
-// The plan service end to end: the PlanCache (LRU, invalidation, and the
-// counters the METRICS surfaces render), the Planner facade over both plan
-// regimes (Section 2.3 UCQ plans and Section 4 executable dom plans), the
-// PLAN?/REWRITE?/CATALOG? protocol verbs, budget behavior (a bound is an
-// error, never a wrong plan), and the path-view workload generator.
+// The plan service end to end: the plan-cache counters the METRICS
+// surfaces render, the Planner facade over both plan regimes (Section 2.3
+// UCQ plans and Section 4 executable dom plans), the PLAN?/REWRITE?/CATALOG?
+// protocol verbs, budget behavior (a bound is an error, never a wrong
+// plan), and the path-view workload generator. The cache itself is tested
+// in sharded_lru_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,8 @@
 
 #include "common/json.h"
 #include "datalog/parser.h"
-#include "planner/plan_cache.h"
 #include "planner/planner.h"
+#include "relcont/pi2p_reduction.h"
 #include "relcont/workload.h"
 #include "service/protocol.h"
 #include "service/service.h"
@@ -22,67 +23,6 @@
 
 namespace relcont {
 namespace {
-
-// --- plan cache -------------------------------------------------------------
-
-CachedPlan PlanValue(const std::string& text) {
-  CachedPlan out;
-  out.plan_text = text;
-  out.num_rules = 1;
-  return out;
-}
-
-TEST(PlanCacheTest, LookupInsertAndLruEviction) {
-  PlanCache cache(/*capacity=*/2, /*num_shards=*/1);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
-  cache.Insert("a", "cat", PlanValue("plan-a"));
-  cache.Insert("b", "cat", PlanValue("plan-b"));
-  // Touch "a" so "b" is the LRU victim when "c" arrives.
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  cache.Insert("c", "cat", PlanValue("plan-c"));
-  EXPECT_FALSE(cache.Lookup("b").has_value());
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  EXPECT_TRUE(cache.Lookup("c").has_value());
-  PlanCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.invalidated, 0u);
-}
-
-TEST(PlanCacheTest, InsertRefreshesExistingEntry) {
-  PlanCache cache(4, 1);
-  cache.Insert("a", "cat", PlanValue("old"));
-  cache.Insert("a", "cat", PlanValue("new"));
-  auto hit = cache.Lookup("a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->plan_text, "new");
-  EXPECT_EQ(cache.Stats().entries, 1u);
-}
-
-TEST(PlanCacheTest, InvalidateCatalogEvictsOnlyThatCatalog) {
-  PlanCache cache(/*capacity=*/64, /*num_shards=*/4);
-  for (int i = 0; i < 8; ++i) {
-    cache.Insert("left-" + std::to_string(i), "left", PlanValue("l"));
-    cache.Insert("right-" + std::to_string(i), "right", PlanValue("r"));
-  }
-  // Accumulate some hits so we can assert the counters survive.
-  EXPECT_TRUE(cache.Lookup("left-0").has_value());
-  EXPECT_TRUE(cache.Lookup("right-0").has_value());
-  PlanCacheStats before = cache.Stats();
-
-  cache.InvalidateCatalog("left");
-
-  PlanCacheStats after = cache.Stats();
-  EXPECT_EQ(after.invalidated, 8u);
-  EXPECT_EQ(after.entries, 8u);
-  // Hit/miss counters are untouched by invalidation.
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_FALSE(cache.Lookup("left-" + std::to_string(i)).has_value());
-    EXPECT_TRUE(cache.Lookup("right-" + std::to_string(i)).has_value());
-  }
-}
 
 // --- planner facade ---------------------------------------------------------
 
@@ -120,7 +60,7 @@ class PlannerTest : public ::testing::Test {
   }
 
   ContainmentService service_;
-  PlannerContext ctx_;
+  WorkerContext ctx_;
 };
 
 TEST_F(PlannerTest, UcqPlanForPatternFreeCatalog) {
@@ -175,7 +115,7 @@ TEST_F(PlannerTest, PlanCacheHitAndCatalogInvalidation) {
   ASSERT_TRUE(other.status.ok());
   ASSERT_TRUE(
       service_.catalogs().Register("plain", "v(X, Y) :- e(Y, X).\n").ok());
-  PlanCacheStats stats = service_.planner().cache().Stats();
+  CacheStats stats = service_.planner().cache().Stats();
   EXPECT_GE(stats.invalidated, 1u);
 
   // ...so "bound" still hits while "plain" re-plans against v2.
@@ -276,6 +216,82 @@ TEST_F(PlannerTest, PlannerMetricsFlowIntoTheSharedSnapshot) {
 
 // --- concurrent invalidation stress (8 threads, TSan-clean) -----------------
 
+// One regime per request feeds every record: a failed traced PLAN? files
+// its slow-log entry under kUnknown, like its window sample and wide event.
+TEST(PlannerFrameTest, FailedTracedPlanIsFiledUnderUnknownRegime) {
+  ContainmentService service(ServiceConfig{.trace_requests = true});
+  WorkerContext ctx;
+  PlanRequest request;
+  request.query_text = "q(X) :- e(X, Y).";
+  request.catalog = "nope";
+  PlanResponse r = service.planner().Plan(request, &ctx);
+  ASSERT_FALSE(r.status.ok());
+  std::vector<SlowRequest> slow = service.metrics().SlowLog();
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0].regime, Regime::kUnknown);
+  EXPECT_EQ(slow[0].request_id, r.request_id);
+}
+
+// Every verb runs inside the request frame: a REWRITE? in flight counts in
+// the inflight gauge, and its wide event reports the parallel width of its
+// per-disjunct scan.
+TEST(PlannerFrameTest, RewriteCountsAsInflightAndReportsItsWorkers) {
+  // A Theorem 3.3 reduction of a random QBF: 2^8 plan disjuncts, tens of
+  // milliseconds of scanning, cut off by the deadline if it runs longer.
+  Interner gen;
+  QbfFormula f = RandomQbf(/*num_exists=*/2, /*num_forall=*/8,
+                           /*num_clauses=*/16, /*seed=*/11);
+  Result<Pi2pInstance> inst = BuildPi2pReduction(f, &gen);
+  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
+  std::string views_text;
+  for (const ViewDefinition& v : inst->views.views()) {
+    views_text += v.rule.ToString(gen);
+    views_text += '\n';
+  }
+  auto render = [&gen](const GoalQuery& q) {
+    std::string text;
+    for (const Rule& r : q.program.rules) {
+      text += r.ToString(gen);
+      text += '\n';
+    }
+    return text;
+  };
+  ContainmentService service;
+  ASSERT_TRUE(service.catalogs().Register("qbf", views_text).ok());
+  RewriteRequest request;
+  request.q1_text = render(inst->q2);
+  request.q2_text = render(inst->q1);
+  request.catalog = "qbf";
+  request.options.timeout_ms = 200;
+  request.options.parallel_workers = 2;
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> seen_inflight{false};
+  std::thread observer([&]() {
+    while (!done.load()) {
+      if (service.metrics().inflight_requests() == 1) {
+        seen_inflight.store(true);
+        return;
+      }
+    }
+  });
+  WorkerContext ctx;
+  RewriteResponse r = service.planner().Rewrite(request, &ctx);
+  done.store(true);
+  observer.join();
+  EXPECT_TRUE(seen_inflight.load());
+  EXPECT_EQ(service.metrics().inflight_requests(), 0);
+
+  std::string requestz =
+      obs::RenderRequestzListJson(service.metrics().flight());
+  size_t event = requestz.find("{\"request_id\":" +
+                               std::to_string(r.request_id) + ",");
+  ASSERT_NE(event, std::string::npos) << requestz;
+  size_t workers = requestz.find("\"workers\":", event);
+  ASSERT_NE(workers, std::string::npos) << requestz;
+  EXPECT_EQ(requestz.substr(workers, 12), "\"workers\":2,") << requestz;
+}
+
 TEST(PlannerStressTest, ConcurrentPlansAndReRegistrations) {
   ContainmentService service;
   ASSERT_TRUE(
@@ -289,7 +305,7 @@ TEST(PlannerStressTest, ConcurrentPlansAndReRegistrations) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&service, &failures, t]() {
-      PlannerContext ctx;
+      WorkerContext ctx;
       for (int i = 0; i < kRequestsPerThread; ++i) {
         if (t == 0 && i % 8 == 3) {
           // One thread churns the hot catalog while the rest plan.
@@ -313,7 +329,7 @@ TEST(PlannerStressTest, ConcurrentPlansAndReRegistrations) {
   // Deterministic tail (the racing phase above is about TSan coverage):
   // plan twice so the second is a guaranteed hit, then re-register and
   // check the entry was invalidated.
-  PlannerContext ctx;
+  WorkerContext ctx;
   PlanRequest request;
   request.query_text = "q(X, Z) :- e(X, Y), e(Y, Z).";
   request.catalog = "hot";
@@ -321,7 +337,7 @@ TEST(PlannerStressTest, ConcurrentPlansAndReRegistrations) {
   EXPECT_TRUE(service.planner().Plan(request, &ctx).cache_hit);
   ASSERT_TRUE(
       service.catalogs().Register("hot", "v(X, Y) :- e(X, Y).\n").ok());
-  PlanCacheStats stats = service.planner().cache().Stats();
+  CacheStats stats = service.planner().cache().Stats();
   EXPECT_GE(stats.invalidated, 1u);
   EXPECT_GE(stats.hits, 1u);
 }

@@ -112,59 +112,6 @@ TEST(CatalogRegistryTest, MaterializesPatterns) {
   EXPECT_EQ((*adornments)[0].ToString(), "bf");
 }
 
-// --- decision cache ---------------------------------------------------------
-
-CachedDecision Cached(bool contained) {
-  CachedDecision d;
-  d.contained = contained;
-  d.regime = Regime::kSection3;
-  return d;
-}
-
-TEST(DecisionCacheTest, LookupInsertAndStats) {
-  DecisionCache cache(8, 2);
-  EXPECT_FALSE(cache.Lookup("k1").has_value());
-  cache.Insert("k1", Cached(true));
-  auto hit = cache.Lookup("k1");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->contained);
-  EXPECT_EQ(hit->regime, Regime::kSection3);
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(DecisionCacheTest, LruEvictionOrder) {
-  // One shard so recency order is global and deterministic.
-  DecisionCache cache(3, 1);
-  cache.Insert("a", Cached(true));
-  cache.Insert("b", Cached(true));
-  cache.Insert("c", Cached(true));
-  // Refresh "a": now "b" is the least recently used entry.
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  cache.Insert("d", Cached(false));
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  EXPECT_FALSE(cache.Lookup("b").has_value());
-  EXPECT_TRUE(cache.Lookup("c").has_value());
-  EXPECT_TRUE(cache.Lookup("d").has_value());
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 3u);
-}
-
-TEST(DecisionCacheTest, ClearDropsEntriesKeepsCounters) {
-  DecisionCache cache(4, 1);
-  cache.Insert("a", Cached(true));
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  cache.Clear();
-  EXPECT_FALSE(cache.Lookup("a").has_value());
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-}
-
 // --- service ----------------------------------------------------------------
 
 class ServiceTest : public ::testing::Test {
