@@ -26,7 +26,6 @@
 //   --threads N        fan-out width for BATCH BEGIN/END groups (default 4)
 //   --cache N          decision-cache capacity in entries (default 4096)
 //   --trace            trace every request into the METRICS aggregates
-//   --slow-log N       keep the N worst traced requests (default 4)
 //   --port N           serve TCP + HTTP on port N instead of stdin/stdout
 //   --access-log FILE  append one JSONL event per decision to FILE
 //   --log-sample R     log every R-th decision only (default 1 = all)
@@ -81,7 +80,7 @@ void HandleSignal(int signum) {
 int Usage() {
   std::fprintf(stderr,
                "usage: relcont_serve [--batch] [--threads N] [--cache N] "
-               "[--trace] [--slow-log N]\n"
+               "[--trace]\n"
                "                     [--port N] [--access-log FILE] "
                "[--log-sample R]\n"
                "                     [--default-timeout-ms N] [--workers N] "
@@ -136,11 +135,6 @@ int main(int argc, char** argv) {
       long long cache = 0;
       if (!ParseIntFlag(arg, value, 1, 1LL << 30, &cache)) return Usage();
       config.cache_capacity = static_cast<size_t>(cache);
-      ++i;
-    } else if (std::strcmp(arg, "--slow-log") == 0) {
-      long long slow = 0;
-      if (!ParseIntFlag(arg, value, 1, 1LL << 20, &slow)) return Usage();
-      config.slow_log_capacity = static_cast<size_t>(slow);
       ++i;
     } else if (std::strcmp(arg, "--port") == 0) {
       if (!ParseIntFlag(arg, value, 1, 65535, &port)) return Usage();

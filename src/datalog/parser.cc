@@ -314,7 +314,12 @@ class Parser {
     return atom;
   }
 
-  Result<Term> ParseTerm() {
+  /// `depth` counts the function terms enclosing this one.
+  Result<Term> ParseTerm(int depth = 0) {
+    if (depth > kMaxTermDepth) {
+      return Result<Term>(Err("function terms nest deeper than " +
+                              std::to_string(kMaxTermDepth)));
+    }
     const Token& tok = Peek();
     switch (tok.kind) {
       case TokenKind::kNumber: {
@@ -341,7 +346,7 @@ class Parser {
           std::vector<Term> args;
           if (!Accept(TokenKind::kRParen)) {
             for (;;) {
-              RELCONT_ASSIGN_OR_RETURN(Term t, ParseTerm());
+              RELCONT_ASSIGN_OR_RETURN(Term t, ParseTerm(depth + 1));
               args.push_back(std::move(t));
               if (Accept(TokenKind::kComma)) continue;
               RELCONT_RETURN_NOT_OK(Expect(TokenKind::kRParen, "')'"));

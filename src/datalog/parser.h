@@ -26,6 +26,11 @@ namespace relcont {
 /// * Comparisons use <, <=, >, >=, =, != and may appear anywhere in a body.
 /// * '%' starts a comment that runs to end of line.
 /// * A zero-arity head may be written `q()` or just `q`.
+/// * Function terms nest at most kMaxTermDepth deep; deeper text is
+///   rejected with InvalidArgument (the parser, and every later walk of a
+///   term, recurses once per level).
+
+inline constexpr int kMaxTermDepth = 256;
 
 /// Parses a single rule (or fact) terminated by '.'.
 Result<Rule> ParseRule(std::string_view text, Interner* interner);

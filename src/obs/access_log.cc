@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <vector>
 
 #include "common/budget.h"
 #include "common/json.h"
@@ -56,13 +54,11 @@ AccessLog::~AccessLog() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-std::string AccessLog::RenderEvent(uint64_t id, int64_t unix_micros,
+std::string AccessLog::RenderEvent(int64_t unix_micros,
                                    const DecisionRequest& request,
                                    const DecisionResponse& response) {
   std::string out = "{";
   bool first = true;
-  AppendField(&out, "id", &first);
-  out += std::to_string(id);
   AppendField(&out, "request_id", &first);
   out += std::to_string(response.request_id);
   AppendField(&out, "ts_unix_micros", &first);
@@ -90,17 +86,9 @@ std::string AccessLog::RenderEvent(uint64_t id, int64_t unix_micros,
   AppendField(&out, "bound_site", &first);
   json::AppendEscaped(BoundSiteFromStatus(response.status), &out);
   if (response.trace != nullptr && !response.trace->spans().empty()) {
-    // Top-level breakdown only: the root span plus its direct children
-    // (aggregated by name) — the full tree belongs to EXPLAIN, not to a
-    // per-request log line.
-    std::vector<std::pair<std::string, uint64_t>> phases;
-    std::map<std::string, size_t> index;
-    for (const trace::SpanNode& span : response.trace->spans()) {
-      if (span.depth > 1) continue;
-      auto [it, inserted] = index.emplace(span.name, phases.size());
-      if (inserted) phases.emplace_back(span.name, 0);
-      phases[it->second].second += span.duration_ns();
-    }
+    // The top-of-tree digest only — the full tree belongs to EXPLAIN, not
+    // to a per-request log line.
+    const auto phases = response.trace->TopPhases();
     AppendField(&out, "phases", &first);
     out.push_back('[');
     for (size_t i = 0; i < phases.size(); ++i) {
@@ -119,9 +107,8 @@ std::string AccessLog::RenderEvent(uint64_t id, int64_t unix_micros,
 
 void AccessLog::Record(const DecisionRequest& request,
                        const DecisionResponse& response) {
-  uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  if ((id - 1) % options_.sample != 0) return;
-  std::string line = RenderEvent(id, NowUnixMicros(), request, response);
+  if (response.request_id % options_.sample != 1 % options_.sample) return;
+  std::string line = RenderEvent(NowUnixMicros(), request, response);
   line.push_back('\n');
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return;

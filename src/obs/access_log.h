@@ -1,7 +1,6 @@
 #ifndef RELCONT_OBS_ACCESS_LOG_H_
 #define RELCONT_OBS_ACCESS_LOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -16,10 +15,10 @@ namespace obs {
 
 struct AccessLogOptions {
   std::string path;
-  /// Log one of every `sample` requests (1 = every request). Sampling is
-  /// deterministic on the monotonic request id, so a given id is either
-  /// always logged or never — reruns of a workload produce the same ids
-  /// in the log.
+  /// Log one of every `sample` request ids (1 = every request): ids 1,
+  /// 1 + sample, 1 + 2·sample, ... Sampling is deterministic on the
+  /// flight-recorder request id, so a given id is either always logged or
+  /// never — reruns of a workload produce the same ids in the log.
   uint64_t sample = 1;
   /// Rotate when the current file would exceed this many bytes: the file
   /// is renamed to `<path>.1` (replacing any previous rotation) and a
@@ -39,19 +38,14 @@ class AccessLog {
 
   ~AccessLog();
 
-  /// Assigns the next monotonic request id and, if the id is sampled,
-  /// writes one event line. Matches the DecisionObserver signature.
+  /// Writes one event line if the response's request id is sampled.
+  /// Matches the DecisionObserver signature.
   void Record(const DecisionRequest& request,
               const DecisionResponse& response);
 
-  /// Total requests seen (logged or sampled away).
-  uint64_t requests_seen() const {
-    return next_id_.load(std::memory_order_relaxed) - 1;
-  }
-
   /// Renders the event line (no trailing newline) exactly as Record writes
-  /// it, with the given id and timestamp. Exposed for tests.
-  static std::string RenderEvent(uint64_t id, int64_t unix_micros,
+  /// it, with the given timestamp. Exposed for tests.
+  static std::string RenderEvent(int64_t unix_micros,
                                  const DecisionRequest& request,
                                  const DecisionResponse& response);
 
@@ -62,7 +56,6 @@ class AccessLog {
   void RotateLocked();
 
   AccessLogOptions options_;
-  std::atomic<uint64_t> next_id_{1};
   std::mutex mu_;
   std::FILE* file_;       // guarded by mu_
   uint64_t bytes_ = 0;    // size of the current file, guarded by mu_

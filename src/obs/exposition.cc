@@ -1,7 +1,10 @@
 #include "obs/exposition.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <optional>
+#include <string_view>
 
 #include "common/json.h"
 
@@ -30,469 +33,200 @@ void AppendLine(std::string* out, const char* format, ...) {
   va_end(args);
 }
 
-/// Prometheus label-value escaping: backslash, double quote, newline.
-std::string LabelEscaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
 unsigned long long ULL(uint64_t v) {
   return static_cast<unsigned long long>(v);
 }
 
-}  // namespace
-
-std::string RenderMetricsText(const MetricsSnapshot& s) {
-  std::string out;
-  AppendLine(&out, "library_version %s\n", s.version.c_str());
-  AppendLine(&out, "start_time_unix_seconds %lld\n",
-             static_cast<long long>(s.start_time_unix_seconds));
-  AppendLine(&out, "uptime_seconds %.3f\n", s.uptime_seconds);
-  AppendLine(&out, "requests_total %llu\nerrors_total %llu\n",
-             ULL(s.requests), ULL(s.errors));
-  AppendLine(&out, "request_cache_hits %llu\n", ULL(s.request_cache_hits));
-  AppendLine(&out, "deadline_exceeded %llu\n", ULL(s.deadline_exceeded));
-  AppendLine(&out,
-             "parallel_tasks_spawned %llu\nparallel_tasks_completed %llu\n",
-             ULL(s.parallel_tasks_spawned), ULL(s.parallel_tasks_completed));
-  AppendLine(&out,
-             "inflight_requests %lld\nopen_connections %lld\n"
-             "batch_queue_depth %lld\n",
-             static_cast<long long>(s.inflight_requests),
-             static_cast<long long>(s.open_connections),
-             static_cast<long long>(s.batch_queue_depth));
-  AppendLine(&out, "draining %d\n", s.draining ? 1 : 0);
-  AppendLine(&out,
-             "http_rejected_431_total %llu\nhttp_rejected_408_total %llu\n",
-             ULL(s.http_rejected_431), ULL(s.http_rejected_408));
-  for (const RegimeDecisions& regime : s.decisions_by_regime) {
-    AppendLine(&out, "decisions_by_regime{%s} %llu\n", regime.regime.c_str(),
-               ULL(regime.count));
-  }
-  AppendLine(&out,
-             "plan_requests_total %llu\nrewrite_requests_total %llu\n"
-             "plan_errors_total %llu\nunknown_verbs_total %llu\n",
-             ULL(s.plan_requests), ULL(s.rewrite_requests),
-             ULL(s.plan_errors), ULL(s.unknown_verbs));
-  AppendLine(&out,
-             "dense_order_propagations_total %llu\n"
-             "dense_order_pruned_branches_total %llu\n"
-             "dense_order_bound_hits_total %llu\n",
-             ULL(s.dense_order_propagations),
-             ULL(s.dense_order_pruned_branches),
-             ULL(s.dense_order_bound_hits));
-  AppendLine(&out,
-             "cegar_iterations_total %llu\n"
-             "cegar_blocking_clauses_total %llu\n"
-             "cegar_proposals_total %llu\n",
-             ULL(s.cegar_iterations), ULL(s.cegar_blocking_clauses),
-             ULL(s.cegar_proposals));
-  for (const BoundSiteCount& site : s.bound_sites) {
-    AppendLine(&out, "bound_hits_total{site=\"%s\"} %llu\n",
-               site.site.c_str(), ULL(site.count));
-  }
-  AppendLine(&out,
-             "flight_retained_total %llu\nflight_dropped_total %llu\n"
-             "flight_arena_bytes %llu\n",
-             ULL(s.flight_retained), ULL(s.flight_dropped),
-             ULL(s.flight_arena_bytes));
-  for (const WindowLatency& w : s.window_latency) {
-    AppendLine(&out,
-               "window_latency_requests{verb=\"%s\",regime=\"%s\","
-               "window=\"%ds\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.count));
-    AppendLine(&out,
-               "window_latency_us{verb=\"%s\",regime=\"%s\",window=\"%ds\","
-               "q=\"p50\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.p50_micros));
-    AppendLine(&out,
-               "window_latency_us{verb=\"%s\",regime=\"%s\",window=\"%ds\","
-               "q=\"p90\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.p90_micros));
-    AppendLine(&out,
-               "window_latency_us{verb=\"%s\",regime=\"%s\",window=\"%ds\","
-               "q=\"p99\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.p99_micros));
-    AppendLine(&out,
-               "window_latency_us{verb=\"%s\",regime=\"%s\",window=\"%ds\","
-               "q=\"max\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.max_micros));
-  }
-  AppendLine(&out,
-             "cache_hits %llu\ncache_misses %llu\ncache_evictions "
-             "%llu\ncache_entries %llu\n",
-             ULL(s.cache.hits), ULL(s.cache.misses), ULL(s.cache.evictions),
-             ULL(s.cache.entries));
-  AppendLine(&out,
-             "plan_cache_hits %llu\nplan_cache_misses %llu\n"
-             "plan_cache_evictions %llu\nplan_cache_invalidated %llu\n"
-             "plan_cache_entries %llu\n",
-             ULL(s.plan_cache.hits), ULL(s.plan_cache.misses),
-             ULL(s.plan_cache.evictions), ULL(s.plan_cache.invalidated),
-             ULL(s.plan_cache.entries));
-  for (const HistogramBucket& bucket : s.latency_buckets) {
-    if (bucket.unbounded) {
-      AppendLine(&out, "latency_us_bucket{le=\"+Inf\"} %llu\n",
-                 ULL(bucket.cumulative_count));
-    } else {
-      AppendLine(&out, "latency_us_bucket{le=\"%llu\"} %llu\n",
-                 ULL(bucket.le), ULL(bucket.cumulative_count));
-    }
-  }
-  AppendLine(&out, "latency_us_sum %llu\nlatency_us_count %llu\n",
-             ULL(s.latency_sum_micros), ULL(s.latency_count));
-  for (const TraceCounterTotal& t : s.trace_counter_totals) {
-    AppendLine(&out,
-               "trace_counter_total{regime=\"%s\",counter=\"%s\"} %llu\n",
-               t.regime.c_str(), t.counter.c_str(), ULL(t.total));
-  }
-  for (const PhaseSnapshot& phase : s.phases) {
-    AppendLine(&out,
-               "trace_phase_ns{phase=\"%s\"} %llu\n"
-               "trace_phase_calls{phase=\"%s\"} %llu\n",
-               phase.name.c_str(), ULL(phase.ns), phase.name.c_str(),
-               ULL(phase.calls));
-  }
-  for (size_t i = 0; i < s.slow_log.size(); ++i) {
-    const SlowEntry& slow = s.slow_log[i];
-    AppendLine(&out,
-               "slow_request{rank=%llu,latency_us=%llu,regime=\"%s\","
-               "id=%llu} ",
-               ULL(i), ULL(slow.latency_micros), slow.regime.c_str(),
-               ULL(slow.request_id));
-    out += slow.description;
-    out += '\n';
-    // The span tree, indented so a scraper can skip continuation lines.
-    size_t begin = 0;
-    while (begin < slow.trace_text.size()) {
-      size_t end = slow.trace_text.find('\n', begin);
-      if (end == std::string::npos) end = slow.trace_text.size();
-      out += "    ";
-      out.append(slow.trace_text, begin, end - begin);
-      out += '\n';
-      begin = end + 1;
-    }
-  }
-  return out;
+void AppendU64(std::string* out, uint64_t v) {
+  char buf[24];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  (void)ec;
+  out->append(buf, end);
 }
+
+/// A scalar row's value as the exposition prints it: gauges signed.
+void AppendValue(std::string* out, const SeriesDef& row, uint64_t v) {
+  if (row.type != SeriesType::kGauge) return AppendU64(out, v);
+  char buf[24];
+  auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, static_cast<int64_t>(v));
+  (void)ec;
+  out->append(buf, end);
+}
+
+/// `relcont_<name><suffix>`.
+void AppendSeriesName(std::string* out, const SeriesDef& row,
+                      std::string_view suffix = {}) {
+  *out += "relcont_";
+  out->append(row.name);
+  out->append(suffix);
+}
+
+/// `name="value"`, the value escaped as Prometheus requires (backslash,
+/// double quote, newline); `first` omits the leading comma.
+void AppendLabel(std::string* out, std::string_view name,
+                 std::string_view value, bool first = false) {
+  if (!first) *out += ',';
+  out->append(name);
+  *out += "=\"";
+  for (char c : value) {
+    switch (c) {
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      default:
+        out->push_back(c);
+    }
+  }
+  *out += '"';
+}
+
+/// The samples of a single-label family row, or nullptr for other rows.
+const std::vector<LabelCount>* LabelCounts(const MetricsSnapshot& s,
+                                           size_t index) {
+  switch (index) {
+    case SeriesIndex("http_rejected_total"):
+      return &s.http_rejected;
+    case SeriesIndex("decisions_total"):
+      return &s.decisions;
+    case SeriesIndex("bound_hits_total"):
+      return &s.bound_sites;
+    default:
+      return nullptr;
+  }
+}
+
+/// The sample lines of row `index`. A row without a case of its own is a
+/// scalar whose value sits in the snapshot's slot for it.
+void AppendSamples(std::string* out, const MetricsSnapshot& s, size_t index) {
+  const SeriesDef& row = kSeriesTable[index];
+  if (const std::vector<LabelCount>* counts = LabelCounts(s, index)) {
+    for (const LabelCount& c : *counts) {
+      AppendSeriesName(out, row, "{");
+      AppendLabel(out, row.labels, c.label, /*first=*/true);
+      *out += "} ";
+      AppendU64(out, c.count);
+      *out += '\n';
+    }
+    return;
+  }
+  switch (index) {
+    case SeriesIndex("build_info"):
+      AppendSeriesName(out, row, "{");
+      AppendLabel(out, "version", s.version, /*first=*/true);
+      AppendLabel(out, "trace", s.trace_compiled_in ? "on" : "off");
+      *out += "} 1\n";
+      break;
+    case SeriesIndex("uptime_seconds"):
+      AppendSeriesName(out, row);
+      AppendLine(out, " %.3f\n", s.uptime_seconds);
+      break;
+    case SeriesIndex("window_latency_requests"):
+    case SeriesIndex("window_latency_microseconds"):
+      for (const WindowLatency& w : s.window_latency) {
+        const std::string window = std::to_string(w.window_secs) + "s";
+        auto sample = [&](const char* quantile, uint64_t value) {
+          AppendSeriesName(out, row, "{");
+          AppendLabel(out, "verb", w.verb, /*first=*/true);
+          AppendLabel(out, "regime", w.regime);
+          AppendLabel(out, "window", window);
+          if (quantile != nullptr) AppendLabel(out, "quantile", quantile);
+          *out += "} ";
+          AppendU64(out, value);
+          *out += '\n';
+        };
+        if (index == SeriesIndex("window_latency_requests")) {
+          sample(nullptr, w.count);
+        } else {
+          sample("p50", w.p50_micros);
+          sample("p90", w.p90_micros);
+          sample("p99", w.p99_micros);
+          sample("max", w.max_micros);
+        }
+      }
+      break;
+    case SeriesIndex("request_latency_microseconds"):
+      for (const HistogramBucket& bucket : s.latency_buckets) {
+        AppendSeriesName(out, row, "_bucket{le=\"");
+        if (bucket.unbounded) {
+          *out += "+Inf";
+        } else {
+          AppendU64(out, bucket.le);
+        }
+        *out += "\"} ";
+        AppendU64(out, bucket.cumulative_count);
+        *out += '\n';
+      }
+      AppendSeriesName(out, row, "_sum ");
+      AppendU64(out, s.latency_sum_micros);
+      *out += '\n';
+      AppendSeriesName(out, row, "_count ");
+      AppendU64(out, s.latency_count);
+      *out += '\n';
+      break;
+    case SeriesIndex("trace_counter_total"):
+      for (const TraceCounterTotal& t : s.trace_counter_totals) {
+        AppendSeriesName(out, row, "{");
+        AppendLabel(out, "regime", t.regime, /*first=*/true);
+        AppendLabel(out, "counter", t.counter);
+        *out += "} ";
+        AppendU64(out, t.total);
+        *out += '\n';
+      }
+      break;
+    case SeriesIndex("trace_phase_nanoseconds_total"):
+    case SeriesIndex("trace_phase_calls_total"):
+      for (const PhaseSnapshot& phase : s.phases) {
+        AppendSeriesName(out, row, "{");
+        AppendLabel(out, "phase", phase.name, /*first=*/true);
+        *out += "} ";
+        AppendU64(out, index == SeriesIndex("trace_phase_calls_total")
+                           ? phase.calls
+                           : phase.ns);
+        *out += '\n';
+      }
+      break;
+    default:
+      AppendSeriesName(out, row, " ");
+      AppendValue(out, row, s.values[index]);
+      *out += '\n';
+      break;
+  }
+}
+
+const char* TypeName(SeriesType type) {
+  switch (type) {
+    case SeriesType::kCounter:
+      return "counter";
+    case SeriesType::kGauge:
+      return "gauge";
+    case SeriesType::kHistogram:
+      return "histogram";
+  }
+  return "untyped";
+}
+
+}  // namespace
 
 std::string RenderPrometheusText(const MetricsSnapshot& s) {
   std::string out;
-  AppendLine(&out,
-             "# HELP relcont_build_info Build identity of the containment "
-             "service (value is always 1).\n"
-             "# TYPE relcont_build_info gauge\n"
-             "relcont_build_info{version=\"%s\",trace=\"%s\"} 1\n",
-             LabelEscaped(s.version).c_str(),
-             s.trace_compiled_in ? "on" : "off");
-  AppendLine(&out,
-             "# HELP relcont_start_time_seconds Unix time the service "
-             "started.\n"
-             "# TYPE relcont_start_time_seconds gauge\n"
-             "relcont_start_time_seconds %lld\n",
-             static_cast<long long>(s.start_time_unix_seconds));
-  AppendLine(&out,
-             "# HELP relcont_uptime_seconds Seconds since service start.\n"
-             "# TYPE relcont_uptime_seconds gauge\n"
-             "relcont_uptime_seconds %.3f\n",
-             s.uptime_seconds);
-  AppendLine(&out,
-             "# HELP relcont_requests_total Containment requests answered "
-             "(including errors).\n"
-             "# TYPE relcont_requests_total counter\n"
-             "relcont_requests_total %llu\n",
-             ULL(s.requests));
-  AppendLine(&out,
-             "# HELP relcont_errors_total Requests answered with a non-OK "
-             "status.\n"
-             "# TYPE relcont_errors_total counter\n"
-             "relcont_errors_total %llu\n",
-             ULL(s.errors));
-  AppendLine(&out,
-             "# HELP relcont_request_cache_hits_total Requests served from "
-             "the decision cache.\n"
-             "# TYPE relcont_request_cache_hits_total counter\n"
-             "relcont_request_cache_hits_total %llu\n",
-             ULL(s.request_cache_hits));
-  AppendLine(&out,
-             "# HELP relcont_deadline_exceeded_total Requests whose "
-             "deadline expired before the decision completed.\n"
-             "# TYPE relcont_deadline_exceeded_total counter\n"
-             "relcont_deadline_exceeded_total %llu\n",
-             ULL(s.deadline_exceeded));
-  AppendLine(&out,
-             "# HELP relcont_parallel_tasks_spawned_total Parallel helper "
-             "tasks spawned by decisions.\n"
-             "# TYPE relcont_parallel_tasks_spawned_total counter\n"
-             "relcont_parallel_tasks_spawned_total %llu\n",
-             ULL(s.parallel_tasks_spawned));
-  AppendLine(&out,
-             "# HELP relcont_parallel_tasks_completed_total Parallel helper "
-             "tasks joined by decisions (equals spawned when idle).\n"
-             "# TYPE relcont_parallel_tasks_completed_total counter\n"
-             "relcont_parallel_tasks_completed_total %llu\n",
-             ULL(s.parallel_tasks_completed));
-  AppendLine(&out,
-             "# HELP relcont_inflight_requests Requests currently being "
-             "decided.\n"
-             "# TYPE relcont_inflight_requests gauge\n"
-             "relcont_inflight_requests %lld\n"
-             "# HELP relcont_open_connections TCP connections currently "
-             "open on the obs server.\n"
-             "# TYPE relcont_open_connections gauge\n"
-             "relcont_open_connections %lld\n"
-             "# HELP relcont_batch_queue_depth Batch items queued but not "
-             "yet claimed by a worker.\n"
-             "# TYPE relcont_batch_queue_depth gauge\n"
-             "relcont_batch_queue_depth %lld\n",
-             static_cast<long long>(s.inflight_requests),
-             static_cast<long long>(s.open_connections),
-             static_cast<long long>(s.batch_queue_depth));
-  AppendLine(&out,
-             "# HELP relcont_draining 1 between SIGTERM drain start and "
-             "listener close, else 0.\n"
-             "# TYPE relcont_draining gauge\n"
-             "relcont_draining %d\n",
-             s.draining ? 1 : 0);
-  AppendLine(&out,
-             "# HELP relcont_http_rejected_total HTTP requests rejected by "
-             "the parser hardening, by status code.\n"
-             "# TYPE relcont_http_rejected_total counter\n"
-             "relcont_http_rejected_total{code=\"431\"} %llu\n"
-             "relcont_http_rejected_total{code=\"408\"} %llu\n",
-             ULL(s.http_rejected_431), ULL(s.http_rejected_408));
-  out +=
-      "# HELP relcont_decisions_total Decisions per paper regime.\n"
-      "# TYPE relcont_decisions_total counter\n";
-  for (const RegimeDecisions& regime : s.decisions_by_regime) {
-    AppendLine(&out, "relcont_decisions_total{regime=\"%s\"} %llu\n",
-               LabelEscaped(regime.regime).c_str(), ULL(regime.count));
-  }
-  AppendLine(&out,
-             "# HELP relcont_cache_hits_total Decision-cache lookup hits.\n"
-             "# TYPE relcont_cache_hits_total counter\n"
-             "relcont_cache_hits_total %llu\n"
-             "# HELP relcont_cache_misses_total Decision-cache lookup "
-             "misses.\n"
-             "# TYPE relcont_cache_misses_total counter\n"
-             "relcont_cache_misses_total %llu\n"
-             "# HELP relcont_cache_evictions_total LRU evictions from the "
-             "decision cache.\n"
-             "# TYPE relcont_cache_evictions_total counter\n"
-             "relcont_cache_evictions_total %llu\n"
-             "# HELP relcont_cache_entries Entries currently resident in "
-             "the decision cache.\n"
-             "# TYPE relcont_cache_entries gauge\n"
-             "relcont_cache_entries %llu\n",
-             ULL(s.cache.hits), ULL(s.cache.misses), ULL(s.cache.evictions),
-             ULL(s.cache.entries));
-  AppendLine(&out,
-             "# HELP relcont_plan_requests_total PLAN? requests answered "
-             "(including errors).\n"
-             "# TYPE relcont_plan_requests_total counter\n"
-             "relcont_plan_requests_total %llu\n"
-             "# HELP relcont_rewrite_requests_total REWRITE? requests "
-             "answered (including errors).\n"
-             "# TYPE relcont_rewrite_requests_total counter\n"
-             "relcont_rewrite_requests_total %llu\n"
-             "# HELP relcont_plan_errors_total Planner requests answered "
-             "with a non-OK status.\n"
-             "# TYPE relcont_plan_errors_total counter\n"
-             "relcont_plan_errors_total %llu\n"
-             "# HELP relcont_unknown_verb_total Protocol lines rejected "
-             "because no handler claims their verb.\n"
-             "# TYPE relcont_unknown_verb_total counter\n"
-             "relcont_unknown_verb_total %llu\n",
-             ULL(s.plan_requests), ULL(s.rewrite_requests),
-             ULL(s.plan_errors), ULL(s.unknown_verbs));
-  AppendLine(&out,
-             "# HELP relcont_plan_cache_hits_total Plan-cache lookup hits.\n"
-             "# TYPE relcont_plan_cache_hits_total counter\n"
-             "relcont_plan_cache_hits_total %llu\n"
-             "# HELP relcont_plan_cache_misses_total Plan-cache lookup "
-             "misses.\n"
-             "# TYPE relcont_plan_cache_misses_total counter\n"
-             "relcont_plan_cache_misses_total %llu\n"
-             "# HELP relcont_plan_cache_evictions_total LRU evictions from "
-             "the plan cache.\n"
-             "# TYPE relcont_plan_cache_evictions_total counter\n"
-             "relcont_plan_cache_evictions_total %llu\n"
-             "# HELP relcont_plan_cache_invalidated_total Plan-cache "
-             "entries dropped by catalog re-registration.\n"
-             "# TYPE relcont_plan_cache_invalidated_total counter\n"
-             "relcont_plan_cache_invalidated_total %llu\n"
-             "# HELP relcont_plan_cache_entries Entries currently resident "
-             "in the plan cache.\n"
-             "# TYPE relcont_plan_cache_entries gauge\n"
-             "relcont_plan_cache_entries %llu\n",
-             ULL(s.plan_cache.hits), ULL(s.plan_cache.misses),
-             ULL(s.plan_cache.evictions), ULL(s.plan_cache.invalidated),
-             ULL(s.plan_cache.entries));
-  AppendLine(&out,
-             "# HELP relcont_dense_order_propagations_total Pair-matrix "
-             "cell narrowings performed by the dense-order engine.\n"
-             "# TYPE relcont_dense_order_propagations_total counter\n"
-             "relcont_dense_order_propagations_total %llu\n"
-             "# HELP relcont_dense_order_pruned_branches_total Linearization "
-             "DFS class placements rejected by the closed pair matrix.\n"
-             "# TYPE relcont_dense_order_pruned_branches_total counter\n"
-             "relcont_dense_order_pruned_branches_total %llu\n"
-             "# HELP relcont_dense_order_bound_hits_total Linearization "
-             "streams cut short by a budget or the structural node cap.\n"
-             "# TYPE relcont_dense_order_bound_hits_total counter\n"
-             "relcont_dense_order_bound_hits_total %llu\n",
-             ULL(s.dense_order_propagations),
-             ULL(s.dense_order_pruned_branches),
-             ULL(s.dense_order_bound_hits));
-  AppendLine(&out,
-             "# HELP relcont_cegar_iterations_total Cover checks performed "
-             "by the CEGAR counterexample search (loop iterations).\n"
-             "# TYPE relcont_cegar_iterations_total counter\n"
-             "relcont_cegar_iterations_total %llu\n"
-             "# HELP relcont_cegar_blocking_clauses_total Blocking clauses "
-             "learned from successful covers.\n"
-             "# TYPE relcont_cegar_blocking_clauses_total counter\n"
-             "relcont_cegar_blocking_clauses_total %llu\n"
-             "# HELP relcont_cegar_proposals_total Candidate source "
-             "instances proposed by the CEGAR search (DFS leaves).\n"
-             "# TYPE relcont_cegar_proposals_total counter\n"
-             "relcont_cegar_proposals_total %llu\n",
-             ULL(s.cegar_iterations), ULL(s.cegar_blocking_clauses),
-             ULL(s.cegar_proposals));
-  if (!s.bound_sites.empty()) {
-    out +=
-        "# HELP relcont_bound_hits_total Bound trips per budget site "
-        "(the [site] tag of kBoundReached statuses).\n"
-        "# TYPE relcont_bound_hits_total counter\n";
-    for (const BoundSiteCount& site : s.bound_sites) {
-      AppendLine(&out, "relcont_bound_hits_total{site=\"%s\"} %llu\n",
-                 LabelEscaped(site.site).c_str(), ULL(site.count));
-    }
-  }
-  AppendLine(&out,
-             "# HELP relcont_flight_retained_total Requests retained in the "
-             "flight-recorder arena (tail-sampled or head-sampled).\n"
-             "# TYPE relcont_flight_retained_total counter\n"
-             "relcont_flight_retained_total %llu\n"
-             "# HELP relcont_flight_dropped_total Flight-recorder drops: "
-             "arena evictions plus oversized entries.\n"
-             "# TYPE relcont_flight_dropped_total counter\n"
-             "relcont_flight_dropped_total %llu\n"
-             "# HELP relcont_flight_arena_bytes Bytes currently resident in "
-             "the flight-recorder retention arena.\n"
-             "# TYPE relcont_flight_arena_bytes gauge\n"
-             "relcont_flight_arena_bytes %llu\n",
-             ULL(s.flight_retained), ULL(s.flight_dropped),
-             ULL(s.flight_arena_bytes));
-  if (!s.window_latency.empty()) {
-    out +=
-        "# HELP relcont_window_latency_requests Requests recorded in the "
-        "trailing window per verb and regime.\n"
-        "# TYPE relcont_window_latency_requests gauge\n";
-    for (const WindowLatency& w : s.window_latency) {
-      AppendLine(&out,
-                 "relcont_window_latency_requests{verb=\"%s\",regime=\"%s\","
-                 "window=\"%ds\"} %llu\n",
-                 LabelEscaped(w.verb).c_str(), LabelEscaped(w.regime).c_str(),
-                 w.window_secs, ULL(w.count));
-    }
-    out +=
-        "# HELP relcont_window_latency_microseconds Windowed latency "
-        "quantiles per verb and regime (upper-bound bucket estimates; max "
-        "is exact).\n"
-        "# TYPE relcont_window_latency_microseconds gauge\n";
-    for (const WindowLatency& w : s.window_latency) {
-      const struct {
-        const char* q;
-        uint64_t value;
-      } rows[] = {{"p50", w.p50_micros},
-                  {"p90", w.p90_micros},
-                  {"p99", w.p99_micros},
-                  {"max", w.max_micros}};
-      for (const auto& row : rows) {
-        AppendLine(&out,
-                   "relcont_window_latency_microseconds{verb=\"%s\","
-                   "regime=\"%s\",window=\"%ds\",quantile=\"%s\"} %llu\n",
-                   LabelEscaped(w.verb).c_str(),
-                   LabelEscaped(w.regime).c_str(), w.window_secs, row.q,
-                   ULL(row.value));
-      }
-    }
-  }
-  out +=
-      "# HELP relcont_request_latency_microseconds Request latency "
-      "(cumulative power-of-two buckets).\n"
-      "# TYPE relcont_request_latency_microseconds histogram\n";
-  for (const HistogramBucket& bucket : s.latency_buckets) {
-    if (bucket.unbounded) {
-      AppendLine(&out,
-                 "relcont_request_latency_microseconds_bucket{le=\"+Inf\"} "
-                 "%llu\n",
-                 ULL(bucket.cumulative_count));
-    } else {
-      AppendLine(&out,
-                 "relcont_request_latency_microseconds_bucket{le=\"%llu\"} "
-                 "%llu\n",
-                 ULL(bucket.le), ULL(bucket.cumulative_count));
-    }
-  }
-  AppendLine(&out,
-             "relcont_request_latency_microseconds_sum %llu\n"
-             "relcont_request_latency_microseconds_count %llu\n",
-             ULL(s.latency_sum_micros), ULL(s.latency_count));
-  if (!s.trace_counter_totals.empty()) {
-    out +=
-        "# HELP relcont_trace_counter_total Trace counter totals per "
-        "regime (see docs/OBSERVABILITY.md for the glossary).\n"
-        "# TYPE relcont_trace_counter_total counter\n";
-    for (const TraceCounterTotal& t : s.trace_counter_totals) {
-      AppendLine(&out,
-                 "relcont_trace_counter_total{regime=\"%s\",counter=\"%s\"} "
-                 "%llu\n",
-                 LabelEscaped(t.regime).c_str(),
-                 LabelEscaped(t.counter).c_str(), ULL(t.total));
-    }
-  }
-  if (!s.phases.empty()) {
-    out +=
-        "# HELP relcont_trace_phase_nanoseconds_total Cumulative time per "
-        "pipeline phase across recorded traces.\n"
-        "# TYPE relcont_trace_phase_nanoseconds_total counter\n";
-    for (const PhaseSnapshot& phase : s.phases) {
-      AppendLine(&out,
-                 "relcont_trace_phase_nanoseconds_total{phase=\"%s\"} %llu\n",
-                 LabelEscaped(phase.name).c_str(), ULL(phase.ns));
-    }
-    out +=
-        "# HELP relcont_trace_phase_calls_total Recorded spans per "
-        "pipeline phase.\n"
-        "# TYPE relcont_trace_phase_calls_total counter\n";
-    for (const PhaseSnapshot& phase : s.phases) {
-      AppendLine(&out,
-                 "relcont_trace_phase_calls_total{phase=\"%s\"} %llu\n",
-                 LabelEscaped(phase.name).c_str(), ULL(phase.calls));
-    }
+  out.reserve(8192);
+  for (size_t i = 0; i < kNumSeries; ++i) {
+    const SeriesDef& row = kSeriesTable[i];
+    out += "# HELP ";
+    AppendSeriesName(&out, row, " ");
+    out.append(row.help);
+    out += "\n# TYPE ";
+    AppendSeriesName(&out, row, " ");
+    out += TypeName(row.type);
+    out += '\n';
+    AppendSamples(&out, s, i);
   }
   return out;
 }
@@ -503,6 +237,46 @@ double HitRate(uint64_t hits, uint64_t misses) {
   const uint64_t lookups = hits + misses;
   if (lookups == 0) return 0.0;
   return static_cast<double>(hits) / static_cast<double>(lookups);
+}
+
+/// One /statusz counter object: every row placed in `object`, in table
+/// order, plus `hit_rate` when the object carries hits and misses.
+void AppendStatuszObject(std::string* out, const MetricsSnapshot& s,
+                         std::string_view object) {
+  *out += ",\"";
+  out->append(object);
+  *out += "\":{";
+  bool first = true;
+  auto key = [&](std::string_view name, std::string_view suffix = {}) {
+    if (!first) *out += ',';
+    first = false;
+    *out += '"';
+    out->append(name);
+    out->append(suffix);
+    *out += "\":";
+  };
+  std::optional<uint64_t> hits;
+  std::optional<uint64_t> misses;
+  for (size_t i = 0; i < kNumSeries; ++i) {
+    const SeriesDef& row = kSeriesTable[i];
+    if (row.statusz_object != object) continue;
+    if (const std::vector<LabelCount>* counts = LabelCounts(s, i)) {
+      for (const LabelCount& c : *counts) {
+        key(row.statusz_key, "_" + c.label);
+        AppendU64(out, c.count);
+      }
+      continue;
+    }
+    key(row.statusz_key);
+    AppendValue(out, row, s.values[i]);
+    if (row.statusz_key == "hits") hits = s.values[i];
+    if (row.statusz_key == "misses") misses = s.values[i];
+  }
+  if (hits.has_value() && misses.has_value()) {
+    key("hit_rate");
+    AppendLine(out, "%.4f", HitRate(*hits, *misses));
+  }
+  *out += '}';
 }
 
 }  // namespace
@@ -517,8 +291,10 @@ std::string RenderStatuszJson(const MetricsSnapshot& s) {
              ",\"uptime_seconds\":%.3f"
              ",\"draining\":%s",
              s.trace_compiled_in ? "true" : "false",
-             static_cast<long long>(s.start_time_unix_seconds),
-             s.uptime_seconds, s.draining ? "true" : "false");
+             static_cast<long long>(
+                 s.values[SeriesIndex("start_time_seconds")]),
+             s.uptime_seconds,
+             s.values[SeriesIndex("draining")] != 0 ? "true" : "false");
   AppendLine(&out, ",\"windows\":{\"short_secs\":%d,\"long_secs\":%d",
              s.short_window_secs, s.long_window_secs);
   out += ",\"latency\":[";
@@ -536,72 +312,40 @@ std::string RenderStatuszJson(const MetricsSnapshot& s) {
                ULL(w.p90_micros), ULL(w.p99_micros), ULL(w.max_micros));
   }
   out += "]}";
-  AppendLine(&out,
-             ",\"gauges\":{\"inflight_requests\":%lld,"
-             "\"open_connections\":%lld,\"batch_queue_depth\":%lld}",
-             static_cast<long long>(s.inflight_requests),
-             static_cast<long long>(s.open_connections),
-             static_cast<long long>(s.batch_queue_depth));
-  AppendLine(&out,
-             ",\"requests\":{\"total\":%llu,\"errors\":%llu,"
-             "\"cache_hits\":%llu,\"deadline_exceeded\":%llu,"
-             "\"plan_requests\":%llu,\"rewrite_requests\":%llu,"
-             "\"plan_errors\":%llu,\"unknown_verbs\":%llu}",
-             ULL(s.requests), ULL(s.errors), ULL(s.request_cache_hits),
-             ULL(s.deadline_exceeded), ULL(s.plan_requests),
-             ULL(s.rewrite_requests), ULL(s.plan_errors),
-             ULL(s.unknown_verbs));
-  AppendLine(&out,
-             ",\"cache\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-             "\"entries\":%llu,\"hit_rate\":%.4f}",
-             ULL(s.cache.hits), ULL(s.cache.misses), ULL(s.cache.evictions),
-             ULL(s.cache.entries), HitRate(s.cache.hits, s.cache.misses));
-  AppendLine(&out,
-             ",\"plan_cache\":{\"hits\":%llu,\"misses\":%llu,"
-             "\"evictions\":%llu,\"invalidated\":%llu,\"entries\":%llu,"
-             "\"hit_rate\":%.4f}",
-             ULL(s.plan_cache.hits), ULL(s.plan_cache.misses),
-             ULL(s.plan_cache.evictions), ULL(s.plan_cache.invalidated),
-             ULL(s.plan_cache.entries),
-             HitRate(s.plan_cache.hits, s.plan_cache.misses));
-  AppendLine(&out,
-             ",\"http\":{\"rejected_431\":%llu,\"rejected_408\":%llu}",
-             ULL(s.http_rejected_431), ULL(s.http_rejected_408));
-  AppendLine(&out,
-             ",\"flight\":{\"retained_total\":%llu,\"dropped_total\":%llu,"
-             "\"arena_bytes\":%llu}",
-             ULL(s.flight_retained), ULL(s.flight_dropped),
-             ULL(s.flight_arena_bytes));
-  AppendLine(&out,
-             ",\"cegar\":{\"iterations\":%llu,\"blocking_clauses\":%llu,"
-             "\"proposals\":%llu}",
-             ULL(s.cegar_iterations), ULL(s.cegar_blocking_clauses),
-             ULL(s.cegar_proposals));
+  // One object per placement, in order of the placement's first row.
+  for (size_t i = 0; i < kNumSeries; ++i) {
+    const std::string_view object = kSeriesTable[i].statusz_object;
+    if (object.empty()) continue;
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) {
+      seen = kSeriesTable[j].statusz_object == object;
+    }
+    if (!seen) AppendStatuszObject(&out, s, object);
+  }
   out += ",\"bound_sites\":[";
   for (size_t i = 0; i < s.bound_sites.size(); ++i) {
     if (i > 0) out += ',';
     out += "{\"site\":";
-    json::AppendEscaped(s.bound_sites[i].site, &out);
+    json::AppendEscaped(s.bound_sites[i].label, &out);
     AppendLine(&out, ",\"count\":%llu}", ULL(s.bound_sites[i].count));
   }
   out += "],\"slow_requests\":[";
-  for (size_t i = 0; i < s.slow_log.size(); ++i) {
-    const SlowEntry& slow = s.slow_log[i];
+  for (size_t i = 0; i < s.slow_requests.size(); ++i) {
+    const WideEvent& slow = s.slow_requests[i];
     if (i > 0) out += ',';
     AppendLine(&out, "{\"latency_us\":%llu,\"regime\":",
                ULL(slow.latency_micros));
     json::AppendEscaped(slow.regime, &out);
-    AppendLine(&out, ",\"request_id\":%llu", ULL(slow.request_id));
-    out += ",\"description\":";
-    json::AppendEscaped(slow.description, &out);
-    out += ",\"phases\":[";
-    for (size_t j = 0; j < slow.top_phases.size(); ++j) {
-      const PhaseSnapshot& phase = slow.top_phases[j];
-      if (j > 0) out += ',';
+    AppendLine(&out, ",\"request_id\":%llu,\"phases\":[",
+               ULL(slow.request_id));
+    bool first = true;
+    for (const WideEvent::Phase& phase : slow.phases) {
+      if (phase.name[0] == '\0') continue;
+      if (!first) out += ',';
+      first = false;
       out += "{\"name\":";
       json::AppendEscaped(phase.name, &out);
-      AppendLine(&out, ",\"ns\":%llu,\"calls\":%llu}", ULL(phase.ns),
-                 ULL(phase.calls));
+      AppendLine(&out, ",\"ns\":%llu}", ULL(phase.ns));
     }
     out += "]}";
   }

@@ -230,6 +230,25 @@ std::vector<uint64_t> FlightRecorder::RetainedIds() const {
   return out;
 }
 
+std::vector<WideEvent> FlightRecorder::SlowestRetained(size_t n) const {
+  std::lock_guard<std::mutex> lock(arena_mu_);
+  std::vector<const WideEvent*> events;
+  events.reserve(arena_.size());
+  for (const Retained& entry : arena_) events.push_back(&entry.event);
+  n = std::min(n, events.size());
+  std::partial_sort(events.begin(), events.begin() + n, events.end(),
+                    [](const WideEvent* a, const WideEvent* b) {
+                      if (a->latency_micros != b->latency_micros) {
+                        return a->latency_micros > b->latency_micros;
+                      }
+                      return a->request_id < b->request_id;
+                    });
+  std::vector<WideEvent> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) out.push_back(*events[i]);
+  return out;
+}
+
 void FlightRecorder::StoreStatuszSnapshot(std::string_view json) {
   std::lock_guard<std::mutex> lock(statusz_mu_);
   const uint64_t seq = statusz_seq_.load(std::memory_order_relaxed);

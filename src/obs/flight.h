@@ -7,8 +7,8 @@
 /// Three pieces, each with a distinct durability/cost contract:
 ///
 ///   * a monotonic REQUEST ID counter, minted once per service request and
-///     threaded end to end (response lines, traces, access log, slow
-///     digest, error lines);
+///     threaded end to end (response lines, traces, access log, /statusz
+///     slow requests, error lines);
 ///   * a lock-free RING of fixed-size WIDE EVENTS — one per request, every
 ///     field an operator needs to triage a tail sample (verb, regime,
 ///     catalog+version, cache hit, bound site, latency, worker count,
@@ -74,10 +74,10 @@ struct WideEvent {
   };
   Phase phases[kMaxPhases] = {};
 
+  /// string_view::copy, unlike memcpy, accepts the null data() of an
+  /// empty view (BoundSiteFromStatus of an OK status).
   static void CopyInto(char* dst, size_t cap, std::string_view src) {
-    size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
-    std::memcpy(dst, src.data(), n);
-    dst[n] = '\0';
+    dst[src.copy(dst, cap - 1)] = '\0';
   }
   void set_verb(std::string_view v) { CopyInto(verb, kVerbChars, v); }
   void set_regime(std::string_view v) { CopyInto(regime, kRegimeChars, v); }
@@ -153,6 +153,9 @@ class FlightRecorder {
   std::optional<Retained> FindRetained(uint64_t request_id) const;
   /// Ids currently resident in the arena, newest first.
   std::vector<uint64_t> RetainedIds() const;
+  /// The wide events of the `n` slowest resident entries, slowest first
+  /// (equal latencies: lower id first).
+  std::vector<WideEvent> SlowestRetained(size_t n) const;
 
   uint64_t recorded_total() const {
     return recorded_.load(std::memory_order_relaxed);

@@ -412,7 +412,7 @@ std::string ObsServer::BuildzJson() const {
   out += ",\"trace_requests\":";
   out += config.trace_requests ? "true" : "false";
   out += ",\"start_time_unix_seconds\":";
-  out += std::to_string(snapshot.start_time_unix_seconds);
+  out += std::to_string(snapshot.values[SeriesIndex("start_time_seconds")]);
   out += ",\"uptime_seconds\":";
   out += std::to_string(snapshot.uptime_seconds);
   out += ",\"cache_capacity\":";
@@ -421,8 +421,6 @@ std::string ObsServer::BuildzJson() const {
   out += std::to_string(service_->cache().num_shards());
   out += ",\"batch_threads\":";
   out += std::to_string(options_.batch_threads);
-  out += ",\"slow_log_capacity\":";
-  out += std::to_string(config.slow_log_capacity);
   out += "}\n";
   return out;
 }

@@ -84,9 +84,8 @@ PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
   };
   return ServeRequest<PlanResponse>(
       *service_,
-      {ServiceVerb::kPlan, request.query_text, /*q2_text=*/nullptr,
-       request.catalog, request.options, request.collect_trace,
-       "planner_plan"},
+      {ServiceVerb::kPlan, request.catalog, request.options,
+       request.collect_trace, "planner_plan"},
       ctx, body, record);
 }
 
@@ -164,9 +163,8 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
   };
   return ServeRequest<RewriteResponse>(
       *service_,
-      {ServiceVerb::kRewrite, request.q1_text, &request.q2_text,
-       request.catalog, request.options, request.collect_trace,
-       "planner_rewrite"},
+      {ServiceVerb::kRewrite, request.catalog, request.options,
+       request.collect_trace, "planner_rewrite"},
       ctx, body, record);
 }
 

@@ -101,10 +101,8 @@ void ServiceMetrics::RecordPlanRequest(bool rewrite, Regime regime,
                latency_micros);
 }
 
-void ServiceMetrics::RecordTrace(Regime regime, uint64_t latency_micros,
-                                 const trace::TraceContext& trace,
-                                 std::string description,
-                                 uint64_t request_id) {
+void ServiceMetrics::RecordTrace(Regime regime,
+                                 const trace::TraceContext& trace) {
   auto& totals = counter_totals_[static_cast<int>(regime)];
   for (int c = 0; c < kNumTraceCounters; ++c) {
     uint64_t v = trace.TotalCount(static_cast<trace::Counter>(c));
@@ -116,44 +114,6 @@ void ServiceMetrics::RecordTrace(Regime regime, uint64_t latency_micros,
     stat.ns += s.duration_ns();
     stat.calls += 1;
   }
-  if (slow_log_capacity_ == 0) return;
-  if (slow_log_.size() >= slow_log_capacity_ &&
-      latency_micros <= slow_log_.back().latency_micros) {
-    return;
-  }
-  SlowRequest entry;
-  entry.latency_micros = latency_micros;
-  entry.regime = regime;
-  entry.request_id = request_id;
-  entry.description = std::move(description);
-  entry.trace_text = trace.ToText();
-  // Digest for /statusz: the root span and its direct children aggregated
-  // by name, largest cumulative time first (ties break by name).
-  std::map<std::string, PhaseStat> tops;
-  for (const trace::SpanNode& s : trace.spans()) {
-    if (s.depth > 1) continue;
-    PhaseStat& stat = tops[s.name];
-    stat.ns += s.duration_ns();
-    stat.calls += 1;
-  }
-  for (const auto& [name, stat] : tops) {
-    entry.top_phases.push_back({name, stat.ns, stat.calls});
-  }
-  std::sort(entry.top_phases.begin(), entry.top_phases.end(),
-            [](const obs::PhaseSnapshot& a, const obs::PhaseSnapshot& b) {
-              if (a.ns != b.ns) return a.ns > b.ns;
-              return a.name < b.name;
-            });
-  slow_log_.push_back(std::move(entry));
-  // Stable: requests with equal latency keep their arrival order, so ties
-  // at the cutoff are broken deterministically (earliest recorded wins).
-  std::stable_sort(slow_log_.begin(), slow_log_.end(),
-                   [](const SlowRequest& a, const SlowRequest& b) {
-                     return a.latency_micros > b.latency_micros;
-                   });
-  if (slow_log_.size() > slow_log_capacity_) {
-    slow_log_.resize(slow_log_capacity_);
-  }
 }
 
 void ServiceMetrics::RecordFlight(ServiceVerb verb, obs::WideEvent event,
@@ -164,27 +124,12 @@ void ServiceMetrics::RecordFlight(ServiceVerb verb, obs::WideEvent event,
           .count());
   if (trace != nullptr) {
     event.traced = 1;
-    // Same digest the slow log shows: root span + direct children,
-    // aggregated by name, largest cumulative time first.
-    std::map<std::string, uint64_t> tops;
-    for (const trace::SpanNode& s : trace->spans()) {
-      if (s.depth > 1) continue;
-      tops[s.name] += s.duration_ns();
-    }
-    std::vector<std::pair<std::string, uint64_t>> sorted(tops.begin(),
-                                                         tops.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-    for (int i = 0;
-         i < obs::WideEvent::kMaxPhases &&
-         i < static_cast<int>(sorted.size());
-         ++i) {
+    const auto phases = trace->TopPhases();
+    for (size_t i = 0;
+         i < phases.size() && i < size_t{obs::WideEvent::kMaxPhases}; ++i) {
       obs::WideEvent::CopyInto(event.phases[i].name,
-                               obs::WideEvent::kPhaseChars, sorted[i].first);
-      event.phases[i].ns = sorted[i].second;
+                               obs::WideEvent::kPhaseChars, phases[i].first);
+      event.phases[i].ns = phases[i].second;
     }
   }
   flight_.Record(event);
@@ -230,70 +175,73 @@ uint64_t ServiceMetrics::PhaseCalls(const std::string& phase) const {
   return it == phases_.end() ? 0 : it->second.calls;
 }
 
-std::vector<SlowRequest> ServiceMetrics::SlowLog() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return slow_log_;
-}
-
-void ServiceMetrics::set_slow_log_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  slow_log_capacity_ = capacity;
-  if (slow_log_.size() > capacity) slow_log_.resize(capacity);
-}
-
 obs::MetricsSnapshot ServiceMetrics::Snapshot(
     const CacheStats& cache, const CacheStats& plan_cache) const {
+  using obs::SeriesIndex;
   obs::MetricsSnapshot s;
   s.version = kVersionString;
   s.trace_compiled_in = trace::kCompiledIn;
-  s.start_time_unix_seconds = start_unix_seconds_;
   s.uptime_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start_steady_)
                          .count();
+  auto gauge = [](int64_t v) { return static_cast<uint64_t>(v); };
+  const constraints::DenseOrderStats& dense =
+      constraints::GlobalDenseOrderStats();
+  const CegarGlobalCounters& cegar = GlobalCegarCounters();
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  s.values[SeriesIndex("start_time_seconds")] = gauge(start_unix_seconds_);
+  s.values[SeriesIndex("requests_total")] = requests();
+  s.values[SeriesIndex("errors_total")] = errors();
+  s.values[SeriesIndex("request_cache_hits_total")] = cache_hits();
+  s.values[SeriesIndex("deadline_exceeded_total")] = deadline_exceeded();
+  s.values[SeriesIndex("parallel_tasks_spawned_total")] = tasks_spawned();
+  s.values[SeriesIndex("parallel_tasks_completed_total")] = tasks_completed();
+  s.values[SeriesIndex("inflight_requests")] = gauge(inflight_requests());
+  s.values[SeriesIndex("open_connections")] = gauge(open_connections());
+  s.values[SeriesIndex("batch_queue_depth")] = gauge(batch_queue_depth());
+  s.values[SeriesIndex("draining")] = draining() ? 1 : 0;
+  s.values[SeriesIndex("cache_hits_total")] = cache.hits;
+  s.values[SeriesIndex("cache_misses_total")] = cache.misses;
+  s.values[SeriesIndex("cache_evictions_total")] = cache.evictions;
+  s.values[SeriesIndex("cache_entries")] = cache.entries;
+  s.values[SeriesIndex("plan_requests_total")] = plan_requests();
+  s.values[SeriesIndex("rewrite_requests_total")] = rewrite_requests();
+  s.values[SeriesIndex("plan_errors_total")] = plan_errors();
+  s.values[SeriesIndex("unknown_verb_total")] = unknown_verbs();
+  s.values[SeriesIndex("plan_cache_hits_total")] = plan_cache.hits;
+  s.values[SeriesIndex("plan_cache_misses_total")] = plan_cache.misses;
+  s.values[SeriesIndex("plan_cache_evictions_total")] = plan_cache.evictions;
+  s.values[SeriesIndex("plan_cache_invalidated_total")] =
+      plan_cache.invalidated;
+  s.values[SeriesIndex("plan_cache_entries")] = plan_cache.entries;
+  s.values[SeriesIndex("dense_order_propagations_total")] =
+      dense.propagations.load(kRelaxed);
+  s.values[SeriesIndex("dense_order_pruned_branches_total")] =
+      dense.pruned_branches.load(kRelaxed);
+  s.values[SeriesIndex("dense_order_bound_hits_total")] =
+      dense.bound_hits.load(kRelaxed);
+  s.values[SeriesIndex("cegar_iterations_total")] =
+      cegar.iterations.load(kRelaxed);
+  s.values[SeriesIndex("cegar_blocking_clauses_total")] =
+      cegar.blocking_clauses.load(kRelaxed);
+  s.values[SeriesIndex("cegar_proposals_total")] =
+      cegar.proposals.load(kRelaxed);
+  s.values[SeriesIndex("flight_retained_total")] = flight_.retained_total();
+  s.values[SeriesIndex("flight_dropped_total")] = flight_.dropped_total();
+  s.values[SeriesIndex("flight_arena_bytes")] = flight_.arena_bytes();
 
-  s.requests = requests();
-  s.errors = errors();
-  s.request_cache_hits = cache_hits();
-  s.deadline_exceeded = deadline_exceeded();
-  s.parallel_tasks_spawned = tasks_spawned();
-  s.parallel_tasks_completed = tasks_completed();
-  s.plan_requests = plan_requests();
-  s.rewrite_requests = rewrite_requests();
-  s.plan_errors = plan_errors();
-  s.unknown_verbs = unknown_verbs();
-  s.plan_cache = plan_cache;
-  s.inflight_requests = inflight_requests();
-  s.open_connections = open_connections();
-  s.batch_queue_depth = batch_queue_depth();
-  s.draining = draining();
-  s.http_rejected_431 = http_rejected_431_.load(std::memory_order_relaxed);
-  s.http_rejected_408 = http_rejected_408_.load(std::memory_order_relaxed);
+  s.http_rejected = {{"431", http_rejected_431_.load(kRelaxed)},
+                     {"408", http_rejected_408_.load(kRelaxed)}};
   for (const auto& [site, count] : BoundSiteCounts()) {
     s.bound_sites.push_back({site, count});
   }
-  s.flight_retained = flight_.retained_total();
-  s.flight_dropped = flight_.dropped_total();
-  s.flight_arena_bytes = flight_.arena_bytes();
-  const constraints::DenseOrderStats& dense =
-      constraints::GlobalDenseOrderStats();
-  s.dense_order_propagations =
-      dense.propagations.load(std::memory_order_relaxed);
-  s.dense_order_pruned_branches =
-      dense.pruned_branches.load(std::memory_order_relaxed);
-  s.dense_order_bound_hits = dense.bound_hits.load(std::memory_order_relaxed);
-  const CegarGlobalCounters& cegar = GlobalCegarCounters();
-  s.cegar_iterations = cegar.iterations.load(std::memory_order_relaxed);
-  s.cegar_blocking_clauses =
-      cegar.blocking_clauses.load(std::memory_order_relaxed);
-  s.cegar_proposals = cegar.proposals.load(std::memory_order_relaxed);
   for (int i = 0; i < kNumRegimes; ++i) {
     Regime regime = static_cast<Regime>(i);
     uint64_t count = RegimeCount(regime);
     if (count == 0) continue;
-    s.decisions_by_regime.push_back(
-        {std::string(RegimeName(regime)), count});
+    s.decisions.push_back({std::string(RegimeName(regime)), count});
   }
-  s.cache = cache;
+  s.slow_requests = flight_.SlowestRetained(kSlowRequests);
 
   // Prometheus histogram convention: buckets are cumulative, keyed by
   // their inclusive upper bound `le`, and always end at +Inf. The bucket
@@ -368,18 +316,7 @@ obs::MetricsSnapshot ServiceMetrics::Snapshot(
   for (const auto& [phase, stat] : phases_) {
     s.phases.push_back({phase, stat.ns, stat.calls});
   }
-  for (const SlowRequest& slow : slow_log_) {
-    s.slow_log.push_back({slow.latency_micros,
-                          std::string(RegimeName(slow.regime)),
-                          slow.request_id, slow.description, slow.trace_text,
-                          slow.top_phases});
-  }
   return s;
-}
-
-std::string ServiceMetrics::Dump(const CacheStats& cache,
-                                 const CacheStats& plan_cache) const {
-  return obs::RenderMetricsText(Snapshot(cache, plan_cache));
 }
 
 }  // namespace relcont

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/sharded_lru.h"
 #include "obs/exposition.h"
 #include "obs/flight.h"
 #include "obs/window.h"
@@ -49,24 +50,6 @@ class LatencyHistogram {
   std::atomic<uint64_t> sum_micros_{0};
 };
 
-/// One entry of the slow-request log: the worst-latency traced requests
-/// seen so far, with their rendered span trees.
-struct SlowRequest {
-  uint64_t latency_micros = 0;
-  Regime regime = Regime::kUnknown;
-  /// One-line request description (queries + catalog, newline-free).
-  std::string description;
-  /// The request id minted by the flight recorder (0 when recorded by a
-  /// caller outside the service), for pivoting into /requestz?id=N.
-  uint64_t request_id = 0;
-  /// The EXPLAIN-style span tree of the request.
-  std::string trace_text;
-  /// The dominant phases of this request (root span + direct children,
-  /// aggregated by name, largest total first) — the compact digest
-  /// /statusz shows without the full tree.
-  std::vector<obs::PhaseSnapshot> top_phases;
-};
-
 /// The protocol verbs the windowed latency rings break down by.
 enum class ServiceVerb : int { kContained = 0, kPlan, kRewrite };
 
@@ -79,10 +62,10 @@ std::string_view ServiceVerbName(ServiceVerb verb);
 /// many workers never blocks. Thread-safe.
 ///
 /// When tracing is enabled (per request or service-wide), RecordTrace
-/// additionally folds each trace into per-phase cumulative timers, per-
-/// regime trace-counter totals, and a bounded log of the N worst traces.
-/// Those aggregates are mutex-protected; they sit off the hot path — a
-/// request that was not traced never touches them.
+/// additionally folds each trace into per-phase cumulative timers and per-
+/// regime trace-counter totals. The phase timers are mutex-protected; they
+/// sit off the hot path — a request that was not traced never touches
+/// them.
 class ServiceMetrics {
  public:
   static constexpr int kNumRegimes = 6;  // Regime enumerators incl. kUnknown
@@ -92,6 +75,8 @@ class ServiceMetrics {
   /// The fixed short trailing window; the long window is configurable
   /// (set_window_secs, default 60, capped by the ring size).
   static constexpr int kShortWindowSecs = 10;
+  /// How many of the slowest flight-arena entries /statusz lists.
+  static constexpr size_t kSlowRequests = 4;
 
   ServiceMetrics();
 
@@ -188,12 +173,8 @@ class ServiceMetrics {
 
   /// Folds one recorded trace into the observability aggregates: every
   /// span adds to the cumulative timer and call count of its phase (spans
-  /// aggregate by name), every counter adds to the regime's totals, and
-  /// the request enters the slow log if it ranks among the worst.
-  /// `request_id` tags the slow-log entry (0 = not a service request).
-  void RecordTrace(Regime regime, uint64_t latency_micros,
-                   const trace::TraceContext& trace, std::string description,
-                   uint64_t request_id = 0);
+  /// aggregate by name), and every counter adds to the regime's totals.
+  void RecordTrace(Regime regime, const trace::TraceContext& trace);
 
   /// The per-request flight recorder (ids, wide-event ring, retention
   /// arena, crash black box). Lives here so every surface that already
@@ -262,28 +243,14 @@ class ServiceMetrics {
     return counter_totals_[static_cast<int>(regime)][static_cast<int>(c)]
         .load(std::memory_order_relaxed);
   }
-  /// Snapshot of the slow log, worst latency first.
-  std::vector<SlowRequest> SlowLog() const;
 
-  /// Caps the slow log at `capacity` entries (default 4; 0 disables it).
-  void set_slow_log_capacity(size_t capacity);
-
-  /// Copies every counter plus build/uptime identity into one consistent
-  /// snapshot — the single source both the METRICS verb and the Prometheus
-  /// `/metrics` endpoint render from (see obs/exposition.h). `plan_cache`
-  /// carries the planner's cache counters (defaulted so callers without a
-  /// planner keep working).
+  /// Copies every series plus build/uptime identity into one consistent
+  /// snapshot — the single source the METRICS verb, `/metrics` and
+  /// `/statusz` render from (see obs/exposition.h). `plan_cache` carries
+  /// the planner's cache counters (defaulted so callers without a planner
+  /// keep working).
   obs::MetricsSnapshot Snapshot(const CacheStats& cache,
                                 const CacheStats& plan_cache = {}) const;
-
-  /// Renders a multi-line text dump: request totals, per-regime counts,
-  /// the supplied cache counters, the latency histogram as cumulative
-  /// Prometheus-style `le` buckets with `latency_us_sum`/`_count`, and —
-  /// when traces were recorded — per-phase timers, per-regime trace
-  /// counter totals, and the slow-request log. Equivalent to
-  /// obs::RenderMetricsText(Snapshot(cache, plan_cache)).
-  std::string Dump(const CacheStats& cache,
-                   const CacheStats& plan_cache = {}) const;
 
  private:
   struct PhaseStat {
@@ -347,9 +314,6 @@ class ServiceMetrics {
 
   mutable std::mutex trace_mu_;
   std::map<std::string, PhaseStat> phases_;
-  size_t slow_log_capacity_ = 4;
-  /// Sorted worst-first; at most slow_log_capacity_ entries.
-  std::vector<SlowRequest> slow_log_;
 };
 
 }  // namespace relcont

@@ -118,16 +118,12 @@ std::string ServerSession::HandleLine(const std::string& raw_line) {
     }
     return out.empty() ? "OK no catalogs\n" : out;
   }
-  if (command == "METRICS") {
-    return service_->metrics().Dump(service_->cache().Stats(),
-                                    service_->planner().cache().Stats());
-  }
-  if (command == "STATUSZ") {
-    // The same MetricsSnapshot METRICS and /metrics render, as one JSON
-    // object — so the protocol verb and GET /statusz cannot drift.
-    return obs::RenderStatuszJson(
-        service_->metrics().Snapshot(service_->cache().Stats(),
-                                     service_->planner().cache().Stats()));
+  if (command == "METRICS" || command == "STATUSZ") {
+    // The renderings GET /metrics and GET /statusz serve, of one snapshot.
+    obs::MetricsSnapshot snapshot = service_->metrics().Snapshot(
+        service_->cache().Stats(), service_->planner().cache().Stats());
+    return command == "METRICS" ? obs::RenderPrometheusText(snapshot)
+                                : obs::RenderStatuszJson(snapshot);
   }
   if (command == "REQUESTZ") return HandleRequestz(rest);
   if (command == "HELP") {

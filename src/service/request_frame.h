@@ -55,9 +55,6 @@ inline std::string PlanOptionsFingerprint(const DecideOptions& o) {
 /// What the frame reads from one request of any verb.
 struct FrameRequest {
   ServiceVerb verb;
-  const std::string& q1_text;
-  /// nullptr for PLAN?, which names one query.
-  const std::string* q2_text;
   const std::string& catalog;
   const DecideOptions& options;
   bool collect_trace;
@@ -77,29 +74,6 @@ struct RequestState {
   /// above 1, else the config default.
   int parallel_workers = 1;
 };
-
-/// One newline-free line identifying a request in the slow log.
-inline std::string DescribeRequest(const FrameRequest& request) {
-  std::string out = request.verb == ServiceVerb::kPlan      ? "PLAN? "
-                    : request.verb == ServiceVerb::kRewrite ? "REWRITE? "
-                                                            : "";
-  out += request.q1_text;
-  if (request.q2_text != nullptr) {
-    out += " => ";
-    out += *request.q2_text;
-  }
-  out += " @";
-  out += request.catalog;
-  for (char& c : out) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  constexpr size_t kMaxLength = 160;
-  if (out.size() > kMaxLength) {
-    out.resize(kMaxLength - 3);
-    out += "...";
-  }
-  return out;
-}
 
 /// Runs one request inside the frame every verb shares: request id, budget
 /// and trace setup, arena retirement and catalog resolution before `body`;
@@ -167,10 +141,7 @@ Response ServeRequest(ContainmentService& service,
   metrics.RecordBudget(state.budget.tasks_spawned(),
                        state.budget.tasks_completed(),
                        state.budget.reason() == BudgetReason::kDeadline);
-  if (trace_ctx != nullptr) {
-    metrics.RecordTrace(regime, out.latency_micros, *trace_ctx,
-                        DescribeRequest(request), out.request_id);
-  }
+  if (trace_ctx != nullptr) metrics.RecordTrace(regime, *trace_ctx);
   obs::WideEvent event;
   event.request_id = out.request_id;
   event.latency_micros = out.latency_micros;

@@ -48,7 +48,6 @@ ContainmentService::ContainmentService(ServiceConfig config)
     : config_(config),
       cache_(config.cache_capacity, kCacheShards),
       planner_(this) {
-  metrics_.set_slow_log_capacity(config.slow_log_capacity);
   metrics_.set_window_secs(config.window_secs);
   metrics_.flight().Configure({config.flight_ring_capacity,
                                config.flight_arena_kb * 1024,
@@ -121,9 +120,8 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
   };
   return ServeRequest<DecisionResponse>(
       *this,
-      {ServiceVerb::kContained, request.q1_text, &request.q2_text,
-       request.catalog, request.options, request.collect_trace,
-       /*bound_site=*/nullptr},
+      {ServiceVerb::kContained, request.catalog, request.options,
+       request.collect_trace, /*bound_site=*/nullptr},
       ctx, body, record);
 }
 

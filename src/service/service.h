@@ -44,8 +44,6 @@ struct ServiceConfig {
   /// folded into the metrics aggregates. Off by default: tracing allocates
   /// and is not free, unlike the dormant instrumentation hooks.
   bool trace_requests = false;
-  /// How many worst-latency traces METRICS retains (0 disables the log).
-  size_t slow_log_capacity = 4;
   /// Deadline applied to requests that do not set their own timeout_ms
   /// (0 = no default deadline). A request past its deadline answers
   /// kBoundReached — a bound, not an error.

@@ -1,7 +1,9 @@
 #include "trace/trace.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 
 #include "common/json.h"
 
@@ -144,6 +146,21 @@ uint64_t TraceContext::root_duration_ns() const {
     if (s.parent < 0) return s.duration_ns();
   }
   return 0;
+}
+
+std::vector<std::pair<std::string_view, uint64_t>> TraceContext::TopPhases()
+    const {
+  std::map<std::string_view, uint64_t> totals;
+  for (const SpanNode& s : spans_) {
+    if (s.depth <= 1) totals[s.name] += s.duration_ns();
+  }
+  std::vector<std::pair<std::string_view, uint64_t>> out(totals.begin(),
+                                                         totals.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  return out;
 }
 
 std::string TraceContext::ToText() const {

@@ -1,11 +1,13 @@
 // Tests for the observability layer that do not need a live TCP server:
 // the JSON escaper/parser, hostile-name escaping in the trace exporters,
-// the shared MetricsSnapshot renderers, the access-log event format and
-// file behavior (sampling, rotation), histogram bucket edges, and
-// slow-log tie-breaking. The networked half lives in obs_server_test.cc.
+// the series table and the renderers that iterate it, the slowest-request
+// digest of /statusz, the access-log event format and file behavior
+// (sampling, rotation), and histogram bucket edges. The networked half
+// lives in obs_server_test.cc.
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -95,111 +97,205 @@ TEST(TraceJsonTest, ChromeJsonSurvivesHostileSpanNames) {
 }
 
 // ---------------------------------------------------------------------------
-// The shared snapshot renderers: METRICS text and Prometheus exposition
-// must agree because they render the same MetricsSnapshot.
+// The series table and the renderers that iterate it.
 
-obs::MetricsSnapshot FixtureSnapshot() {
+/// A snapshot in which every row has samples: distinct scalar values, one
+/// sample per labelled family (hostile label values included), a slow
+/// request.
+obs::MetricsSnapshot PopulatedSnapshot() {
   obs::MetricsSnapshot s;
   s.version = "1.2.3";
   s.trace_compiled_in = true;
-  s.start_time_unix_seconds = 1700000000;
   s.uptime_seconds = 12.5;
-  s.requests = 42;
-  s.errors = 2;
-  s.request_cache_hits = 7;
-  s.decisions_by_regime.push_back({"section3", 40});
-  s.decisions_by_regime.push_back({"theorem5.1", 2});
-  s.cache.hits = 7;
-  s.cache.misses = 35;
-  s.cache.evictions = 1;
-  s.cache.entries = 34;
-  s.dense_order_propagations = 901;
-  s.dense_order_pruned_branches = 77;
-  s.dense_order_bound_hits = 3;
-  for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    obs::HistogramBucket bucket;
-    bucket.unbounded = i == LatencyHistogram::kBuckets - 1;
-    bucket.le = bucket.unbounded ? 0 : (uint64_t{1} << i) - 1;
-    bucket.cumulative_count = 42;
-    s.latency_buckets.push_back(bucket);
-  }
+  for (size_t i = 0; i < obs::kNumSeries; ++i) s.values[i] = 1000 + i;
+  s.decisions = {{"section3", 40}, {"theorem5.1", 2}};
+  s.http_rejected = {{"431", 3}, {"408", 4}};
+  s.bound_sites = {{"linearization_dfs", 5}};
+  s.latency_buckets = {{false, 127, 6}, {true, 0, 42}};
   s.latency_sum_micros = 1234;
   s.latency_count = 42;
-  s.phases.push_back({"decide \"hostile\"\\phase", 5000, 3});
+  s.trace_counter_totals = {{"section3", "hom_backtracks", 9}};
+  s.phases = {{"decide \"hostile\"\\phase", 5000, 3}};
+  s.window_latency = {{"contained", "all", 10, 5, 10, 20, 30, 40}};
+  obs::WideEvent slow;
+  slow.request_id = 77;
+  slow.latency_micros = 900;
+  slow.set_regime("section3");
+  s.slow_requests = {slow};
   return s;
 }
 
-TEST(ExpositionTest, TextAndPrometheusRenderTheSameCounters) {
-  obs::MetricsSnapshot s = FixtureSnapshot();
-  std::string text = obs::RenderMetricsText(s);
-  std::string prom = obs::RenderPrometheusText(s);
-
-  EXPECT_NE(text.find("requests_total 42\n"), std::string::npos);
-  EXPECT_NE(prom.find("relcont_requests_total 42\n"), std::string::npos);
-  EXPECT_NE(text.find("errors_total 2\n"), std::string::npos);
-  EXPECT_NE(prom.find("relcont_errors_total 2\n"), std::string::npos);
-  EXPECT_NE(text.find("decisions_by_regime{section3} 40"),
-            std::string::npos);
-  EXPECT_NE(prom.find("relcont_decisions_total{regime=\"section3\"} 40"),
-            std::string::npos);
-  EXPECT_NE(text.find("cache_misses 35"), std::string::npos);
-  EXPECT_NE(prom.find("relcont_cache_misses_total 35"), std::string::npos);
-  // The dense-order engine counters render in lockstep, distinct values
-  // each so a transposed field cannot slip through.
-  EXPECT_NE(text.find("dense_order_propagations_total 901"),
-            std::string::npos);
-  EXPECT_NE(prom.find("relcont_dense_order_propagations_total 901"),
-            std::string::npos);
-  EXPECT_NE(text.find("dense_order_pruned_branches_total 77"),
-            std::string::npos);
-  EXPECT_NE(prom.find("relcont_dense_order_pruned_branches_total 77"),
-            std::string::npos);
-  EXPECT_NE(text.find("dense_order_bound_hits_total 3"), std::string::npos);
-  EXPECT_NE(prom.find("relcont_dense_order_bound_hits_total 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("latency_us_count 42"), std::string::npos);
-  EXPECT_NE(prom.find("relcont_request_latency_microseconds_count 42"),
-            std::string::npos);
-  // Both expose the +Inf bucket in their own convention.
-  EXPECT_NE(text.find("latency_us_bucket{le=\"+Inf\"} 42"),
-            std::string::npos);
-  EXPECT_NE(prom.find(
-                "relcont_request_latency_microseconds_bucket{le=\"+Inf\"} "
-                "42"),
-            std::string::npos);
-  // Prometheus label values escape backslashes and quotes.
-  EXPECT_NE(prom.find("phase=\"decide \\\"hostile\\\"\\\\phase\""),
-            std::string::npos);
-  // Identity lines come from the snapshot, not from global state.
-  EXPECT_NE(text.find("library_version 1.2.3"), std::string::npos);
-  EXPECT_NE(prom.find("version=\"1.2.3\""), std::string::npos);
-  EXPECT_NE(text.find("start_time_unix_seconds 1700000000"),
-            std::string::npos);
+size_t CountOccurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++count;
+  }
+  return count;
 }
 
-TEST(ExpositionTest, DumpEqualsRenderedSnapshot) {
-  ServiceMetrics metrics;
-  metrics.RecordRequest(Regime::kSection3, 100, false, false);
-  metrics.RecordRequest(Regime::kSection3, 3, false, true);
-  CacheStats cache;
-  cache.hits = 1;
-  cache.misses = 1;
-  // Dump is the text rendering of the snapshot; uptime is the only field
-  // that moves between the two calls, so compare around it.
-  std::string dump = metrics.Dump(cache);
-  std::string rendered = obs::RenderMetricsText(metrics.Snapshot(cache));
-  auto strip_uptime = [](const std::string& text) {
-    std::string out;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind("uptime_seconds ", 0) == 0) continue;
-      out += line;
-      out += '\n';
+/// The label names of one sample line, in order ("" when unlabelled).
+std::string LabelNames(const std::string& line) {
+  size_t open = line.find('{');
+  if (open == std::string::npos) return "";
+  std::string names;
+  size_t pos = open + 1;
+  while (pos < line.size() && line[pos] != '}') {
+    size_t eq = line.find('=', pos);
+    if (!names.empty()) names += ',';
+    names += line.substr(pos, eq - pos);
+    // Skip the quoted value, honouring backslash escapes.
+    pos = eq + 2;
+    while (line[pos] != '"') pos += line[pos] == '\\' ? 2 : 1;
+    pos += 1;
+    if (line[pos] == ',') ++pos;
+  }
+  return names;
+}
+
+TEST(SeriesTableTest, NamesAreUnique) {
+  std::set<std::string_view> names;
+  for (const obs::SeriesDef& row : obs::kSeriesTable) {
+    EXPECT_TRUE(names.insert(row.name).second) << row.name;
+    EXPECT_FALSE(row.help.empty()) << row.name;
+    EXPECT_EQ(row.statusz_object.empty(), row.statusz_key.empty())
+        << row.name;
+  }
+}
+
+TEST(SeriesTableTest, EveryRowRendersOnceWithHelpAndType) {
+  const std::string prom = obs::RenderPrometheusText(PopulatedSnapshot());
+  const char* kTypes[] = {"counter", "gauge", "histogram"};
+  for (const obs::SeriesDef& row : obs::kSeriesTable) {
+    const std::string name = "relcont_" + std::string(row.name);
+    EXPECT_EQ(CountOccurrences(prom, "# HELP " + name + " "), 1u) << name;
+    EXPECT_EQ(CountOccurrences(prom, "# TYPE " + name + " " +
+                                         kTypes[static_cast<int>(row.type)] +
+                                         "\n"),
+              1u)
+        << name;
+  }
+  // Every sample line belongs to the block of the row above it and carries
+  // exactly that row's labels (a histogram's _sum/_count carry none).
+  std::istringstream in(prom);
+  std::string line;
+  const obs::SeriesDef* row = nullptr;
+  size_t samples = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string name = line.substr(7, line.find(' ', 7) - 7);
+      row = nullptr;
+      for (const obs::SeriesDef& r : obs::kSeriesTable) {
+        if ("relcont_" + std::string(r.name) == name) row = &r;
+      }
+      ASSERT_NE(row, nullptr) << line;
+      continue;
     }
-    return out;
+    if (line.rfind("#", 0) == 0) continue;
+    ASSERT_NE(row, nullptr) << line;
+    ++samples;
+    const std::string base = "relcont_" + std::string(row->name);
+    ASSERT_EQ(line.rfind(base, 0), 0u) << line;
+    const std::string suffix =
+        line.substr(base.size(), line.find_first_of("{ ") - base.size());
+    const bool bare = suffix == "_sum" || suffix == "_count";
+    if (row->type == obs::SeriesType::kHistogram) {
+      EXPECT_TRUE(bare || suffix == "_bucket") << line;
+    } else {
+      EXPECT_EQ(suffix, "") << line;
+    }
+    EXPECT_EQ(LabelNames(line), bare ? "" : std::string(row->labels))
+        << line;
+  }
+  EXPECT_GE(samples, obs::kNumSeries);
+  // Label values are escaped; identity comes from the snapshot.
+  EXPECT_NE(prom.find("phase=\"decide \\\"hostile\\\"\\\\phase\""),
+            std::string::npos);
+  EXPECT_NE(prom.find("relcont_build_info{version=\"1.2.3\",trace=\"on\"} 1"),
+            std::string::npos);
+  EXPECT_NE(prom.find("\nrelcont_uptime_seconds 12.500\n"), std::string::npos);
+}
+
+TEST(SeriesTableTest, StatuszRowsAppearAtTheirKeys) {
+  const obs::MetricsSnapshot s = PopulatedSnapshot();
+  const std::string statusz = obs::RenderStatuszJson(s);
+  Result<json::Value> parsed = json::Parse(statusz);
+  ASSERT_TRUE(parsed.ok()) << statusz;
+  for (size_t i = 0; i < obs::kNumSeries; ++i) {
+    const obs::SeriesDef& row = obs::kSeriesTable[i];
+    if (row.statusz_object.empty()) continue;
+    const json::Value* object =
+        parsed->Find(std::string(row.statusz_object));
+    ASSERT_NE(object, nullptr) << row.name;
+    if (row.labels.empty()) {
+      const json::Value* value = object->Find(std::string(row.statusz_key));
+      ASSERT_NE(value, nullptr) << row.name;
+      EXPECT_DOUBLE_EQ(value->number_value, static_cast<double>(s.values[i]))
+          << row.name;
+      continue;
+    }
+    ASSERT_EQ(i, obs::SeriesIndex("http_rejected_total")) << row.name;
+    for (const obs::LabelCount& c : s.http_rejected) {
+      const json::Value* value =
+          object->Find(std::string(row.statusz_key) + "_" + c.label);
+      ASSERT_NE(value, nullptr) << row.name << " " << c.label;
+      EXPECT_DOUBLE_EQ(value->number_value, static_cast<double>(c.count));
+    }
+  }
+  EXPECT_NE(parsed->Find("cache")->Find("hit_rate"), nullptr);
+  EXPECT_NE(parsed->Find("plan_cache")->Find("hit_rate"), nullptr);
+  const json::Value* slow = parsed->Find("slow_requests");
+  ASSERT_NE(slow, nullptr);
+  ASSERT_EQ(slow->array.size(), 1u);
+  EXPECT_DOUBLE_EQ(slow->array[0].Find("request_id")->number_value, 77);
+  EXPECT_EQ(slow->array[0].Find("regime")->string_value, "section3");
+}
+
+// An untraced request slower than the trailing p99 is tail-retained by the
+// flight recorder, so /statusz lists it among the slowest requests — with
+// its request id — although no trace was ever recorded for it.
+TEST(StatuszTest, UntracedTailRequestAppearsInSlowRequests) {
+  ServiceMetrics metrics;
+  metrics.set_window_clock_for_test([] { return uint64_t{100}; });
+  for (int i = 0; i < 200; ++i) {
+    metrics.RecordRequest(Regime::kSection3, 10, false, false);
+  }
+  auto record = [&metrics](uint64_t latency) {
+    obs::WideEvent event;
+    event.request_id = metrics.flight().NextRequestId();
+    event.latency_micros = latency;
+    event.set_verb("contained");
+    event.set_regime("section3");
+    metrics.RecordFlight(ServiceVerb::kContained, event, nullptr);
+    return event.request_id;
   };
-  EXPECT_EQ(strip_uptime(dump), strip_uptime(rendered));
+  record(5);  // id 1: the head sample, fast
+  std::vector<uint64_t> tail_ids;
+  for (uint64_t latency : {5000, 9000, 6000, 7000, 9000}) {
+    tail_ids.push_back(record(latency));
+  }
+  const std::string statusz =
+      obs::RenderStatuszJson(metrics.Snapshot(CacheStats{}));
+  Result<json::Value> parsed = json::Parse(statusz);
+  ASSERT_TRUE(parsed.ok()) << statusz;
+  const json::Value* slow = parsed->Find("slow_requests");
+  ASSERT_NE(slow, nullptr);
+  // The kSlowRequests slowest, worst first, equal latencies by id.
+  ASSERT_EQ(slow->array.size(), ServiceMetrics::kSlowRequests) << statusz;
+  const double expected_ids[] = {static_cast<double>(tail_ids[1]),
+                                 static_cast<double>(tail_ids[4]),
+                                 static_cast<double>(tail_ids[3]),
+                                 static_cast<double>(tail_ids[2])};
+  const double expected_latency[] = {9000, 9000, 7000, 6000};
+  for (size_t i = 0; i < ServiceMetrics::kSlowRequests; ++i) {
+    const json::Value& row = slow->array[i];
+    EXPECT_DOUBLE_EQ(row.Find("request_id")->number_value, expected_ids[i]);
+    EXPECT_DOUBLE_EQ(row.Find("latency_us")->number_value,
+                     expected_latency[i]);
+    EXPECT_EQ(row.Find("regime")->string_value, "section3");
+    EXPECT_TRUE(row.Find("phases")->array.empty());
+    EXPECT_EQ(row.Find("description"), nullptr);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -230,53 +326,6 @@ TEST(LatencyHistogramTest, RecordsIntoEdgeBuckets) {
 }
 
 // ---------------------------------------------------------------------------
-// Slow-log tie-breaking: equal latencies keep arrival order, and an
-// arrival that merely equals the current minimum does not displace it.
-
-void RecordSlow(ServiceMetrics* metrics, uint64_t latency,
-                const std::string& description) {
-  trace::TraceContext ctx;
-  int span = ctx.OpenSpan("decide");
-  ctx.CloseSpan(span);
-  metrics->RecordTrace(Regime::kSection3, latency, ctx, description);
-}
-
-TEST(SlowLogTest, EqualLatenciesKeepArrivalOrder) {
-  ServiceMetrics metrics;
-  metrics.set_slow_log_capacity(2);
-  RecordSlow(&metrics, 500, "A");
-  RecordSlow(&metrics, 500, "B");
-  std::vector<SlowRequest> log = metrics.SlowLog();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].description, "A");
-  EXPECT_EQ(log[1].description, "B");
-}
-
-TEST(SlowLogTest, TieWithMinimumDoesNotDisplaceWhenFull) {
-  ServiceMetrics metrics;
-  metrics.set_slow_log_capacity(2);
-  RecordSlow(&metrics, 500, "A");
-  RecordSlow(&metrics, 500, "B");
-  RecordSlow(&metrics, 500, "C");  // equal to the min of a full log
-  std::vector<SlowRequest> log = metrics.SlowLog();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].description, "A");
-  EXPECT_EQ(log[1].description, "B");
-}
-
-TEST(SlowLogTest, StrictlyWorseDisplacesTheMinimum) {
-  ServiceMetrics metrics;
-  metrics.set_slow_log_capacity(2);
-  RecordSlow(&metrics, 100, "A");
-  RecordSlow(&metrics, 500, "B");
-  RecordSlow(&metrics, 500, "C");  // beats A (100), ties with B
-  std::vector<SlowRequest> log = metrics.SlowLog();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].description, "B");
-  EXPECT_EQ(log[1].description, "C");
-}
-
-// ---------------------------------------------------------------------------
 // Access log: event shape, hostile-content escaping, sampling, rotation.
 
 TEST(AccessLogTest, RenderEventIsValidJsonWithHostileContent) {
@@ -292,11 +341,14 @@ TEST(AccessLogTest, RenderEventIsValidJsonWithHostileContent) {
   response.latency_micros = 77;
   response.catalog_version = 3;
 
-  std::string line = obs::AccessLog::RenderEvent(9, 1700000000000000,
-                                                 request, response);
+  response.request_id = 9;
+
+  std::string line =
+      obs::AccessLog::RenderEvent(1700000000000000, request, response);
   Result<json::Value> parsed = json::Parse(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
-  EXPECT_DOUBLE_EQ(parsed->Find("id")->number_value, 9);
+  EXPECT_DOUBLE_EQ(parsed->Find("request_id")->number_value, 9);
+  EXPECT_EQ(parsed->Find("id"), nullptr);
   EXPECT_EQ(parsed->Find("catalog")->string_value, "cat\"alog\n");
   EXPECT_DOUBLE_EQ(parsed->Find("catalog_version")->number_value, 3);
   EXPECT_EQ(parsed->Find("q1")->string_value, request.q1_text);
@@ -325,18 +377,28 @@ TEST(AccessLogTest, RenderEventIncludesTopLevelPhases) {
   response.trace = ctx;
 
   std::string line =
-      obs::AccessLog::RenderEvent(1, 1700000000000000, request, response);
+      obs::AccessLog::RenderEvent(1700000000000000, request, response);
   Result<json::Value> parsed = json::Parse(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
   const json::Value* phases = parsed->Find("phases");
   ASSERT_NE(phases, nullptr);
   ASSERT_TRUE(phases->is_array());
-  std::vector<std::string> names;
-  for (const json::Value& phase : phases->array) {
-    names.push_back(phase.Find("phase")->string_value);
+  // The shared top-phase digest: largest first, so the root leads.
+  std::vector<std::pair<std::string_view, uint64_t>> expected =
+      ctx->TopPhases();
+  ASSERT_EQ(phases->array.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(phases->array[i].Find("phase")->string_value,
+              expected[i].first);
+    EXPECT_DOUBLE_EQ(phases->array[i].Find("ns")->number_value,
+                     static_cast<double>(expected[i].second));
   }
-  EXPECT_EQ(names,
-            (std::vector<std::string>{"decide", "parse", "containment"}));
+  EXPECT_EQ(phases->array[0].Find("phase")->string_value, "decide");
+  std::set<std::string> names;
+  for (const json::Value& phase : phases->array) {
+    names.insert(phase.Find("phase")->string_value);
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"decide", "parse", "containment"}));
 }
 
 std::string TempPath(const std::string& name) {
@@ -361,8 +423,10 @@ TEST(AccessLogTest, SamplingKeepsEveryNthRequest) {
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   DecisionRequest request;
   DecisionResponse response;
-  for (int i = 0; i < 9; ++i) (*log)->Record(request, response);
-  EXPECT_EQ((*log)->requests_seen(), 9u);
+  for (uint64_t id = 1; id <= 9; ++id) {
+    response.request_id = id;
+    (*log)->Record(request, response);
+  }
   log->reset();  // flush + close
 
   std::vector<std::string> lines = ReadLines(path);
@@ -371,7 +435,7 @@ TEST(AccessLogTest, SamplingKeepsEveryNthRequest) {
   for (const std::string& line : lines) {
     Result<json::Value> parsed = json::Parse(line);
     ASSERT_TRUE(parsed.ok()) << line;
-    ids.push_back(parsed->Find("id")->number_value);
+    ids.push_back(parsed->Find("request_id")->number_value);
   }
   EXPECT_EQ(ids, (std::vector<double>{1, 4, 7}));
 }
@@ -388,7 +452,10 @@ TEST(AccessLogTest, RotatesAtSizeLimit) {
   DecisionRequest request;
   request.q1_text = std::string(100, 'x');  // make events chunky
   DecisionResponse response;
-  for (int i = 0; i < 20; ++i) (*log)->Record(request, response);
+  for (uint64_t id = 1; id <= 20; ++id) {
+    response.request_id = id;
+    (*log)->Record(request, response);
+  }
   log->reset();
 
   std::vector<std::string> active = ReadLines(path);
@@ -407,7 +474,7 @@ TEST(AccessLogTest, RotatesAtSizeLimit) {
   }
   Result<json::Value> newest = json::Parse(active.back());
   ASSERT_TRUE(newest.ok());
-  EXPECT_DOUBLE_EQ(newest->Find("id")->number_value, 20);
+  EXPECT_DOUBLE_EQ(newest->Find("request_id")->number_value, 20);
 }
 
 // ---------------------------------------------------------------------------

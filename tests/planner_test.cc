@@ -206,18 +206,22 @@ TEST_F(PlannerTest, PlannerMetricsFlowIntoTheSharedSnapshot) {
   EXPECT_EQ(service_.metrics().plan_requests(), 2u);
   EXPECT_EQ(service_.metrics().rewrite_requests(), 1u);
   EXPECT_EQ(service_.metrics().plan_errors(), 1u);
-  std::string dump = service_.metrics().Dump(
-      service_.cache().Stats(), service_.planner().cache().Stats());
-  EXPECT_NE(dump.find("plan_requests_total 2"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("rewrite_requests_total 1"), std::string::npos);
-  EXPECT_NE(dump.find("plan_errors_total 1"), std::string::npos);
-  EXPECT_NE(dump.find("plan_cache_misses"), std::string::npos);
+  std::string dump = obs::RenderPrometheusText(service_.metrics().Snapshot(
+      service_.cache().Stats(), service_.planner().cache().Stats()));
+  EXPECT_NE(dump.find("\nrelcont_plan_requests_total 2\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("\nrelcont_rewrite_requests_total 1\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("\nrelcont_plan_errors_total 1\n"), std::string::npos);
+  EXPECT_NE(dump.find("\nrelcont_plan_cache_misses_total "),
+            std::string::npos);
 }
 
 // --- concurrent invalidation stress (8 threads, TSan-clean) -----------------
 
 // One regime per request feeds every record: a failed traced PLAN? files
-// its slow-log entry under kUnknown, like its window sample and wide event.
+// its retained wide event under kUnknown, like its window sample.
 TEST(PlannerFrameTest, FailedTracedPlanIsFiledUnderUnknownRegime) {
   ContainmentService service(ServiceConfig{.trace_requests = true});
   WorkerContext ctx;
@@ -226,10 +230,11 @@ TEST(PlannerFrameTest, FailedTracedPlanIsFiledUnderUnknownRegime) {
   request.catalog = "nope";
   PlanResponse r = service.planner().Plan(request, &ctx);
   ASSERT_FALSE(r.status.ok());
-  std::vector<SlowRequest> slow = service.metrics().SlowLog();
-  ASSERT_EQ(slow.size(), 1u);
-  EXPECT_EQ(slow[0].regime, Regime::kUnknown);
-  EXPECT_EQ(slow[0].request_id, r.request_id);
+  auto retained = service.metrics().flight().FindRetained(r.request_id);
+  ASSERT_TRUE(retained.has_value());
+  EXPECT_EQ(std::string(retained->event.regime),
+            RegimeName(Regime::kUnknown));
+  EXPECT_EQ(retained->event.traced, 1);
 }
 
 // Every verb runs inside the request frame: a REWRITE? in flight counts in
@@ -538,17 +543,20 @@ TEST_F(PlanVerbTest, UnknownVerbGetsDistinctErrorAndCounter) {
   EXPECT_EQ(known.rfind("ERR InvalidArgument:", 0), 0u) << known;
   EXPECT_EQ(service_.metrics().unknown_verbs(), 1u);
   std::string dump = session_.HandleLine("METRICS");
-  EXPECT_NE(dump.find("unknown_verbs_total 1"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\nrelcont_unknown_verb_total 1\n"), std::string::npos)
+      << dump;
 }
 
 TEST_F(PlanVerbTest, MetricsVerbCarriesPlanCacheCounters) {
   ASSERT_EQ(session_.HandleLine("PLAN? q @c").rfind("OK plan", 0), 0u);
   session_.HandleLine("PLAN? q @c");
   std::string dump = session_.HandleLine("METRICS");
-  EXPECT_NE(dump.find("plan_requests_total 2"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("plan_cache_hits 1"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("plan_cache_misses 1"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("plan_cache_entries 1"), std::string::npos) << dump;
+  for (const char* line :
+       {"\nrelcont_plan_requests_total 2\n", "\nrelcont_plan_cache_hits_total 1\n",
+        "\nrelcont_plan_cache_misses_total 1\n",
+        "\nrelcont_plan_cache_entries 1\n"}) {
+    EXPECT_NE(dump.find(line), std::string::npos) << line << dump;
+  }
 }
 
 }  // namespace

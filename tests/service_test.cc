@@ -506,8 +506,34 @@ TEST(ProtocolTest, EndToEndSession) {
   EXPECT_NE(no.find("witness:"), std::string::npos) << no;
 
   std::string metrics = session.HandleLine("METRICS");
-  EXPECT_NE(metrics.find("requests_total 3"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("cache_hits 1"), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("\nrelcont_requests_total 3\n"), std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("\nrelcont_request_cache_hits_total 1\n"),
+            std::string::npos)
+      << metrics;
+}
+
+// A 300 KB DEFINE of nested function terms used to overflow the parser's
+// stack; past kMaxTermDepth levels it is a parse error instead.
+TEST(ProtocolTest, DeeplyNestedTermAnswersErr) {
+  ContainmentService service;
+  ServerSession session(&service);
+  constexpr int kLevels = 100000;
+  std::string line = "DEFINE qa qa(X) :- p(";
+  for (int i = 0; i < kLevels; ++i) line += "f(";
+  line += "X";
+  line += std::string(kLevels, ')');
+  line += ", X).";
+  std::string reply = session.HandleLine(line);
+  EXPECT_EQ(reply.rfind("ERR", 0), 0u) << reply.substr(0, 200);
+  EXPECT_NE(reply.find("nest deeper than"), std::string::npos)
+      << reply.substr(0, 200);
+
+  // At the limit the term still parses.
+  line = "DEFINE qb qb(X) :- p(";
+  for (int i = 0; i < kMaxTermDepth; ++i) line += "f(";
+  line += "X" + std::string(kMaxTermDepth, ')') + ", X).";
+  EXPECT_EQ(session.HandleLine(line), "OK query qb rules=1\n");
 }
 
 TEST(ProtocolTest, BatchFanOut) {
@@ -598,21 +624,24 @@ TEST(MetricsTest, HistogramBucketsAndDump) {
   CacheStats cache;
   cache.hits = 1;
   cache.misses = 3;
-  std::string dump = metrics.Dump(cache);
-  EXPECT_NE(dump.find("requests_total 4"), std::string::npos);
-  EXPECT_NE(dump.find("decisions_by_regime{section3} 2"),
+  std::string dump = obs::RenderPrometheusText(metrics.Snapshot(cache));
+  EXPECT_NE(dump.find("\nrelcont_requests_total 4\n"), std::string::npos);
+  EXPECT_NE(dump.find("relcont_decisions_total{regime=\"section3\"} 2"),
             std::string::npos);
-  EXPECT_NE(dump.find("cache_misses 3"), std::string::npos);
+  EXPECT_NE(dump.find("\nrelcont_cache_misses_total 3\n"),
+            std::string::npos);
   // Prometheus histogram conventions: cumulative le buckets ending at
   // +Inf, plus the _sum/_count pair. Latencies: 0, 1, 5, 100.
-  EXPECT_NE(dump.find("latency_us_bucket{le=\"0\"} 1"), std::string::npos);
-  EXPECT_NE(dump.find("latency_us_bucket{le=\"1\"} 2"), std::string::npos);
-  EXPECT_NE(dump.find("latency_us_bucket{le=\"7\"} 3"), std::string::npos);
-  EXPECT_NE(dump.find("latency_us_bucket{le=\"127\"} 4"), std::string::npos);
-  EXPECT_NE(dump.find("latency_us_bucket{le=\"+Inf\"} 4"),
+  const std::string bucket = "relcont_request_latency_microseconds_bucket";
+  EXPECT_NE(dump.find(bucket + "{le=\"0\"} 1\n"), std::string::npos);
+  EXPECT_NE(dump.find(bucket + "{le=\"1\"} 2\n"), std::string::npos);
+  EXPECT_NE(dump.find(bucket + "{le=\"7\"} 3\n"), std::string::npos);
+  EXPECT_NE(dump.find(bucket + "{le=\"127\"} 4\n"), std::string::npos);
+  EXPECT_NE(dump.find(bucket + "{le=\"+Inf\"} 4\n"), std::string::npos);
+  EXPECT_NE(dump.find("relcont_request_latency_microseconds_sum 106\n"),
             std::string::npos);
-  EXPECT_NE(dump.find("latency_us_sum 106"), std::string::npos);
-  EXPECT_NE(dump.find("latency_us_count 4"), std::string::npos);
+  EXPECT_NE(dump.find("relcont_request_latency_microseconds_count 4\n"),
+            std::string::npos);
   EXPECT_EQ(metrics.latency().SumMicros(), 106u);
 }
 
@@ -625,11 +654,15 @@ TEST(MetricsTest, BudgetCountersAppearInDumpAndSnapshot) {
   EXPECT_EQ(metrics.deadline_exceeded(), 1u);
   EXPECT_EQ(metrics.tasks_spawned(), 7u);
   EXPECT_EQ(metrics.tasks_completed(), 7u);
-  std::string dump = metrics.Dump(CacheStats{});
-  EXPECT_NE(dump.find("deadline_exceeded 1"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("parallel_tasks_spawned 7"), std::string::npos)
+  std::string dump = obs::RenderPrometheusText(metrics.Snapshot(CacheStats{}));
+  EXPECT_NE(dump.find("\nrelcont_deadline_exceeded_total 1\n"),
+            std::string::npos)
       << dump;
-  EXPECT_NE(dump.find("parallel_tasks_completed 7"), std::string::npos)
+  EXPECT_NE(dump.find("\nrelcont_parallel_tasks_spawned_total 7\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("\nrelcont_parallel_tasks_completed_total 7\n"),
+            std::string::npos)
       << dump;
 }
 
@@ -638,13 +671,14 @@ TEST(MetricsTest, CumulativeBucketsAreMonotone) {
   for (uint64_t us : {0u, 3u, 3u, 17u, 90u, 5000u, 123456u}) {
     metrics.RecordRequest(Regime::kSection3, us, false, false);
   }
-  std::string dump = metrics.Dump(CacheStats{});
-  // Parse back every latency_us_bucket value; the sequence must be
-  // nondecreasing and end at the total count.
+  std::string dump = obs::RenderPrometheusText(metrics.Snapshot(CacheStats{}));
+  // Parse back every bucket value; the sequence must be nondecreasing and
+  // end at the total count.
   uint64_t prev = 0;
   size_t pos = 0;
   int buckets_seen = 0;
-  while ((pos = dump.find("latency_us_bucket{", pos)) != std::string::npos) {
+  while ((pos = dump.find("relcont_request_latency_microseconds_bucket{",
+                          pos)) != std::string::npos) {
     size_t space = dump.find(' ', pos);
     ASSERT_NE(space, std::string::npos);
     uint64_t value = std::stoull(dump.substr(space + 1));
@@ -655,27 +689,6 @@ TEST(MetricsTest, CumulativeBucketsAreMonotone) {
   }
   EXPECT_EQ(buckets_seen, LatencyHistogram::kBuckets);
   EXPECT_EQ(prev, 7u);
-}
-
-TEST(MetricsTest, SlowLogKeepsWorstTraces) {
-  ServiceMetrics metrics;
-  metrics.set_slow_log_capacity(2);
-  trace::TraceContext ctx;
-  int s = ctx.OpenSpan("decide");
-  ctx.CloseSpan(s);
-  metrics.RecordTrace(Regime::kSection3, 10, ctx, "fast");
-  metrics.RecordTrace(Regime::kSection3, 500, ctx, "slow");
-  metrics.RecordTrace(Regime::kSection3, 100, ctx, "medium");
-  metrics.RecordTrace(Regime::kSection3, 1, ctx, "fastest");
-  std::vector<SlowRequest> log = metrics.SlowLog();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].latency_micros, 500u);
-  EXPECT_EQ(log[0].description, "slow");
-  EXPECT_EQ(log[1].latency_micros, 100u);
-  EXPECT_NE(log[0].trace_text.find("decide"), std::string::npos);
-  std::string dump = metrics.Dump(CacheStats{});
-  EXPECT_NE(dump.find("slow_request{rank=0,latency_us=500"),
-            std::string::npos);
 }
 
 // --- tracing through the service --------------------------------------------
@@ -776,13 +789,11 @@ TEST_F(ServiceTraceTest, UntracedRequestsCarryNoTrace) {
   DecisionResponse response = service.Decide(request, &ctx);
   ASSERT_TRUE(response.status.ok());
   EXPECT_EQ(response.trace, nullptr);
-  EXPECT_TRUE(service.metrics().SlowLog().empty());
 }
 
 TEST_F(ServiceTraceTest, ConcurrentTracedBatchIsConsistent) {
   ServiceConfig config;
   config.trace_requests = true;  // every worker traces, concurrently
-  config.slow_log_capacity = 3;
   ContainmentService service(config);
   RegisterCars(&service);
   std::vector<DecisionRequest> requests;
@@ -800,9 +811,7 @@ TEST_F(ServiceTraceTest, ConcurrentTracedBatchIsConsistent) {
     ASSERT_NE(r.trace, nullptr);
   }
   EXPECT_EQ(service.metrics().requests(), requests.size());
-  EXPECT_LE(service.metrics().SlowLog().size(), 3u);
   if (trace::kCompiledIn) {
-    EXPECT_FALSE(service.metrics().SlowLog().empty());
     // Every non-cache-hit decision opened exactly one "decide" span.
     EXPECT_GE(service.metrics().PhaseCalls("decide"), 12u);
     EXPECT_GT(service.metrics().PhaseNanos("decide"), 0u);
@@ -810,8 +819,10 @@ TEST_F(ServiceTraceTest, ConcurrentTracedBatchIsConsistent) {
                   Regime::kSection3, trace::Counter::kHomMappingCalls),
               0u);
   }
-  std::string dump = service.metrics().Dump(service.cache().Stats());
-  EXPECT_NE(dump.find("latency_us_count 24"), std::string::npos);
+  std::string dump = obs::RenderPrometheusText(
+      service.metrics().Snapshot(service.cache().Stats()));
+  EXPECT_NE(dump.find("\nrelcont_request_latency_microseconds_count 24\n"),
+            std::string::npos);
 }
 
 TEST_F(ServiceTraceTest, ExplainVerbReturnsSpanTree) {

@@ -3,8 +3,8 @@
 // clock, percentile estimates checked against a sorted-vector oracle,
 // slot reclaim across ring wrap-around, concurrent recording (run under
 // TSan in CI), and the acceptance property that the windowed p99 per
-// verb x regime is pinned to the same value across all three renderings
-// (METRICS text, Prometheus /metrics, STATUSZ JSON).
+// verb x regime is pinned to the same value in both renderings
+// (Prometheus text for METRICS and /metrics, STATUSZ JSON).
 
 #include "obs/window.h"
 
@@ -195,7 +195,7 @@ TEST(ServiceMetricsWindowTest, VerbAndRegimeWindowsDecayUnderFakeClock) {
 
 /// The acceptance pin: one traffic mix, one fake clock, and the windowed
 /// p99 per verb x regime carries the same value through the snapshot and
-/// all three renderings of it.
+/// both renderings of it.
 TEST(ServiceMetricsWindowTest, WindowedP99IsPinnedAcrossAllThreeRenderings) {
   ServiceMetrics metrics;
   auto now = std::make_shared<std::atomic<uint64_t>>(100);
@@ -247,15 +247,6 @@ TEST(ServiceMetricsWindowTest, WindowedP99IsPinnedAcrossAllThreeRenderings) {
   const obs::WindowLatency* rewrite_all = find_row("rewrite", "all", 10);
   ASSERT_NE(rewrite_all, nullptr);
   EXPECT_EQ(rewrite_all->count, 0u);
-
-  const std::string text = obs::RenderMetricsText(snapshot);
-  EXPECT_NE(text.find("window_latency_requests{verb=\"contained\","
-                      "regime=\"section3\",window=\"10s\"} 100"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("window_latency_us{verb=\"contained\","
-                      "regime=\"section3\",window=\"10s\",q=\"p99\"} 5000"),
-            std::string::npos);
 
   const std::string prom = obs::RenderPrometheusText(snapshot);
   EXPECT_NE(prom.find("relcont_window_latency_requests{verb=\"contained\","

@@ -1,137 +1,35 @@
-// metrics_lint — keeps the three telemetry surfaces and the docs honest.
+// metrics_lint — keeps the telemetry docs honest.
 //
-// Builds one synthetic MetricsSnapshot with every field populated (all
-// vectors non-empty, every counter nonzero, draining on), renders it
-// through all three surfaces — METRICS text, Prometheus /metrics, and the
-// /statusz JSON — and then checks:
+// Every series is declared once, in src/obs/series.h, and every surface
+// renders from that table, so the surfaces agree by construction. What a
+// table cannot check is the prose. This binary checks:
 //
-//   1. every METRICS series name maps to a Prometheus series that is
-//      actually present in the /metrics rendering (via an explicit alias
-//      table for renames, default rule `relcont_<name>`, and a short list
-//      of intentional text-only series like the slow log);
-//   2. every series name on either surface appears verbatim in the
+//   1. every kSeriesTable row appears, as `relcont_<name>`, in the
 //      OBSERVABILITY.md glossary (argv[1]);
-//   3. the /statusz JSON reparses with the in-repo parser;
-//   4. the /requestz JSON (both the list and the per-id drill-down,
-//      rendered from a synthetic fully populated flight recorder)
+//   2. the /statusz JSON of a live service snapshot reparses with the
+//      in-repo parser;
+//   3. the /requestz JSON (both the list and the per-id drill-down)
 //      reparses, and every key in it appears in the OBSERVABILITY.md
 //      wide-event schema table (the chrome_trace subtree is exempt — its
 //      keys are Chrome's, documented upstream).
 //
-// Adding a counter to exposition.cc without documenting it — or renaming a
-// series on one surface but not the other — fails this binary, and it runs
-// as a ctest case, so CI gates on it.
+// It runs as a ctest case, so CI gates on an undocumented series or key.
 //
 // Usage: metrics_lint <path/to/OBSERVABILITY.md>
 // Exit: 0 clean, 1 lint findings, 2 usage/IO error.
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/json.h"
 #include "obs/exposition.h"
+#include "obs/series.h"
+#include "service/metrics.h"
 
 namespace {
-
-using relcont::obs::MetricsSnapshot;
-
-/// A snapshot in which every optional section renders: nonzero counters,
-/// one row per labelled family, trace aggregates, a slow-log entry, window
-/// rows, bound sites, draining on. If a renderer gates a family on
-/// emptiness, this snapshot un-gates it.
-MetricsSnapshot FullyPopulatedSnapshot() {
-  MetricsSnapshot s;
-  s.version = "0.0.0-lint";
-  s.trace_compiled_in = true;
-  s.start_time_unix_seconds = 1700000000;
-  s.uptime_seconds = 12.5;
-  s.requests = 10;
-  s.errors = 1;
-  s.request_cache_hits = 2;
-  s.deadline_exceeded = 1;
-  s.parallel_tasks_spawned = 4;
-  s.parallel_tasks_completed = 4;
-  s.plan_requests = 3;
-  s.rewrite_requests = 2;
-  s.plan_errors = 1;
-  s.unknown_verbs = 1;
-  s.dense_order_propagations = 5;
-  s.dense_order_pruned_branches = 6;
-  s.dense_order_bound_hits = 7;
-  s.cegar_iterations = 8;
-  s.cegar_blocking_clauses = 9;
-  s.cegar_proposals = 10;
-  s.decisions_by_regime.push_back({"section3", 5});
-  s.cache.hits = 2;
-  s.cache.misses = 8;
-  s.cache.evictions = 1;
-  s.cache.entries = 7;
-  s.plan_cache.hits = 1;
-  s.plan_cache.misses = 4;
-  s.plan_cache.evictions = 1;
-  s.plan_cache.invalidated = 2;
-  s.plan_cache.entries = 2;
-  s.latency_buckets.push_back({false, 128, 6});
-  s.latency_buckets.push_back({true, 0, 10});
-  s.latency_sum_micros = 1234;
-  s.latency_count = 10;
-  s.trace_counter_totals.push_back({"section3", "hom_candidates_tried", 42});
-  s.phases.push_back({"decide", 900000, 10});
-  relcont::obs::SlowEntry slow;
-  slow.latency_micros = 900;
-  slow.regime = "section3";
-  slow.request_id = 7;
-  slow.description = "CONTAINED? q1 q2 @c";
-  slow.trace_text = "decide 900us\n  regime_section3 880us";
-  slow.top_phases.push_back({"decide", 900000, 1});
-  s.slow_log.push_back(slow);
-  s.short_window_secs = 10;
-  s.long_window_secs = 60;
-  s.window_latency.push_back({"contained", "all", 10, 5, 10, 20, 30, 40});
-  s.window_latency.push_back({"plan", "section3", 60, 2, 11, 21, 31, 41});
-  s.inflight_requests = 1;
-  s.open_connections = 2;
-  s.batch_queue_depth = 3;
-  s.draining = true;
-  s.http_rejected_431 = 1;
-  s.http_rejected_408 = 1;
-  s.bound_sites.push_back({"linearization_dfs", 3});
-  s.flight_retained = 4;
-  s.flight_dropped = 1;
-  s.flight_arena_bytes = 2048;
-  return s;
-}
-
-/// A flight recorder with every wide-event field populated and one fully
-/// retained entry, so both /requestz renderings (list and drill-down)
-/// emit every key they are capable of emitting.
-void PopulateFlightRecorder(relcont::obs::FlightRecorder* flight) {
-  relcont::obs::WideEvent event;
-  event.request_id = flight->NextRequestId();
-  event.ts_unix_micros = 1700000000000000;
-  event.latency_micros = 1234;
-  event.catalog_version = 3;
-  event.worker_count = 4;
-  event.error = 1;
-  event.cache_hit = 1;
-  event.traced = 1;
-  event.bound = 1;
-  event.set_verb("contained");
-  event.set_regime("section3");
-  event.set_catalog("cars");
-  event.set_bound_site("linearization_dfs");
-  relcont::obs::WideEvent::CopyInto(
-      event.phases[0].name, relcont::obs::WideEvent::kPhaseChars, "decide");
-  event.phases[0].ns = 900000;
-  flight->Record(event);
-  flight->Retain(event, "decide 900us\n  regime_section3 880us",
-                 "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}");
-}
 
 /// Collects every object key in `value`, skipping the `chrome_trace`
 /// subtree — its keys belong to the Chrome trace_event schema, documented
@@ -151,62 +49,6 @@ void CollectJsonKeys(const relcont::json::Value& value,
   }
 }
 
-/// Extracts the series name from one exposition line: the token before the
-/// first ' ' or '{'. Returns empty for lines that carry no series name
-/// (comments, indented slow-log continuations, blanks).
-std::string SeriesName(const std::string& line) {
-  if (line.empty() || line[0] == '#' || line[0] == ' ') return "";
-  size_t end = line.find_first_of(" {");
-  if (end == std::string::npos || end == 0) return "";
-  return line.substr(0, end);
-}
-
-std::set<std::string> ExtractNames(const std::string& text) {
-  std::set<std::string> names;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string name = SeriesName(line);
-    if (!name.empty()) names.insert(name);
-  }
-  return names;
-}
-
-/// METRICS-text series whose Prometheus counterpart is not
-/// `relcont_<name>`. An empty mapping marks a series that is text-only by
-/// design (free-form payloads Prometheus cannot carry).
-const std::map<std::string, std::string>& PromAliases() {
-  static const std::map<std::string, std::string> aliases = {
-      {"library_version", "relcont_build_info"},
-      {"start_time_unix_seconds", "relcont_start_time_seconds"},
-      {"request_cache_hits", "relcont_request_cache_hits_total"},
-      {"deadline_exceeded", "relcont_deadline_exceeded_total"},
-      {"parallel_tasks_spawned", "relcont_parallel_tasks_spawned_total"},
-      {"parallel_tasks_completed", "relcont_parallel_tasks_completed_total"},
-      {"decisions_by_regime", "relcont_decisions_total"},
-      {"unknown_verbs_total", "relcont_unknown_verb_total"},
-      {"http_rejected_431_total", "relcont_http_rejected_total"},
-      {"http_rejected_408_total", "relcont_http_rejected_total"},
-      {"window_latency_us", "relcont_window_latency_microseconds"},
-      {"cache_hits", "relcont_cache_hits_total"},
-      {"cache_misses", "relcont_cache_misses_total"},
-      {"cache_evictions", "relcont_cache_evictions_total"},
-      {"plan_cache_hits", "relcont_plan_cache_hits_total"},
-      {"plan_cache_misses", "relcont_plan_cache_misses_total"},
-      {"plan_cache_evictions", "relcont_plan_cache_evictions_total"},
-      {"plan_cache_invalidated", "relcont_plan_cache_invalidated_total"},
-      {"latency_us_bucket", "relcont_request_latency_microseconds_bucket"},
-      {"latency_us_sum", "relcont_request_latency_microseconds_sum"},
-      {"latency_us_count", "relcont_request_latency_microseconds_count"},
-      {"trace_phase_ns", "relcont_trace_phase_nanoseconds_total"},
-      {"trace_phase_calls", "relcont_trace_phase_calls_total"},
-      // The slow log is free-form request text plus an indented span tree;
-      // /statusz carries its structured digest instead.
-      {"slow_request", ""},
-  };
-  return aliases;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,106 +65,60 @@ int main(int argc, char** argv) {
   doc_stream << doc_file.rdbuf();
   const std::string doc = doc_stream.str();
 
-  const MetricsSnapshot snapshot = FullyPopulatedSnapshot();
-  const std::string text = RenderMetricsText(snapshot);
-  const std::string prom = RenderPrometheusText(snapshot);
-  const std::string statusz = RenderStatuszJson(snapshot);
-
-  const std::set<std::string> text_names = ExtractNames(text);
-  const std::set<std::string> prom_names = ExtractNames(prom);
-
   int findings = 0;
   auto fail = [&findings](const std::string& message) {
     std::fprintf(stderr, "metrics_lint: %s\n", message.c_str());
     ++findings;
   };
 
-  // 1. Every METRICS series has a live Prometheus counterpart (or is
-  //    explicitly marked text-only in the alias table).
-  for (const std::string& name : text_names) {
-    std::string expected = "relcont_" + name;
-    auto alias = PromAliases().find(name);
-    if (alias != PromAliases().end()) expected = alias->second;
-    if (expected.empty()) continue;  // text-only by design
-    if (prom_names.count(expected) == 0) {
-      fail("METRICS series '" + name + "' has no /metrics counterpart '" +
-           expected + "' (add it to exposition.cc or the alias table)");
+  // 1. Every declared series is documented.
+  for (const relcont::obs::SeriesDef& row : relcont::obs::kSeriesTable) {
+    const std::string name = "relcont_" + std::string(row.name);
+    if (doc.find("`" + name) == std::string::npos) {
+      fail("series '" + name + "' is not documented in " +
+           std::string(argv[1]));
     }
   }
 
-  // 2. No Prometheus series is orphaned: each must be the counterpart of
-  //    some METRICS series.
-  std::set<std::string> reachable;
-  for (const std::string& name : text_names) {
-    auto alias = PromAliases().find(name);
-    reachable.insert(alias != PromAliases().end() ? alias->second
-                                                  : "relcont_" + name);
-  }
-  for (const std::string& name : prom_names) {
-    if (reachable.count(name) == 0) {
-      fail("/metrics series '" + name +
-           "' has no METRICS-text counterpart (one surface drifted)");
-    }
-  }
+  // One traced, errored request: the flight arena retains it, so the
+  // snapshot carries a slow request and /requestz a drill-down with every
+  // key the renderers can emit.
+  relcont::ServiceMetrics metrics;
+  relcont::trace::TraceContext trace;
+  trace.CloseSpan(trace.OpenSpan("decide"));
+  relcont::obs::WideEvent event;
+  event.request_id = metrics.flight().NextRequestId();
+  event.latency_micros = 1234;
+  event.catalog_version = 3;
+  event.worker_count = 4;
+  event.error = 1;
+  event.cache_hit = 1;
+  event.bound = 1;
+  event.set_verb("contained");
+  event.set_regime("section3");
+  event.set_catalog("cars");
+  event.set_bound_site("linearization_dfs");
+  metrics.RecordFlight(relcont::ServiceVerb::kContained, event, &trace);
 
-  // 3. Every series name on either surface appears verbatim in the
-  //    OBSERVABILITY.md glossary.
-  for (const std::set<std::string>* names : {&text_names, &prom_names}) {
-    for (const std::string& name : *names) {
-      if (doc.find(name) == std::string::npos) {
-        fail("series '" + name + "' is not documented in " +
-             std::string(argv[1]));
-      }
-    }
-  }
-
-  // 4. The /statusz rendering must reparse with the in-repo JSON parser,
-  //    and the engine counter groups that METRICS/Prometheus carry must be
-  //    present there too — /statusz is the third surface, and a counter
-  //    group added to exposition.cc's text renderers but not the JSON one
-  //    (or vice versa) fails here.
+  // 2. /statusz reparses.
+  const std::string statusz = relcont::obs::RenderStatuszJson(
+      metrics.Snapshot(relcont::CacheStats{}, relcont::CacheStats{}));
   auto parsed = relcont::json::Parse(statusz);
   if (!parsed.ok()) {
     fail("/statusz JSON does not reparse: " + parsed.status().ToString());
-  } else {
-    auto find_member = [](const relcont::json::Value& value,
-                          const std::string& key)
-        -> const relcont::json::Value* {
-      for (const auto& [name, member] : value.object) {
-        if (name == key) return &member;
-      }
-      return nullptr;
-    };
-    const relcont::json::Value* cegar = find_member(*parsed, "cegar");
-    if (cegar == nullptr || !cegar->is_object()) {
-      fail("/statusz JSON lacks the 'cegar' counter object");
-    } else {
-      for (const char* key :
-           {"iterations", "blocking_clauses", "proposals"}) {
-        if (find_member(*cegar, key) == nullptr) {
-          fail(std::string("/statusz 'cegar' object lacks key '") + key +
-               "'");
-        }
-      }
-    }
   }
 
-  // 5. /requestz schema: render both shapes (list and drill-down) from a
-  //    fully populated recorder, reparse, and require every JSON key to
-  //    appear verbatim in the OBSERVABILITY.md schema table. A wide-event
-  //    field added to flight.cc without documenting it fails here.
-  relcont::obs::FlightRecorder flight;
-  PopulateFlightRecorder(&flight);
+  // 3. /requestz reparses and every key is documented.
+  const relcont::obs::FlightRecorder& flight = metrics.flight();
+  auto retained = flight.FindRetained(event.request_id);
+  if (!retained.has_value()) {
+    fail("the errored request was not retained");
+  }
   const std::string requestz_list =
       relcont::obs::RenderRequestzListJson(flight);
-  auto retained = flight.FindRetained(1);
-  if (!retained.has_value()) {
-    fail("synthetic flight recorder lost its retained entry");
-  }
   const std::string requestz_event =
-      retained.has_value()
-          ? relcont::obs::RenderRequestzEventJson(*retained)
-          : std::string();
+      retained.has_value() ? relcont::obs::RenderRequestzEventJson(*retained)
+                           : std::string();
   for (const auto& [label, text_json] :
        {std::pair<const char*, const std::string&>{"/requestz",
                                                    requestz_list},
@@ -349,8 +145,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "metrics_lint: %d finding(s)\n", findings);
     return 1;
   }
-  std::printf("metrics_lint: %zu METRICS series, %zu /metrics series, all "
-              "documented\n",
-              text_names.size(), prom_names.size());
+  std::printf("metrics_lint: %zu series, all documented\n",
+              relcont::obs::kNumSeries);
   return 0;
 }
