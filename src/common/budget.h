@@ -78,9 +78,15 @@ class WorkBudget {
     deadline_ = deadline;
     has_deadline_ = true;
   }
-  /// Convenience: deadline `timeout` from now.
+  /// Convenience: deadline `timeout` from now, saturated at the clock's
+  /// end of time (a timeout too large to represent means no deadline).
   void set_timeout(std::chrono::milliseconds timeout) {
-    set_deadline(std::chrono::steady_clock::now() + timeout);
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    set_deadline(timeout >= headroom ? Clock::time_point::max()
+                                     : now + timeout);
   }
 
   /// Charges `n` units of work. Returns true when the search may continue;

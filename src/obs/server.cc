@@ -174,9 +174,8 @@ void ObsServer::RequestDrain() {
 }
 
 void ObsServer::RefreshFlightStatusz() {
-  service_->metrics().flight().StoreStatuszSnapshot(RenderStatuszJson(
-      service_->metrics().Snapshot(service_->cache().Stats(),
-                                   service_->planner().cache().Stats())));
+  service_->metrics().flight().StoreStatuszSnapshot(
+      RenderStatuszJson(service_->Snapshot()));
 }
 
 void ObsServer::DrainWatchdog() {
@@ -330,18 +329,14 @@ void ObsServer::ServeHttp(int fd, const std::string& head) {
   }
   std::string path = request.path();
   if (path == "/metrics") {
-    std::string body = RenderPrometheusText(
-        service_->metrics().Snapshot(service_->cache().Stats(),
-                                     service_->planner().cache().Stats()));
+    std::string body = RenderPrometheusText(service_->Snapshot());
     SendAll(fd, RenderHttpResponse(
                     200, "text/plain; version=0.0.4; charset=utf-8", body,
                     head_only));
   } else if (path == "/statusz") {
     // Same MetricsSnapshot (and renderer) as the STATUSZ protocol verb,
     // so the two surfaces cannot drift.
-    std::string body = RenderStatuszJson(
-        service_->metrics().Snapshot(service_->cache().Stats(),
-                                     service_->planner().cache().Stats()));
+    std::string body = RenderStatuszJson(service_->Snapshot());
     SendAll(fd, RenderHttpResponse(200, "application/json", body,
                                    head_only));
   } else if (path == "/requestz") {
@@ -401,9 +396,7 @@ void ObsServer::ServeHttp(int fd, const std::string& head) {
 }
 
 std::string ObsServer::BuildzJson() const {
-  MetricsSnapshot snapshot =
-      service_->metrics().Snapshot(service_->cache().Stats(),
-                                   service_->planner().cache().Stats());
+  MetricsSnapshot snapshot = service_->Snapshot();
   const ServiceConfig& config = service_->config();
   std::string out = "{\"version\":";
   json::AppendEscaped(snapshot.version, &out);

@@ -1,5 +1,7 @@
 #include "service/protocol.h"
 
+#include <array>
+#include <climits>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
@@ -11,12 +13,8 @@ namespace relcont {
 
 namespace {
 
-std::string Trim(const std::string& s) {
-  size_t begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  size_t end = s.find_last_not_of(" \t\r\n");
-  return s.substr(begin, end - begin + 1);
-}
+using Args = std::span<const std::string>;
+using Verb = ServerSession::Verb;
 
 std::vector<std::string> Tokenize(const std::string& s) {
   std::istringstream in(s);
@@ -26,26 +24,24 @@ std::vector<std::string> Tokenize(const std::string& s) {
   return tokens;
 }
 
-std::string JoinFrom(const std::vector<std::string>& tokens, size_t begin,
-                     size_t end) {
+std::string Join(Args tokens) {
   std::string out;
-  for (size_t i = begin; i < end; ++i) {
+  for (const std::string& token : tokens) {
     if (!out.empty()) out += ' ';
-    out += tokens[i];
+    out += token;
   }
   return out;
 }
 
-/// Pops trailing `key=value` budget options off `tokens` and applies them
+/// Pops trailing `key=value` budget options off `args` and applies them
 /// to `options`. Recognized keys: timeout_ms (per-request deadline),
 /// budget (max decision steps), workers (parallel scan width), strategy
 /// (section3 engine: cegar, scan, or auto). Returns a newline-terminated
 /// "ERR ..." line on a malformed option, "" on success.
-std::string ConsumeBudgetOptions(std::vector<std::string>* tokens,
-                                 DecideOptions* options) {
-  while (!tokens->empty() &&
-         tokens->back().find('=') != std::string::npos) {
-    const std::string& token = tokens->back();
+std::string ConsumeBudgetOptions(Args* args, DecideOptions* options) {
+  for (; !args->empty() && args->back().find('=') != std::string::npos;
+       *args = args->first(args->size() - 1)) {
+    const std::string& token = args->back();
     size_t eq = token.find('=');
     std::string key = token.substr(0, eq);
     std::string value = token.substr(eq + 1);
@@ -58,12 +54,14 @@ std::string ConsumeBudgetOptions(std::vector<std::string>* tokens,
                "scan, or auto, got '" + value + "'\n";
       }
       options->strategy = *strategy;
-      tokens->pop_back();
       continue;
     }
     char* end = nullptr;
     long long parsed = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || end == nullptr || *end != '\0' || parsed <= 0) {
+    // workers fills an int: a wider value is malformed, never wrapped.
+    const long long max = key == "workers" ? INT_MAX : LLONG_MAX;
+    if (value.empty() || end == nullptr || *end != '\0' || parsed <= 0 ||
+        parsed > max) {
       return "ERR InvalidArgument: option '" + key +
              "' needs a positive integer, got '" + value + "'\n";
     }
@@ -77,115 +75,191 @@ std::string ConsumeBudgetOptions(std::vector<std::string>* tokens,
       return "ERR InvalidArgument: unknown option '" + key +
              "' — try timeout_ms=, budget=, workers=, or strategy=\n";
     }
-    tokens->pop_back();
   }
   return "";
 }
 
+/// A verb's usage, `<name> <args>`: its HELP line and its usage error.
+std::string Spelled(const Verb& verb) {
+  std::string out(verb.name);
+  if (!verb.args.empty()) out.append(" ").append(verb.args);
+  return out;
+}
+
+std::string Usage(const Verb& verb) {
+  return "ERR InvalidArgument: expected " + Spelled(verb) + "\n";
+}
+
+/// The one parser of question lines: `<q> @<catalog> [options]` or
+/// `<q1> <q2> @<catalog> [options]`, as `verb.args` spells it. Fills one
+/// `texts` entry per DEFINE'd name, `*catalog` and `*options`; returns the
+/// first ERR line (options, then shape, then names), or "".
+std::string ParseQuestion(const Verb& verb, Args args,
+                          const std::map<std::string, std::string>& defined,
+                          std::array<std::string*, 2> texts,
+                          std::string* catalog, DecideOptions* options) {
+  std::string error = ConsumeBudgetOptions(&args, options);
+  if (!error.empty()) return error;
+  const size_t arity = verb.args.find("<q2>") == std::string_view::npos ? 1 : 2;
+  if (args.size() != arity + 1 || args[arity].size() < 2 ||
+      args[arity][0] != '@') {
+    return Usage(verb);
+  }
+  for (size_t i = 0; i < arity; ++i) {
+    auto it = defined.find(args[i]);
+    if (it == defined.end()) {
+      return "ERR InvalidArgument: unknown query '" + args[i] +
+             "' — DEFINE it first\n";
+    }
+    *texts[i] = it->second;
+  }
+  *catalog = args[arity].substr(1);
+  return "";
+}
+
+/// The reply of a request the service ran. A failed one is `ERR [id=N]
+/// <status>`: the id correlates a client's log line with the retained
+/// trace (REQUESTZ <id>), whereas protocol-level rejections, which mint no
+/// id, stay plain. A successful one is `head`, then
+/// ` HIT|MISS <latency>us id=<N>`, then ` witness: <w>` if there is one.
+template <typename Response>
+std::string Reply(const Response& response, std::string head,
+                  const std::string& witness = "") {
+  if (!response.status.ok()) {
+    return "ERR [id=" + std::to_string(response.request_id) + "] " +
+           response.status.ToString() + "\n";
+  }
+  head += response.cache_hit ? " HIT " : " MISS ";
+  head += std::to_string(response.latency_micros);
+  head += "us id=";
+  head += std::to_string(response.request_id);
+  if (!witness.empty()) {
+    head += " witness: ";
+    head += witness;
+  }
+  head += '\n';
+  return head;
+}
+
+std::string DecisionReply(const DecisionResponse& response) {
+  std::string head = response.contained ? "YES " : "NO ";
+  head += RegimeName(response.regime);
+  return Reply(response, std::move(head), response.witness_text);
+}
+
+/// Appends a traced request's span tree to its reply: indented text, or
+/// one line of Chrome trace JSON (or a notice that the hooks are compiled
+/// out). A failed request's reply is its ERR line alone.
+template <typename Response>
+void AppendTrace(const Response& response, bool json, std::string* out) {
+  const trace::TraceContext* trace = response.trace.get();
+  if (!response.status.ok() || trace == nullptr) return;
+  if (trace->spans().empty() && !trace::kCompiledIn) {
+    *out += "(trace hooks compiled out: rebuild with -DRELCONT_TRACE=ON)\n";
+  } else if (json) {
+    *out += trace->ToChromeJson() + '\n';
+  } else {
+    *out += trace->ToText();
+  }
+}
+
+const Verb* FindVerb(std::string_view name) {
+  for (const Verb& verb : ServerSession::Verbs()) {
+    if (verb.name == name) return &verb;
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+std::span<const Verb> ServerSession::Verbs() {
+  using enum Verb::Batch;
+  static constexpr Verb kVerbs[] = {
+      {"CATALOG",
+       "<name> VIEW <rule> [VIEW <rule>]... [PATTERN <src> <adornment>]...",
+       &ServerSession::HandleCatalog, kRun, false},
+      {"CATALOG?", "[<name>]", &ServerSession::HandleCatalogQuery, kRun,
+       false},
+      {"DEFINE", "<name> <rule> [<rule>]...", &ServerSession::HandleDefine,
+       kRun, false},
+      {"CONTAINED?",
+       "<q1> <q2> @<catalog> [timeout_ms=N] [budget=N] [workers=N]",
+       &ServerSession::HandleContained, kQueue, false},
+      {"PLAN?", "<q> @<catalog> [timeout_ms=N] [budget=N] [workers=N]",
+       &ServerSession::HandlePlan, kReject, true},
+      {"REWRITE?",
+       "<q1> <q2> @<catalog> [timeout_ms=N] [budget=N] [workers=N]",
+       &ServerSession::HandleRewrite, kReject, true},
+      {"EXPLAIN",
+       "[JSON] <q1> <q2> @<catalog> [timeout_ms=N] [budget=N] [workers=N]",
+       &ServerSession::HandleExplain, kReject, false},
+      {"BATCH", "BEGIN or BATCH END", &ServerSession::HandleBatch, kRun,
+       false},
+      {"REQUESTZ", "[<id>]", &ServerSession::HandleRequestz, kReject, false},
+      {"CATALOGS", "", &ServerSession::HandleCatalogs, kRun, false},
+      {"METRICS", "", &ServerSession::HandleMetrics, kRun, false},
+      {"STATUSZ", "", &ServerSession::HandleStatusz, kRun, false},
+      {"HELP", "", &ServerSession::HandleHelp, kRun, false},
+  };
+  return kVerbs;
+}
 
 ServerSession::ServerSession(ContainmentService* service, int batch_threads)
     : service_(service), batch_threads_(batch_threads) {}
 
-std::string ServerSession::HandleLine(const std::string& raw_line) {
-  std::string line = Trim(raw_line);
-  if (line.empty() || line[0] == '%') return "";
-  std::istringstream in(line);
-  std::string command;
-  in >> command;
-  std::string rest;
-  std::getline(in, rest);
-  rest = Trim(rest);
-  if (command == "CATALOG") return HandleCatalog(rest);
-  if (command == "CATALOG?") return HandleCatalogQuery(rest);
-  if (command == "DEFINE") return HandleDefine(rest);
-  if (command == "CONTAINED?") return HandleContained(rest);
-  if (command == "PLAN?") {
-    return HandlePlan(rest, /*collect_trace=*/false, /*trace_json=*/false);
+std::string ServerSession::HandleLine(const std::string& line) {
+  std::vector<std::string> tokens = Tokenize(line);
+  if (tokens.empty() || tokens[0][0] == '%') return "";
+  const std::string& command = tokens[0];
+  const Verb* verb = FindVerb(command);
+  if (verb == nullptr) {
+    // A distinct error shape (and counter) so clients can tell a typo'd
+    // verb from a malformed request to a known verb.
+    service_->metrics().RecordUnknownVerb();
+    return "ERR unknown-verb '" + command + "' — try HELP\n";
   }
-  if (command == "REWRITE?") {
-    return HandleRewrite(rest, /*collect_trace=*/false,
-                         /*trace_json=*/false);
+  if (in_batch_ && verb->batch == Verb::Batch::kReject) {
+    return "ERR InvalidArgument: " + command +
+           " is not allowed inside a batch\n";
   }
-  if (command == "EXPLAIN") return HandleExplain(rest);
-  if (command == "BATCH") return HandleBatch(rest);
-  if (command == "CATALOGS") {
-    std::string out;
-    for (const std::string& name : service_->catalogs().Names()) {
-      auto spec = service_->catalogs().Find(name);
-      if (spec == nullptr) continue;
-      out += "catalog " + name + " v" + std::to_string(spec->version) + "\n";
-    }
-    return out.empty() ? "OK no catalogs\n" : out;
-  }
-  if (command == "METRICS" || command == "STATUSZ") {
-    // The renderings GET /metrics and GET /statusz serve, of one snapshot.
-    obs::MetricsSnapshot snapshot = service_->metrics().Snapshot(
-        service_->cache().Stats(), service_->planner().cache().Stats());
-    return command == "METRICS" ? obs::RenderPrometheusText(snapshot)
-                                : obs::RenderStatuszJson(snapshot);
-  }
-  if (command == "REQUESTZ") return HandleRequestz(rest);
-  if (command == "HELP") {
-    return "CATALOG <name> VIEW <rule> [VIEW <rule>]... [PATTERN <src> "
-           "<adornment>]...\n"
-           "CATALOG? [<name>]\n"
-           "DEFINE <name> <rule> [<rule>]...\n"
-           "CONTAINED? <q1> <q2> @<catalog> [timeout_ms=N] [budget=N] "
-           "[workers=N] [strategy=cegar|scan|auto]\n"
-           "PLAN? <q> @<catalog> [timeout_ms=N] [budget=N] [workers=N]\n"
-           "REWRITE? <q1> <q2> @<catalog> [timeout_ms=N] [budget=N] "
-           "[workers=N] [strategy=cegar|scan|auto]\n"
-           "EXPLAIN [JSON] [PLAN?|REWRITE?] <args as above>\n"
-           "BATCH BEGIN ... BATCH END\n"
-           "REQUESTZ [<id>]\n"
-           "CATALOGS | METRICS | STATUSZ | HELP\n"
-           "  timeout_ms: per-request deadline; budget: max decision "
-           "steps; workers: parallel scan width;\n"
-           "  strategy: section3 engine (default auto — CEGAR search on "
-           "wide plans, scan otherwise).\n"
-           "  A request past its bound answers ERR BoundReached (not a "
-           "verdict).\n";
-  }
-  // A distinct error shape (and counter) so clients can tell a typo'd verb
-  // from a malformed request to a known verb.
-  service_->metrics().RecordUnknownVerb();
-  return "ERR unknown-verb '" + command + "' — try HELP\n";
+  return (this->*verb->handler)(*verb, Args(tokens).subspan(1),
+                                /*collect_trace=*/false,
+                                /*trace_json=*/false);
 }
 
-std::string ServerSession::HandleCatalog(const std::string& rest) {
-  std::vector<std::string> tokens = Tokenize(rest);
-  if (tokens.empty()) {
+std::string ServerSession::HandleCatalog(const Verb&, Args args, bool,
+                                         bool) {
+  if (args.empty()) {
     return "ERR InvalidArgument: CATALOG needs a name\n";
   }
-  const std::string& name = tokens[0];
+  const std::string& name = args[0];
   std::string views_text;
   int num_views = 0;
   std::vector<std::pair<std::string, std::string>> patterns;
   size_t i = 1;
-  while (i < tokens.size()) {
-    if (tokens[i] == "VIEW") {
+  while (i < args.size()) {
+    if (args[i] == "VIEW") {
       size_t end = i + 1;
-      while (end < tokens.size() && tokens[end] != "VIEW" &&
-             tokens[end] != "PATTERN") {
+      while (end < args.size() && args[end] != "VIEW" &&
+             args[end] != "PATTERN") {
         ++end;
       }
       if (end == i + 1) {
         return "ERR InvalidArgument: VIEW needs a rule\n";
       }
-      views_text += JoinFrom(tokens, i + 1, end);
+      views_text += Join(args.subspan(i + 1, end - i - 1));
       views_text += '\n';
       ++num_views;
       i = end;
-    } else if (tokens[i] == "PATTERN") {
-      if (i + 2 >= tokens.size()) {
+    } else if (args[i] == "PATTERN") {
+      if (i + 2 >= args.size()) {
         return "ERR InvalidArgument: PATTERN needs <source> <adornment>\n";
       }
-      patterns.emplace_back(tokens[i + 1], tokens[i + 2]);
+      patterns.emplace_back(args[i + 1], args[i + 2]);
       i += 3;
     } else {
       return "ERR InvalidArgument: expected VIEW or PATTERN, got '" +
-             tokens[i] + "'\n";
+             args[i] + "'\n";
     }
   }
   if (num_views == 0) {
@@ -202,13 +276,12 @@ std::string ServerSession::HandleCatalog(const std::string& rest) {
          " patterns=" + std::to_string(num_patterns) + "\n";
 }
 
-std::string ServerSession::HandleDefine(const std::string& rest) {
-  std::vector<std::string> tokens = Tokenize(rest);
-  if (tokens.size() < 2) {
+std::string ServerSession::HandleDefine(const Verb&, Args args, bool, bool) {
+  if (args.size() < 2) {
     return "ERR InvalidArgument: DEFINE needs <name> <rule>\n";
   }
-  const std::string& name = tokens[0];
-  std::string text = JoinFrom(tokens, 1, tokens.size());
+  const std::string& name = args[0];
+  std::string text = Join(args.subspan(1));
   // Validate now so a bad DEFINE fails loudly instead of at request time.
   Result<Program> parsed = ParseProgram(text, ctx_.interner());
   if (!parsed.ok()) {
@@ -222,160 +295,118 @@ std::string ServerSession::HandleDefine(const std::string& rest) {
          " rules=" + std::to_string(parsed->rules.size()) + "\n";
 }
 
-std::string ServerSession::HandleContained(const std::string& rest) {
-  std::vector<std::string> tokens = Tokenize(rest);
+// The question verbs. EXPLAIN runs them with collect_trace, which also
+// bypasses the cache: a cache hit would leave nothing to trace.
+
+std::string ServerSession::HandleContained(const Verb& verb, Args args,
+                                           bool collect_trace,
+                                           bool trace_json) {
   DecisionRequest request;
-  std::string option_error = ConsumeBudgetOptions(&tokens, &request.options);
-  if (!option_error.empty()) return option_error;
-  if (tokens.size() != 3 || tokens[2].size() < 2 || tokens[2][0] != '@') {
-    return "ERR InvalidArgument: expected CONTAINED? <q1> <q2> @<catalog> "
-           "[timeout_ms=N] [budget=N] [workers=N]\n";
-  }
-  for (int side = 0; side < 2; ++side) {
-    auto it = queries_.find(tokens[side]);
-    if (it == queries_.end()) {
-      return "ERR InvalidArgument: unknown query '" + tokens[side] +
-             "' — DEFINE it first\n";
-    }
-    (side == 0 ? request.q1_text : request.q2_text) = it->second;
-  }
-  request.catalog = tokens[2].substr(1);
+  request.bypass_cache = request.collect_trace = collect_trace;
+  std::string error =
+      ParseQuestion(verb, args, queries_, {&request.q1_text, &request.q2_text},
+                    &request.catalog, &request.options);
+  if (!error.empty()) return error;
   if (in_batch_) {
     batch_.push_back(std::move(request));
     return "QUEUED " + std::to_string(batch_.size() - 1) + "\n";
   }
   DecisionResponse response = service_->Decide(request, &ctx_);
-  Observe(request, response);
-  return RenderResponse(response);
-}
-
-const std::string* ServerSession::LookupQuery(const std::string& name,
-                                              std::string* error) const {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    *error = "ERR InvalidArgument: unknown query '" + name +
-             "' — DEFINE it first\n";
-    return nullptr;
-  }
-  return &it->second;
-}
-
-void ServerSession::AppendTrace(const trace::TraceContext* trace, bool json,
-                                std::string* out) {
-  if (trace == nullptr) return;
-  if (trace->spans().empty() && !trace::kCompiledIn) {
-    *out += "(trace hooks compiled out: rebuild with -DRELCONT_TRACE=ON)\n";
-    return;
-  }
-  if (json) {
-    *out += trace->ToChromeJson();
-    *out += '\n';
-  } else {
-    *out += trace->ToText();
-  }
-}
-
-std::string ServerSession::HandlePlan(const std::string& rest,
-                                      bool collect_trace, bool trace_json) {
-  if (in_batch_) {
-    return "ERR InvalidArgument: PLAN? is not allowed inside a batch\n";
-  }
-  std::vector<std::string> tokens = Tokenize(rest);
-  PlanRequest request;
-  std::string option_error = ConsumeBudgetOptions(&tokens, &request.options);
-  if (!option_error.empty()) return option_error;
-  if (tokens.size() != 2 || tokens[1].size() < 2 || tokens[1][0] != '@') {
-    return "ERR InvalidArgument: expected PLAN? <q> @<catalog> "
-           "[timeout_ms=N] [budget=N] [workers=N]\n";
-  }
-  std::string error;
-  const std::string* query = LookupQuery(tokens[0], &error);
-  if (query == nullptr) return error;
-  request.query_text = *query;
-  request.catalog = tokens[1].substr(1);
-  // EXPLAIN semantics: bypass the cache so there is a construction to
-  // trace.
-  request.collect_trace = collect_trace;
-  request.bypass_cache = collect_trace;
-  PlanResponse response = service_->planner().Plan(request, &planner_ctx_);
-  if (!response.status.ok()) {
-    return "ERR [id=" + std::to_string(response.request_id) + "] " +
-           response.status.ToString() + "\n";
-  }
-  std::string out = "OK plan catalog=" + request.catalog + " v" +
-                    std::to_string(response.catalog_version) +
-                    " kind=" + (response.recursive ? "recursive" : "ucq") +
-                    " rules=" + std::to_string(response.num_rules);
-  if (!response.dom_predicate.empty()) {
-    out += " dom=" + response.dom_predicate;
-  }
-  out += response.cache_hit ? " HIT " : " MISS ";
-  out += std::to_string(response.latency_micros);
-  out += "us id=";
-  out += std::to_string(response.request_id);
-  out += '\n';
-  out += response.plan_text;
-  if (collect_trace) AppendTrace(response.trace.get(), trace_json, &out);
+  if (observer_) observer_(request, response);
+  std::string out = DecisionReply(response);
+  if (collect_trace) AppendTrace(response, trace_json, &out);
   return out;
 }
 
-std::string ServerSession::HandleRewrite(const std::string& rest,
+std::string ServerSession::HandlePlan(const Verb& verb, Args args,
+                                      bool collect_trace, bool trace_json) {
+  PlanRequest request;
+  request.bypass_cache = request.collect_trace = collect_trace;
+  std::string error =
+      ParseQuestion(verb, args, queries_, {&request.query_text, nullptr},
+                    &request.catalog, &request.options);
+  if (!error.empty()) return error;
+  PlanResponse response = service_->planner().Plan(request, &planner_ctx_);
+  std::string head = "OK plan catalog=" + request.catalog + " v" +
+                     std::to_string(response.catalog_version) +
+                     " kind=" + (response.recursive ? "recursive" : "ucq") +
+                     " rules=" + std::to_string(response.num_rules);
+  if (!response.dom_predicate.empty()) {
+    head += " dom=" + response.dom_predicate;
+  }
+  std::string out = Reply(response, std::move(head));
+  if (response.status.ok()) out += response.plan_text;
+  if (collect_trace) AppendTrace(response, trace_json, &out);
+  return out;
+}
+
+std::string ServerSession::HandleRewrite(const Verb& verb, Args args,
                                          bool collect_trace,
                                          bool trace_json) {
-  if (in_batch_) {
-    return "ERR InvalidArgument: REWRITE? is not allowed inside a batch\n";
-  }
-  std::vector<std::string> tokens = Tokenize(rest);
   RewriteRequest request;
-  std::string option_error = ConsumeBudgetOptions(&tokens, &request.options);
-  if (!option_error.empty()) return option_error;
-  if (tokens.size() != 3 || tokens[2].size() < 2 || tokens[2][0] != '@') {
-    return "ERR InvalidArgument: expected REWRITE? <q1> <q2> @<catalog> "
-           "[timeout_ms=N] [budget=N] [workers=N]\n";
-  }
-  std::string error;
-  for (int side = 0; side < 2; ++side) {
-    const std::string* query = LookupQuery(tokens[side], &error);
-    if (query == nullptr) return error;
-    (side == 0 ? request.q1_text : request.q2_text) = *query;
-  }
-  request.catalog = tokens[2].substr(1);
-  request.collect_trace = collect_trace;
-  request.bypass_cache = collect_trace;
+  request.bypass_cache = request.collect_trace = collect_trace;
+  std::string error =
+      ParseQuestion(verb, args, queries_, {&request.q1_text, &request.q2_text},
+                    &request.catalog, &request.options);
+  if (!error.empty()) return error;
   RewriteResponse response =
       service_->planner().Rewrite(request, &planner_ctx_);
-  if (!response.status.ok()) {
-    return "ERR [id=" + std::to_string(response.request_id) + "] " +
-           response.status.ToString() + "\n";
-  }
-  std::string out = response.contained ? "YES plan" : "NO plan";
-  out += response.cache_hit ? " HIT " : " MISS ";
-  out += std::to_string(response.latency_micros);
-  out += "us id=";
-  out += std::to_string(response.request_id);
-  if (!response.witness_text.empty()) {
-    out += " witness: ";
-    out += response.witness_text;
-  }
-  out += '\n';
-  if (collect_trace) AppendTrace(response.trace.get(), trace_json, &out);
+  std::string out = Reply(response, response.contained ? "YES plan" : "NO plan",
+                          response.witness_text);
+  if (collect_trace) AppendTrace(response, trace_json, &out);
   return out;
 }
 
-std::string ServerSession::HandleRequestz(const std::string& rest) {
-  if (in_batch_) {
-    return "ERR InvalidArgument: REQUESTZ is not allowed inside a batch\n";
+std::string ServerSession::HandleExplain(const Verb& verb, Args args, bool,
+                                         bool) {
+  const bool json = !args.empty() && args[0] == "JSON";
+  if (json) args = args.subspan(1);
+  const Verb* explained = args.empty() ? nullptr : FindVerb(args[0]);
+  if (explained != nullptr && explained->explainable) {
+    return (this->*explained->handler)(*explained, args.subspan(1),
+                                       /*collect_trace=*/true, json);
   }
+  // No verb named: trace CONTAINED?, with EXPLAIN's own usage error.
+  return HandleContained(verb, args, /*collect_trace=*/true, json);
+}
+
+std::string ServerSession::HandleBatch(const Verb& verb, Args args, bool,
+                                       bool) {
+  const std::string_view step =
+      args.size() == 1 ? std::string_view(args[0]) : std::string_view();
+  if (step == "BEGIN") {
+    if (in_batch_) return "ERR InvalidArgument: already in a batch\n";
+    in_batch_ = true;
+    return "OK batch begin\n";
+  }
+  if (step == "END") {
+    if (!in_batch_) return "ERR InvalidArgument: no batch in progress\n";
+    in_batch_ = false;
+    std::vector<DecisionResponse> responses =
+        service_->ExecuteBatch(batch_, batch_threads_);
+    std::string out =
+        "OK batch " + std::to_string(responses.size()) + "\n";
+    for (size_t i = 0; i < responses.size(); ++i) {
+      if (observer_) observer_(batch_[i], responses[i]);
+      out += "[" + std::to_string(i) + "] " + DecisionReply(responses[i]);
+    }
+    batch_.clear();
+    return out;
+  }
+  return Usage(verb);
+}
+
+std::string ServerSession::HandleRequestz(const Verb& verb, Args args, bool,
+                                          bool) {
   // Introspection, like METRICS: mints no id and records no wide event, so
   // REQUESTZ and GET /requestz render byte-identical documents.
-  std::vector<std::string> tokens = Tokenize(rest);
-  if (tokens.empty()) {
+  if (args.empty()) {
     return obs::RenderRequestzListJson(service_->metrics().flight());
   }
   char* end = nullptr;
-  unsigned long long id = std::strtoull(tokens[0].c_str(), &end, 10);
-  if (tokens.size() > 1 || end == nullptr || *end != '\0' || id == 0) {
-    return "ERR InvalidArgument: expected REQUESTZ [<id>]\n";
+  unsigned long long id = std::strtoull(args[0].c_str(), &end, 10);
+  if (args.size() > 1 || end == nullptr || *end != '\0' || id == 0) {
+    return Usage(verb);
   }
   std::optional<obs::FlightRecorder::Retained> entry =
       service_->metrics().flight().FindRetained(id);
@@ -386,23 +417,18 @@ std::string ServerSession::HandleRequestz(const std::string& rest) {
   return obs::RenderRequestzEventJson(*entry);
 }
 
-std::string ServerSession::HandleCatalogQuery(const std::string& rest) {
-  std::vector<std::string> tokens = Tokenize(rest);
-  if (tokens.size() > 1) {
-    return "ERR InvalidArgument: expected CATALOG? [<name>]\n";
-  }
-  std::vector<std::string> names;
-  if (tokens.empty()) {
-    names = service_->catalogs().Names();
-  } else {
-    names.push_back(tokens[0]);
-  }
+std::string ServerSession::HandleCatalogQuery(const Verb& verb, Args args,
+                                              bool, bool) {
+  if (args.size() > 1) return Usage(verb);
+  std::vector<std::string> names =
+      args.empty() ? service_->catalogs().Names()
+                   : std::vector<std::string>(args.begin(), args.end());
   std::string out = "{\"catalogs\":[";
   bool first = true;
   for (const std::string& name : names) {
     auto spec = service_->catalogs().Find(name);
     if (spec == nullptr) {
-      if (!tokens.empty()) {
+      if (!args.empty()) {
         return "ERR InvalidArgument: unknown catalog '" + name + "'\n";
       }
       continue;  // raced with a concurrent removal of a listed name
@@ -428,103 +454,44 @@ std::string ServerSession::HandleCatalogQuery(const std::string& rest) {
   return out;
 }
 
-std::string ServerSession::HandleExplain(const std::string& rest) {
-  if (in_batch_) {
-    return "ERR InvalidArgument: EXPLAIN is not allowed inside a batch\n";
+std::string ServerSession::HandleCatalogs(const Verb&, Args, bool, bool) {
+  std::string out;
+  for (const std::string& name : service_->catalogs().Names()) {
+    auto spec = service_->catalogs().Find(name);
+    if (spec == nullptr) continue;
+    out += "catalog " + name + " v" + std::to_string(spec->version) + "\n";
   }
-  std::vector<std::string> tokens = Tokenize(rest);
-  bool json = !tokens.empty() && tokens[0] == "JSON";
-  if (json) tokens.erase(tokens.begin());
-  if (!tokens.empty() && tokens[0] == "PLAN?") {
-    return HandlePlan(JoinFrom(tokens, 1, tokens.size()),
-                      /*collect_trace=*/true, json);
-  }
-  if (!tokens.empty() && tokens[0] == "REWRITE?") {
-    return HandleRewrite(JoinFrom(tokens, 1, tokens.size()),
-                         /*collect_trace=*/true, json);
-  }
-  DecisionRequest request;
-  std::string option_error = ConsumeBudgetOptions(&tokens, &request.options);
-  if (!option_error.empty()) return option_error;
-  if (tokens.size() != 3 || tokens[2].size() < 2 || tokens[2][0] != '@') {
-    return "ERR InvalidArgument: expected EXPLAIN [JSON] <q1> <q2> "
-           "@<catalog> [timeout_ms=N] [budget=N] [workers=N]\n";
-  }
-  for (int side = 0; side < 2; ++side) {
-    auto it = queries_.find(tokens[side]);
-    if (it == queries_.end()) {
-      return "ERR InvalidArgument: unknown query '" + tokens[side] +
-             "' — DEFINE it first\n";
-    }
-    (side == 0 ? request.q1_text : request.q2_text) = it->second;
-  }
-  request.catalog = tokens[2].substr(1);
-  // Bypass the cache so there is an actual decision to trace — a cache hit
-  // would explain nothing.
-  request.bypass_cache = true;
-  request.collect_trace = true;
-  DecisionResponse response = service_->Decide(request, &ctx_);
-  Observe(request, response);
-  std::string out = RenderResponse(response);
-  if (!response.status.ok() || response.trace == nullptr) return out;
-  if (response.trace->spans().empty() && !trace::kCompiledIn) {
-    out += "(trace hooks compiled out: rebuild with -DRELCONT_TRACE=ON)\n";
-    return out;
-  }
-  if (json) {
-    out += response.trace->ToChromeJson();
-    out += '\n';
-  } else {
-    out += response.trace->ToText();
-  }
-  return out;
+  return out.empty() ? "OK no catalogs\n" : out;
 }
 
-std::string ServerSession::HandleBatch(const std::string& rest) {
-  if (rest == "BEGIN") {
-    if (in_batch_) return "ERR InvalidArgument: already in a batch\n";
-    in_batch_ = true;
-    batch_.clear();
-    return "OK batch begin\n";
-  }
-  if (rest == "END") {
-    if (!in_batch_) return "ERR InvalidArgument: no batch in progress\n";
-    in_batch_ = false;
-    std::vector<DecisionResponse> responses =
-        service_->ExecuteBatch(batch_, batch_threads_);
-    std::string out =
-        "OK batch " + std::to_string(responses.size()) + "\n";
-    for (size_t i = 0; i < responses.size(); ++i) {
-      Observe(batch_[i], responses[i]);
-      out += "[" + std::to_string(i) + "] " + RenderResponse(responses[i]);
-    }
-    batch_.clear();
-    return out;
-  }
-  return "ERR InvalidArgument: expected BATCH BEGIN or BATCH END\n";
+// METRICS and STATUSZ answer what GET /metrics and GET /statusz serve.
+std::string ServerSession::HandleMetrics(const Verb&, Args, bool, bool) {
+  return obs::RenderPrometheusText(service_->Snapshot());
 }
 
-std::string ServerSession::RenderResponse(
-    const DecisionResponse& response) const {
-  if (!response.status.ok()) {
-    // Service-originated errors carry the request id so a client log line
-    // correlates with the server-side retained trace (REQUESTZ <id>).
-    // Protocol-level validation errors (no id was minted) stay plain.
-    return "ERR [id=" + std::to_string(response.request_id) + "] " +
-           response.status.ToString() + "\n";
+std::string ServerSession::HandleStatusz(const Verb&, Args, bool, bool) {
+  return obs::RenderStatuszJson(service_->Snapshot());
+}
+
+std::string ServerSession::HandleHelp(const Verb&, Args, bool, bool) {
+  std::string out;
+  for (const Verb& verb : Verbs()) {
+    out += Spelled(verb) + '\n';
+    // EXPLAIN's other forms: one per verb it may name.
+    if (verb.handler != &ServerSession::HandleExplain) continue;
+    for (const Verb& explained : Verbs()) {
+      if (explained.explainable) {
+        out += "EXPLAIN [JSON] " + Spelled(explained) + '\n';
+      }
+    }
   }
-  std::string out = response.contained ? "YES " : "NO ";
-  out += RegimeName(response.regime);
-  out += response.cache_hit ? " HIT " : " MISS ";
-  out += std::to_string(response.latency_micros);
-  out += "us id=";
-  out += std::to_string(response.request_id);
-  if (!response.witness_text.empty()) {
-    out += " witness: ";
-    out += response.witness_text;
-  }
-  out += '\n';
-  return out;
+  return out +
+         "  timeout_ms: per-request deadline; budget: max decision steps; "
+         "workers: parallel scan width;\n"
+         "  strategy=cegar|scan|auto: section3 engine (default auto — "
+         "CEGAR search on wide plans, scan otherwise).\n"
+         "  A request past its bound answers ERR BoundReached (not a "
+         "verdict).\n";
 }
 
 }  // namespace relcont

@@ -3,7 +3,9 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/service.h"
@@ -18,29 +20,46 @@ using DecisionObserver =
     std::function<void(const DecisionRequest&, const DecisionResponse&)>;
 
 /// One client session of the line-delimited request/response protocol
-/// (grammar in docs/SERVICE.md). One request per line:
+/// (grammar in docs/SERVICE.md): one request line in, one reply out. The
+/// verbs are the rows of Verbs(); HandleLine dispatches on that table,
+/// HELP lists it, and every usage error quotes its row. The question verbs
+/// (CONTAINED?, PLAN?, REWRITE? and EXPLAIN around them) share one
+/// argument parser and one reply renderer (protocol.cc).
 ///
-///   CATALOG <name> VIEW <rule> [VIEW <rule>]... [PATTERN <src> <adr>]...
-///   DEFINE <name> <rule> [<rule>]...
-///   CONTAINED? <q1> <q2> @<catalog> [timeout_ms=N] [budget=N] [workers=N]
-///   PLAN? <q> @<catalog> [...]      (maximally-contained plan of <q>)
-///   REWRITE? <q1> <q2> @<catalog> [...]  (plan-level P1^exp ⊑ Q2)
-///   EXPLAIN [JSON] [PLAN?|REWRITE?] <args>  (traced, cache-bypassing)
-///   BATCH BEGIN ... BATCH END       (CONTAINED? lines fan out in parallel)
-///   CATALOG? [<name>]               (catalog introspection, one JSON line)
-///   CATALOGS | METRICS | HELP
-///
-/// Responses are single lines ("OK ...", "YES ...", "NO ...", "ERR ...")
-/// except METRICS, BATCH END, and EXPLAIN, which emit several. EXPLAIN
-/// answers like CONTAINED? on its first line, then the decision's span
-/// tree (indented text, or one line of Chrome trace_event JSON with the
-/// JSON flag — see docs/OBSERVABILITY.md). The session
-/// owns a WorkerContext; the ContainmentService it fronts is shared, so
-/// many sessions (e.g. one per connection) can run concurrently.
+/// Replies are single lines ("OK ...", "YES ...", "NO ...", "ERR ...")
+/// except METRICS, BATCH END, PLAN? and EXPLAIN, which emit several. The
+/// session owns its worker arenas; the ContainmentService it fronts is
+/// shared, so many sessions (e.g. one per connection) can run concurrently.
 ///
 /// Not thread-safe — one session per thread, like WorkerContext.
 class ServerSession {
  public:
+  struct Verb;
+  /// Runs a verb on the words after it. The question verbs trace when
+  /// `collect_trace` (EXPLAIN sets it), as Chrome JSON when `trace_json`.
+  using Handler = std::string(const Verb& verb,
+                              std::span<const std::string> args,
+                              bool collect_trace, bool trace_json);
+
+  /// One row of the verb table: all that dispatch, HELP and usage errors
+  /// know of a verb.
+  struct Verb {
+    enum class Batch { kRun, kQueue, kReject };  ///< inside BATCH BEGIN/END
+
+    std::string_view name;
+    /// The usage after the name: the HELP line and the "expected <name>
+    /// <args>" error. A question verb's "<q>" or "<q1> <q2>" is its arity.
+    std::string_view args;
+    Handler ServerSession::*handler;
+    Batch batch;
+    /// EXPLAIN [JSON] <name> ... traces it (with no verb named, EXPLAIN
+    /// traces CONTAINED?).
+    bool explainable;
+  };
+
+  /// The verb table, in HELP order.
+  static std::span<const Verb> Verbs();
+
   /// `batch_threads` is the fan-out width of BATCH END.
   explicit ServerSession(ContainmentService* service, int batch_threads = 4);
 
@@ -55,29 +74,10 @@ class ServerSession {
   }
 
  private:
-  void Observe(const DecisionRequest& request,
-               const DecisionResponse& response) const {
-    if (observer_) observer_(request, response);
-  }
-
-  std::string HandleCatalog(const std::string& rest);
-  std::string HandleDefine(const std::string& rest);
-  std::string HandleContained(const std::string& rest);
-  std::string HandlePlan(const std::string& rest, bool collect_trace,
-                         bool trace_json);
-  std::string HandleRewrite(const std::string& rest, bool collect_trace,
-                            bool trace_json);
-  std::string HandleCatalogQuery(const std::string& rest);
-  std::string HandleRequestz(const std::string& rest);
-  std::string HandleExplain(const std::string& rest);
-  std::string HandleBatch(const std::string& rest);
-  std::string RenderResponse(const DecisionResponse& response) const;
-  /// Looks up a DEFINE'd query name; returns "" and fills *error on miss.
-  const std::string* LookupQuery(const std::string& name,
-                                 std::string* error) const;
-  /// Appends the rendered span tree (or a compiled-out notice) to *out.
-  static void AppendTrace(const trace::TraceContext* trace, bool json,
-                          std::string* out);
+  // One handler per row of Verbs() (declared through the shared type).
+  Handler HandleCatalog, HandleCatalogQuery, HandleDefine, HandleContained,
+      HandlePlan, HandleRewrite, HandleExplain, HandleBatch, HandleRequestz,
+      HandleCatalogs, HandleMetrics, HandleStatusz, HandleHelp;
 
   ContainmentService* service_;
   WorkerContext ctx_;

@@ -134,6 +134,11 @@ class ContainmentService {
   ServiceMetrics& metrics() { return metrics_; }
   Planner& planner() { return planner_; }
   const ServiceConfig& config() const { return config_; }
+  /// Every metric series now, with both caches' stats: the one snapshot
+  /// METRICS, STATUSZ, /metrics, /statusz and /buildz render.
+  obs::MetricsSnapshot Snapshot() {
+    return metrics_.Snapshot(cache_.Stats(), planner_.cache().Stats());
+  }
 
   /// Answers one request using the caller-owned worker context. Safe to
   /// call from many threads as long as each uses its own context.

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -71,6 +72,18 @@ TEST(WorkBudgetTest, DeadlineIsCheckedWithinOneStride) {
     }
   }
   EXPECT_EQ(budget.reason(), BudgetReason::kDeadline);
+}
+
+TEST(WorkBudgetTest, HugeTimeoutSaturatesInsteadOfWrapping) {
+  // now() + 2^63-1 ms does not fit steady_clock's signed nanoseconds; the
+  // deadline saturates at the clock's end rather than wrapping into the
+  // past, so a huge timeout means "no deadline".
+  WorkBudget budget;
+  budget.set_timeout(std::chrono::milliseconds::max());
+  for (uint64_t i = 0; i < 4 * WorkBudget::kDeadlineCheckStride; ++i) {
+    ASSERT_TRUE(budget.Charge()) << i;
+  }
+  EXPECT_EQ(budget.reason(), BudgetReason::kNone);
 }
 
 TEST(WorkBudgetTest, CancelTripsWithCancelledReason) {
@@ -330,6 +343,13 @@ TEST(UnifiedBoundTest, VerdictsAreBudgetIndependent) {
       inst->q2, inst->q1, inst->views, {}, &interner, generous);
   ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
   EXPECT_EQ(bounded->contained, unbounded->contained);
+  // A timeout past the clock's range is no deadline, not a wrapped one.
+  DecideOptions huge;
+  huge.timeout_ms = std::numeric_limits<int64_t>::max();
+  Result<Decision> saturated = DecideRelativeContainment(
+      inst->q2, inst->q1, inst->views, {}, &interner, huge);
+  ASSERT_TRUE(saturated.ok()) << saturated.status().ToString();
+  EXPECT_EQ(saturated->contained, unbounded->contained);
 }
 
 // ---------------------------------------------------------------------------

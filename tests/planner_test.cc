@@ -500,6 +500,32 @@ TEST_F(PlanVerbTest, ExplainPlanEmitsTrace) {
   if (trace::kCompiledIn) {
     EXPECT_NE(rewrite.find("planner_rewrite"), std::string::npos);
   }
+  // JSON: the reply line(s), then one Chrome trace_event object (or the
+  // compiled-out notice) on the last line.
+  auto last_line = [](const std::string& reply) {
+    size_t begin = reply.rfind('\n', reply.size() - 2);
+    return reply.substr(begin == std::string::npos ? 0 : begin + 1);
+  };
+  for (auto [line, first] :
+       {std::pair{"EXPLAIN JSON PLAN? q @c", "OK plan catalog=c"},
+        std::pair{"EXPLAIN JSON REWRITE? q q1 @c", "NO plan MISS "}}) {
+    std::string reply = session_.HandleLine(line);
+    ASSERT_EQ(reply.rfind(first, 0), 0u) << reply;
+    EXPECT_LT(reply.find(" MISS "), reply.find('\n')) << reply;
+    std::string trace_line = last_line(reply);
+    if (trace::kCompiledIn) {
+      Result<json::Value> parsed = json::Parse(trace_line);
+      ASSERT_TRUE(parsed.ok()) << trace_line;
+      EXPECT_NE(parsed->Find("traceEvents"), nullptr) << trace_line;
+    } else {
+      EXPECT_NE(trace_line.find("compiled out"), std::string::npos) << reply;
+    }
+  }
+  // Inside a batch EXPLAIN is refused whichever verb it names.
+  EXPECT_EQ(session_.HandleLine("BATCH BEGIN"), "OK batch begin\n");
+  EXPECT_EQ(session_.HandleLine("EXPLAIN PLAN? q @c"),
+            "ERR InvalidArgument: EXPLAIN is not allowed inside a batch\n");
+  EXPECT_EQ(session_.HandleLine("BATCH END"), "OK batch 0\n");
 }
 
 TEST_F(PlanVerbTest, CatalogQueryReturnsJson) {

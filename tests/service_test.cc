@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -578,6 +579,12 @@ TEST(ProtocolTest, BudgetOptionsParseAndSurfaceBounds) {
   std::string yes = session.HandleLine(
       "CONTAINED? a b @c timeout_ms=60000 budget=1000000 workers=4");
   EXPECT_EQ(yes.rfind("YES section3", 0), 0u) << yes;
+  // So does a timeout past the clock's range, on an uncached pair: it
+  // means no deadline, not one that has already passed.
+  session.HandleLine("DEFINE d d(X) :- p(X, X), p(X, Z).");
+  std::string huge = session.HandleLine(
+      "CONTAINED? d b @c timeout_ms=9223372036854775807");
+  EXPECT_EQ(huge.rfind("YES section3 MISS", 0), 0u) << huge;
 
   // A one-step budget on an uncached pair turns the decision into the
   // uniform bound error, and the bound never enters the cache.
@@ -590,15 +597,60 @@ TEST(ProtocolTest, BudgetOptionsParseAndSurfaceBounds) {
   // Malformed options are usage errors, not silent defaults.
   for (const char* bad :
        {"CONTAINED? a b @c timeout_ms=abc", "CONTAINED? a b @c budget=0",
-        "CONTAINED? a b @c workers=-2", "CONTAINED? a b @c frobs=3"}) {
+        "CONTAINED? a b @c workers=-2", "CONTAINED? a b @c frobs=3",
+        // Wider than the int field: rejected, not wrapped to 2 or to the
+        // configured default.
+        "CONTAINED? a b @c workers=4294967298",
+        "CONTAINED? a b @c workers=2147483648"}) {
     std::string err = session.HandleLine(bad);
     EXPECT_EQ(err.rfind("ERR", 0), 0u) << bad << " -> " << err;
   }
+  EXPECT_EQ(session.HandleLine("CONTAINED? a b @c workers=4294967298"),
+            "ERR InvalidArgument: option 'workers' needs a positive "
+            "integer, got '4294967298'\n");
 
   // EXPLAIN accepts the same trailing options.
   std::string explain =
       session.HandleLine("EXPLAIN a b @c timeout_ms=60000 workers=2");
   EXPECT_EQ(explain.rfind("ERR", 0), std::string::npos) << explain;
+}
+
+TEST(ProtocolTest, HelpListsExactlyTheDispatchedVerbs) {
+  ContainmentService service;
+  ServerSession session(&service);
+  std::string help = session.HandleLine("HELP");
+  // The verb lines; the indented ones after them are the options footnote.
+  std::vector<std::string> lines;
+  for (size_t begin = 0; begin < help.size();) {
+    size_t end = help.find('\n', begin);
+    ASSERT_NE(end, std::string::npos) << help;
+    if (help[begin] != ' ') lines.push_back(help.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  auto has_line = [&lines](const std::string& line) {
+    return std::find(lines.begin(), lines.end(), line) != lines.end();
+  };
+  // Every table verb is in HELP, spelled as its usage error quotes it.
+  for (const ServerSession::Verb& verb : ServerSession::Verbs()) {
+    std::string usage(verb.name);
+    if (!verb.args.empty()) usage += " " + std::string(verb.args);
+    EXPECT_TRUE(has_line(usage)) << usage << "\n" << help;
+  }
+  // Every verb HELP lists is dispatched; a bare one answers either its
+  // reply or a usage error quoting a HELP line, never unknown-verb.
+  for (const std::string& line : lines) {
+    std::string verb = line.substr(0, line.find(' '));
+    std::string reply = session.HandleLine(verb);
+    EXPECT_EQ(reply.rfind("ERR unknown-verb", 0), std::string::npos)
+        << verb << " -> " << reply;
+    const std::string expected = "ERR InvalidArgument: expected ";
+    if (reply.rfind(expected, 0) == 0) {
+      EXPECT_TRUE(has_line(reply.substr(expected.size(),
+                                        reply.size() - expected.size() - 1)))
+          << reply;
+    }
+  }
+  EXPECT_EQ(service.metrics().unknown_verbs(), 0u);
 }
 
 // --- metrics ----------------------------------------------------------------
