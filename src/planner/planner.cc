@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "binding/dom_plan.h"
-#include "containment/canonical.h"
 #include "relcont/binding_containment.h"
 #include "relcont/relative_containment.h"
 #include "rewriting/inverse_rules.h"
@@ -23,11 +22,9 @@ PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
         GoalQuery query, ParseGoalQuery(request.query_text, ctx->interner()));
     std::string key;
     if (!request.bypass_cache) {
-      key = "P\x1f" + request.catalog + ":v" +
-            std::to_string(catalog->version) + '\x1f' +
-            CanonicalProgramFingerprint(query.program, query.goal,
-                                        *ctx->interner()) +
-            '\x1f' + PlanOptionsFingerprint(request.options);
+      key = QuestionCacheKey(ServiceVerb::kPlan, request.catalog,
+                             catalog->version, {&query}, request.options,
+                             *ctx->interner());
       if (std::optional<CachedPlan> cached = cache_.Lookup(key)) {
         out.plan_text = std::move(cached->plan_text);
         out.dom_predicate = std::move(cached->dom_predicate);
@@ -104,14 +101,9 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
         GoalQuery q2, ParseGoalQuery(request.q2_text, ctx->interner()));
     std::string key;
     if (!request.bypass_cache) {
-      key = "R\x1f" + request.catalog + ":v" +
-            std::to_string(catalog->version) + '\x1f' +
-            CanonicalProgramFingerprint(q1.program, q1.goal,
-                                        *ctx->interner()) +
-            '\x1f' +
-            CanonicalProgramFingerprint(q2.program, q2.goal,
-                                        *ctx->interner()) +
-            '\x1f' + PlanOptionsFingerprint(request.options);
+      key = QuestionCacheKey(ServiceVerb::kRewrite, request.catalog,
+                             catalog->version, {&q1, &q2}, request.options,
+                             *ctx->interner());
       if (std::optional<CachedPlan> cached = cache_.Lookup(key)) {
         out.contained = cached->contained;
         out.witness_text = std::move(cached->witness_text);

@@ -100,14 +100,14 @@ Result<std::vector<Tuple>> CertainAnswersViaCanonical(const Program& query,
                            CanonicalDatabase(views, instance, interner));
   RELCONT_ASSIGN_OR_RETURN(std::vector<Tuple> answers,
                            EvaluateGoal(query, goal, chase));
-  // Keep null-free tuples. Nulls are "_null<k>" symbols; real data never
-  // uses that prefix (Interner::Fresh guarantees uniqueness).
+  // Keep null-free tuples. Nulls are the fresh "_null" ids minted above;
+  // a data constant that merely spells like one is not a null.
   std::vector<Tuple> out;
   for (const Tuple& t : answers) {
     bool has_null = false;
     for (const Term& term : t) {
       if (term.is_constant() && term.value().is_symbol() &&
-          interner->NameOf(term.value().symbol()).rfind("_null", 0) == 0) {
+          interner->IsFresh(term.value().symbol(), "_null")) {
         has_null = true;
         break;
       }

@@ -81,8 +81,6 @@ size_t CatalogRegistry::size() const {
   return catalogs_.size();
 }
 
-WorkerContext::WorkerContext() : interner_(std::make_unique<Interner>()) {}
-
 Result<const MaterializedCatalog*> WorkerContext::Catalog(
     const CatalogRegistry& registry, const std::string& name) {
   std::shared_ptr<const CatalogSpec> spec = registry.Find(name);
@@ -99,12 +97,6 @@ Result<const MaterializedCatalog*> WorkerContext::Catalog(
       catalogs_.insert_or_assign(name, std::move(materialized));
   (void)inserted;
   return &pos->second;
-}
-
-void WorkerContext::RetireIfAbove(int64_t max_symbols) {
-  if (interner_->size() <= max_symbols) return;
-  catalogs_.clear();
-  interner_ = std::make_unique<Interner>();
 }
 
 }  // namespace relcont

@@ -95,25 +95,21 @@ class CatalogRegistry {
 
 /// Per-thread working memory: an interner arena plus the catalogs
 /// materialized against it. NOT thread-safe — each context must be used by
-/// one thread at a time (constructing one is cheap).
+/// one thread at a time (constructing one is cheap). Each request brackets
+/// its fresh symbols with Interner::Mark/Rollback (service/request_frame.h),
+/// so the arena holds only the vocabulary of the queries and catalogs it
+/// has seen.
 class WorkerContext {
  public:
-  WorkerContext();
-
-  Interner* interner() { return interner_.get(); }
+  Interner* interner() { return &interner_; }
 
   /// `name`'s current snapshot in `registry`, materialized into this arena
   /// on first use and cached by version.
   Result<const MaterializedCatalog*> Catalog(const CatalogRegistry& registry,
                                              const std::string& name);
 
-  /// Drops the arena and every catalog built against it once the interner
-  /// holds more than `max_symbols` symbols (requests mint fresh symbols, so
-  /// a long-lived arena grows without bound).
-  void RetireIfAbove(int64_t max_symbols);
-
  private:
-  std::unique_ptr<Interner> interner_;
+  Interner interner_;
   std::map<std::string, MaterializedCatalog> catalogs_;
 };
 

@@ -326,7 +326,7 @@ std::string ServerSession::HandlePlan(const Verb& verb, Args args,
       ParseQuestion(verb, args, queries_, {&request.query_text, nullptr},
                     &request.catalog, &request.options);
   if (!error.empty()) return error;
-  PlanResponse response = service_->planner().Plan(request, &planner_ctx_);
+  PlanResponse response = service_->planner().Plan(request, &ctx_);
   std::string head = "OK plan catalog=" + request.catalog + " v" +
                      std::to_string(response.catalog_version) +
                      " kind=" + (response.recursive ? "recursive" : "ucq") +
@@ -350,7 +350,7 @@ std::string ServerSession::HandleRewrite(const Verb& verb, Args args,
                     &request.catalog, &request.options);
   if (!error.empty()) return error;
   RewriteResponse response =
-      service_->planner().Rewrite(request, &planner_ctx_);
+      service_->planner().Rewrite(request, &ctx_);
   std::string out = Reply(response, response.contained ? "YES plan" : "NO plan",
                           response.witness_text);
   if (collect_trace) AppendTrace(response, trace_json, &out);

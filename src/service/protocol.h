@@ -28,7 +28,7 @@ using DecisionObserver =
 ///
 /// Replies are single lines ("OK ...", "YES ...", "NO ...", "ERR ...")
 /// except METRICS, BATCH END, PLAN? and EXPLAIN, which emit several. The
-/// session owns its worker arenas; the ContainmentService it fronts is
+/// session owns its worker arena; the ContainmentService it fronts is
 /// shared, so many sessions (e.g. one per connection) can run concurrently.
 ///
 /// Not thread-safe — one session per thread, like WorkerContext.
@@ -80,10 +80,9 @@ class ServerSession {
       HandleCatalogs, HandleMetrics, HandleStatusz, HandleHelp;
 
   ContainmentService* service_;
+  /// The one arena of every verb (requests roll back their fresh symbols,
+  /// so it stays at the session's vocabulary size).
   WorkerContext ctx_;
-  /// The planner's arena, retired independently of ctx_ (plan construction
-  /// mints far more symbols per request than a containment decision).
-  WorkerContext planner_ctx_;
   int batch_threads_;
   DecisionObserver observer_;
   /// Named query texts declared with DEFINE.

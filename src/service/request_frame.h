@@ -6,12 +6,14 @@
 // src/service and src/planner.
 
 #include <chrono>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "common/budget.h"
+#include "containment/canonical.h"
 #include "datalog/parser.h"
 #include "service/service.h"
 
@@ -28,28 +30,39 @@ inline Result<GoalQuery> ParseGoalQuery(const std::string& text,
   return GoalQuery{std::move(program), goal};
 }
 
-/// The options that shape a plan, rendered for a cache key. Every option
-/// that can change an answer must appear in its key, or the cache would
-/// serve an answer computed under different bounds.
+/// The cache key of a question: verb, catalog name and version, the
+/// canonical fingerprint of each query (containment/canonical.h), then the
+/// raw fixed-width bytes of every option that can change an answer — or
+/// the cache would serve an answer computed under different bounds. The
+/// option bytes are fixed in number and end the key, so it stays
+/// injective. The strategy never changes a verdict, but the reported
+/// witness may differ, so answers are kept per engine.
 ///
 /// The budget fields (timeout_ms, max_steps, parallel_workers) are
 /// deliberately absent: a budget can only turn an answer into a non-OK
 /// kBoundReached status, and non-OK results are never cached — so every
 /// cached answer is budget-independent, and requests that differ only in
 /// budget may share an entry.
-inline std::string PlanOptionsFingerprint(const DecideOptions& o) {
-  std::string out = std::to_string(o.unfold.max_disjuncts);
-  out += ',';
-  out += std::to_string(o.dom.max_tree_options);
-  out += ',';
-  out += std::to_string(o.dom.max_rounds);
-  out += ',';
-  out += std::to_string(o.dom.max_core_checks);
-  out += ',';
-  out += std::to_string(o.dom.max_disjunct_size);
-  out += ',';
-  out += std::to_string(o.dom.unfold.max_disjuncts);
-  return out;
+inline std::string QuestionCacheKey(
+    ServiceVerb verb, const std::string& catalog, int64_t version,
+    std::initializer_list<const GoalQuery*> queries, const DecideOptions& o,
+    const Interner& interner) {
+  std::string key(ServiceVerbName(verb));
+  key.append("\x1f").append(catalog).append(":v").append(
+      std::to_string(version));
+  for (const GoalQuery* q : queries) {
+    key.append("\x1f").append(
+        CanonicalProgramFingerprint(q->program, q->goal, interner));
+  }
+  key += '\x1f';
+  for (int64_t field :
+       {o.unfold.max_disjuncts, int64_t{o.dom.max_tree_options},
+        int64_t{o.dom.max_rounds}, o.dom.max_core_checks,
+        int64_t{o.dom.max_disjunct_size}, o.dom.unfold.max_disjuncts,
+        int64_t{o.max_rule_applications}, static_cast<int64_t>(o.strategy)}) {
+    key.append(reinterpret_cast<const char*>(&field), sizeof field);
+  }
+  return key;
 }
 
 /// What the frame reads from one request of any verb.
@@ -76,9 +89,9 @@ struct RequestState {
 };
 
 /// Runs one request inside the frame every verb shares: request id, budget
-/// and trace setup, arena retirement and catalog resolution before `body`;
-/// latency, inflight gauge, budget, trace and wide-event accounting after
-/// it, on every path including errors.
+/// and trace setup and catalog resolution before `body`; the rollback of
+/// the fresh symbols it minted, latency, inflight gauge, budget, trace and
+/// wide-event accounting after it, on every path including errors.
 ///
 /// `body(state, out)` parses, keys, looks up, computes and inserts; it
 /// fills `out` and returns the regime the answer is attributed to.
@@ -118,12 +131,17 @@ Response ServeRequest(ContainmentService& service,
     trace_scope.emplace(trace_ctx.get());
   }
   Result<Regime> answer = [&]() -> Result<Regime> {
-    ctx->RetireIfAbove(config.max_worker_symbols);
     RELCONT_ASSIGN_OR_RETURN(state.catalog,
                              ctx->Catalog(service.catalogs(),
                                           request.catalog));
     out.catalog_version = state.catalog->version;
-    return body(state, out);
+    // Every fresh symbol the body mints dies with the request, so the
+    // arena stays at its vocabulary size; the body renders all it answers
+    // (witness, plan) as text before it returns.
+    Interner::FreshMark mark = ctx->interner()->Mark();
+    Result<Regime> regime = body(state, out);
+    ctx->interner()->Rollback(mark);
+    return regime;
   }();
   out.status = answer.status();
   Regime regime = answer.ok() ? *answer : Regime::kUnknown;

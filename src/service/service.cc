@@ -4,45 +4,9 @@
 #include <optional>
 #include <thread>
 
-#include "containment/canonical.h"
 #include "service/request_frame.h"
 
 namespace relcont {
-
-namespace {
-
-/// The plan-key options (request_frame.h) plus the two options only a
-/// decision reads.
-std::string OptionsFingerprint(const DecideOptions& o) {
-  std::string out = std::to_string(o.max_rule_applications);
-  out += ',';
-  out += PlanOptionsFingerprint(o);
-  out += ',';
-  // The strategy never changes a verdict (cegar ≡ scan by construction),
-  // but the reported witness may differ, so cached answers are kept
-  // per-engine.
-  out += ContainmentStrategyName(o.strategy);
-  return out;
-}
-
-std::string MakeCacheKey(const GoalQuery& q1, const GoalQuery& q2,
-                         const std::string& catalog_name,
-                         int64_t catalog_version,
-                         const DecideOptions& options,
-                         const Interner& interner) {
-  std::string key = catalog_name;
-  key += ":v";
-  key += std::to_string(catalog_version);
-  key += '\x1f';
-  key += CanonicalProgramFingerprint(q1.program, q1.goal, interner);
-  key += '\x1f';
-  key += CanonicalProgramFingerprint(q2.program, q2.goal, interner);
-  key += '\x1f';
-  key += OptionsFingerprint(options);
-  return key;
-}
-
-}  // namespace
 
 ContainmentService::ContainmentService(ServiceConfig config)
     : config_(config),
@@ -70,8 +34,9 @@ Result<std::string> ContainmentService::CacheKey(
                            ParseGoalQuery(request.q1_text, ctx->interner()));
   RELCONT_ASSIGN_OR_RETURN(GoalQuery q2,
                            ParseGoalQuery(request.q2_text, ctx->interner()));
-  return MakeCacheKey(q1, q2, request.catalog, catalog->version,
-                      request.options, *ctx->interner());
+  return QuestionCacheKey(ServiceVerb::kContained, request.catalog,
+                          catalog->version, {&q1, &q2}, request.options,
+                          *ctx->interner());
 }
 
 DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
@@ -84,8 +49,9 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
         GoalQuery q2, ParseGoalQuery(request.q2_text, ctx->interner()));
     std::string key;
     if (!request.bypass_cache) {
-      key = MakeCacheKey(q1, q2, request.catalog, state.catalog->version,
-                         request.options, *ctx->interner());
+      key = QuestionCacheKey(ServiceVerb::kContained, request.catalog,
+                             state.catalog->version, {&q1, &q2},
+                             request.options, *ctx->interner());
       if (std::optional<CachedDecision> cached = cache_.Lookup(key)) {
         out.contained = cached->contained;
         out.regime = cached->regime;

@@ -36,10 +36,6 @@ inline constexpr size_t kCacheShards = 8;
 struct ServiceConfig {
   /// Total decision-cache capacity in entries.
   size_t cache_capacity = 4096;
-  /// A worker arena is discarded and rebuilt once its interner holds more
-  /// than this many symbols (decision procedures mint fresh symbols per
-  /// request, so long-lived arenas grow without bound).
-  int64_t max_worker_symbols = 1 << 20;
   /// When true every request is traced (as if collect_trace were set) and
   /// folded into the metrics aggregates. Off by default: tracing allocates
   /// and is not free, unlike the dormant instrumentation hooks.

@@ -54,6 +54,22 @@ TEST_F(CertainAnswersTest, PlanAndCanonicalAgreeOnSimpleJoin) {
   EXPECT_EQ((*plan_based)[0][1].value().symbol(), S("c"));
 }
 
+TEST_F(CertainAnswersTest, DataConstantSpelledLikeANullIsNotANull) {
+  // Labelled nulls are recognised by provenance, not spelling: a source
+  // constant named '_null_island' is data and is a certain answer.
+  ViewSet views = V("v(X) :- p(X).");
+  Program q = P("q(X) :- p(X).");
+  Database inst = D("v('_null_island'). v(lisbon).");
+  Result<std::vector<Tuple>> plan_based =
+      CertainAnswers(q, S("q"), views, inst, &interner_);
+  Result<std::vector<Tuple>> chase_based =
+      CertainAnswersViaCanonical(q, S("q"), views, inst, &interner_);
+  ASSERT_TRUE(plan_based.ok()) << plan_based.status().ToString();
+  ASSERT_TRUE(chase_based.ok()) << chase_based.status().ToString();
+  EXPECT_EQ(plan_based->size(), 2u);
+  EXPECT_EQ(Sorted(*plan_based), Sorted(*chase_based));
+}
+
 TEST_F(CertainAnswersTest, ProjectionViewsGiveNoJoinAnswers) {
   // Paper Example 5 intuition (open world): v1 and v2 project p's columns,
   // so the join q(x,y) :- p(x,y) has no certain answers from them.

@@ -87,6 +87,84 @@ TEST(InternerTest, FreshAvoidsCollisions) {
   EXPECT_NE(f, g);
 }
 
+TEST(InternerTest, RollbackReusesFreshIdsAndSizeIsMonotone) {
+  Interner interner;
+  SymbolId p = interner.Intern("p");
+  Interner::FreshMark mark = interner.Mark();
+  SymbolId a = interner.Fresh("_R");
+  SymbolId b = interner.Fresh("_k");
+  EXPECT_EQ(interner.NameOf(a), "_R0");
+  EXPECT_EQ(interner.NameOf(b), "_k1");
+  EXPECT_EQ(interner.live_fresh_count(), 2);
+  int64_t size = interner.size();
+  EXPECT_EQ(size, 3);
+
+  interner.Rollback(mark);
+  EXPECT_EQ(interner.live_fresh_count(), 0);
+  EXPECT_EQ(interner.size(), size);  // rollback never lowers size()
+  // The same ids and spellings come back, now under other prefixes.
+  SymbolId c = interner.Fresh("_k");
+  SymbolId d = interner.Fresh("_R");
+  EXPECT_EQ(c, a);
+  EXPECT_EQ(d, b);
+  EXPECT_EQ(interner.NameOf(c), "_k0");
+  EXPECT_EQ(interner.NameOf(d), "_R1");
+  EXPECT_EQ(interner.size(), size + 2);
+  EXPECT_EQ(interner.named_count(), 1);
+  EXPECT_EQ(interner.NameOf(p), "p");
+}
+
+TEST(InternerTest, LiveFreshNameIsStable) {
+  Interner interner;
+  SymbolId f = interner.Fresh("_R");
+  const std::string& name = interner.NameOf(f);
+  // Minting many more ids moves no rendered name.
+  for (int i = 0; i < 10'000; ++i) (void)interner.NameOf(interner.Fresh("_R"));
+  EXPECT_EQ(&interner.NameOf(f), &name);
+  EXPECT_EQ(name, "_R0");
+  // Nested marks: an inner rollback leaves the outer ids live.
+  Interner::FreshMark mark = interner.Mark();
+  SymbolId g = interner.Fresh("_k");
+  std::string g_name = interner.NameOf(g);
+  interner.Rollback(mark);
+  EXPECT_EQ(interner.NameOf(f), "_R0");
+  EXPECT_EQ(interner.NameOf(interner.Fresh("_k")), g_name);
+}
+
+TEST(InternerTest, FreshSkipsNamesInternedAfterARollback) {
+  Interner interner;
+  Interner::FreshMark mark = interner.Mark();
+  EXPECT_EQ(interner.NameOf(interner.Fresh("_R")), "_R0");
+  interner.Rollback(mark);
+  // A query names a variable like the released fresh id: the next request
+  // must not mint that spelling again.
+  SymbolId user = interner.Intern("_R0");
+  SymbolId f = interner.Fresh("_R");
+  EXPECT_NE(f, user);
+  EXPECT_EQ(interner.NameOf(f), "_R1");
+  // A non-canonical counter is not the shape: "_R02" never collides.
+  interner.Intern("_R02");
+  EXPECT_EQ(interner.NameOf(interner.Fresh("_R")), "_R2");
+}
+
+TEST(InternerTest, IsFreshChecksProvenanceNotSpelling) {
+  Interner interner;
+  SymbolId data = interner.Intern("_null0");
+  SymbolId null = interner.Fresh("_null");
+  EXPECT_EQ(interner.NameOf(null), "_null1");
+  EXPECT_TRUE(interner.IsFresh(null, "_null"));
+  EXPECT_FALSE(interner.IsFresh(null, "_k"));
+  EXPECT_FALSE(interner.IsFresh(data, "_null"));
+}
+
+TEST(InternerDeathTest, ReadingARolledBackIdAborts) {
+  Interner interner;
+  Interner::FreshMark mark = interner.Mark();
+  SymbolId f = interner.Fresh("_R");
+  interner.Rollback(mark);
+  EXPECT_DEATH((void)interner.NameOf(f), "read after its Rollback");
+}
+
 TEST(RationalTest, NormalizesOnConstruction) {
   Rational r(4, 8);
   EXPECT_EQ(r.num(), 1);

@@ -141,6 +141,31 @@ RandomTriple MakeTriple(const RandomQueryOptions& options, int num_views,
   return out;
 }
 
+/// The Section 5 sweep's case for `seed`: a triple whose Q2 carries a
+/// semi-interval comparison, or nullopt when the case is skipped.
+std::optional<RandomTriple> SemiIntervalTriple(uint64_t seed,
+                                               Interner* interner) {
+  // Slightly narrower than the Section 3 sweep: every containment check
+  // here enumerates dense-order linearizations, whose count explodes in
+  // the number of distinct points, so most cases stay at two variables.
+  RandomQueryOptions options = CaseOptions(seed);
+  options.num_atoms = 2;
+  options.num_variables = (seed % 4 == 0) ? 3 : 2;
+  RandomTriple t = MakeTriple(options, /*num_views=*/3, interner);
+  Rule& r2 = t.q2.program.rules[0];
+  std::vector<SymbolId> body_vars = r2.BodyVariables();
+  if (t.views.empty() || body_vars.empty() ||
+      t.q1.program.rules[0].head.arity() != r2.head.arity()) {
+    return std::nullopt;
+  }
+  // Attach a semi-interval comparison (Theorem 5.2's decidable shape) to
+  // Q2: the first body variable bounded by a small constant.
+  ComparisonOp op = (seed % 2 == 0) ? ComparisonOp::kLe : ComparisonOp::kGe;
+  r2.comparisons.emplace_back(Term::Var(body_vars[0]), op,
+                              Term::Number(Rational(1)));
+  return t;
+}
+
 // ---------------------------------------------------------------------------
 // Fragment 1: Section 3, comparison-free.
 // ---------------------------------------------------------------------------
@@ -228,25 +253,12 @@ TEST(DifferentialTest, SemiIntervalParallelMatchesSerialAndOracle) {
   int decided = 0, refuted = 0, skipped = 0;
   ForEachCase(2'000'000, [&](uint64_t seed) {
     Interner interner;
-    // Slightly narrower than the Section 3 sweep: every containment check
-    // here enumerates dense-order linearizations, whose count explodes in
-    // the number of distinct points, so most cases stay at two variables.
-    RandomQueryOptions options = CaseOptions(seed);
-    options.num_atoms = 2;
-    options.num_variables = (seed % 4 == 0) ? 3 : 2;
-    RandomTriple t = MakeTriple(options, /*num_views=*/3, &interner);
-    Rule& r2 = t.q2.program.rules[0];
-    std::vector<SymbolId> body_vars = r2.BodyVariables();
-    if (t.views.empty() || body_vars.empty() ||
-        t.q1.program.rules[0].head.arity() != r2.head.arity()) {
+    std::optional<RandomTriple> triple = SemiIntervalTriple(seed, &interner);
+    if (!triple.has_value()) {
       ++skipped;
       return;
     }
-    // Attach a semi-interval comparison (Theorem 5.2's decidable shape) to
-    // Q2: the first body variable bounded by a small constant.
-    ComparisonOp op = (seed % 2 == 0) ? ComparisonOp::kLe : ComparisonOp::kGe;
-    r2.comparisons.emplace_back(Term::Var(body_vars[0]), op,
-                                Term::Number(Rational(1)));
+    RandomTriple& t = *triple;
     Rule serial_witness, parallel_witness;
     Result<bool> serial = RelativelyContainedViaExpansion(
         t.q1, t.q2, t.views, &interner, {}, &serial_witness);
@@ -508,6 +520,55 @@ TEST(DifferentialTest, CegarMatchesScansAndQbfOracleOnPi2pFamily) {
   RecordProperty("refuted", refuted);
   RecordProperty("skipped", skipped);
   EXPECT_GT(decided, skipped);
+}
+
+// ---------------------------------------------------------------------------
+// Witness text, pinned.
+// ---------------------------------------------------------------------------
+
+/// The witnesses the serial scan, the semi-interval expansion check and
+/// CEGAR render on the first 100 cases of their sweeps, folded into one
+/// FNV-1a digest. Witness variables are the fresh symbols the procedures
+/// mint, so the digest pins each engine's witness choice and the interner's
+/// fresh numbering; a change to either shows up here. Update the pin only
+/// for a deliberate change of witness text.
+TEST(DifferentialTest, LibraryWitnessTextIsPinned) {
+  uint64_t digest = 14695981039346656037ULL;
+  int witnesses = 0;
+  auto fold = [&](const std::string& text) {
+    for (char c : text + "\n") {
+      digest ^= static_cast<unsigned char>(c);
+      digest *= 1099511628211ULL;
+    }
+    ++witnesses;
+  };
+  for (uint64_t i = 0; i < 100; ++i) {
+    {
+      Interner interner;
+      RandomTriple t = MakeTriple(CaseOptions(1'000'000 + i),
+                                  /*num_views=*/3, &interner);
+      Result<RelativeContainmentResult> serial =
+          RelativelyContained(t.q1, t.q2, t.views, &interner);
+      if (serial.ok() && serial->witness.has_value()) {
+        fold(serial->witness->ToString(interner));
+      }
+      Result<RelativeContainmentResult> cegar =
+          CegarRelativelyContained(t.q1, t.q2, t.views, &interner, {});
+      if (cegar.ok() && cegar->witness.has_value()) {
+        fold(cegar->witness->ToString(interner));
+      }
+    }
+    Interner interner;
+    std::optional<RandomTriple> t =
+        SemiIntervalTriple(2'000'000 + i, &interner);
+    if (!t.has_value()) continue;
+    Rule witness;
+    Result<bool> contained = RelativelyContainedViaExpansion(
+        t->q1, t->q2, t->views, &interner, {}, &witness);
+    if (contained.ok() && !*contained) fold(witness.ToString(interner));
+  }
+  EXPECT_EQ(witnesses, 161);
+  EXPECT_EQ(digest, 18392652466446328661ULL);
 }
 
 }  // namespace
