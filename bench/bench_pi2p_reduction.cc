@@ -59,9 +59,6 @@ double TimeEngine(const Pi2pInstance& inst, Interner* interner,
                   ContainmentStrategy strategy, int reps) {
   RelativeContainmentOptions options;
   options.strategy = strategy;
-  // The scan's unfolded plan has 2^m disjuncts; lift the default cap so
-  // the full sweep measures the engine, not the guard rail.
-  options.unfold.max_disjuncts = 1 << 22;
   uint64_t best = UINT64_MAX;
   for (int rep = 0; rep < reps; ++rep) {
     uint64_t start = NowNs();

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/budget.h"
 #include "datalog/substitution.h"
@@ -77,12 +78,10 @@ struct TreeOption {
 class DomDecider {
  public:
   DomDecider(const Program& program, SymbolId goal, SymbolId dom_pred,
-             const UnionQuery& q2, Interner* interner,
-             const DomContainmentOptions& options)
+             const UnionQuery& q2, Interner* interner)
       : goal_(goal),
         dom_(dom_pred),
         interner_(interner),
-        options_(options),
         program_(program),
         q2_(q2) {}
 
@@ -158,15 +157,11 @@ class DomDecider {
       }
     }
     // Disjunct infos.
+    RELCONT_RETURN_NOT_OK(CheckDisjunctSizes(q2_));
     for (const Rule& d : q2_.disjuncts) {
       DisjunctInfo info;
       info.rule = d;
       std::vector<SymbolId> vars = d.Variables();
-      if (static_cast<int>(d.body.size()) > options_.max_disjunct_size ||
-          static_cast<int>(vars.size()) > options_.max_disjunct_size) {
-        return BoundReachedAt("dom_containment",
-                              "UCQ disjunct too large for bitmasks");
-      }
       for (SymbolId v : vars) {
         info.var_index[v] = static_cast<int>(info.vars.size());
         info.vars.push_back(v);
@@ -240,7 +235,7 @@ class DomDecider {
   Status BuildCores() {
     RELCONT_ASSIGN_OR_RETURN(
         UnionQuery cores,
-        UnfoldToUnion(rest_, goal_, interner_, options_.unfold));
+        UnfoldToUnion(rest_, goal_, interner_));
     for (Rule& r : cores.disjuncts) {
       Core core;
       core.unfolded = r;
@@ -271,6 +266,9 @@ class DomDecider {
   // and computes its profile entries.
   Result<TreeOption> BuildOption(int rule_index, int output_const,
                                  const std::vector<ChildRef>& children) {
+    // One budget step per candidate tree: saturation keeps at most one
+    // option per call, so the budget bounds the option count too.
+    RELCONT_RETURN_NOT_OK(BudgetChargeOr("dom_saturation"));
     const NodeRule& node = node_rules_[rule_index];
     Substitution mapping;
     if (output_const >= 0) {
@@ -531,13 +529,7 @@ class DomDecider {
     };
     std::set<std::string> seen;
     bool changed = true;
-    int rounds = 0;
     while (changed) {
-      if (++rounds > options_.max_rounds) {
-        return BoundReachedAt("dom_saturation",
-                              "tree saturation round cap hit");
-      }
-      RELCONT_RETURN_NOT_OK(BudgetChargeOr("dom_saturation"));
       RELCONT_TRACE_COUNT(kDomSaturationRounds, 1);
       changed = false;
       for (size_t r = 0; r < node_rules_.size(); ++r) {
@@ -550,10 +542,6 @@ class DomDecider {
           if (seen.insert(key_of(option)).second) {
             tree_options_.push_back(std::move(option));
             changed = true;
-            if (static_cast<int>(tree_options_.size()) >
-                options_.max_tree_options) {
-              return BoundReachedAt("dom_saturation", "tree option cap hit");
-            }
           }
         }
       }
@@ -571,10 +559,6 @@ class DomDecider {
               BuildOption(static_cast<int>(r), cidx, children));
           if (seen.insert(key_of(option)).second) {
             tree_options_.push_back(std::move(option));
-            if (static_cast<int>(tree_options_.size()) >
-                options_.max_tree_options) {
-              return BoundReachedAt("dom_saturation", "tree option cap hit");
-            }
           }
         }
       }
@@ -596,6 +580,9 @@ class DomDecider {
       if (tree_options_[i].output_const == -1) choices.push_back({false, i});
     }
     size_t k = node.guard_vars.size();
+    // Representational guard, not an effort cap: the combinations are
+    // materialized in full before any is built, so their count bounds
+    // memory rather than work.
     int64_t total = 1;
     for (size_t i = 0; i < k; ++i) {
       total *= static_cast<int64_t>(choices.size());
@@ -646,9 +633,7 @@ class DomDecider {
       // Enumerate assignments.
       std::vector<size_t> pick(option_lists.size(), 0);
       for (;;) {
-        if (++result.cores_checked > options_.max_core_checks) {
-          return BoundReachedAt("dom_check_cores", "core assignment cap hit");
-        }
+        ++result.cores_checked;
         // CheckAssignment's embedding search is budget-free (so a negative
         // is always a real counterexample); the charge here makes the ∀∃
         // sweep interruptible between assignments.
@@ -965,7 +950,6 @@ class DomDecider {
   SymbolId goal_;
   SymbolId dom_;
   Interner* interner_;
-  const DomContainmentOptions& options_;
   const Program& program_;
   const UnionQuery& q2_;
 
@@ -984,13 +968,24 @@ class DomDecider {
 
 }  // namespace
 
+Status CheckDisjunctSizes(const UnionQuery& q) {
+  for (const Rule& d : q.disjuncts) {
+    if (static_cast<int>(d.body.size()) > kMaxDisjunctSize ||
+        static_cast<int>(d.Variables().size()) > kMaxDisjunctSize) {
+      return Status::Unsupported(
+          "UCQ disjunct has more than " + std::to_string(kMaxDisjunctSize) +
+          " atoms or variables (bitmask representation)");
+    }
+  }
+  return Status::OK();
+}
+
 Result<DomContainmentResult> DomPlanContainedInUcq(
     const Program& program, SymbolId goal, SymbolId dom_pred,
-    const UnionQuery& q2, Interner* interner,
-    const DomContainmentOptions& options) {
+    const UnionQuery& q2, Interner* interner) {
   RELCONT_TRACE_SPAN("dom_containment");
   Result<DomContainmentResult> result =
-      DomDecider(program, goal, dom_pred, q2, interner, options).Run();
+      DomDecider(program, goal, dom_pred, q2, interner).Run();
   if (result.ok()) {
     RELCONT_TRACE_COUNT(kDomTreeOptions,
                         static_cast<uint64_t>(result->tree_options));

@@ -7,6 +7,16 @@
 
 namespace relcont {
 
+/// Representation limit: a UCQ disjunct's atoms and variables are indexed
+/// into 64-bit masks, so disjuncts with more atoms or variables than this
+/// are kUnsupported. No budget can lift it.
+inline constexpr int kMaxDisjunctSize = 60;
+static_assert(kMaxDisjunctSize <= 64, "disjunct masks are 64-bit words");
+
+/// kUnsupported naming the limit when some disjunct of `q` has more than
+/// kMaxDisjunctSize atoms or variables; OK otherwise.
+Status CheckDisjunctSizes(const UnionQuery& q);
+
 /// Decides containment of a `dom`-recursive datalog program in a union of
 /// conjunctive queries — the decision problem at the heart of Theorem 4.2.
 ///
@@ -30,19 +40,13 @@ namespace relcont {
 ///
 ///   contained  ⇔  for every core and every reachable profile assignment
 ///                 to its dom subgoals, some disjunct embeds.
-struct DomContainmentOptions {
-  /// Cap on distinct tree profile types kept during saturation.
-  int max_tree_options = 256;
-  /// Cap on saturation rounds.
-  int max_rounds = 64;
-  /// Cap on (core, option assignment) combinations checked.
-  int64_t max_core_checks = 1'000'000;
-  /// Disjuncts with more atoms or variables than this are rejected
-  /// (bitmask representation).
-  int max_disjunct_size = 60;
-  UnfoldOptions unfold;
-};
-
+///
+/// Saturation keeps at most one tree option per BuildOption call, and every
+/// call charges the installed WorkBudget at site "dom_saturation"; every
+/// (core, option assignment) combination checked charges it at site
+/// "dom_check_cores". So one budget bounds both the running time and the
+/// number of tree options kept, and with no budget installed the check
+/// runs to completion.
 struct DomContainmentResult {
   bool contained = true;
   /// When !contained: a concrete expansion of the program that is not
@@ -57,12 +61,13 @@ struct DomContainmentResult {
 /// Decides `program ⊑ q2` where `program`'s only recursion runs through
 /// the unary predicate `dom_pred` (shape above) and everything is
 /// comparison-free. Fails with kUnsupported if the program is outside the
-/// shape, and kBoundReached if a cap was hit before the answer was
+/// shape or a UCQ disjunct has more than kMaxDisjunctSize atoms or
+/// variables, and kBoundReached if the budget ran out (or a rule's child
+/// combinations exceed the materialization guard) before the answer was
 /// certain.
 Result<DomContainmentResult> DomPlanContainedInUcq(
     const Program& program, SymbolId goal, SymbolId dom_pred,
-    const UnionQuery& q2, Interner* interner,
-    const DomContainmentOptions& options = {});
+    const UnionQuery& q2, Interner* interner);
 
 }  // namespace relcont
 

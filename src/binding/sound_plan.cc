@@ -58,11 +58,11 @@ Result<SoundPlanResult> CheckSoundPlan(
                            ExpandPlanProgram(plan, views, interner));
   RELCONT_ASSIGN_OR_RETURN(
       UnionQuery query_ucq,
-      UnfoldToUnion(query, query_goal, interner, options.unfold));
+      UnfoldToUnion(query, query_goal, interner));
   if (!expanded.IsRecursive()) {
     RELCONT_ASSIGN_OR_RETURN(
         UnionQuery exp_ucq,
-        UnfoldToUnion(expanded, plan_goal, interner, options.unfold));
+        UnfoldToUnion(expanded, plan_goal, interner));
     // Drop disjuncts over mediated relations nothing stores... they ARE
     // the stored relations here; function terms cannot appear (user plans
     // have no Skolems), so plain union containment applies.
@@ -71,7 +71,6 @@ Result<SoundPlanResult> CheckSoundPlan(
   } else {
     ExpansionOptions bounds;
     bounds.max_rule_applications = options.max_rule_applications;
-    bounds.max_expansions = options.max_expansions;
     RELCONT_ASSIGN_OR_RETURN(
         out.expansion_contained,
         DatalogContainedInUcqBounded(expanded, plan_goal, query_ucq,

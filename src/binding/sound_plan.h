@@ -27,17 +27,16 @@ struct SoundPlanResult {
 };
 
 struct SoundPlanOptions {
-  UnfoldOptions unfold;
-  /// Bounds for the expansion-containment check when `plan` is recursive.
+  /// Semantic: the derivation depth of the expansions searched when `plan`
+  /// is recursive (see ExpansionOptions::max_rule_applications).
   int max_rule_applications = 12;
-  int64_t max_expansions = 200'000;
 };
 
 /// Checks the three conditions of Definition 4.2. `plan` must be a datalog
 /// program over the source predicates with goal `plan_goal`; `query` is
 /// the reference query over the mediated schema. Exact for nonrecursive
-/// plans; recursive plans use a bounded expansion search and may report
-/// kBoundReached.
+/// plans; recursive plans use a depth-bounded expansion search and may
+/// report kBoundReached. Effort is bounded only by the installed WorkBudget.
 Result<SoundPlanResult> CheckSoundPlan(
     const Program& plan, SymbolId plan_goal, const Program& query,
     SymbolId query_goal, const ViewSet& views,

@@ -78,6 +78,14 @@ class WorkBudget {
     deadline_ = deadline;
     has_deadline_ = true;
   }
+  /// Applies a request's bounds: a deadline `timeout_ms` from now and a
+  /// step cap of `max_steps`, each only when positive. The one place a
+  /// `{timeout_ms, max_steps}` pair becomes a budget (the library front
+  /// door and the service request frame both call it). Set before sharing.
+  void set_limits(int64_t timeout_ms, int64_t max_steps) {
+    if (timeout_ms > 0) set_timeout(std::chrono::milliseconds(timeout_ms));
+    if (max_steps > 0) set_max_steps(max_steps);
+  }
   /// Convenience: deadline `timeout` from now, saturated at the clock's
   /// end of time (a timeout too large to represent means no deadline).
   void set_timeout(std::chrono::milliseconds timeout) {
@@ -195,8 +203,8 @@ Status BudgetOkOrBound(std::string_view site);
 Status BudgetChargeOr(std::string_view site, uint64_t n = 1);
 
 /// The ONE formatter for resource-bound failures, whether budget-driven or
-/// a structural cap (max_facts, linearization point cap, dom saturation
-/// caps): returns `kBoundReached` with the message
+/// a representational guard (the oracles' point and fact limits, §4's
+/// child-combination guard): returns `kBoundReached` with the message
 /// "bound reached [<site>]: <detail>", bumps the `bound_hits` trace
 /// counter, and attributes the trip to `site` in the process-wide
 /// bound-site registry below — so every bound hit is grep-able, countable,

@@ -105,8 +105,8 @@ struct DenseOrderStats {
   /// Candidate class placements rejected by the closed matrix during
   /// linearization DFS.
   std::atomic<uint64_t> pruned_branches{0};
-  /// Linearization enumerations aborted by a budget or the structural
-  /// node cap (closure itself never aborts).
+  /// Linearization enumerations aborted by a budget (closure itself never
+  /// aborts).
   std::atomic<uint64_t> bound_hits{0};
 };
 

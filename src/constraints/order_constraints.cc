@@ -181,10 +181,9 @@ Status OrderConstraints::ForEachLinearization(
   const DenseOrderMatrix& m = Closed();
   if (!m.consistent()) return Status::OK();  // nothing to stream
 
-  WorkBudget* budget = CurrentBudget();
-  uint64_t nodes = 0;
   uint64_t pruned = 0;
   bool bound = false;
+  bool too_wide = false;
   bool stopped = false;
   Linearization current;
   std::vector<int> remaining(n);
@@ -215,22 +214,15 @@ Status OrderConstraints::ForEachLinearization(
     int k = static_cast<int>(cand.size());
     if (k == 0) return;  // dead branch: nothing can come next
     if (k > 63) {  // subset masks no longer fit a word
-      bound = true;
+      too_wide = true;
       return;
     }
     std::vector<int> cls;
     std::vector<int> rest;
     for (uint64_t mask = 1; mask < (uint64_t{1} << k); ++mask) {
       // One DFS node per candidate class. The exponential part of the
-      // search lives here, so this is the budget site; with no budget
-      // installed the structural node cap keeps unconstrained point sets
-      // from diverging.
-      if (budget != nullptr) {
-        if (!budget->Charge(1)) {
-          bound = true;
-          return;
-        }
-      } else if (++nodes > kDefaultMaxEnumerationNodes) {
+      // search lives here, so this is the budget site.
+      if (!BudgetCharge(1)) {
         bound = true;
         return;
       }
@@ -264,7 +256,7 @@ Status OrderConstraints::ForEachLinearization(
           std::vector<int> next = rest;  // rest is reused by this level
           recurse(next);
           current.pop_back();
-          if (bound || stopped) return;
+          if (bound || too_wide || stopped) return;
           continue;
         }
       }
@@ -281,12 +273,12 @@ Status OrderConstraints::ForEachLinearization(
   if (bound) {
     GlobalDenseOrderStats().bound_hits.fetch_add(1,
                                                  std::memory_order_relaxed);
-    RELCONT_RETURN_NOT_OK(BudgetOkOrBound("linearization_dfs"));
-    return BoundReachedAt(
-        "linearization_dfs",
-        "enumeration exceeded the structural cap of " +
-            std::to_string(kDefaultMaxEnumerationNodes) +
-            " DFS nodes (install a WorkBudget to govern larger searches)");
+    return BudgetOkOrBound("linearization_dfs");
+  }
+  if (too_wide) {
+    return Status::Unsupported(
+        "more than 63 mutually unordered points: candidate classes no "
+        "longer fit a 64-bit subset mask");
   }
   return Status::OK();
 }

@@ -67,17 +67,14 @@ class OrderConstraints {
   /// closed pair matrix allows the placement, so heavily constrained sets
   /// cost little more than their realizable linearizations. Stops early
   /// when `visit` returns false (still OK — the visitor saw what it
-  /// needed). Returns kBoundReached when the current WorkBudget trips, or
-  /// — with no budget installed — when the structural node cap
-  /// kDefaultMaxEnumerationNodes is hit; either way the visited prefix is
-  /// incomplete and "held for every linearization" claims are unsound.
+  /// needed). Every DFS node (candidate class placement) charges the
+  /// current WorkBudget at site "linearization_dfs"; on exhaustion the
+  /// visited prefix is incomplete, "held for every linearization" claims
+  /// are unsound, and the call returns kBoundReached. With no budget
+  /// installed the enumeration runs to completion. kUnsupported when more
+  /// than 63 points are candidates for one class (a representation limit).
   Status ForEachLinearization(
       const std::function<bool(const Linearization&)>& visit) const;
-
-  /// DFS nodes (candidate class placements) the enumeration will explore
-  /// before giving up when no WorkBudget is installed. An installed
-  /// budget replaces this cap entirely.
-  static constexpr uint64_t kDefaultMaxEnumerationNodes = 1u << 20;
 
   /// The largest point set EnumerateLinearizations will attempt (ordered
   /// Bell numbers explode: 13 points already exceed 5·10^12 weak orders).

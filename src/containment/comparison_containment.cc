@@ -205,8 +205,8 @@ Result<bool> ContainedInUnionLinearized(const Rule& q1,
 
   // Stream the linearizations out of the pruned matrix DFS: nothing is
   // materialized, the first uncovered linearization stops the walk, and
-  // there is no structural cap on the point count — only the budget (or
-  // the DFS node cap) bounds the search, surfacing as kBoundReached.
+  // there is no structural cap on the point count — only the budget
+  // bounds the search, surfacing as kBoundReached.
   RELCONT_TRACE_SPAN("comparison_linearizations");
   bool all_covered = true;
   Status truncated_search = Status::OK();

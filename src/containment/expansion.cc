@@ -35,8 +35,8 @@ class Enumerator {
   void Expand(const Rule& rule, int applications) {
     if (stop_) return;
     // One budget step per resolution node; exhaustion truncates the
-    // enumeration exactly like max_expansions (complete_ = false), so the
-    // caller's BoundReached path reports it.
+    // enumeration (complete_ = false), so the caller's BoundReached path
+    // reports it.
     if (!BudgetCharge(1)) {
       complete_ = false;
       stop_ = true;
@@ -50,11 +50,6 @@ class Enumerator {
       }
     }
     if (idb_index < 0) {
-      if (++visited_ > options_.max_expansions) {
-        complete_ = false;
-        stop_ = true;
-        return;
-      }
       RELCONT_TRACE_COUNT(kExpansionsVisited, 1);
       if (!visit_(rule)) stop_ = true;
       return;
@@ -90,7 +85,6 @@ class Enumerator {
   const ExpansionOptions& options_;
   const std::function<bool(const Rule&)>& visit_;
   std::set<SymbolId> idb_;
-  int64_t visited_ = 0;
   bool complete_ = true;
   bool stop_ = false;
 };
@@ -141,7 +135,7 @@ Result<bool> DatalogContainedInUcqBounded(const Program& program,
   }
   if (!*complete) {
     // Prefer the budget's own status (deadline vs steps) when it was the
-    // cause; otherwise this is the structural expansion cap.
+    // cause; otherwise max_rule_applications cut a derivation off.
     RELCONT_RETURN_NOT_OK(BudgetOkOrBound("expansion"));
     return BoundReachedAt(
         "expansion", "no counterexample within bounds, but enumeration was "

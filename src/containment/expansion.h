@@ -14,20 +14,22 @@ namespace relcont {
 /// number of rule applications per expansion.
 
 struct ExpansionOptions {
-  /// Maximum rule applications in a single expansion's derivation tree.
+  /// Semantic: the maximum rule applications in a single expansion's
+  /// derivation tree — which finite slice of a recursive program's
+  /// infinite expansion set is enumerated.
   int max_rule_applications = 10;
-  /// Hard cap on the number of expansions visited.
-  int64_t max_expansions = 1'000'000;
 };
 
 /// Invokes `visit` for every expansion of `goal` whose derivation uses at
 /// most max_rule_applications rule applications. `visit` returning false
-/// stops enumeration early.
+/// stops enumeration early. Every resolution node charges the installed
+/// WorkBudget; exhaustion truncates the enumeration.
 ///
 /// Returns true if the enumeration was COMPLETE: every expansion of the
-/// program was visited (no derivation was cut off by the bounds and the
-/// visitor never stopped early) — guaranteed for nonrecursive programs
-/// with sufficient bounds. Returns false if some derivations were pruned.
+/// program was visited (no derivation was cut off by max_rule_applications
+/// or the budget, and the visitor never stopped early) — guaranteed for
+/// nonrecursive programs with a sufficient max_rule_applications. Returns
+/// false if some derivations were pruned.
 Result<bool> ForEachExpansion(const Program& program, SymbolId goal,
                               Interner* interner,
                               const ExpansionOptions& options,

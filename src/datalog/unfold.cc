@@ -12,11 +12,9 @@ namespace {
 
 class Unfolder {
  public:
-  Unfolder(const Program& program, Interner* interner,
-           const UnfoldOptions& options)
+  Unfolder(const Program& program, Interner* interner)
       : program_(program),
         interner_(interner),
-        options_(options),
         idb_(program.IdbPredicates()) {}
 
   Result<UnionQuery> Run(SymbolId goal) {
@@ -40,13 +38,6 @@ class Unfolder {
       }
     }
     if (idb_index < 0) {
-      if (static_cast<int64_t>(out->disjuncts.size()) >=
-          options_.max_disjuncts) {
-        return BoundReachedAt("unfold", "max_disjuncts exceeded (" +
-                                            std::to_string(
-                                                options_.max_disjuncts) +
-                                            ")");
-      }
       RELCONT_TRACE_COUNT(kUnfoldDisjuncts, 1);
       out->disjuncts.push_back(rule);
       return Status::OK();
@@ -79,20 +70,18 @@ class Unfolder {
 
   const Program& program_;
   Interner* interner_;
-  const UnfoldOptions& options_;
   std::set<SymbolId> idb_;
 };
 
 }  // namespace
 
 Result<UnionQuery> UnfoldToUnion(const Program& program, SymbolId goal,
-                                 Interner* interner,
-                                 const UnfoldOptions& options) {
+                                 Interner* interner) {
   if (program.IsRecursive()) {
     return Status::Unsupported("cannot unfold a recursive program");
   }
   RELCONT_TRACE_SPAN("unfold");
-  return Unfolder(program, interner, options).Run(goal);
+  return Unfolder(program, interner).Run(goal);
 }
 
 }  // namespace relcont

@@ -6,13 +6,6 @@
 
 namespace relcont {
 
-/// Options for unfolding nonrecursive programs.
-struct UnfoldOptions {
-  /// Hard cap on the number of produced disjuncts (the number can be
-  /// exponential in program size, e.g. in the Theorem 3.3 reduction).
-  int64_t max_disjuncts = 1'000'000;
-};
-
 /// Unfolds the nonrecursive `program` into an equivalent union of
 /// conjunctive queries for the predicate `goal`: every IDB subgoal is
 /// resolved against its defining rules until only EDB subgoals remain.
@@ -21,9 +14,13 @@ struct UnfoldOptions {
 /// Unification-based resolution handles Skolem function terms, so this
 /// also unfolds the query plans produced by the inverse-rules algorithm.
 /// Fails with kUnsupported on recursive programs.
+///
+/// The number of disjuncts can be exponential in the program size (e.g. in
+/// the Theorem 3.3 reduction); every resolution step charges the installed
+/// WorkBudget at site "unfold", and with no budget installed the
+/// unfolding runs to completion.
 Result<UnionQuery> UnfoldToUnion(const Program& program, SymbolId goal,
-                                 Interner* interner,
-                                 const UnfoldOptions& options = {});
+                                 Interner* interner);
 
 }  // namespace relcont
 

@@ -80,11 +80,6 @@ class SemiNaive {
         RELCONT_RETURN_NOT_OK(EvalRuleWithDelta(rule, delta, &next_delta));
       }
       delta = std::move(next_delta);
-      if (full_.TotalFacts() > options_.max_facts) {
-        return BoundReachedAt(
-            "eval", "max_facts exceeded during evaluation (" +
-                        std::to_string(options_.max_facts) + ")");
-      }
     }
     EvalResult result;
     result.database = std::move(full_);

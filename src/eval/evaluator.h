@@ -5,15 +5,14 @@
 
 namespace relcont {
 
-/// Tuning knobs and safety bounds for bottom-up evaluation.
+/// Semantic bounds and tuning knobs for bottom-up evaluation.
 struct EvalOptions {
-  /// Facts whose terms nest Skolem functions deeper than this are not
-  /// derived. Inverse-rule plans never nest Skolems, so the default is
-  /// generous; the bound exists to guarantee termination on arbitrary
-  /// recursive programs with function terms.
+  /// Semantic: facts whose terms nest Skolem functions deeper than this are
+  /// not derived (EvalResult::depth_truncated reports it). Inverse-rule
+  /// plans never nest Skolems, so the default is generous; the bound makes
+  /// the fixpoint finite on arbitrary recursive programs with function
+  /// terms.
   int max_term_depth = 8;
-  /// Hard cap on the number of derived facts.
-  int64_t max_facts = 10'000'000;
   /// Use per-column hash indexes for join pruning (ablation switch; the
   /// bench_ablation harness measures the difference).
   bool use_index = true;
@@ -33,7 +32,9 @@ struct EvalResult {
 /// Computes the minimal model of `program` over `edb` by semi-naive
 /// bottom-up evaluation. Comparison subgoals are evaluated over the dense
 /// numeric order; Skolem function terms in rule heads are constructed as
-/// syntactic values. Fails with kBoundReached if max_facts is exceeded.
+/// syntactic values. Every join result charges the installed WorkBudget at
+/// site "eval" (kBoundReached on exhaustion); with no budget installed the
+/// evaluation runs to its fixpoint.
 Result<EvalResult> Evaluate(const Program& program, const Database& edb,
                             const EvalOptions& options = {});
 

@@ -106,7 +106,7 @@ inline constexpr SeriesDef kSeriesTable[] = {
     {"dense_order_pruned_branches_total", SeriesType::kCounter, "", "", "",
      "Linearization DFS class placements rejected by the closed pair matrix."},
     {"dense_order_bound_hits_total", SeriesType::kCounter, "", "", "",
-     "Linearization streams cut short by a budget or the structural node cap."},
+     "Linearization streams cut short by a budget."},
     {"cegar_iterations_total", SeriesType::kCounter, "", "cegar", "iterations",
      "Cover checks performed by the CEGAR counterexample search (loop "
      "iterations)."},

@@ -57,8 +57,7 @@ PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
                                  ctx->interner()));
       RELCONT_ASSIGN_OR_RETURN(
           UnionQuery ucq,
-          PlanToUnion(plan, query.goal, catalog->views, ctx->interner(),
-                      request.options.unfold));
+          PlanToUnion(plan, query.goal, catalog->views, ctx->interner()));
       out.plan_text = ucq.ToString(*ctx->interner());
       out.num_rules = static_cast<int>(ucq.disjuncts.size());
       out.recursive = false;
@@ -118,8 +117,7 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
       RELCONT_ASSIGN_OR_RETURN(
           BindingRelativeResult result,
           RelativelyContainedWithBindingPatterns(
-              q1, q2, catalog->views, catalog->patterns, ctx->interner(),
-              request.options.dom));
+              q1, q2, catalog->views, catalog->patterns, ctx->interner()));
       out.contained = result.contained;
       if (result.counterexample.has_value()) {
         out.witness_text = result.counterexample->ToString(*ctx->interner());
@@ -128,7 +126,6 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
       // Theorem 5.2 route (degenerates to Theorem 3.1 without
       // comparisons): P1^exp ⊑ Q2 via the expansion.
       RelativeContainmentOptions options;
-      options.unfold = request.options.unfold;
       options.parallel_workers = state.parallel_workers;
       Rule witness;
       RELCONT_ASSIGN_OR_RETURN(

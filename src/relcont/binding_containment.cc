@@ -9,8 +9,7 @@ namespace relcont {
 
 Result<BindingRelativeResult> RelativelyContainedWithBindingPatterns(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    const BindingPatterns& patterns, Interner* interner,
-    const DomContainmentOptions& options) {
+    const BindingPatterns& patterns, Interner* interner) {
   // Definition 4.5's constant discipline: constants(Q1 ∪ V) must be a
   // subset of constants(Q2 ∪ V).
   std::vector<Value> allowed = q2.program.Constants();
@@ -38,13 +37,16 @@ Result<BindingRelativeResult> RelativelyContainedWithBindingPatterns(
         p1_exp,
         ExpandExecutablePlanForContainment(plan, q1.goal, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
-        q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner, options.unfold));
+        q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner));
   }
+  // The representation limit is not a shape mismatch: answer it here
+  // rather than through the expansion fallback below.
+  RELCONT_RETURN_NOT_OK(CheckDisjunctSizes(q2_ucq));
 
   RELCONT_TRACE_SPAN("containment_check");
   Result<DomContainmentResult> decision =
       DomPlanContainedInUcq(p1_exp, q1.goal, plan.dom_predicate, q2_ucq,
-                            interner, options);
+                            interner);
   if (decision.ok()) {
     BindingRelativeResult out;
     out.contained = decision->contained;

@@ -31,11 +31,11 @@ struct BindingRelativeResult {
 /// within the decidable shape (conjunctive/nonrecursive in this
 /// implementation); Q2 must be nonrecursive; everything comparison-free.
 /// Definition 4.5 requires the constants of Q1 ∪ V to be a subset of those
-/// of Q2 ∪ V; violations are reported as kInvalidArgument.
+/// of Q2 ∪ V; violations are reported as kInvalidArgument. A Q2 disjunct
+/// over the kMaxDisjunctSize representation limit is kUnsupported.
 Result<BindingRelativeResult> RelativelyContainedWithBindingPatterns(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    const BindingPatterns& patterns, Interner* interner,
-    const DomContainmentOptions& options = {});
+    const BindingPatterns& patterns, Interner* interner);
 
 }  // namespace relcont
 

@@ -536,10 +536,10 @@ Result<RelativeContainmentResult> CegarImpl(
 
     RELCONT_ASSIGN_OR_RETURN(
         UnionQuery t1,
-        UnfoldToUnion(q1.program, q1.goal, interner, options.unfold));
+        UnfoldToUnion(q1.program, q1.goal, interner));
     RELCONT_ASSIGN_OR_RETURN(
         UnionQuery t2,
-        UnfoldToUnion(q2.program, q2.goal, interner, options.unfold));
+        UnfoldToUnion(q2.program, q2.goal, interner));
 
     std::unordered_map<SymbolId, std::vector<const Rule*>> inv_by_pred;
     for (const Rule& r : p1.rules) {

@@ -181,7 +181,7 @@ Result<std::vector<Tuple>> BruteForceCertainAnswers(
     }
     for (Tuple& t : tuples) potential.emplace_back(pred, std::move(t));
   }
-  if (static_cast<int>(potential.size()) > options.max_potential_facts) {
+  if (static_cast<int>(potential.size()) > kMaxPotentialFacts) {
     return Status::BoundReached(
         "brute-force space too large: " + std::to_string(potential.size()) +
         " potential facts");

@@ -78,20 +78,23 @@ Result<std::vector<Tuple>> CertainAnswersViaCanonical(const Program& query,
                                                       Interner* interner);
 
 struct BruteForceOptions {
-  /// Fresh constants added to the active domain of the instance when
-  /// enumerating candidate databases.
+  /// Semantic: fresh constants added to the active domain of the instance
+  /// when enumerating candidate databases.
   int extra_constants = 1;
-  /// Abort if the number of potential facts exceeds this (the enumeration
-  /// is 2^potential_facts).
-  int max_potential_facts = 22;
 };
+
+/// Representation limit of the brute-force oracle: it enumerates and
+/// materializes 2^n candidate databases over n potential facts, so it
+/// gives up (kBoundReached) above this many.
+inline constexpr int kMaxPotentialFacts = 22;
 
 /// Brute-force certain answers over all candidate databases whose facts
 /// draw on the instance's active domain plus `extra_constants` fresh
 /// values. Respects per-view completeness: for an incomplete view,
 /// consistency means v ⊆ view(D); for a complete view, v = view(D)
-/// (Section 6 / Example 5). Returns kBoundReached when the space is too
-/// large, and kInvalidArgument if no candidate database is consistent.
+/// (Section 6 / Example 5). Returns kBoundReached over kMaxPotentialFacts
+/// potential facts, and kInvalidArgument if no candidate database is
+/// consistent.
 Result<std::vector<Tuple>> BruteForceCertainAnswers(
     const Program& query, SymbolId goal, const ViewSet& views,
     const Database& instance, Interner* interner,

@@ -23,9 +23,10 @@ namespace relcont {
 ///    sound positive certificate offered is classical containment itself.
 
 struct CwaRefuterOptions {
-  /// Maximum number of source facts in candidate instances.
+  /// Semantic: the maximum number of source facts in candidate instances
+  /// (which finite slice of the instance space the refuter searches).
   int max_instance_facts = 2;
-  /// Values used to populate candidate instances.
+  /// Semantic: values used to populate candidate instances.
   int domain_size = 2;
   /// Forwarded to the brute-force certain-answer oracle.
   BruteForceOptions brute_force;

@@ -1,6 +1,6 @@
 #include "relcont/decide.h"
 
-#include <memory>
+#include <optional>
 
 #include "common/budget.h"
 #include "trace/trace.h"
@@ -57,20 +57,17 @@ Result<Decision> DecideRelativeContainment(
     const BindingPatterns& patterns, Interner* interner,
     const DecideOptions& options) {
   RELCONT_TRACE_SPAN("decide");
-  // Library-direct callers with budget options but no installed budget get
-  // a local root budget for this call. When a budget is already installed
-  // (the service's per-request budget), it governs and the option fields
-  // are ignored — one budget per request, owned at the outermost layer.
-  std::unique_ptr<WorkBudget> local_budget;
-  std::unique_ptr<BudgetScope> local_scope;
+  // Library-direct callers with no installed budget get a local root
+  // budget for this call. When a budget is already installed (the
+  // service's per-request budget), it governs and the option fields are
+  // ignored — one budget per request, owned at the outermost layer.
+  std::optional<WorkBudget> local_budget;
+  std::optional<BudgetScope> local_scope;
   if (CurrentBudget() == nullptr &&
       (options.timeout_ms > 0 || options.max_steps > 0)) {
-    local_budget = std::make_unique<WorkBudget>();
-    if (options.timeout_ms > 0) {
-      local_budget->set_timeout(std::chrono::milliseconds(options.timeout_ms));
-    }
-    if (options.max_steps > 0) local_budget->set_max_steps(options.max_steps);
-    local_scope = std::make_unique<BudgetScope>(local_budget.get());
+    local_budget.emplace();
+    local_budget->set_limits(options.timeout_ms, options.max_steps);
+    local_scope.emplace(&*local_budget);
   }
   bool comparisons = HasComparisons(q1.program) || HasComparisons(q2.program) ||
                      HasComparisons(views);
@@ -85,7 +82,7 @@ Result<Decision> DecideRelativeContainment(
     RELCONT_ASSIGN_OR_RETURN(
         BindingRelativeResult r,
         RelativelyContainedWithBindingPatterns(q1, q2, views, patterns,
-                                               interner, options.dom));
+                                               interner));
     out.contained = r.contained;
     out.regime = Regime::kSection4;
     out.witness = r.counterexample;
@@ -95,7 +92,6 @@ Result<Decision> DecideRelativeContainment(
     if (!HasComparisons(q1.program)) {
       RELCONT_TRACE_SPAN("regime_theorem52");
       RelativeContainmentOptions rel_opts;
-      rel_opts.unfold = options.unfold;
       rel_opts.parallel_workers = options.parallel_workers;
       Rule witness;
       RELCONT_ASSIGN_OR_RETURN(
@@ -109,7 +105,6 @@ Result<Decision> DecideRelativeContainment(
     }
     RELCONT_TRACE_SPAN("regime_theorem51");
     RelativeContainmentOptions rel_opts;
-    rel_opts.unfold = options.unfold;
     rel_opts.parallel_workers = options.parallel_workers;
     RELCONT_ASSIGN_OR_RETURN(
         RelativeContainmentResult r,
@@ -122,7 +117,6 @@ Result<Decision> DecideRelativeContainment(
   if (q1.program.IsRecursive() || q2.program.IsRecursive()) {
     RELCONT_TRACE_SPAN("regime_theorem32");
     OneRecursiveOptions rec_opts;
-    rec_opts.unfold = options.unfold;
     rec_opts.max_rule_applications = options.max_rule_applications;
     Rule witness;
     RELCONT_ASSIGN_OR_RETURN(
@@ -136,7 +130,6 @@ Result<Decision> DecideRelativeContainment(
   }
   RELCONT_TRACE_SPAN("regime_section3");
   RelativeContainmentOptions rel_opts;
-  rel_opts.unfold = options.unfold;
   rel_opts.parallel_workers = options.parallel_workers;
   rel_opts.strategy = options.strategy;
   RELCONT_ASSIGN_OR_RETURN(

@@ -23,10 +23,14 @@ namespace relcont {
 /// predicates (neither does the paper combine them); that mix reports
 /// kUnsupported.
 struct DecideOptions {
-  UnfoldOptions unfold;
-  /// Forwarded to the Section 4 decision procedure.
-  DomContainmentOptions dom;
-  /// Forwarded to the Theorem 3.2 recursive-Q1 direction.
+  /// The step budget a decision runs under unless the caller sets its own:
+  /// over 100x the most any decision of the test suite or the service
+  /// benchmark charges (docs/ALGORITHMS.md §7), so it only trips on inputs
+  /// whose plans blow up.
+  static constexpr int64_t kDefaultMaxSteps = 1'000'000;
+
+  /// Semantic: forwarded to the Theorem 3.2 recursive-Q1 direction (the
+  /// derivation depth of its expansion search).
   int max_rule_applications = 12;
 
   // --- cooperative budget (see common/budget.h) ---------------------------
@@ -39,9 +43,10 @@ struct DecideOptions {
 
   /// Wall-clock deadline for the whole decision in milliseconds; 0 = none.
   int64_t timeout_ms = 0;
-  /// Total step budget (search nodes, linearizations, expansions, derived
-  /// facts) for the whole decision; 0 = unlimited.
-  int64_t max_steps = 0;
+  /// Total step budget (search nodes, linearizations, expansions, unfolding
+  /// and saturation steps, derived facts) for the whole decision; <= 0 =
+  /// unlimited.
+  int64_t max_steps = kDefaultMaxSteps;
   /// Fan-out width for the per-disjunct containment scans of the
   /// section3/theorem51/theorem52 regimes; <= 1 = serial. Parallelism
   /// changes the verdict never and the reported witness sometimes.

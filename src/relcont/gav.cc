@@ -21,8 +21,7 @@ Status GavSchema::Validate() const {
 }
 
 Result<UnionQuery> GavSchema::Compose(const Program& query, SymbolId goal,
-                                      Interner* interner,
-                                      const UnfoldOptions& options) const {
+                                      Interner* interner) const {
   RELCONT_RETURN_NOT_OK(Validate());
   RELCONT_RETURN_NOT_OK(query.CheckSafe());
   std::set<SymbolId> sources = SourcePredicates();
@@ -41,7 +40,7 @@ Result<UnionQuery> GavSchema::Compose(const Program& query, SymbolId goal,
         "query predicates collide with GAV definitions");
   }
   RELCONT_ASSIGN_OR_RETURN(UnionQuery composed,
-                           UnfoldToUnion(combined, goal, interner, options));
+                           UnfoldToUnion(combined, goal, interner));
   // A query subgoal over a mediated relation with no definition can never
   // produce answers; unfolding leaves it as an EDB atom, so filter.
   UnionQuery out;
@@ -67,12 +66,12 @@ Result<GavSchema> ParseGavSchema(std::string_view text, Interner* interner) {
 
 Result<RelativeContainmentResult> GavRelativelyContained(
     const GoalQuery& q1, const GoalQuery& q2, const GavSchema& schema,
-    Interner* interner, const UnfoldOptions& options) {
+    Interner* interner) {
   RelativeContainmentResult out;
   RELCONT_ASSIGN_OR_RETURN(
-      out.plan1, schema.Compose(q1.program, q1.goal, interner, options));
+      out.plan1, schema.Compose(q1.program, q1.goal, interner));
   RELCONT_ASSIGN_OR_RETURN(
-      out.plan2, schema.Compose(q2.program, q2.goal, interner, options));
+      out.plan2, schema.Compose(q2.program, q2.goal, interner));
   out.contained = true;
   for (const Rule& d : out.plan1.disjuncts) {
     RELCONT_ASSIGN_OR_RETURN(bool contained,

@@ -44,8 +44,7 @@ class GavSchema {
   /// certain answers of a query are exactly the answers of its
   /// composition on the source instance.
   Result<UnionQuery> Compose(const Program& query, SymbolId goal,
-                             Interner* interner,
-                             const UnfoldOptions& options = {}) const;
+                             Interner* interner) const;
 
  private:
   Program definitions_;
@@ -60,7 +59,7 @@ Result<GavSchema> ParseGavSchema(std::string_view text, Interner* interner);
 /// the Π₂ᴾ-completeness of the local-as-view setting, Theorem 3.3).
 Result<RelativeContainmentResult> GavRelativelyContained(
     const GoalQuery& q1, const GoalQuery& q2, const GavSchema& schema,
-    Interner* interner, const UnfoldOptions& options = {});
+    Interner* interner);
 
 /// Certain answers under GAV: evaluate the composition on the sources.
 Result<std::vector<Tuple>> GavCertainAnswers(const Program& query,

@@ -43,7 +43,7 @@ namespace {
 // Serial and parallel execution apply the SAME verdict policy, so the two
 // paths agree on every input:
 //   1. a definite counterexample (check returned false) always wins — even
-//      when some other disjunct's check erred (e.g. hit a structural cap):
+//      when some other disjunct's check erred (e.g. hit a budget bound):
 //      one failing disjunct already refutes the containment;
 //   2. otherwise the first error, by disjunct index, propagates;
 //   3. otherwise every disjunct completed affirmatively: contained.
@@ -65,6 +65,10 @@ Result<std::optional<size_t>> FindUncoveredDisjunct(
       Result<bool> r = check(disjuncts[i]);
       if (!r.ok()) {
         if (!first_error.has_value()) first_error = r.status();
+        // Under an exhausted budget no later check can report a definite
+        // counterexample (a negative needs a completed search), so the
+        // rest of the scan could only repeat the error.
+        if (BudgetExhausted()) break;
         continue;
       }
       if (!*r) return std::optional<size_t>(i);
@@ -129,9 +133,9 @@ Result<RelativeContainmentResult> RelativelyContained(
     RELCONT_ASSIGN_OR_RETURN(
         Program p2, MaximallyContainedPlan(q2.program, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
-        out.plan1, PlanToUnion(p1, q1.goal, views, interner, options.unfold));
+        out.plan1, PlanToUnion(p1, q1.goal, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
-        out.plan2, PlanToUnion(p2, q2.goal, views, interner, options.unfold));
+        out.plan2, PlanToUnion(p2, q2.goal, views, interner));
   }
   RELCONT_TRACE_SPAN("containment_check");
   RELCONT_ASSIGN_OR_RETURN(
@@ -185,7 +189,7 @@ Result<bool> RelativelyContainedOneRecursive(
       RELCONT_ASSIGN_OR_RETURN(
           Program p1, MaximallyContainedPlan(q1.program, views, interner));
       RELCONT_ASSIGN_OR_RETURN(
-          plan1, PlanToUnion(p1, q1.goal, views, interner, options.unfold));
+          plan1, PlanToUnion(p1, q1.goal, views, interner));
       RELCONT_ASSIGN_OR_RETURN(
           p2, MaximallyContainedPlan(q2.program, views, interner));
     }
@@ -213,12 +217,11 @@ Result<bool> RelativelyContainedOneRecursive(
       }
     }
     RELCONT_ASSIGN_OR_RETURN(
-        q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner, options.unfold));
+        q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner));
   }
   RELCONT_TRACE_SPAN("containment_check");
   ExpansionOptions bounds;
   bounds.max_rule_applications = options.max_rule_applications;
-  bounds.max_expansions = options.max_expansions;
   return DatalogContainedInUcqBounded(pruned, q1.goal, q2_ucq, interner,
                                       bounds, witness);
 }
@@ -269,11 +272,10 @@ Result<bool> RelativelyContainedViaExpansion(
     RELCONT_ASSIGN_OR_RETURN(
         Program p1, MaximallyContainedPlan(q1.program, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
-        UnionQuery plan1, PlanToUnion(p1, q1.goal, views, interner,
-                                      options.unfold));
+        UnionQuery plan1, PlanToUnion(p1, q1.goal, views, interner));
     RELCONT_ASSIGN_OR_RETURN(p1_exp, ExpandUnionPlan(plan1, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
-        q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner, options.unfold));
+        q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner));
   }
   RELCONT_TRACE_SPAN("containment_check");
   RELCONT_ASSIGN_OR_RETURN(
@@ -296,11 +298,9 @@ Result<RelativeContainmentResult> RelativelyContainedWithComparisons(
   {
     RELCONT_TRACE_SPAN("build_plans");
     RELCONT_ASSIGN_OR_RETURN(
-        out.plan1, ComparisonAwarePlan(q1.program, q1.goal, views, interner,
-                                       options.unfold));
+        out.plan1, ComparisonAwarePlan(q1.program, q1.goal, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
-        out.plan2, ComparisonAwarePlan(q2.program, q2.goal, views, interner,
-                                       options.unfold));
+        out.plan2, ComparisonAwarePlan(q2.program, q2.goal, views, interner));
   }
   RELCONT_TRACE_SPAN("containment_check");
   // Compare over consistent instances: each left disjunct may assume every

@@ -67,7 +67,6 @@ struct CegarOptions {
 };
 
 struct RelativeContainmentOptions {
-  UnfoldOptions unfold;
   /// Fan-out width for the per-disjunct containment checks (the Π₂ᴾ hot
   /// loop): <= 1 runs serially on the calling thread; k > 1 shares the
   /// disjuncts across up to k threads (caller included) with
@@ -131,13 +130,12 @@ Result<bool> RelativelyContainedViaExpansion(
 ///    Theorem 4.1 analogue the paper notes for the unrestricted setting).
 ///    Chaudhuri–Vardi makes this decidable in general; this implementation
 ///    answers definitively when Q1's recursion fits the dom shape or a
-///    counterexample expansion exists within `expansion_bounds`, and
+///    counterexample expansion exists within max_rule_applications, and
 ///    reports kBoundReached otherwise.
 struct OneRecursiveOptions {
-  UnfoldOptions unfold;
-  /// Bounds for the recursive-Q1 direction's expansion search.
+  /// Semantic: the derivation depth of the recursive-Q1 direction's
+  /// expansion search (see ExpansionOptions::max_rule_applications).
   int max_rule_applications = 12;
-  int64_t max_expansions = 200'000;
 };
 
 /// When the containment fails and `witness` is non-null, it receives a

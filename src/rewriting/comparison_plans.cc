@@ -111,8 +111,7 @@ Result<Rule> AugmentWithViewConstraints(const Rule& plan_rule,
 
 Result<UnionQuery> ComparisonAwarePlan(const Program& query, SymbolId goal,
                                        const ViewSet& views,
-                                       Interner* interner,
-                                       const UnfoldOptions& options) {
+                                       Interner* interner) {
   RELCONT_TRACE_SPAN("plan_comparison_aware");
   RELCONT_RETURN_NOT_OK(query.CheckSafe());
   std::set<SymbolId> sources = views.SourcePredicates();
@@ -126,7 +125,7 @@ Result<UnionQuery> ComparisonAwarePlan(const Program& query, SymbolId goal,
   }
   // The query as a UCQ over the mediated schema (soundness reference).
   RELCONT_ASSIGN_OR_RETURN(UnionQuery query_ucq,
-                           UnfoldToUnion(query, goal, interner, options));
+                           UnfoldToUnion(query, goal, interner));
 
   // Candidate plans: unfold the query (comparisons and all) against the
   // inverse rules.
@@ -134,7 +133,7 @@ Result<UnionQuery> ComparisonAwarePlan(const Program& query, SymbolId goal,
   Program plan = query;
   for (Rule& r : inverse.rules) plan.rules.push_back(std::move(r));
   RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
-                           UnfoldToUnion(plan, goal, interner, options));
+                           UnfoldToUnion(plan, goal, interner));
 
   UnionQuery out;
   for (Rule& candidate : unfolded.disjuncts) {

@@ -39,8 +39,7 @@ Result<Rule> AugmentWithViewConstraints(const Rule& plan_rule,
 /// fragment, sound in general).
 Result<UnionQuery> ComparisonAwarePlan(const Program& query, SymbolId goal,
                                        const ViewSet& views,
-                                       Interner* interner,
-                                       const UnfoldOptions& options = {});
+                                       Interner* interner);
 
 }  // namespace relcont
 

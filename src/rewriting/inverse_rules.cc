@@ -84,11 +84,10 @@ bool RuleHasFunctionTerm(const Rule& r) {
 }  // namespace
 
 Result<UnionQuery> PlanToUnion(const Program& plan, SymbolId goal,
-                               const ViewSet& views, Interner* interner,
-                               const UnfoldOptions& options) {
+                               const ViewSet& views, Interner* interner) {
   RELCONT_TRACE_SPAN("plan_to_union");
   RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
-                           UnfoldToUnion(plan, goal, interner, options));
+                           UnfoldToUnion(plan, goal, interner));
   std::set<SymbolId> sources = views.SourcePredicates();
   UnionQuery out;
   for (Rule& d : unfolded.disjuncts) {

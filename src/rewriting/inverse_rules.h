@@ -30,8 +30,7 @@ Result<Program> MaximallyContainedPlan(const Program& query,
 /// (paper Example 3). Disjuncts mentioning a mediated-schema predicate that
 /// no source covers are likewise unanswerable and removed.
 Result<UnionQuery> PlanToUnion(const Program& plan, SymbolId goal,
-                               const ViewSet& views, Interner* interner,
-                               const UnfoldOptions& options = {});
+                               const ViewSet& views, Interner* interner);
 
 /// The expansion P^exp of a UCQ plan over the sources: every source
 /// subgoal is replaced by the body of its view definition with fresh

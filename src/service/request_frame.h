@@ -33,10 +33,11 @@ inline Result<GoalQuery> ParseGoalQuery(const std::string& text,
 /// The cache key of a question: verb, catalog name and version, the
 /// canonical fingerprint of each query (containment/canonical.h), then the
 /// raw fixed-width bytes of every option that can change an answer — or
-/// the cache would serve an answer computed under different bounds. The
-/// option bytes are fixed in number and end the key, so it stays
-/// injective. The strategy never changes a verdict, but the reported
-/// witness may differ, so answers are kept per engine.
+/// the cache would serve an answer computed under a different semantic
+/// bound. Those are max_rule_applications and the strategy: the strategy
+/// never changes a verdict, but the reported witness may differ, so
+/// answers are kept per engine. The option bytes are fixed in number and
+/// end the key, so it stays injective.
 ///
 /// The budget fields (timeout_ms, max_steps, parallel_workers) are
 /// deliberately absent: a budget can only turn an answer into a non-OK
@@ -56,10 +57,7 @@ inline std::string QuestionCacheKey(
   }
   key += '\x1f';
   for (int64_t field :
-       {o.unfold.max_disjuncts, int64_t{o.dom.max_tree_options},
-        int64_t{o.dom.max_rounds}, o.dom.max_core_checks,
-        int64_t{o.dom.max_disjunct_size}, o.dom.unfold.max_disjuncts,
-        int64_t{o.max_rule_applications}, static_cast<int64_t>(o.strategy)}) {
+       {int64_t{o.max_rule_applications}, static_cast<int64_t>(o.strategy)}) {
     key.append(reinterpret_cast<const char*>(&field), sizeof field);
   }
   return key;
@@ -109,15 +107,10 @@ Response ServeRequest(ContainmentService& service,
   out.request_id = metrics.flight().NextRequestId();
   // Request options take precedence over the config defaults.
   RequestState state;
-  int64_t timeout_ms = request.options.timeout_ms > 0
-                           ? request.options.timeout_ms
-                           : config.default_timeout_ms;
-  if (timeout_ms > 0) {
-    state.budget.set_timeout(std::chrono::milliseconds(timeout_ms));
-  }
-  if (request.options.max_steps > 0) {
-    state.budget.set_max_steps(request.options.max_steps);
-  }
+  state.budget.set_limits(request.options.timeout_ms > 0
+                              ? request.options.timeout_ms
+                              : config.default_timeout_ms,
+                          request.options.max_steps);
   state.parallel_workers = request.options.parallel_workers > 1
                                ? request.options.parallel_workers
                                : config.default_parallel_workers;

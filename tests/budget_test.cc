@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -14,14 +15,18 @@
 
 #include <gtest/gtest.h>
 
+#include "binding/dom_containment.h"
 #include "common/budget.h"
 #include "common/parallel.h"
 #include "constraints/order_constraints.h"
+#include "containment/expansion.h"
 #include "datalog/parser.h"
+#include "datalog/unfold.h"
 #include "eval/evaluator.h"
 #include "planner/planner.h"
 #include "relcont/decide.h"
 #include "relcont/pi2p_reduction.h"
+#include "service/protocol.h"
 #include "service/service.h"
 
 namespace relcont {
@@ -261,28 +266,10 @@ TEST(ParallelScanTest, ParentExhaustionStopsTheScan) {
 }
 
 // ---------------------------------------------------------------------------
-// The unified bound surface: structural caps and budget exhaustion produce
-// the same "bound reached [<site>]: ..." kBoundReached status.
+// The unified bound surface: every search charges the one installed budget
+// at its own site, and exhaustion produces the same
+// "bound reached [<site>]: ..." kBoundReached status.
 // ---------------------------------------------------------------------------
-
-TEST(UnifiedBoundTest, EvaluatorMaxFactsUsesBoundReachedFormat) {
-  Interner interner;
-  Result<Program> p =
-      ParseProgram("q(X, Y) :- e(X, Y).\nq(X, Z) :- q(X, Y), e(Y, Z).",
-                   &interner);
-  ASSERT_TRUE(p.ok());
-  Result<Database> db = ParseDatabase(
-      "e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 1).", &interner);
-  ASSERT_TRUE(db.ok());
-  EvalOptions options;
-  options.max_facts = 3;
-  Result<EvalResult> r = Evaluate(*p, *db, options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kBoundReached);
-  EXPECT_NE(r.status().ToString().find("bound reached [eval]"),
-            std::string::npos)
-      << r.status().ToString();
-}
 
 TEST(UnifiedBoundTest, StepBudgetTurnsDecisionIntoBoundReached) {
   Interner interner;
@@ -301,6 +288,52 @@ TEST(UnifiedBoundTest, StepBudgetTurnsDecisionIntoBoundReached) {
   EXPECT_NE(d.status().ToString().find("step budget exhausted"),
             std::string::npos)
       << d.status().ToString();
+}
+
+// No input runs unbounded: a Π₂ᴾ instance with 18 universal variables (a
+// 2^18-disjunct plan, far past the default step budget) answers
+// kBoundReached through default DecideOptions and through a CONTAINED?
+// request that sets no option — promptly, not after the full search.
+TEST(UnifiedBoundTest, DefaultBudgetBoundsEveryFrontDoorDecision) {
+  Interner interner;
+  QbfFormula f = RandomQbf(/*num_exists=*/3, /*num_forall=*/18,
+                           /*num_clauses=*/4, /*seed=*/25);
+  // ∀∃-true, so the plans are contained and no early counterexample can
+  // end the search.
+  ASSERT_TRUE(ForallExistsSatisfiable(f));
+  Result<Pi2pInstance> inst = BuildPi2pReduction(f, &interner);
+  ASSERT_TRUE(inst.ok());
+  Result<Decision> d = DecideRelativeContainment(
+      inst->q2, inst->q1, inst->views, {}, &interner, {});
+  ASSERT_EQ(d.status().code(), StatusCode::kBoundReached)
+      << d.status().ToString();
+  EXPECT_NE(d.status().ToString().find("step budget exhausted"),
+            std::string::npos)
+      << d.status().ToString();
+
+  auto render = [&](const std::vector<Rule>& rules) {
+    std::string text;
+    for (const Rule& r : rules) text += r.ToString(interner) + " ";
+    return text;
+  };
+  std::string views_text;
+  for (const ViewDefinition& v : inst->views.views()) {
+    views_text += "VIEW " + v.rule.ToString(interner) + " ";
+  }
+  ContainmentService service;
+  ServerSession session(&service);
+  ASSERT_EQ(session.HandleLine("CATALOG qbf " + views_text).rfind("OK", 0),
+            0u);
+  ASSERT_EQ(session.HandleLine("DEFINE a " + render(inst->q2.program.rules))
+                .rfind("OK", 0),
+            0u);
+  ASSERT_EQ(session.HandleLine("DEFINE b " + render(inst->q1.program.rules))
+                .rfind("OK", 0),
+            0u);
+  std::string out = session.HandleLine("CONTAINED? a b @qbf");
+  EXPECT_EQ(out.rfind("ERR", 0), 0u) << out;
+  EXPECT_NE(out.find("BoundReached: bound reached ["), std::string::npos)
+      << out;
 }
 
 TEST(UnifiedBoundTest, ExpiredDeadlineTurnsDecisionIntoBoundReached) {
@@ -366,25 +399,97 @@ uint64_t SiteCount(std::string_view site) {
   return 0;
 }
 
-TEST(BoundSiteAttributionTest, LinearizationDfsTripIsAttributed) {
-  const uint64_t before = SiteCount("linearization_dfs");
-  Interner interner;
-  OrderConstraints oc;
-  ASSERT_TRUE(oc.AddPoint(Term::Var(interner.Intern("A"))).ok());
-  ASSERT_TRUE(oc.AddPoint(Term::Var(interner.Intern("B"))).ok());
-  ASSERT_TRUE(oc.AddPoint(Term::Var(interner.Intern("C"))).ok());
-  WorkBudget budget;
-  budget.set_max_steps(1);
-  budget.Charge();
-  budget.Charge();  // exhausted: the DFS dies at its first node
-  BudgetScope scope(&budget);
-  Status status =
-      oc.ForEachLinearization([](const Linearization&) { return true; });
-  ASSERT_EQ(status.code(), StatusCode::kBoundReached);
-  EXPECT_NE(status.ToString().find("[linearization_dfs]"),
-            std::string::npos)
-      << status.ToString();
-  EXPECT_EQ(SiteCount("linearization_dfs"), before + 1);
+// One row per search that charges the budget at a site of its own. Each
+// row's work is sized so that a small step cap trips inside it; the cap
+// that lands the trip on the row's site depends on how many steps the
+// earlier phases charge, so the test sweeps the cap upward until it does.
+TEST(BoundSiteAttributionTest, EveryEffortSiteBoundsAtItsOwnName) {
+  struct Row {
+    const char* site;
+    std::function<Status(Interner*)> run;
+  };
+  auto parse = [](const char* text, Interner* interner) {
+    Result<Program> p = ParseProgram(text, interner);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    return p.ok() ? *p : Program();
+  };
+  // A dom plan whose every expansion is contained, so neither the tree
+  // saturation nor the sweep over cores stops early.
+  auto dom_plan = [&](Interner* interner) {
+    Program plan = parse(
+        "q(X) :- dom(X), r(X).\n"
+        "dom(a).\n"
+        "dom(Y) :- dom(X), e(X, Y).\n",
+        interner);
+    UnionQuery ucq;
+    ucq.disjuncts = parse("q2(X) :- r(X).", interner).rules;
+    return DomPlanContainedInUcq(plan, interner->Intern("q"),
+                                 interner->Intern("dom"), ucq, interner)
+        .status();
+  };
+  const std::vector<Row> rows = {
+      {"unfold",
+       [&](Interner* interner) {
+         Program p = parse(
+             "q(X) :- a(X), a(X), a(X), a(X).\n"
+             "a(X) :- b(X).\n"
+             "a(X) :- c(X).\n",
+             interner);
+         return UnfoldToUnion(p, interner->Intern("q"), interner).status();
+       }},
+      {"eval",
+       [&](Interner* interner) {
+         Program p = parse(
+             "q(X, Y) :- e(X, Y).\nq(X, Z) :- q(X, Y), e(Y, Z).", interner);
+         Result<Database> db = ParseDatabase(
+             "e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 1).", interner);
+         EXPECT_TRUE(db.ok());
+         return Evaluate(p, *db).status();
+       }},
+      {"expansion",
+       [&](Interner* interner) {
+         // Infinitely many expansions, each contained in q2.
+         Program p = parse("p(X) :- e(X).\np(X) :- p(X).", interner);
+         UnionQuery ucq;
+         ucq.disjuncts = parse("q2(X) :- e(X).", interner).rules;
+         return DatalogContainedInUcqBounded(p, interner->Intern("p"), ucq,
+                                             interner, ExpansionOptions{})
+             .status();
+       }},
+      {"dom_saturation", dom_plan},
+      {"dom_check_cores", dom_plan},
+      {"linearization_dfs",
+       [](Interner* interner) {
+         OrderConstraints oc;
+         for (const char* name : {"A", "B", "C"}) {
+           Status added = oc.AddPoint(Term::Var(interner->Intern(name)));
+           if (!added.ok()) return added;
+         }
+         return oc.ForEachLinearization(
+             [](const Linearization&) { return true; });
+       }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.site);
+    const std::string tag = std::string("bound reached [") + row.site + "]";
+    bool tripped = false;
+    for (int64_t steps = 1; steps <= 1000 && !tripped; ++steps) {
+      const uint64_t before = SiteCount(row.site);
+      Interner interner;
+      WorkBudget budget;
+      budget.set_max_steps(steps);
+      BudgetScope scope(&budget);
+      Status status = row.run(&interner);
+      if (status.ok()) break;  // the cap passed the site without a trip
+      ASSERT_EQ(status.code(), StatusCode::kBoundReached)
+          << status.ToString();
+      if (status.ToString().find(tag) != std::string::npos) {
+        tripped = true;
+        EXPECT_EQ(SiteCount(row.site), before + 1);
+      }
+    }
+    EXPECT_TRUE(tripped) << "no step cap tripped at " << row.site;
+  }
 }
 
 TEST(BoundSiteAttributionTest, DisjunctScanTripIsAttributed) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/budget.h"
 #include "constraints/order_constraints.h"
 #include "containment/comparison_containment.h"
 #include "datalog/parser.h"
@@ -195,7 +196,10 @@ TEST_F(ConstraintsTest, LinearizationEnumerationGuardsLargePointSets) {
             StatusCode::kBoundReached);
   // The containment layer surfaces the bound as kBoundReached: the
   // streaming DFS has no point cap, but 15 unconstrained points exceed
-  // the default enumeration node cap.
+  // any small step budget.
+  WorkBudget budget;
+  budget.set_max_steps(1 << 20);
+  BudgetScope scope(&budget);
   std::string body = "q(V0) :- ";
   for (int i = 0; i < 14; ++i) {
     if (i > 0) body += ", ";
@@ -327,8 +331,7 @@ TEST_F(ConstraintsTest, SatisfiabilityAndEntailmentUncappedAtTwentyPoints) {
 TEST_F(ConstraintsTest, StreamingEnumerationHandlesTwentyPlusPoints) {
   // A 20-point strict chain plus two free points: ~2k realizable
   // linearizations out of an ordered-Bell space of ~10^21. The pruned DFS
-  // visits only what the closed matrix allows and completes without
-  // tripping the node cap.
+  // visits only what the closed matrix allows and completes.
   auto v = [&](int i) {
     return Term::Var(interner_.Intern("V" + std::to_string(i)));
   };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/budget.h"
 #include "datalog/parser.h"
 #include "datalog/program.h"
 #include "datalog/substitution.h"
@@ -326,15 +327,15 @@ TEST_F(DatalogTest, UnfoldWithConstantsFiltersUnunifiableBranches) {
   EXPECT_EQ(u->disjuncts[0].body[0].predicate, interner_.Lookup("b"));
 }
 
-TEST_F(DatalogTest, UnfoldMaxDisjunctsBound) {
+TEST_F(DatalogTest, UnfoldStepBudgetBound) {
   Program p = MustParseProgram(
       "q(X) :- a(X), a(X), a(X), a(X).\n"
       "a(X) :- b(X).\n"
       "a(X) :- c(X).\n");
-  UnfoldOptions opts;
-  opts.max_disjuncts = 3;
-  Result<UnionQuery> u =
-      UnfoldToUnion(p, interner_.Lookup("q"), &interner_, opts);
+  WorkBudget budget;
+  budget.set_max_steps(3);  // 16 disjuncts take 31 resolution steps
+  BudgetScope scope(&budget);
+  Result<UnionQuery> u = UnfoldToUnion(p, interner_.Lookup("q"), &interner_);
   EXPECT_EQ(u.status().code(), StatusCode::kBoundReached);
 }
 

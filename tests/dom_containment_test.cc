@@ -176,6 +176,25 @@ TEST_F(DomContainmentTest, ThreeGuardTreesSaturate) {
   EXPECT_FALSE(Decide(prog, "q", U({"p(W) :- t(c, c, c, W)."})));
 }
 
+TEST_F(DomContainmentTest, DisjunctOverTheMaskLimitIsUnsupported) {
+  // Disjunct atoms index 64-bit masks: up to kMaxDisjunctSize atoms are
+  // decided, one more is a representation limit no budget can lift.
+  Program prog = P(
+      "q(X) :- r(X), dom(X).\n"
+      "dom(c).\n"
+      "dom(Y) :- dom(X), e(X, Y).\n");
+  auto wide = [](int atoms) {
+    std::string text = "p(X) :- r(X)";
+    for (int i = 1; i < atoms; ++i) text += ", r(X)";
+    return text + ".";
+  };
+  EXPECT_TRUE(Decide(prog, "q", U({wide(kMaxDisjunctSize)})));
+  Result<DomContainmentResult> over = DomPlanContainedInUcq(
+      prog, S("q"), S("dom"), U({wide(kMaxDisjunctSize + 1)}), &interner_);
+  EXPECT_EQ(over.status().code(), StatusCode::kUnsupported)
+      << over.status().ToString();
+}
+
 TEST_F(DomContainmentTest, RejectsNonDomRecursion) {
   Program prog = P(
       "q(Y) :- t(X, Y).\n"

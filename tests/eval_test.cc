@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/budget.h"
 #include "datalog/parser.h"
 #include "eval/evaluator.h"
 
@@ -141,14 +142,15 @@ TEST_F(EvalTest, DepthBoundStopsRunawaySkolems) {
   EXPECT_EQ(r->database.Tuples(interner_.Lookup("p")).size(), 4u);
 }
 
-TEST_F(EvalTest, MaxFactsBound) {
+TEST_F(EvalTest, StepBudgetBoundsEvaluation) {
   Program p = MustParseProgram("pair(X, Y) :- a(X), a(Y).");
   std::string facts;
   for (int i = 0; i < 100; ++i) facts += "a(" + std::to_string(i) + ").";
   Database db = MustParseDatabase(facts);
-  EvalOptions opts;
-  opts.max_facts = 1000;  // 100 EDB + 10000 derived > 1000
-  Result<EvalResult> r = Evaluate(p, db, opts);
+  WorkBudget budget;
+  budget.set_max_steps(1000);  // one step per join result; 10000 needed
+  BudgetScope scope(&budget);
+  Result<EvalResult> r = Evaluate(p, db);
   EXPECT_EQ(r.status().code(), StatusCode::kBoundReached);
 }
 

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "binding/dom_plan.h"
+#include "common/budget.h"
 #include "containment/canonical.h"
 #include "datalog/parser.h"
 #include "relcont/decide.h"
@@ -117,13 +118,16 @@ TEST(PlanDifferentialTest, ServedPlanMatchesLibraryPlan) {
         library_status = plan.status();
       }
     } else {
-      DecideOptions defaults;
+      // The default step budget the served request runs under.
+      WorkBudget budget;
+      budget.set_max_steps(DecideOptions::kDefaultMaxSteps);
+      BudgetScope scope(&budget);
       Result<Program> plan =
           MaximallyContainedPlan(*query, catalog->views, &lib);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString() << "\n"
                              << ReplayHint(seed);
-      Result<UnionQuery> ucq = PlanToUnion(*plan, goal, catalog->views,
-                                           &lib, defaults.unfold);
+      Result<UnionQuery> ucq =
+          PlanToUnion(*plan, goal, catalog->views, &lib);
       if (ucq.ok()) {
         library_plan = ucq->ToString(lib);
       } else {
@@ -144,7 +148,7 @@ TEST(PlanDifferentialTest, ServedPlanMatchesLibraryPlan) {
     std::string served = session.HandleLine("PLAN? q @c");
 
     if (!library_status.ok()) {
-      // Library-side bounds (e.g. max_disjuncts on a fan-out-heavy
+      // Library-side bounds (e.g. the step budget on a fan-out-heavy
       // catalog) must surface identically through the service.
       EXPECT_EQ(served.rfind("ERR [id=", 0), 0u)
           << served << "\n"

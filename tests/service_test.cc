@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "binding/dom_containment.h"
 #include "containment/canonical.h"
 #include "containment/homomorphism.h"
 #include "datalog/parser.h"
@@ -303,12 +304,6 @@ TEST_F(ServiceTest, CacheKeyIsRenamingInvariantAndOptionSensitive) {
   };
   // Each option that shapes an answer moves the key on its own...
   const std::vector<std::function<void(DecideOptions&)>> shaping = {
-      [](DecideOptions& o) { o.unfold.max_disjuncts = 99; },
-      [](DecideOptions& o) { o.dom.max_tree_options = 99; },
-      [](DecideOptions& o) { o.dom.max_rounds = 99; },
-      [](DecideOptions& o) { o.dom.max_core_checks = 99; },
-      [](DecideOptions& o) { o.dom.max_disjunct_size = 99; },
-      [](DecideOptions& o) { o.dom.unfold.max_disjuncts = 99; },
       [](DecideOptions& o) { o.max_rule_applications = 99; },
       [](DecideOptions& o) { o.strategy = ContainmentStrategy::kCegar; },
   };
@@ -758,6 +753,22 @@ TEST(ProtocolTest, ErrorsAreLineDelimited) {
   std::string unknown_catalog = session.HandleLine("CONTAINED? a b @zzz");
   EXPECT_EQ(unknown_catalog.rfind("ERR", 0), 0u);
   EXPECT_NE(unknown_catalog.find("unknown catalog"), std::string::npos);
+}
+
+TEST(ProtocolTest, DisjunctOverTheMaskLimitIsUnsupportedOnPatternCatalogs) {
+  ContainmentService service;
+  ServerSession session(&service);
+  session.HandleLine("CATALOG s VIEW v(X, Y) :- e(X, Y). PATTERN v bf");
+  session.HandleLine("DEFINE a a(X) :- e(X, Y).");
+  // A Q2 disjunct one atom over the §4 decider's 64-bit mask limit.
+  std::string wide = "DEFINE w w(X) :- e(X, Y0)";
+  for (int i = 1; i <= kMaxDisjunctSize; ++i) {
+    wide += ", e(Y" + std::to_string(i - 1) + ", Y" + std::to_string(i) + ")";
+  }
+  session.HandleLine(wide + ".");
+  std::string out = session.HandleLine("CONTAINED? a w @s");
+  EXPECT_EQ(out.rfind("ERR", 0), 0u) << out;
+  EXPECT_NE(out.find("Unsupported"), std::string::npos) << out;
 }
 
 TEST(ProtocolTest, BudgetOptionsParseAndSurfaceBounds) {
