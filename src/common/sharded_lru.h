@@ -50,7 +50,7 @@ class ShardedLru {
 
   /// Returns the cached value and refreshes its recency, or nullopt.
   /// Counts a hit or a miss.
-  std::optional<V> Lookup(const std::string& key) {
+  std::optional<V> Lookup(std::string_view key) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
@@ -65,7 +65,7 @@ class ShardedLru {
 
   /// Inserts (or refreshes) `key` under `tag`, evicting the shard's least
   /// recently used entry when the shard is full.
-  void Insert(const std::string& key, const std::string& tag, V value) {
+  void Insert(std::string_view key, const std::string& tag, V value) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
@@ -80,8 +80,8 @@ class ShardedLru {
       shard.lru.pop_back();
       ++shard.evictions;
     }
-    shard.lru.push_front(Entry{key, tag, std::move(value)});
-    shard.index[key] = shard.lru.begin();
+    shard.lru.push_front(Entry{std::string(key), tag, std::move(value)});
+    shard.index.emplace(shard.lru.front().key, shard.lru.begin());
   }
 
   /// Drops every entry tagged `tag` (every shard is swept — invalidation
@@ -121,8 +121,8 @@ class ShardedLru {
   void Clear() {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
-      shard->lru.clear();
       shard->index.clear();
+      shard->lru.clear();
     }
   }
 
@@ -140,7 +140,9 @@ class ShardedLru {
     std::mutex mu;
     /// Front = most recently used.
     std::list<Entry> lru;
-    std::unordered_map<std::string, typename std::list<Entry>::iterator>
+    /// Keyed by a view of the entry's own key, so each key is stored once;
+    /// list nodes never move, and an index slot is erased before its node.
+    std::unordered_map<std::string_view, typename std::list<Entry>::iterator>
         index;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -148,8 +150,8 @@ class ShardedLru {
     uint64_t invalidated = 0;
   };
 
-  Shard& ShardFor(const std::string& key) {
-    return *shards_[std::hash<std::string>{}(key) % shards_.size()];
+  Shard& ShardFor(std::string_view key) {
+    return *shards_[std::hash<std::string_view>{}(key) % shards_.size()];
   }
 
   size_t per_shard_capacity_;

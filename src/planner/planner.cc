@@ -1,5 +1,6 @@
 #include "planner/planner.h"
 
+#include <array>
 #include <optional>
 #include <utility>
 
@@ -16,24 +17,25 @@ Planner::Planner(ContainmentService* service)
       cache_(service->config().plan_cache_capacity, kCacheShards) {}
 
 PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
+  const FrameRequest frame{ServiceVerb::kPlan, request.catalog,
+                           request.options, request.bypass_cache,
+                           request.collect_trace, "planner_plan"};
   auto body = [&](RequestState& state, PlanResponse& out) -> Result<Regime> {
     const MaterializedCatalog* catalog = state.catalog;
+    const std::array<QuestionQuery, 1> queries = {
+        {{request.query_text, request.query_fingerprint}}};
     RELCONT_ASSIGN_OR_RETURN(
-        GoalQuery query, ParseGoalQuery(request.query_text, ctx->interner()));
-    std::string key;
-    if (!request.bypass_cache) {
-      key = QuestionCacheKey(ServiceVerb::kPlan, request.catalog,
-                             catalog->version, {&query}, request.options,
-                             *ctx->interner());
-      if (std::optional<CachedPlan> cached = cache_.Lookup(key)) {
-        out.plan_text = std::move(cached->plan_text);
-        out.dom_predicate = std::move(cached->dom_predicate);
-        out.num_rules = cached->num_rules;
-        out.recursive = cached->recursive;
-        out.cache_hit = true;
-        return out.recursive ? Regime::kSection4 : Regime::kSection3;
-      }
+        auto question,
+        LookupQuestion(frame, state, cache_, queries, ctx->interner()));
+    if (std::optional<CachedPlan>& cached = question.cached) {
+      out.plan_text = std::move(cached->plan_text);
+      out.dom_predicate = std::move(cached->dom_predicate);
+      out.num_rules = cached->num_rules;
+      out.recursive = cached->recursive;
+      out.cache_hit = true;
+      return out.recursive ? Regime::kSection4 : Regime::kSection3;
     }
+    const GoalQuery& query = question.queries[0];
     BudgetScope budget_scope(&state.budget);
     RELCONT_TRACE_SPAN("planner_plan");
     if (!catalog->patterns.empty()) {
@@ -66,7 +68,7 @@ PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
     RELCONT_TRACE_COUNT(kPlannerPlanRules,
                         static_cast<uint64_t>(out.num_rules));
     if (!request.bypass_cache) {
-      cache_.Insert(key, request.catalog,
+      cache_.Insert(question.key, request.catalog,
                     CachedPlan{out.plan_text, out.dom_predicate,
                                out.num_rules, out.recursive,
                                /*contained=*/false, /*witness_text=*/""});
@@ -78,15 +80,14 @@ PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
                                           out.latency_micros,
                                           !out.status.ok());
   };
-  return ServeRequest<PlanResponse>(
-      *service_,
-      {ServiceVerb::kPlan, request.catalog, request.options,
-       request.collect_trace, "planner_plan"},
-      ctx, body, record);
+  return ServeRequest<PlanResponse>(*service_, frame, ctx, body, record);
 }
 
 RewriteResponse Planner::Rewrite(const RewriteRequest& request,
                                  WorkerContext* ctx) {
+  const FrameRequest frame{ServiceVerb::kRewrite, request.catalog,
+                           request.options, request.bypass_cache,
+                           request.collect_trace, "planner_rewrite"};
   auto body = [&](RequestState& state,
                   RewriteResponse& out) -> Result<Regime> {
     const MaterializedCatalog* catalog = state.catalog;
@@ -94,22 +95,19 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
     // sample to the regime the cached answer came from.
     bool used_patterns = !catalog->patterns.empty();
     Regime regime = used_patterns ? Regime::kSection4 : Regime::kSection3;
+    const std::array<QuestionQuery, 2> queries = {
+        {{request.q1_text, request.q1_fingerprint},
+         {request.q2_text, request.q2_fingerprint}}};
     RELCONT_ASSIGN_OR_RETURN(
-        GoalQuery q1, ParseGoalQuery(request.q1_text, ctx->interner()));
-    RELCONT_ASSIGN_OR_RETURN(
-        GoalQuery q2, ParseGoalQuery(request.q2_text, ctx->interner()));
-    std::string key;
-    if (!request.bypass_cache) {
-      key = QuestionCacheKey(ServiceVerb::kRewrite, request.catalog,
-                             catalog->version, {&q1, &q2}, request.options,
-                             *ctx->interner());
-      if (std::optional<CachedPlan> cached = cache_.Lookup(key)) {
-        out.contained = cached->contained;
-        out.witness_text = std::move(cached->witness_text);
-        out.cache_hit = true;
-        return regime;
-      }
+        auto question,
+        LookupQuestion(frame, state, cache_, queries, ctx->interner()));
+    if (std::optional<CachedPlan>& cached = question.cached) {
+      out.contained = cached->contained;
+      out.witness_text = std::move(cached->witness_text);
+      out.cache_hit = true;
+      return regime;
     }
+    const auto& [q1, q2] = question.queries;
     BudgetScope budget_scope(&state.budget);
     RELCONT_TRACE_SPAN("planner_rewrite");
     if (used_patterns) {
@@ -138,7 +136,7 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
       }
     }
     if (!request.bypass_cache) {
-      cache_.Insert(key, request.catalog,
+      cache_.Insert(question.key, request.catalog,
                     CachedPlan{/*plan_text=*/"", /*dom_predicate=*/"",
                                /*num_rules=*/0, /*recursive=*/false,
                                out.contained, out.witness_text});
@@ -150,11 +148,7 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
                                           out.latency_micros,
                                           !out.status.ok());
   };
-  return ServeRequest<RewriteResponse>(
-      *service_,
-      {ServiceVerb::kRewrite, request.catalog, request.options,
-       request.collect_trace, "planner_rewrite"},
-      ctx, body, record);
+  return ServeRequest<RewriteResponse>(*service_, frame, ctx, body, record);
 }
 
 }  // namespace relcont

@@ -56,6 +56,10 @@ struct CachedPlan {
 /// against the named catalog.
 struct PlanRequest {
   std::string query_text;
+  /// The canonical fingerprint of query_text, or "" to derive it from the
+  /// text; a non-empty one must equal that of the text (see
+  /// DecisionRequest::q1_fingerprint).
+  std::string query_fingerprint;
   std::string catalog;
   DecideOptions options;
   bool bypass_cache = false;
@@ -90,6 +94,9 @@ struct PlanResponse {
 struct RewriteRequest {
   std::string q1_text;
   std::string q2_text;
+  /// As DecisionRequest::q1_fingerprint / q2_fingerprint.
+  std::string q1_fingerprint;
+  std::string q2_fingerprint;
   std::string catalog;
   DecideOptions options;
   bool bypass_cache = false;

@@ -4,9 +4,9 @@
 #include <climits>
 #include <cstdlib>
 #include <optional>
-#include <sstream>
 
 #include "common/json.h"
+#include "containment/canonical.h"
 #include "datalog/parser.h"
 
 namespace relcont {
@@ -16,11 +16,17 @@ namespace {
 using Args = std::span<const std::string>;
 using Verb = ServerSession::Verb;
 
-std::vector<std::string> Tokenize(const std::string& s) {
-  std::istringstream in(s);
+/// Splits a line into words on the whitespace `operator>>` skips in the
+/// "C" locale; a `getline` line's trailing '\r' is whitespace too.
+std::vector<std::string> Tokenize(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
   std::vector<std::string> tokens;
-  std::string token;
-  while (in >> token) tokens.push_back(token);
+  size_t begin = line.find_first_not_of(kSpace);
+  while (begin != std::string_view::npos) {
+    size_t end = line.find_first_of(kSpace, begin);  // npos: to the end
+    tokens.emplace_back(line.substr(begin, end - begin));
+    begin = line.find_first_not_of(kSpace, end);
+  }
   return tokens;
 }
 
@@ -34,12 +40,14 @@ std::string Join(Args tokens) {
 }
 
 /// Pops trailing `key=value` budget options off `args` and applies them
-/// to `options`. Recognized keys: timeout_ms (per-request deadline),
+/// to `options`, stopping at the `@<catalog>` word (a catalog name may
+/// contain '='). Recognized keys: timeout_ms (per-request deadline),
 /// budget (max decision steps), workers (parallel scan width), strategy
 /// (section3 engine: cegar, scan, or auto). Returns a newline-terminated
 /// "ERR ..." line on a malformed option, "" on success.
 std::string ConsumeBudgetOptions(Args* args, DecideOptions* options) {
-  for (; !args->empty() && args->back().find('=') != std::string::npos;
+  for (; !args->empty() && args->back()[0] != '@' &&
+         args->back().find('=') != std::string::npos;
        *args = args->first(args->size() - 1)) {
     const std::string& token = args->back();
     size_t eq = token.find('=');
@@ -90,13 +98,21 @@ std::string Usage(const Verb& verb) {
   return "ERR InvalidArgument: expected " + Spelled(verb) + "\n";
 }
 
+/// Where ParseQuestion puts one named query: its request's text and
+/// fingerprint fields.
+struct QueryFields {
+  std::string* text;
+  std::string* fingerprint;
+};
+
 /// The one parser of question lines: `<q> @<catalog> [options]` or
 /// `<q1> <q2> @<catalog> [options]`, as `verb.args` spells it. Fills one
-/// `texts` entry per DEFINE'd name, `*catalog` and `*options`; returns the
-/// first ERR line (options, then shape, then names), or "".
+/// `queries` entry per DEFINE'd name with its text and stored fingerprint,
+/// then `*catalog` and `*options`; returns the first ERR line (options,
+/// then shape, then names), or "".
 std::string ParseQuestion(const Verb& verb, Args args,
-                          const std::map<std::string, std::string>& defined,
-                          std::array<std::string*, 2> texts,
+                          const std::map<std::string, DefinedQuery>& defined,
+                          std::array<QueryFields, 2> queries,
                           std::string* catalog, DecideOptions* options) {
   std::string error = ConsumeBudgetOptions(&args, options);
   if (!error.empty()) return error;
@@ -111,7 +127,8 @@ std::string ParseQuestion(const Verb& verb, Args args,
       return "ERR InvalidArgument: unknown query '" + args[i] +
              "' — DEFINE it first\n";
     }
-    *texts[i] = it->second;
+    queries[i].text->assign(it->second.text());
+    queries[i].fingerprint->assign(it->second.fingerprint());
   }
   *catalog = args[arity].substr(1);
   return "";
@@ -290,7 +307,12 @@ std::string ServerSession::HandleDefine(const Verb&, Args args, bool, bool) {
   if (parsed->rules.empty()) {
     return "ERR InvalidArgument: DEFINE needs at least one rule\n";
   }
-  queries_[name] = std::move(text);
+  // Fingerprinted once, here: a question keys from it and parses the text
+  // only on a miss. The goal is the head of the first rule, as for every
+  // question (ParseGoalQuery).
+  const std::string fingerprint = CanonicalProgramFingerprint(
+      *parsed, parsed->rules[0].head.predicate, *ctx_.interner());
+  queries_.insert_or_assign(name, DefinedQuery(text, fingerprint));
   return "OK query " + name +
          " rules=" + std::to_string(parsed->rules.size()) + "\n";
 }
@@ -304,7 +326,9 @@ std::string ServerSession::HandleContained(const Verb& verb, Args args,
   DecisionRequest request;
   request.bypass_cache = request.collect_trace = collect_trace;
   std::string error =
-      ParseQuestion(verb, args, queries_, {&request.q1_text, &request.q2_text},
+      ParseQuestion(verb, args, queries_,
+                    {{{&request.q1_text, &request.q1_fingerprint},
+                      {&request.q2_text, &request.q2_fingerprint}}},
                     &request.catalog, &request.options);
   if (!error.empty()) return error;
   if (in_batch_) {
@@ -323,7 +347,8 @@ std::string ServerSession::HandlePlan(const Verb& verb, Args args,
   PlanRequest request;
   request.bypass_cache = request.collect_trace = collect_trace;
   std::string error =
-      ParseQuestion(verb, args, queries_, {&request.query_text, nullptr},
+      ParseQuestion(verb, args, queries_,
+                    {{{&request.query_text, &request.query_fingerprint}}},
                     &request.catalog, &request.options);
   if (!error.empty()) return error;
   PlanResponse response = service_->planner().Plan(request, &ctx_);
@@ -346,7 +371,9 @@ std::string ServerSession::HandleRewrite(const Verb& verb, Args args,
   RewriteRequest request;
   request.bypass_cache = request.collect_trace = collect_trace;
   std::string error =
-      ParseQuestion(verb, args, queries_, {&request.q1_text, &request.q2_text},
+      ParseQuestion(verb, args, queries_,
+                    {{{&request.q1_text, &request.q1_fingerprint},
+                      {&request.q2_text, &request.q2_fingerprint}}},
                     &request.catalog, &request.options);
   if (!error.empty()) return error;
   RewriteResponse response =

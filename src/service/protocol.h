@@ -19,6 +19,29 @@ namespace relcont {
 using DecisionObserver =
     std::function<void(const DecisionRequest&, const DecisionResponse&)>;
 
+/// A DEFINE'd query: its text and the canonical fingerprint DEFINE
+/// computed from it (CanonicalProgramFingerprint, goal = head of the first
+/// rule), kept in one buffer so a name costs one allocation.
+class DefinedQuery {
+ public:
+  DefinedQuery(std::string_view text, std::string_view fingerprint)
+      : text_size_(text.size()) {
+    bytes_.reserve(text.size() + fingerprint.size());
+    bytes_.append(text).append(fingerprint);
+  }
+
+  std::string_view text() const {
+    return std::string_view(bytes_).substr(0, text_size_);
+  }
+  std::string_view fingerprint() const {
+    return std::string_view(bytes_).substr(text_size_);
+  }
+
+ private:
+  std::string bytes_;
+  size_t text_size_;
+};
+
 /// One client session of the line-delimited request/response protocol
 /// (grammar in docs/SERVICE.md): one request line in, one reply out. The
 /// verbs are the rows of Verbs(); HandleLine dispatches on that table,
@@ -85,8 +108,10 @@ class ServerSession {
   WorkerContext ctx_;
   int batch_threads_;
   DecisionObserver observer_;
-  /// Named query texts declared with DEFINE.
-  std::map<std::string, std::string> queries_;
+  /// The queries declared with DEFINE, by name. A question copies a
+  /// query's text and fingerprint into its request; a re-DEFINE replaces
+  /// both together.
+  std::map<std::string, DefinedQuery> queries_;
   bool in_batch_ = false;
   std::vector<DecisionRequest> batch_;
 };

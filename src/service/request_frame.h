@@ -5,11 +5,14 @@
 // (ContainmentService::Decide, Planner::Plan, Planner::Rewrite). Private to
 // src/service and src/planner.
 
+#include <array>
 #include <chrono>
-#include <initializer_list>
+#include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/budget.h"
@@ -44,16 +47,17 @@ inline Result<GoalQuery> ParseGoalQuery(const std::string& text,
 /// kBoundReached status, and non-OK results are never cached — so every
 /// cached answer is budget-independent, and requests that differ only in
 /// budget may share an entry.
+///
+/// The one key builder: fingerprints stored at DEFINE and fingerprints
+/// derived from a text (KeyQuestion) both reach the key through here.
 inline std::string QuestionCacheKey(
     ServiceVerb verb, const std::string& catalog, int64_t version,
-    std::initializer_list<const GoalQuery*> queries, const DecideOptions& o,
-    const Interner& interner) {
+    std::span<const std::string_view> fingerprints, const DecideOptions& o) {
   std::string key(ServiceVerbName(verb));
   key.append("\x1f").append(catalog).append(":v").append(
       std::to_string(version));
-  for (const GoalQuery* q : queries) {
-    key.append("\x1f").append(
-        CanonicalProgramFingerprint(q->program, q->goal, interner));
+  for (std::string_view fingerprint : fingerprints) {
+    key.append("\x1f").append(fingerprint);
   }
   key += '\x1f';
   for (int64_t field :
@@ -63,11 +67,44 @@ inline std::string QuestionCacheKey(
   return key;
 }
 
+/// One query a question names: its text, and the canonical fingerprint of
+/// that text when the caller already has it ("" = derive it from the text).
+struct QuestionQuery {
+  const std::string& text;
+  const std::string& fingerprint;
+};
+
+/// The key of a question over `queries` (QuestionCacheKey). A stored
+/// fingerprint is used as is and its text is not read; a missing one is
+/// derived by parsing its text into `(*parsed)[i]`, which keeps the parse
+/// for a miss to reuse.
+template <size_t N>
+Result<std::string> KeyQuestion(ServiceVerb verb, const std::string& catalog,
+                                int64_t version,
+                                const std::array<QuestionQuery, N>& queries,
+                                const DecideOptions& options,
+                                Interner* interner,
+                                std::array<GoalQuery, N>* parsed) {
+  std::array<std::string, N> derived;
+  std::array<std::string_view, N> fingerprints;
+  for (size_t i = 0; i < N; ++i) {
+    fingerprints[i] = queries[i].fingerprint;
+    if (!fingerprints[i].empty()) continue;
+    RELCONT_ASSIGN_OR_RETURN((*parsed)[i],
+                             ParseGoalQuery(queries[i].text, interner));
+    derived[i] = CanonicalProgramFingerprint((*parsed)[i].program,
+                                             (*parsed)[i].goal, *interner);
+    fingerprints[i] = derived[i];
+  }
+  return QuestionCacheKey(verb, catalog, version, fingerprints, options);
+}
+
 /// What the frame reads from one request of any verb.
 struct FrameRequest {
   ServiceVerb verb;
   const std::string& catalog;
   const DecideOptions& options;
+  bool bypass_cache;
   bool collect_trace;
   /// The aggregate site a bound request is attributed to on top of the
   /// inner site that minted the status (nullptr: none).
@@ -86,13 +123,52 @@ struct RequestState {
   int parallel_workers = 1;
 };
 
+/// A question after its keyed front half (LookupQuestion).
+template <typename V, size_t N>
+struct KeyedQuestion {
+  /// The cached answer, on a hit.
+  std::optional<V> cached;
+  /// The cache key ("" when the request bypasses the cache).
+  std::string key;
+  /// The queries parsed into the worker arena, unless `cached`.
+  std::array<GoalQuery, N> queries;
+};
+
+/// The front half every question verb shares: key the question from its
+/// queries' fingerprints (KeyQuestion) and probe `cache`. A hit on stored
+/// fingerprints parses nothing. Only on a miss, or when the request
+/// bypasses the cache, is every query not yet parsed parsed into the
+/// worker arena, once.
+template <typename V, size_t N>
+Result<KeyedQuestion<V, N>> LookupQuestion(
+    const FrameRequest& request, const RequestState& state,
+    ShardedLru<V>& cache, const std::array<QuestionQuery, N>& queries,
+    Interner* interner) {
+  KeyedQuestion<V, N> out;
+  if (!request.bypass_cache) {
+    RELCONT_ASSIGN_OR_RETURN(
+        out.key, KeyQuestion(request.verb, request.catalog,
+                             state.catalog->version, queries, request.options,
+                             interner, &out.queries));
+    out.cached = cache.Lookup(out.key);
+    if (out.cached.has_value()) return out;
+  }
+  for (size_t i = 0; i < N; ++i) {
+    if (out.queries[i].goal != kInvalidSymbol) continue;  // parsed to key it
+    RELCONT_ASSIGN_OR_RETURN(out.queries[i],
+                             ParseGoalQuery(queries[i].text, interner));
+  }
+  return out;
+}
+
 /// Runs one request inside the frame every verb shares: request id, budget
 /// and trace setup and catalog resolution before `body`; the rollback of
 /// the fresh symbols it minted, latency, inflight gauge, budget, trace and
 /// wide-event accounting after it, on every path including errors.
 ///
-/// `body(state, out)` parses, keys, looks up, computes and inserts; it
-/// fills `out` and returns the regime the answer is attributed to.
+/// `body(state, out)` keys and looks up (LookupQuestion), computes and
+/// inserts; it fills `out` and returns the regime the answer is attributed
+/// to.
 /// `record(regime, out)` files the verb's own request counters. One regime
 /// per request feeds every record: kUnknown whenever the request failed.
 template <typename Response, typename Body, typename Record>

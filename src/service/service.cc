@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <array>
 #include <atomic>
 #include <optional>
 #include <thread>
@@ -26,40 +27,44 @@ ContainmentService::ContainmentService(ServiceConfig config)
       });
 }
 
+namespace {
+
+std::array<QuestionQuery, 2> QueriesOf(const DecisionRequest& request) {
+  return {{{request.q1_text, request.q1_fingerprint},
+           {request.q2_text, request.q2_fingerprint}}};
+}
+
+}  // namespace
+
 Result<std::string> ContainmentService::CacheKey(
     const DecisionRequest& request, WorkerContext* ctx) {
   RELCONT_ASSIGN_OR_RETURN(const MaterializedCatalog* catalog,
                            ctx->Catalog(catalogs_, request.catalog));
-  RELCONT_ASSIGN_OR_RETURN(GoalQuery q1,
-                           ParseGoalQuery(request.q1_text, ctx->interner()));
-  RELCONT_ASSIGN_OR_RETURN(GoalQuery q2,
-                           ParseGoalQuery(request.q2_text, ctx->interner()));
-  return QuestionCacheKey(ServiceVerb::kContained, request.catalog,
-                          catalog->version, {&q1, &q2}, request.options,
-                          *ctx->interner());
+  std::array<GoalQuery, 2> parsed;
+  return KeyQuestion(ServiceVerb::kContained, request.catalog,
+                     catalog->version, QueriesOf(request), request.options,
+                     ctx->interner(), &parsed);
 }
 
 DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
                                             WorkerContext* ctx) {
+  const FrameRequest frame{ServiceVerb::kContained, request.catalog,
+                           request.options, request.bypass_cache,
+                           request.collect_trace, /*bound_site=*/nullptr};
   auto body = [&](RequestState& state,
                   DecisionResponse& out) -> Result<Regime> {
     RELCONT_ASSIGN_OR_RETURN(
-        GoalQuery q1, ParseGoalQuery(request.q1_text, ctx->interner()));
-    RELCONT_ASSIGN_OR_RETURN(
-        GoalQuery q2, ParseGoalQuery(request.q2_text, ctx->interner()));
-    std::string key;
-    if (!request.bypass_cache) {
-      key = QuestionCacheKey(ServiceVerb::kContained, request.catalog,
-                             state.catalog->version, {&q1, &q2},
-                             request.options, *ctx->interner());
-      if (std::optional<CachedDecision> cached = cache_.Lookup(key)) {
-        out.contained = cached->contained;
-        out.regime = cached->regime;
-        out.witness_text = std::move(cached->witness_text);
-        out.cache_hit = true;
-        return out.regime;
-      }
+        auto question,
+        LookupQuestion(frame, state, cache_, QueriesOf(request),
+                       ctx->interner()));
+    if (std::optional<CachedDecision>& cached = question.cached) {
+      out.contained = cached->contained;
+      out.regime = cached->regime;
+      out.witness_text = std::move(cached->witness_text);
+      out.cache_hit = true;
+      return out.regime;
     }
+    const auto& [q1, q2] = question.queries;
     DecideOptions options = request.options;
     options.parallel_workers = state.parallel_workers;
     BudgetScope budget_scope(&state.budget);
@@ -74,7 +79,7 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
       out.witness_text = decision.witness->ToString(*ctx->interner());
     }
     if (!request.bypass_cache) {
-      cache_.Insert(key, request.catalog,
+      cache_.Insert(question.key, request.catalog,
                     CachedDecision{out.contained, out.regime,
                                    out.witness_text});
     }
@@ -84,11 +89,7 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
     metrics_.RecordRequest(regime, out.latency_micros, !out.status.ok(),
                            out.cache_hit);
   };
-  return ServeRequest<DecisionResponse>(
-      *this,
-      {ServiceVerb::kContained, request.catalog, request.options,
-       request.collect_trace, /*bound_site=*/nullptr},
-      ctx, body, record);
+  return ServeRequest<DecisionResponse>(*this, frame, ctx, body, record);
 }
 
 std::vector<DecisionResponse> ContainmentService::ExecuteBatch(

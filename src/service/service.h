@@ -70,6 +70,13 @@ struct ServiceConfig {
 struct DecisionRequest {
   std::string q1_text;
   std::string q2_text;
+  /// The canonical fingerprints (CanonicalProgramFingerprint) of q1_text
+  /// and q2_text, when the caller has them; "" derives one from its text.
+  /// A non-empty fingerprint must equal that of the text beside it: the
+  /// cache key is built from it, and a hit never reads the text. DEFINE is
+  /// the one producer (ServerSession).
+  std::string q1_fingerprint;
+  std::string q2_fingerprint;
   /// Name of a catalog previously registered with the service.
   std::string catalog;
   DecideOptions options;
@@ -147,7 +154,9 @@ class ContainmentService {
       const std::vector<DecisionRequest>& requests, int num_threads);
 
   /// The cache key for `request` as seen from `ctx`: canonical query
-  /// fingerprints + catalog identity + options. Exposed for tests.
+  /// fingerprints (stored, or derived from the texts) + catalog identity +
+  /// options, through the one key builder QuestionCacheKey. Exposed for
+  /// tests.
   Result<std::string> CacheKey(const DecisionRequest& request,
                                WorkerContext* ctx);
 

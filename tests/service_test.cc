@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "binding/dom_containment.h"
@@ -19,6 +20,7 @@
 #include "rewriting/inverse_rules.h"
 #include "rewriting/views.h"
 #include "service/protocol.h"
+#include "service/request_frame.h"
 #include "service/service.h"
 #include "trace/trace.h"
 
@@ -854,6 +856,220 @@ TEST(ProtocolTest, HelpListsExactlyTheDispatchedVerbs) {
     }
   }
   EXPECT_EQ(service.metrics().unknown_verbs(), 0u);
+}
+
+// A catalog name may contain '=': the `@<catalog>` word ends the trailing
+// options, so it is never read as one.
+TEST(ProtocolTest, CatalogNameWithEqualsSignIsQueryable) {
+  ContainmentService service;
+  ServerSession session(&service);
+  EXPECT_EQ(session.HandleLine("CATALOG c=1 VIEW v(X, Y) :- p(X, Y)."),
+            "OK catalog c=1 v1 views=1 patterns=0\n");
+  session.HandleLine("DEFINE a a(X) :- p(X, X).");
+  session.HandleLine("DEFINE b b(X) :- p(X, Y).");
+  std::string yes = session.HandleLine("CONTAINED? a b @c=1");
+  EXPECT_EQ(yes.rfind("YES section3 MISS", 0), 0u) << yes;
+  std::string budgeted = session.HandleLine("CONTAINED? a b @c=1 budget=99");
+  EXPECT_EQ(budgeted.rfind("YES section3 HIT", 0), 0u) << budgeted;
+  std::string plan = session.HandleLine("PLAN? a @c=1");
+  EXPECT_EQ(plan.rfind("OK plan catalog=c=1 v1", 0), 0u) << plan;
+  std::string err = session.HandleLine("CONTAINED? a b @c=1 frobs=3");
+  EXPECT_NE(err.find("unknown option 'frobs'"), std::string::npos) << err;
+}
+
+/// A reply without the fields two equal answers may differ in: each
+/// " HIT|MISS <latency>us id=<N>".
+std::string WithoutCacheFields(std::string reply) {
+  for (const char* mark : {" HIT ", " MISS "}) {
+    for (size_t at = reply.find(mark); at != std::string::npos;
+         at = reply.find(mark, at)) {
+      size_t id = reply.find(" id=", at + 1);
+      if (id == std::string::npos) break;
+      reply.erase(at, reply.find_first_not_of("0123456789", id + 4) - at);
+    }
+  }
+  return reply;
+}
+
+/// The fingerprint DEFINE stores for `text`: goal = head of the first rule.
+std::string DefinedFingerprint(const std::string& text) {
+  Interner interner;
+  Result<GoalQuery> query = ParseGoalQuery(text, &interner);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  if (!query.ok()) return "";
+  return CanonicalProgramFingerprint(query->program, query->goal, interner);
+}
+
+// Questions naming DEFINE'd queries key from the fingerprints DEFINE
+// stored. Over every question verb: (a) that key is the one the texts
+// derive; (b) an alpha-renamed, rule-shuffled twin hits it; a hit on stored
+// fingerprints never reads the text; (c) a re-DEFINE to an inequivalent
+// query misses and answers anew; (d) a BATCH of DEFINE'd names hits.
+TEST(ProtocolTest, DefinedFingerprintsKeySoundly) {
+  const std::string catalog =
+      "CATALOG c VIEW v1(X, Y) :- p(X, Y). VIEW v2(X) :- s(X).";
+  const std::map<std::string, std::string> defines = {
+      {"q1", "a(X) :- p(X, Y), s(Y). a(X) :- p(X, X)."},
+      {"q2", "b(X) :- p(X, Y)."},
+      {"t1", "a(U) :- p(U, U). a(U) :- p(U, W), s(W)."},  // q1's twin
+      {"t2", "b(Z) :- p(Z, W)."},                          // q2's twin
+  };
+  const std::string q1_new = "a(X) :- s(X).";  // not equivalent to q1
+  const std::string fp1 = DefinedFingerprint(defines.at("q1"));
+  const std::string fp2 = DefinedFingerprint(defines.at("q2"));
+  struct Row {
+    ServiceVerb verb;
+    std::string spelled;
+    bool two_queries;
+  };
+  for (const Row& row : {Row{ServiceVerb::kContained, "CONTAINED?", true},
+                         Row{ServiceVerb::kPlan, "PLAN?", false},
+                         Row{ServiceVerb::kRewrite, "REWRITE?", true}}) {
+    SCOPED_TRACE(row.spelled);
+    ContainmentService service;
+    ServerSession session(&service);
+    auto setup = [&](ServerSession& s,
+                     const std::map<std::string, std::string>& queries) {
+      ASSERT_EQ(s.HandleLine(catalog).rfind("OK", 0), 0u);
+      for (const auto& [name, text] : queries) {
+        ASSERT_EQ(s.HandleLine("DEFINE " + name + " " + text).rfind("OK", 0),
+                  0u);
+      }
+    };
+    setup(session, defines);
+    auto ask = [&](ServerSession& s, const std::string& a,
+                   const std::string& b) {
+      return s.HandleLine(row.spelled + " " + a +
+                          (row.two_queries ? " " + b : "") + " @c");
+    };
+    ShardedLru<CachedPlan>& plans = service.planner().cache();
+    auto entries = [&] {
+      return row.verb == ServiceVerb::kContained ? service.cache().Stats().entries
+                                                 : plans.Stats().entries;
+    };
+
+    const std::string first = ask(session, "q1", "q2");
+    EXPECT_NE(first.find(" MISS "), std::string::npos) << first;
+    EXPECT_EQ(entries(), 1u);
+
+    // (a) The one entry, inserted under the DEFINE'd key, is found under
+    // the key the texts derive.
+    std::vector<std::string_view> fingerprints = {fp1};
+    if (row.two_queries) fingerprints.push_back(fp2);
+    const std::string text_key =
+        QuestionCacheKey(row.verb, "c", 1, fingerprints, DecideOptions{});
+    if (row.verb == ServiceVerb::kContained) {
+      EXPECT_TRUE(service.cache().Lookup(text_key).has_value());
+      DecisionRequest request;
+      request.q1_text = defines.at("q1");
+      request.q2_text = defines.at("q2");
+      request.catalog = "c";
+      WorkerContext ctx;
+      Result<std::string> derived = service.CacheKey(request, &ctx);
+      ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+      EXPECT_EQ(*derived, text_key);
+      request.q1_fingerprint = fp1;
+      request.q2_fingerprint = fp2;
+      Result<std::string> stored = service.CacheKey(request, &ctx);
+      ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+      EXPECT_EQ(*stored, text_key);
+    } else {
+      EXPECT_TRUE(plans.Lookup(text_key).has_value());
+    }
+
+    // (b) The twins hit the same entry and answer alike.
+    const std::string twin = ask(session, "t1", "t2");
+    EXPECT_NE(twin.find(" HIT "), std::string::npos) << twin;
+    EXPECT_EQ(WithoutCacheFields(twin), WithoutCacheFields(first));
+    EXPECT_EQ(entries(), 1u);
+
+    // A hit on stored fingerprints reads no text: an empty one, which
+    // would not parse, still hits.
+    WorkerContext ctx;
+    bool hit = false;
+    if (row.verb == ServiceVerb::kContained) {
+      DecisionRequest request;
+      request.q1_fingerprint = fp1;
+      request.q2_fingerprint = fp2;
+      request.catalog = "c";
+      DecisionResponse response = service.Decide(request, &ctx);
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      hit = response.cache_hit;
+    } else if (row.verb == ServiceVerb::kPlan) {
+      PlanRequest request;
+      request.query_fingerprint = fp1;
+      request.catalog = "c";
+      PlanResponse response = service.planner().Plan(request, &ctx);
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      hit = response.cache_hit;
+    } else {
+      RewriteRequest request;
+      request.q1_fingerprint = fp1;
+      request.q2_fingerprint = fp2;
+      request.catalog = "c";
+      RewriteResponse response = service.planner().Rewrite(request, &ctx);
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      hit = response.cache_hit;
+    }
+    EXPECT_TRUE(hit);
+
+    // (d) A batch of DEFINE'd names hits on its fan-out workers.
+    if (row.verb == ServiceVerb::kContained) {
+      session.HandleLine("BATCH BEGIN");
+      session.HandleLine("CONTAINED? q1 q2 @c");
+      session.HandleLine("CONTAINED? t1 t2 @c");
+      std::string batch = session.HandleLine("BATCH END");
+      EXPECT_NE(batch.find("[0] YES section3 HIT"), std::string::npos)
+          << batch;
+      EXPECT_NE(batch.find("[1] YES section3 HIT"), std::string::npos)
+          << batch;
+    }
+
+    // (c) A re-DEFINE replaces the stored fingerprint with its text: the
+    // next question misses and answers as a session that only ever knew
+    // the new query.
+    EXPECT_EQ(session.HandleLine("DEFINE q1 " + q1_new), "OK query q1 rules=1\n");
+    const std::string redefined = ask(session, "q1", "q2");
+    EXPECT_NE(redefined.find(" MISS "), std::string::npos) << redefined;
+    ContainmentService fresh_service;
+    ServerSession fresh(&fresh_service);
+    setup(fresh, {{"q1", q1_new}, {"q2", defines.at("q2")}});
+    EXPECT_EQ(WithoutCacheFields(redefined),
+              WithoutCacheFields(ask(fresh, "q1", "q2")));
+    EXPECT_NE(WithoutCacheFields(redefined), WithoutCacheFields(first));
+  }
+}
+
+// Words split on every whitespace byte `operator>>` skips: runs of spaces,
+// tabs, leading whitespace, the '\r' a getline keeps, '%' comments and
+// blank lines answer as their single-space forms do.
+TEST(ProtocolTest, TokenizerTreatsEveryWhitespaceAlike) {
+  const std::vector<std::pair<std::string, std::string>> lines = {
+      {"CATALOG   c  VIEW  v(X,   Y)  :-  p(X,  Y).",
+       "CATALOG c VIEW v(X, Y) :- p(X, Y)."},
+      {"\tDEFINE\ta\ta(X)\t:-\tp(X,\tX).", "DEFINE a a(X) :- p(X, X)."},
+      {"   DEFINE b b(X) :- p(X, Y).\r", "DEFINE b b(X) :- p(X, Y)."},
+      {"CONTAINED? a b @c\r", "CONTAINED? a b @c"},
+      {" \t CONTAINED?  b \t a   @c  budget=1000000\r",
+       "CONTAINED? b a @c budget=1000000"},
+      {"\v\fPLAN?\ta @c\r\n", "PLAN? a @c"},
+      {"  % a comment\r", "% a comment"},
+      {" \t \r", ""},
+      {"CATALOGS\r", "CATALOGS"},
+      {"NOPE\r", "NOPE"},
+  };
+  ContainmentService messy_service;
+  ServerSession messy(&messy_service);
+  ContainmentService plain_service;
+  ServerSession plain(&plain_service);
+  for (const auto& [line, single_spaced] : lines) {
+    SCOPED_TRACE(single_spaced);
+    const std::string expected = plain.HandleLine(single_spaced);
+    EXPECT_EQ(expected.empty(),
+              single_spaced.empty() || single_spaced[0] == '%');
+    EXPECT_EQ(WithoutCacheFields(messy.HandleLine(line)),
+              WithoutCacheFields(expected));
+  }
 }
 
 // --- metrics ----------------------------------------------------------------

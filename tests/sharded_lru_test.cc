@@ -62,6 +62,53 @@ TEST(ShardedLruTest, InsertRefreshesValueTagAndRecency) {
   EXPECT_EQ(stats.invalidated, 0u);
 }
 
+// The index holds views of the entries' own keys. A key refreshed through
+// Insert and then evicted, and one refreshed and then dropped by
+// InvalidateTag, must leave no view behind: Stats and every later Lookup
+// stay right (and ASan flags a dangling view). The keys are longer than
+// the small-string buffer, so each lives on the heap.
+TEST(ShardedLruTest, RefreshedKeysEvictAndInvalidateCleanly) {
+  Cache cache(/*capacity=*/2, /*num_shards=*/1);
+  auto key = [](const std::string& name) {
+    return std::string(48, '#') + name;
+  };
+  cache.Insert(key("a"), "cat", "a1");
+  cache.Insert(key("b"), "cat", "b1");
+  cache.Insert(key("a"), "cat", "a2");  // refresh: "b" is now the oldest
+  cache.Insert(key("b"), "cat", "b2");  // refresh: "a" is now the oldest
+  cache.Insert(key("c"), "cat", "c1");  // evicts the refreshed "a"
+  EXPECT_FALSE(cache.Lookup(key("a")).has_value());
+  EXPECT_EQ(cache.Lookup(key("b")), "b2");
+  EXPECT_EQ(cache.Lookup(key("c")), "c1");
+  CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // Refresh "c" under a new tag, then drop that tag.
+  cache.Insert(key("c"), "doomed", "c2");
+  cache.InvalidateTag("doomed");
+  EXPECT_FALSE(cache.Lookup(key("c")).has_value());
+  EXPECT_EQ(cache.Lookup(key("b")), "b2");
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.invalidated, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+
+  // The freed slots are reusable, under the dropped keys too.
+  cache.Insert(key("a"), "cat", "a3");
+  cache.Insert(key("c"), "cat", "c3");  // evicts "b"
+  EXPECT_EQ(cache.Lookup(key("a")), "a3");
+  EXPECT_EQ(cache.Lookup(key("c")), "c3");
+  EXPECT_FALSE(cache.Lookup(key("b")).has_value());
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.hits, 5u);
+  EXPECT_EQ(stats.misses, 3u);
+}
+
 TEST(ShardedLruTest, ClearDropsEntriesKeepsCounters) {
   Cache cache(/*capacity=*/4, /*num_shards=*/1);
   cache.Insert("a", "cat", "a");
