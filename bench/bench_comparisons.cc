@@ -35,6 +35,7 @@
 #include "containment/homomorphism.h"
 #include "datalog/parser.h"
 #include "datalog/substitution.h"
+#include "support/linearization_oracle.h"
 
 namespace relcont {
 namespace {
@@ -125,7 +126,7 @@ std::optional<bool> LegacyContainedInUnion(const Rule& q1,
   }
   if (!c1.AddAll(q1.comparisons).ok()) return std::nullopt;
   if (!c1.IsSatisfiable()) return true;
-  Result<std::vector<Linearization>> lins = c1.EnumerateLinearizations();
+  Result<std::vector<Linearization>> lins = EnumerateLinearizations(c1);
   if (!lins.ok()) return std::nullopt;
   for (const Linearization& lin : *lins) {
     std::map<Term, Rational> sigma = c1.Realize(lin);

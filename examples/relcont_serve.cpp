@@ -27,8 +27,9 @@
 //   --cache N          decision-cache capacity in entries (default 4096)
 //   --trace            trace every request into the METRICS aggregates
 //   --port N           serve TCP + HTTP on port N instead of stdin/stdout
-//   --access-log FILE  append one JSONL event per decision to FILE
-//   --log-sample R     log every R-th decision only (default 1 = all)
+//   --access-log FILE  append one JSONL wide event per request (every verb)
+//                      to FILE
+//   --log-sample R     log every R-th request id only (default 1 = all)
 //   --default-timeout-ms N  deadline for requests without timeout_ms=
 //                      (default 0 = unbounded); expired requests answer
 //                      ERR BoundReached, not a verdict
@@ -208,13 +209,15 @@ int main(int argc, char** argv) {
       return 1;
     }
     access_log = std::move(*opened);
+    // Every request of every verb, on either transport, ends in the
+    // metrics' RecordFlight, which hands its wide event to the log.
+    service.metrics().set_access_log(access_log.get());
   }
 
   if (port >= 0) {
     relcont::obs::ServerOptions server_options;
     server_options.port = static_cast<int>(port);
     server_options.batch_threads = static_cast<int>(threads);
-    server_options.access_log = access_log.get();
     server_options.drain_grace_ms = static_cast<int>(drain_grace_ms);
     relcont::obs::ObsServer server(&service, server_options);
     relcont::Status status = server.Start();
@@ -237,14 +240,6 @@ int main(int argc, char** argv) {
   }
 
   relcont::ServerSession session(&service, static_cast<int>(threads));
-  if (access_log != nullptr) {
-    relcont::obs::AccessLog* log = access_log.get();
-    session.set_decision_observer(
-        [log](const relcont::DecisionRequest& request,
-              const relcont::DecisionResponse& response) {
-          log->Record(request, response);
-        });
-  }
   if (interactive) {
     std::printf("relcont serve — HELP for the protocol\n> ");
   }

@@ -34,8 +34,8 @@ namespace relcont {
 /// instead of a verdict (a definite YES/NO is only ever produced from a
 /// completed search; see BudgetOkOrBound below for the pattern).
 ///
-/// Thread-safety: Charge/Cancel/Exhausted/reason and the task counters are
-/// safe from many threads (the parallel fan-out shares one budget across
+/// Thread-safety: Charge/Cancel/Exhausted/reason are safe from many
+/// threads (the parallel fan-out shares one budget across
 /// workers). set_max_steps/set_deadline must be called before the budget
 /// is shared.
 ///
@@ -61,7 +61,7 @@ class WorkBudget {
   static constexpr uint64_t kDeadlineCheckStride = 256;
 
   /// An unlimited budget: never exhausts on its own, but still serves as a
-  /// cancellation token and as the accumulator for task counters.
+  /// cancellation token.
   WorkBudget() = default;
   /// A region budget chained to `parent` (may be null): every Charge also
   /// charges the parent, and parent exhaustion propagates down. Cancel()
@@ -123,36 +123,8 @@ class WorkBudget {
   /// attributed to `site` (also bumps the bound_hits trace counter).
   Status ToStatus(std::string_view site) const;
 
-  /// Task accounting for the parallel fan-out, accumulated on the ROOT of
-  /// the parent chain so the service reads one pair of counters per
-  /// request. Spawned is recorded before a helper thread starts, completed
-  /// as its last action — after a decision returns the two are equal iff
-  /// every helper was joined (pool quiescence).
-  void NoteHelperSpawned() {
-    root()->tasks_spawned_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void NoteHelperCompleted() {
-    root()->tasks_completed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t tasks_spawned() const {
-    return root()->tasks_spawned_.load(std::memory_order_relaxed);
-  }
-  uint64_t tasks_completed() const {
-    return root()->tasks_completed_.load(std::memory_order_relaxed);
-  }
-
  private:
   void MarkExhausted(BudgetReason reason);
-  WorkBudget* root() {
-    WorkBudget* b = this;
-    while (b->parent_ != nullptr) b = b->parent_;
-    return b;
-  }
-  const WorkBudget* root() const {
-    const WorkBudget* b = this;
-    while (b->parent_ != nullptr) b = b->parent_;
-    return b;
-  }
 
   WorkBudget* parent_ = nullptr;
   int64_t max_steps_ = 0;  ///< <= 0: unlimited
@@ -162,8 +134,6 @@ class WorkBudget {
   std::atomic<uint64_t> steps_{0};
   std::atomic<bool> exhausted_{false};
   std::atomic<int> reason_{static_cast<int>(BudgetReason::kNone)};
-  std::atomic<uint64_t> tasks_spawned_{0};
-  std::atomic<uint64_t> tasks_completed_{0};
 };
 
 /// The thread's active budget, or nullptr (the common case: no bounds, no

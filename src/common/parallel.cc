@@ -4,6 +4,8 @@
 #include <thread>
 #include <vector>
 
+#include "trace/trace.h"
+
 namespace relcont {
 namespace {
 
@@ -29,24 +31,27 @@ size_t RunLoop(size_t n, WorkBudget* region, std::atomic<size_t>* next,
 
 }  // namespace
 
-ParallelScanStats ParallelScan(size_t n, int workers, WorkBudget* region,
-                               const std::function<bool(size_t)>& task) {
-  ParallelScanStats stats;
-  if (n == 0) return stats;
+void ParallelScan(size_t n, int workers, WorkBudget* region,
+                  const std::function<bool(size_t)>& task) {
+  if (n == 0) return;
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
   size_t helpers =
       workers <= 1 ? 0
                    : std::min(static_cast<size_t>(workers), n) - 1;
+  // What each helper counted, handed to the caller when it is joined.
+  std::vector<trace::CounterArray> helper_counts(helpers);
   std::vector<std::thread> threads;
   threads.reserve(helpers);
   for (size_t h = 0; h < helpers; ++h) {
-    region->NoteHelperSpawned();
-    threads.emplace_back([&, region] {
+    RELCONT_TRACE_COUNT(kParallelTasksSpawned, 1);
+    threads.emplace_back([&, h, region] {
       BudgetScope scope(region);
       done.fetch_add(RunLoop(n, region, &next, task),
                      std::memory_order_relaxed);
-      region->NoteHelperCompleted();
+      RELCONT_TRACE_COUNT(kParallelTasksCompleted, 1);
+      // A fresh thread: every count it made belongs to this scan.
+      helper_counts[h] = trace::ThreadCounts();
     });
   }
   {
@@ -56,10 +61,15 @@ ParallelScanStats ParallelScan(size_t n, int workers, WorkBudget* region,
     done.fetch_add(RunLoop(n, region, &next, task),
                    std::memory_order_relaxed);
   }
-  for (std::thread& t : threads) t.join();
-  stats.helpers_spawned = static_cast<int>(helpers);
-  stats.items_unfinished = n - done.load(std::memory_order_relaxed);
-  return stats;
+  for (size_t h = 0; h < helpers; ++h) {
+    threads[h].join();
+    for (size_t c = 0; c < trace::kNumCounters; ++c) {
+      const uint64_t n = helper_counts[h][c];
+      if (n != 0) trace::Count(static_cast<trace::Counter>(c), n);
+    }
+  }
+  RELCONT_TRACE_COUNT(kParallelTasksCancelled,
+                      n - done.load(std::memory_order_relaxed));
 }
 
 }  // namespace relcont

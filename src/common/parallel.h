@@ -8,16 +8,6 @@
 
 namespace relcont {
 
-/// What one ParallelScan did, for trace/metrics attribution by the caller
-/// (helper threads have no trace context of their own — see ParallelScan).
-struct ParallelScanStats {
-  /// Helper threads actually launched (0 when the scan ran inline).
-  int helpers_spawned = 0;
-  /// Items whose task never ran to completion because the region was
-  /// cancelled or its budget exhausted before they finished.
-  size_t items_unfinished = 0;
-};
-
 /// Runs `task(i)` once for each i in [0, n), fanned out over up to
 /// `workers` threads. The calling thread participates, so `workers <= 1`
 /// or `n <= 1` degenerates to an inline loop with zero threads spawned.
@@ -38,21 +28,19 @@ struct ParallelScanStats {
 /// should chain to the caller's budget:
 ///
 ///   WorkBudget region(CurrentBudget());
-///   ParallelScanStats stats = ParallelScan(n, workers, &region, task);
+///   ParallelScan(n, workers, &region, task);
 ///
-/// Helper threads do NOT inherit the caller's TraceContext (contexts are
-/// single-threaded by contract); per-span counters from helper-executed
-/// tasks are therefore not recorded. The caller's own share of the work is
-/// traced as usual, and the scan-level stats are returned for the caller
-/// to attribute.
-///
-/// Helper bookkeeping: each helper is announced on the region's ROOT
-/// budget via NoteHelperSpawned before launch and NoteHelperCompleted as
-/// the helper's last action; all helpers are joined before ParallelScan
-/// returns, so tasks_spawned == tasks_completed afterwards (the service's
-/// pool-quiescence invariant).
-ParallelScanStats ParallelScan(size_t n, int workers, WorkBudget* region,
-                               const std::function<bool(size_t)>& task);
+/// Counting: helper threads have no TraceContext (contexts are
+/// single-threaded by contract), but their counts are not lost — each
+/// helper's trace counts are added to the caller's thread totals and open
+/// span when the caller joins it, so a scan counts the same work whatever
+/// its width. The scan itself counts parallel_tasks_spawned (before each
+/// helper starts), parallel_tasks_completed (each helper's last action)
+/// and parallel_tasks_cancelled (items never run to completion). Every
+/// helper is joined before ParallelScan returns, so spawned == completed
+/// afterwards (the service's pool-quiescence invariant).
+void ParallelScan(size_t n, int workers, WorkBudget* region,
+                  const std::function<bool(size_t)>& task);
 
 }  // namespace relcont
 

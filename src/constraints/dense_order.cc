@@ -6,9 +6,10 @@
 namespace relcont {
 namespace constraints {
 
-DenseOrderStats& GlobalDenseOrderStats() {
-  static DenseOrderStats stats;
-  return stats;
+DenseOrderCountersView& GlobalDenseOrderStats() {
+  static DenseOrderCountersView view{trace::ProcessCounts()[static_cast<size_t>(
+      trace::Counter::kDenseOrderPropagations)]};
+  return view;
 }
 
 DenseOrderMatrix::DenseOrderMatrix(int n)
@@ -54,12 +55,9 @@ bool DenseOrderMatrix::Close() {
   // Flush everything not yet reported — including narrowings applied by
   // Restrict calls between closures (a watermark, not a Close-local
   // delta, so base-constraint restrictions are counted too).
-  uint64_t delta = propagations_ - flushed_;
-  flushed_ = propagations_;
-  if (delta != 0) {
-    RELCONT_TRACE_COUNT(kDenseOrderPropagations, delta);
-    GlobalDenseOrderStats().propagations.fetch_add(
-        delta, std::memory_order_relaxed);
+  if (propagations_ != flushed_) {
+    RELCONT_TRACE_COUNT(kDenseOrderPropagations, propagations_ - flushed_);
+    flushed_ = propagations_;
   }
   return consistent_;
 }

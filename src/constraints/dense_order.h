@@ -97,20 +97,14 @@ constexpr RelSet Compose(RelSet a, RelSet b) {
 /// A cell is consistent while at least one primitive survives.
 constexpr bool Consistent(RelSet r) { return r != kRelNone; }
 
-/// Process-wide counters for the engine, mirrored into METRICS and
-/// `/metrics` (docs/OBSERVABILITY.md). Monotone; relaxed ordering.
-struct DenseOrderStats {
-  /// Cell narrowings applied during closure (a pair actually shrank).
-  std::atomic<uint64_t> propagations{0};
-  /// Candidate class placements rejected by the closed matrix during
-  /// linearization DFS.
-  std::atomic<uint64_t> pruned_branches{0};
-  /// Linearization enumerations aborted by a budget (closure itself never
-  /// aborts).
-  std::atomic<uint64_t> bound_hits{0};
+/// A view of the process-wide dense_order_propagations total
+/// (trace::ProcessCounts), kept only because servebench reads it by this
+/// name. Delete it with the next change to servebench.
+struct DenseOrderCountersView {
+  std::atomic<uint64_t>& propagations;
 };
 
-DenseOrderStats& GlobalDenseOrderStats();
+DenseOrderCountersView& GlobalDenseOrderStats();
 
 /// The n×n pair matrix. Cells start at kRelAny (diagonal kRelEq) and only
 /// ever shrink; the mirror invariant rel(j,i) == Invert(rel(i,j)) holds
@@ -144,7 +138,7 @@ class DenseOrderMatrix {
   /// copy is inconsistent). Requires a closed, consistent matrix.
   bool Entails(int i, int j, RelSet claim) const;
 
-  /// Cell narrowings this matrix has performed (for trace counters).
+  /// Cell narrowings this matrix has performed.
   uint64_t propagations() const { return propagations_; }
 
  private:
@@ -155,8 +149,8 @@ class DenseOrderMatrix {
   int n_ = 0;
   bool consistent_ = true;
   uint64_t propagations_ = 0;
-  // Watermark of propagations_ already flushed to the trace counter and
-  // the global stats (advanced by Close()).
+  // Watermark of propagations_ already flushed to the
+  // dense_order_propagations counter (advanced by Close()).
   uint64_t flushed_ = 0;
   std::vector<RelSet> cells_;
   std::vector<std::pair<int, int>> pending_;

@@ -76,27 +76,6 @@ class OrderConstraints {
   Status ForEachLinearization(
       const std::function<bool(const Linearization&)>& visit) const;
 
-  /// The largest point set EnumerateLinearizations will attempt (ordered
-  /// Bell numbers explode: 13 points already exceed 5·10^12 weak orders).
-  /// Applies only to the materializing oracle below, not to the streaming
-  /// DFS, the satisfiability check, or entailment.
-  static constexpr int kMaxEnumerablePoints = 12;
-
-  /// True when the registered point set is too large for the materializing
-  /// oracle; EnumerateLinearizations returns kBoundReached in that case.
-  bool TooManyPointsToEnumerate() const {
-    return static_cast<int>(points_.size()) > kMaxEnumerablePoints;
-  }
-
-  /// Materializes every linearization via the ORIGINAL unpruned
-  /// subset-enumeration algorithm. Kept as the independent test oracle
-  /// for ForEachLinearization (tests/dense_order_differential_test.cc);
-  /// production callers use the streaming DFS. Returns kBoundReached
-  /// over the kMaxEnumerablePoints cap or when the budget trips, and an
-  /// empty vector (OK) for unsatisfiable constraints — the two cases are
-  /// no longer conflated.
-  Result<std::vector<Linearization>> EnumerateLinearizations() const;
-
   /// Assigns a concrete rational to every point of `lin`, consistent with
   /// the class order and with the actual values of constant points.
   /// Requires `lin` to be one of the linearizations this instance
@@ -108,12 +87,13 @@ class OrderConstraints {
   /// Index of `t` in points(), or -1.
   int PointIndex(const Term& t) const;
 
+  /// The pair matrix over points(), built from the added constraints and
+  /// closed (lazily; any Add invalidates the cache).
+  const constraints::DenseOrderMatrix& Closed() const;
+
  private:
   Result<int> InternPoint(const Term& t);
   void AddRaw(int i, int j, constraints::RelSet allowed);
-  // Builds and closes the pair matrix from the raw constraints (lazily;
-  // any Add invalidates the cache).
-  const constraints::DenseOrderMatrix& Closed() const;
 
   std::vector<Term> points_;
   std::map<Term, int> index_;

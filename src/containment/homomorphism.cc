@@ -10,8 +10,8 @@ namespace relcont {
 namespace {
 
 // Search statistics accumulated on the stack during one mapping search and
-// flushed to the active trace once at the end — the innermost loop never
-// touches thread-local state.
+// counted once at the end — the innermost loop never touches thread-local
+// state.
 struct SearchStats {
   uint64_t candidates = 0;
   uint64_t backtracks = 0;
@@ -79,19 +79,19 @@ bool Backtrack(const Rule& from, const Rule& to,
   // a real mapping.
   if (budget != nullptr && !budget->Charge(1)) return false;
   if (depth == order.size()) {
-    if (stats != nullptr) ++stats->found;
+    ++stats->found;
     return visit(*subst);
   }
   const Atom& pattern = from.body[order[depth]];
   for (const Atom& candidate : to.body) {
     Substitution extended = *subst;
-    if (stats != nullptr) ++stats->candidates;
+    ++stats->candidates;
     if (!MatchAtomFrozen(pattern, candidate, &extended)) continue;
     if (Backtrack(from, to, order, depth + 1, &extended, visit, stats,
                   budget)) {
       return true;
     }
-    if (stats != nullptr) ++stats->backtracks;
+    ++stats->backtracks;
   }
   return false;
 }
@@ -101,22 +101,9 @@ bool Backtrack(const Rule& from, const Rule& to,
 bool ForEachContainmentMapping(
     const Rule& from, const Rule& to,
     const std::function<bool(const Substitution&)>& visit) {
-#if RELCONT_TRACE
-  trace::TraceContext* trace_ctx = trace::CurrentTrace();
-  SearchStats stats;
-  SearchStats* stats_ptr = trace_ctx != nullptr ? &stats : nullptr;
-#else
-  SearchStats* stats_ptr = nullptr;
-#endif
+  RELCONT_TRACE_COUNT(kHomMappingCalls, 1);
   Substitution subst;
-  if (!MatchHead(from.head, to.head, &subst)) {
-#if RELCONT_TRACE
-    if (trace_ctx != nullptr) {
-      trace_ctx->AddCount(trace::Counter::kHomMappingCalls, 1);
-    }
-#endif
-    return false;
-  }
+  if (!MatchHead(from.head, to.head, &subst)) return false;
   // Visit atoms with fewer candidate targets first; this prunes early.
   std::vector<int> order(from.body.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
@@ -131,16 +118,12 @@ bool ForEachContainmentMapping(
   }
   std::stable_sort(order.begin(), order.end(),
                    [&](int a, int b) { return candidates[a] < candidates[b]; });
+  SearchStats stats;
   bool result =
-      Backtrack(from, to, order, 0, &subst, visit, stats_ptr, CurrentBudget());
-#if RELCONT_TRACE
-  if (trace_ctx != nullptr) {
-    trace_ctx->AddCount(trace::Counter::kHomMappingCalls, 1);
-    trace_ctx->AddCount(trace::Counter::kHomCandidatesTried, stats.candidates);
-    trace_ctx->AddCount(trace::Counter::kHomBacktracks, stats.backtracks);
-    trace_ctx->AddCount(trace::Counter::kHomMappingsFound, stats.found);
-  }
-#endif
+      Backtrack(from, to, order, 0, &subst, visit, &stats, CurrentBudget());
+  RELCONT_TRACE_COUNT(kHomCandidatesTried, stats.candidates);
+  RELCONT_TRACE_COUNT(kHomBacktracks, stats.backtracks);
+  RELCONT_TRACE_COUNT(kHomMappingsFound, stats.found);
   return result;
 }
 

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "common/status.h"
-#include "service/service.h"
+#include "obs/flight.h"
 
 namespace relcont {
 namespace obs {
@@ -26,11 +26,12 @@ struct AccessLogOptions {
   uint64_t max_bytes = 64ull << 20;
 };
 
-/// A structured JSONL access log: one JSON object per line, one line per
-/// containment decision (schema in docs/OBSERVABILITY.md). Writes are
-/// mutex-serialized and flushed per line; the expensive part of a decision
-/// dwarfs the logging cost, and sampling exists for workloads where it
-/// does not. Thread-safe — one instance is shared by every session.
+/// A structured JSONL access log: one line per request of every verb, each
+/// the request's wide event as RenderWideEventJson renders it (the
+/// /requestz schema, docs/OBSERVABILITY.md). ServiceMetrics::RecordFlight
+/// hands it every finished event (ServiceMetrics::set_access_log). Writes
+/// are mutex-serialized and flushed per line; sampling exists for
+/// workloads where that cost shows. Thread-safe.
 class AccessLog {
  public:
   /// Opens (appends to) `options.path`.
@@ -38,16 +39,8 @@ class AccessLog {
 
   ~AccessLog();
 
-  /// Writes one event line if the response's request id is sampled.
-  /// Matches the DecisionObserver signature.
-  void Record(const DecisionRequest& request,
-              const DecisionResponse& response);
-
-  /// Renders the event line (no trailing newline) exactly as Record writes
-  /// it, with the given timestamp. Exposed for tests.
-  static std::string RenderEvent(int64_t unix_micros,
-                                 const DecisionRequest& request,
-                                 const DecisionResponse& response);
+  /// Writes `event` as one line if its request id is sampled.
+  void Record(const WideEvent& event);
 
  private:
   explicit AccessLog(AccessLogOptions options, std::FILE* file,

@@ -170,16 +170,6 @@ void AppendSamples(std::string* out, const MetricsSnapshot& s, size_t index) {
       AppendU64(out, s.latency_count);
       *out += '\n';
       break;
-    case SeriesIndex("trace_counter_total"):
-      for (const TraceCounterTotal& t : s.trace_counter_totals) {
-        AppendSeriesName(out, row, "{");
-        AppendLabel(out, "regime", t.regime, /*first=*/true);
-        AppendLabel(out, "counter", t.counter);
-        *out += "} ";
-        AppendU64(out, t.total);
-        *out += '\n';
-      }
-      break;
     case SeriesIndex("trace_phase_nanoseconds_total"):
     case SeriesIndex("trace_phase_calls_total"):
       for (const PhaseSnapshot& phase : s.phases) {

@@ -33,13 +33,6 @@ struct LabelCount {
   uint64_t count = 0;
 };
 
-/// Total of one trace counter across every trace recorded under a regime.
-struct TraceCounterTotal {
-  std::string regime;
-  std::string counter;
-  uint64_t total = 0;
-};
-
 /// One cumulative latency-histogram bucket, Prometheus style: the count of
 /// requests with latency <= `le` microseconds (`unbounded` marks +Inf).
 struct HistogramBucket {
@@ -85,7 +78,6 @@ struct MetricsSnapshot {
   uint64_t latency_sum_micros = 0;
   uint64_t latency_count = 0;
 
-  std::vector<TraceCounterTotal> trace_counter_totals;
   std::vector<PhaseSnapshot> phases;
 
   /// Sliding-window percentiles (src/obs/window.h): the trailing

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 
 namespace relcont {
 namespace obs {
@@ -75,6 +76,15 @@ void WriteAll(int fd, const char* data, size_t len) {
 }
 
 }  // namespace
+
+uint64_t ParseRequestId(std::string_view text) {
+  // from_chars into an unsigned type takes digits only: no sign, no
+  // whitespace, and an overflow is an error, not a wrap.
+  uint64_t id = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, error] = std::from_chars(text.data(), end, id);
+  return error == std::errc() && ptr == end ? id : 0;
+}
 
 size_t RenderWideEventJson(const WideEvent& e, char* buf, size_t cap) {
   size_t pos = 0;

@@ -98,6 +98,11 @@ static_assert(sizeof(WideEvent) % 8 == 0, "ring slots are 64-bit words");
 /// OBSERVABILITY.md schema table).
 size_t RenderWideEventJson(const WideEvent& event, char* buf, size_t cap);
 
+/// Reads a request id as REQUESTZ and GET /requestz?id= take it: decimal
+/// digits only (no sign, no whitespace), nonzero, within 64 bits. Returns
+/// 0 — never a minted id — for anything else.
+uint64_t ParseRequestId(std::string_view text);
+
 class FlightRecorder {
  public:
   struct Options {

@@ -1,9 +1,12 @@
 #ifndef RELCONT_OBS_SERIES_H_
 #define RELCONT_OBS_SERIES_H_
 
+#include <array>
 #include <cstddef>
 #include <iterator>
 #include <string_view>
+
+#include "trace/trace.h"
 
 namespace relcont {
 namespace obs {
@@ -15,10 +18,11 @@ namespace obs {
 /// requires every row to be documented in docs/OBSERVABILITY.md.
 ///
 /// A scalar row (no labels) takes its value from MetricsSnapshot::values at
-/// the row's index, SeriesIndex(name): adding one is a table row here plus
-/// the line in ServiceMetrics::Snapshot that fills it. A labelled row's
-/// samples come from the snapshot's family rows (decisions, window rows,
-/// histogram, ...).
+/// the row's index, SeriesIndex(name): adding one is a row of
+/// kServiceSeries plus the line in ServiceMetrics::Snapshot that fills it.
+/// A labelled row's samples come from the snapshot's family rows
+/// (decisions, window rows, histogram, ...). Every trace counter is a row
+/// too, derived from trace::kCounterTable (kSeriesTable below).
 
 enum class SeriesType { kCounter, kGauge, kHistogram };
 
@@ -36,7 +40,7 @@ struct SeriesDef {
   std::string_view help;
 };
 
-inline constexpr SeriesDef kSeriesTable[] = {
+inline constexpr SeriesDef kServiceSeries[] = {
     {"build_info", SeriesType::kGauge, "version,trace", "", "",
      "Build identity of the containment service (value is always 1)."},
     {"start_time_seconds", SeriesType::kGauge, "", "", "",
@@ -53,10 +57,6 @@ inline constexpr SeriesDef kSeriesTable[] = {
     {"deadline_exceeded_total", SeriesType::kCounter,
      "", "requests", "deadline_exceeded",
      "Requests whose deadline expired before the decision completed."},
-    {"parallel_tasks_spawned_total", SeriesType::kCounter, "", "", "",
-     "Parallel helper tasks spawned by decisions."},
-    {"parallel_tasks_completed_total", SeriesType::kCounter, "", "", "",
-     "Parallel helper tasks joined by decisions (equals spawned when idle)."},
     {"inflight_requests", SeriesType::kGauge, "", "gauges", "inflight_requests",
      "Requests currently being decided."},
     {"open_connections", SeriesType::kGauge, "", "gauges", "open_connections",
@@ -101,20 +101,6 @@ inline constexpr SeriesDef kSeriesTable[] = {
      "Plan-cache entries dropped by catalog re-registration."},
     {"plan_cache_entries", SeriesType::kGauge, "", "plan_cache", "entries",
      "Entries currently resident in the plan cache."},
-    {"dense_order_propagations_total", SeriesType::kCounter, "", "", "",
-     "Pair-matrix cell narrowings performed by the dense-order engine."},
-    {"dense_order_pruned_branches_total", SeriesType::kCounter, "", "", "",
-     "Linearization DFS class placements rejected by the closed pair matrix."},
-    {"dense_order_bound_hits_total", SeriesType::kCounter, "", "", "",
-     "Linearization streams cut short by a budget."},
-    {"cegar_iterations_total", SeriesType::kCounter, "", "cegar", "iterations",
-     "Cover checks performed by the CEGAR counterexample search (loop "
-     "iterations)."},
-    {"cegar_blocking_clauses_total", SeriesType::kCounter,
-     "", "cegar", "blocking_clauses",
-     "Blocking clauses learned from successful covers."},
-    {"cegar_proposals_total", SeriesType::kCounter, "", "cegar", "proposals",
-     "Candidate source instances proposed by the CEGAR search (DFS leaves)."},
     {"bound_hits_total", SeriesType::kCounter, "site", "", "",
      "Bound trips per budget site (the [site] tag of kBoundReached statuses)."},
     {"flight_retained_total", SeriesType::kCounter,
@@ -135,16 +121,42 @@ inline constexpr SeriesDef kSeriesTable[] = {
      "estimates; max is exact)."},
     {"request_latency_microseconds", SeriesType::kHistogram, "le", "", "",
      "Request latency (cumulative power-of-two buckets)."},
-    {"trace_counter_total", SeriesType::kCounter, "regime,counter", "", "",
-     "Trace counter totals per regime (see docs/OBSERVABILITY.md for the "
-     "glossary)."},
     {"trace_phase_nanoseconds_total", SeriesType::kCounter, "phase", "", "",
      "Cumulative time per pipeline phase across recorded traces."},
     {"trace_phase_calls_total", SeriesType::kCounter, "phase", "", "",
      "Recorded spans per pipeline phase."},
 };
 
-inline constexpr size_t kNumSeries = std::size(kSeriesTable);
+namespace internal {
+/// The counters of trace::kCounterTable that are series of their own.
+constexpr size_t NumCounterSeries() {
+  size_t n = 0;
+  for (const trace::CounterDef& c : trace::kCounterTable) n += c.exported;
+  return n;
+}
+}  // namespace internal
+
+/// Index of the first counter row in kSeriesTable: the service's own rows
+/// come first, then one row per series counter, in counter-table order.
+inline constexpr size_t kFirstCounterSeries = std::size(kServiceSeries);
+
+/// Every series: the rows above, then one counter row per exported row of
+/// trace::kCounterTable, shown on /statusz under `counters.<counter>` and
+/// valued from the counter's process-wide total (trace::ProcessCounts).
+inline constexpr auto kSeriesTable = [] {
+  std::array<SeriesDef, kFirstCounterSeries + internal::NumCounterSeries()>
+      table{};
+  size_t i = 0;
+  for (const SeriesDef& row : kServiceSeries) table[i++] = row;
+  for (const trace::CounterDef& counter : trace::kCounterTable) {
+    if (!counter.exported) continue;
+    table[i++] = {counter.series, SeriesType::kCounter, "", "counters",
+                  trace::CounterName(counter.counter), counter.help};
+  }
+  return table;
+}();
+
+inline constexpr size_t kNumSeries = kSeriesTable.size();
 
 /// The table index of the series called `name` (without the prefix). Only
 /// evaluated at compile time, so an unknown name does not compile.

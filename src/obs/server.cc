@@ -293,14 +293,6 @@ void ObsServer::HandleConnection(Connection* conn) {
       // A long-lived protocol session: this connection's own DEFINE
       // namespace and worker arena, against the shared service.
       ServerSession session(service_, options_.batch_threads);
-      if (options_.access_log != nullptr) {
-        AccessLog* log = options_.access_log;
-        session.set_decision_observer(
-            [log](const DecisionRequest& request,
-                  const DecisionResponse& response) {
-              log->Record(request, response);
-            });
-      }
       do {
         std::string response = session.HandleLine(line);
         if (!response.empty() && !SendAll(fd, response)) break;
@@ -348,13 +340,10 @@ void ObsServer::ServeHttp(int fd, const std::string& head) {
     const size_t query = request.target.find('?');
     if (query != std::string::npos) {
       const std::string args = request.target.substr(query + 1);
-      if (args.rfind("id=", 0) == 0) {
-        char* end = nullptr;
-        id = std::strtoull(args.c_str() + 3, &end, 10);
-        bad_query = end == nullptr || *end != '\0' || id == 0;
-      } else {
-        bad_query = true;
-      }
+      id = args.rfind("id=", 0) == 0
+               ? ParseRequestId(std::string_view(args).substr(3))
+               : 0;
+      bad_query = id == 0;
     }
     if (bad_query) {
       SendAll(fd, RenderHttpResponse(400, "text/plain; charset=utf-8",

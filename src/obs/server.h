@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "common/status.h"
-#include "obs/access_log.h"
 #include "service/protocol.h"
 #include "service/service.h"
 
@@ -22,9 +21,6 @@ struct ServerOptions {
   int port = 0;
   /// Fan-out width of BATCH END inside each protocol session.
   int batch_threads = 4;
-  /// Optional shared access log (not owned); every session's decisions
-  /// are recorded through it.
-  AccessLog* access_log = nullptr;
   /// How long RequestDrain keeps the listener open (answering /healthz
   /// with 503 "draining") before closing it, so a router can deregister
   /// the node first. 0 closes immediately.

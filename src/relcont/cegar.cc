@@ -19,8 +19,14 @@
 namespace relcont {
 
 CegarGlobalCounters& GlobalCegarCounters() {
-  static CegarGlobalCounters counters;
-  return counters;
+  auto& process = trace::ProcessCounts();
+  auto at = [&](trace::Counter c) -> std::atomic<uint64_t>& {
+    return process[static_cast<size_t>(c)];
+  };
+  static CegarGlobalCounters view{at(trace::Counter::kCegarIterations),
+                                  at(trace::Counter::kCegarBlockingClauses),
+                                  at(trace::Counter::kCegarProposals)};
+  return view;
 }
 
 namespace {
@@ -253,14 +259,12 @@ void ComputeComponents(LeftTemplate* t) {
 class CegarSearch {
  public:
   CegarSearch(std::vector<LeftTemplate> left, std::vector<RightTemplate> right,
-              std::unordered_set<SymbolId> right_vars, const CegarOptions& opts,
-              CegarStats* stats)
+              std::unordered_set<SymbolId> right_vars, const CegarOptions& opts)
       : left_(std::move(left)),
         right_(std::move(right)),
         right_vars_(std::move(right_vars)),
         renv_(&right_vars_),
-        opts_(opts),
-        stats_(stats) {}
+        opts_(opts) {}
 
   /// True when a counterexample was found (witness() set); false when the
   /// proposal space was exhausted (containment holds).
@@ -319,7 +323,7 @@ class CegarSearch {
 
   Result<bool> Leaf() {
     const LeftTemplate& t = *cur_;
-    ++stats_->proposals;
+    RELCONT_TRACE_COUNT(kCegarProposals, 1);
     // Materialize the candidate. A surviving Skolem term means this plan
     // disjunct can never hold on a real source instance — the scan's
     // PlanToUnion drops it, so the proposal is skipped unchecked.
@@ -342,7 +346,7 @@ class CegarSearch {
       targets_by_pred_[cand_body_[i].predicate].push_back(
           static_cast<int>(i));
     }
-    ++stats_->iterations;
+    RELCONT_TRACE_COUNT(kCegarIterations, 1);
     RELCONT_RETURN_NOT_OK(BudgetChargeOr(kBoundSite));
     RELCONT_ASSIGN_OR_RETURN(bool covered, Covered());
     if (covered) {
@@ -453,7 +457,7 @@ class CegarSearch {
     if (c.lits.empty()) {
       // The cover used nothing choice-dependent: every proposal of this
       // template is covered the same way.
-      ++stats_->blocking_clauses;
+      RELCONT_TRACE_COUNT(kCegarBlockingClauses, 1);
       template_covered_ = true;
       return;
     }
@@ -465,7 +469,7 @@ class CegarSearch {
       // the whole candidate) for zero pruning.
       return;
     }
-    ++stats_->blocking_clauses;
+    RELCONT_TRACE_COUNT(kCegarBlockingClauses, 1);
     clauses_by_last_[c.lits.back().first].push_back(std::move(c));
   }
 
@@ -488,7 +492,6 @@ class CegarSearch {
   std::vector<int> support_;
 
   CegarOptions opts_;
-  CegarStats* stats_;
   std::optional<Rule> witness_;
 };
 
@@ -500,10 +503,11 @@ Result<RelativeContainmentResult> ScanFallback(
   return RelativelyContained(q1, q2, views, interner, scan);
 }
 
-Result<RelativeContainmentResult> CegarImpl(
+}  // namespace
+
+Result<RelativeContainmentResult> CegarRelativelyContained(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options,
-    CegarStats* stats) {
+    Interner* interner, const RelativeContainmentOptions& options) {
   std::vector<LeftTemplate> left;
   std::vector<RightTemplate> right;
   std::unordered_set<SymbolId> right_vars;
@@ -624,36 +628,12 @@ Result<RelativeContainmentResult> CegarImpl(
 
   RELCONT_TRACE_SPAN("cegar_search");
   CegarSearch search(std::move(left), std::move(right), std::move(right_vars),
-                     options.cegar, stats);
+                     options.cegar);
   RELCONT_ASSIGN_OR_RETURN(bool found, search.Run());
   RelativeContainmentResult out;
   out.contained = !found;
   if (found) out.witness = search.witness();
   // plan1/plan2 stay empty by design: the engine never materializes them.
-  return out;
-}
-
-}  // namespace
-
-Result<RelativeContainmentResult> CegarRelativelyContained(
-    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options,
-    CegarStats* stats) {
-  CegarStats local;
-  Result<RelativeContainmentResult> out =
-      CegarImpl(q1, q2, views, interner, options, &local);
-  // Publish on EVERY exit path — a budget-tripped run still accounts for
-  // the proposals and checks it performed (the budget-trip property test
-  // pins trace deltas against these numbers).
-  if (stats != nullptr) *stats = local;
-  RELCONT_TRACE_COUNT(kCegarIterations, local.iterations);
-  RELCONT_TRACE_COUNT(kCegarBlockingClauses, local.blocking_clauses);
-  RELCONT_TRACE_COUNT(kCegarProposals, local.proposals);
-  CegarGlobalCounters& g = GlobalCegarCounters();
-  g.iterations.fetch_add(local.iterations, std::memory_order_relaxed);
-  g.blocking_clauses.fetch_add(local.blocking_clauses,
-                               std::memory_order_relaxed);
-  g.proposals.fetch_add(local.proposals, std::memory_order_relaxed);
   return out;
 }
 

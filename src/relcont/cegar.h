@@ -55,27 +55,18 @@ namespace relcont {
 /// the joint unfold, so the call transparently falls back to the scan
 /// (identical verdicts by construction).
 
-/// Per-run counters, also pushed to the trace counters
-/// (cegar_{iterations,blocking_clauses,proposals}) and the process-wide
-/// aggregates below on every exit path — including error returns, so a
-/// budget-tripped run still accounts for the work it did.
-struct CegarStats {
-  /// Left DFS leaves reached: candidates formed, including the ones
-  /// skipped by function-term elimination.
-  uint64_t proposals = 0;
-  /// Cover checks performed (CEGAR loop iterations).
-  uint64_t iterations = 0;
-  /// Blocking clauses learned from successful covers.
-  uint64_t blocking_clauses = 0;
-};
+/// The engine counts its work as it goes, on every path including a
+/// budget trip: cegar_proposals (left DFS leaves reached, including the
+/// candidates function-term elimination skips), cegar_iterations (cover
+/// checks) and cegar_blocking_clauses (clauses learned from covers).
 
-/// Process-wide monotone counters, mirrored into METRICS, /metrics, and
-/// /statusz (docs/OBSERVABILITY.md). Relaxed ordering; bumped once per
-/// run, not per event, so the hot loops never touch shared cache lines.
+/// A view of the process-wide cegar_* totals (trace::ProcessCounts), kept
+/// only because servebench reads them by these names. Delete it with the
+/// next change to servebench.
 struct CegarGlobalCounters {
-  std::atomic<uint64_t> iterations{0};
-  std::atomic<uint64_t> blocking_clauses{0};
-  std::atomic<uint64_t> proposals{0};
+  std::atomic<uint64_t>& iterations;
+  std::atomic<uint64_t>& blocking_clauses;
+  std::atomic<uint64_t>& proposals;
 };
 
 CegarGlobalCounters& GlobalCegarCounters();
@@ -84,12 +75,9 @@ CegarGlobalCounters& GlobalCegarCounters();
 /// `options.strategy == kAuto` by estimating the left plan width (the sum
 /// over templates of the product of per-atom inverse-rule choices) and
 /// delegating to the scan below CegarOptions::auto_width_threshold.
-/// `stats`, when non-null, receives the run's counters even when the
-/// result is an error.
 Result<RelativeContainmentResult> CegarRelativelyContained(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options = {},
-    CegarStats* stats = nullptr);
+    Interner* interner, const RelativeContainmentOptions& options = {});
 
 }  // namespace relcont
 

@@ -84,21 +84,16 @@ Result<std::optional<size_t>> FindUncoveredDisjunct(
   // i) and read only after every worker has been joined.
   std::vector<char> state(n, kPending);
   std::vector<Status> errors(n);
-  ParallelScanStats stats =
-      ParallelScan(n, workers, &region, [&](size_t i) {
-        Result<bool> r = check(disjuncts[i]);
-        if (!r.ok()) {
-          errors[i] = r.status();
-          state[i] = kError;
-          return true;
-        }
-        state[i] = *r ? kCovered : kUncovered;
-        return *r;  // false => cancel the in-flight siblings
-      });
-  RELCONT_TRACE_COUNT(kParallelTasksSpawned,
-                      static_cast<uint64_t>(stats.helpers_spawned));
-  RELCONT_TRACE_COUNT(kParallelTasksCancelled,
-                      static_cast<uint64_t>(stats.items_unfinished));
+  ParallelScan(n, workers, &region, [&](size_t i) {
+    Result<bool> r = check(disjuncts[i]);
+    if (!r.ok()) {
+      errors[i] = r.status();
+      state[i] = kError;
+      return true;
+    }
+    state[i] = *r ? kCovered : kUncovered;
+    return *r;  // false => cancel the in-flight siblings
+  });
   for (size_t i = 0; i < n; ++i) {
     if (state[i] == kUncovered) return std::optional<size_t>(i);
   }

@@ -4,8 +4,6 @@
 #include <chrono>
 
 #include "common/budget.h"
-#include "constraints/dense_order.h"
-#include "relcont/cegar.h"
 #include "relcont/version.h"
 
 namespace relcont {
@@ -101,13 +99,7 @@ void ServiceMetrics::RecordPlanRequest(bool rewrite, Regime regime,
                latency_micros);
 }
 
-void ServiceMetrics::RecordTrace(Regime regime,
-                                 const trace::TraceContext& trace) {
-  auto& totals = counter_totals_[static_cast<int>(regime)];
-  for (int c = 0; c < kNumTraceCounters; ++c) {
-    uint64_t v = trace.TotalCount(static_cast<trace::Counter>(c));
-    if (v != 0) totals[c].fetch_add(v, std::memory_order_relaxed);
-  }
+void ServiceMetrics::RecordTrace(const trace::TraceContext& trace) {
   std::lock_guard<std::mutex> lock(trace_mu_);
   for (const trace::SpanNode& s : trace.spans()) {
     PhaseStat& stat = phases_[s.name];
@@ -133,6 +125,7 @@ void ServiceMetrics::RecordFlight(ServiceVerb verb, obs::WideEvent event,
     }
   }
   flight_.Record(event);
+  if (access_log_ != nullptr) access_log_->Record(event);
   const uint64_t p99 = TailThresholdMicros(verb);
   const bool tail =
       event.error != 0 || (p99 > 0 && event.latency_micros > p99);
@@ -185,17 +178,12 @@ obs::MetricsSnapshot ServiceMetrics::Snapshot(
                          std::chrono::steady_clock::now() - start_steady_)
                          .count();
   auto gauge = [](int64_t v) { return static_cast<uint64_t>(v); };
-  const constraints::DenseOrderStats& dense =
-      constraints::GlobalDenseOrderStats();
-  const CegarGlobalCounters& cegar = GlobalCegarCounters();
   constexpr auto kRelaxed = std::memory_order_relaxed;
   s.values[SeriesIndex("start_time_seconds")] = gauge(start_unix_seconds_);
   s.values[SeriesIndex("requests_total")] = requests();
   s.values[SeriesIndex("errors_total")] = errors();
   s.values[SeriesIndex("request_cache_hits_total")] = cache_hits();
   s.values[SeriesIndex("deadline_exceeded_total")] = deadline_exceeded();
-  s.values[SeriesIndex("parallel_tasks_spawned_total")] = tasks_spawned();
-  s.values[SeriesIndex("parallel_tasks_completed_total")] = tasks_completed();
   s.values[SeriesIndex("inflight_requests")] = gauge(inflight_requests());
   s.values[SeriesIndex("open_connections")] = gauge(open_connections());
   s.values[SeriesIndex("batch_queue_depth")] = gauge(batch_queue_depth());
@@ -214,21 +202,16 @@ obs::MetricsSnapshot ServiceMetrics::Snapshot(
   s.values[SeriesIndex("plan_cache_invalidated_total")] =
       plan_cache.invalidated;
   s.values[SeriesIndex("plan_cache_entries")] = plan_cache.entries;
-  s.values[SeriesIndex("dense_order_propagations_total")] =
-      dense.propagations.load(kRelaxed);
-  s.values[SeriesIndex("dense_order_pruned_branches_total")] =
-      dense.pruned_branches.load(kRelaxed);
-  s.values[SeriesIndex("dense_order_bound_hits_total")] =
-      dense.bound_hits.load(kRelaxed);
-  s.values[SeriesIndex("cegar_iterations_total")] =
-      cegar.iterations.load(kRelaxed);
-  s.values[SeriesIndex("cegar_blocking_clauses_total")] =
-      cegar.blocking_clauses.load(kRelaxed);
-  s.values[SeriesIndex("cegar_proposals_total")] =
-      cegar.proposals.load(kRelaxed);
   s.values[SeriesIndex("flight_retained_total")] = flight_.retained_total();
   s.values[SeriesIndex("flight_dropped_total")] = flight_.dropped_total();
   s.values[SeriesIndex("flight_arena_bytes")] = flight_.arena_bytes();
+  size_t row = obs::kFirstCounterSeries;
+  for (const trace::CounterDef& counter : trace::kCounterTable) {
+    if (!counter.exported) continue;
+    s.values[row++] =
+        trace::ProcessCounts()[static_cast<size_t>(counter.counter)].load(
+            kRelaxed);
+  }
 
   s.http_rejected = {{"431", http_rejected_431_.load(kRelaxed)},
                      {"408", http_rejected_408_.load(kRelaxed)}};
@@ -298,17 +281,6 @@ obs::MetricsSnapshot ServiceMetrics::Snapshot(
         if (per_regime[r].count() == 0) continue;
         row(std::string(RegimeName(static_cast<Regime>(r))), per_regime[r]);
       }
-    }
-  }
-
-  for (int r = 0; r < kNumRegimes; ++r) {
-    for (int c = 0; c < kNumTraceCounters; ++c) {
-      uint64_t v = counter_totals_[r][c].load(std::memory_order_relaxed);
-      if (v == 0) continue;
-      s.trace_counter_totals.push_back(
-          {std::string(RegimeName(static_cast<Regime>(r))),
-           std::string(trace::CounterName(static_cast<trace::Counter>(c))),
-           v});
     }
   }
 

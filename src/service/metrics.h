@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/sharded_lru.h"
+#include "obs/access_log.h"
 #include "obs/exposition.h"
 #include "obs/flight.h"
 #include "obs/window.h"
@@ -62,16 +63,15 @@ std::string_view ServiceVerbName(ServiceVerb verb);
 /// many workers never blocks. Thread-safe.
 ///
 /// When tracing is enabled (per request or service-wide), RecordTrace
-/// additionally folds each trace into per-phase cumulative timers and per-
-/// regime trace-counter totals. The phase timers are mutex-protected; they
-/// sit off the hot path — a request that was not traced never touches
-/// them.
+/// additionally folds each trace into per-phase cumulative timers. The
+/// phase timers are mutex-protected; they sit off the hot path — a request
+/// that was not traced never touches them. The trace counters are not
+/// kept here: the request frame folds every request's counts into
+/// trace::ProcessCounts, and Snapshot reads them from there.
 class ServiceMetrics {
  public:
   static constexpr int kNumRegimes = 6;  // Regime enumerators incl. kUnknown
   static constexpr int kNumVerbs = 3;    // ServiceVerb enumerators
-  static constexpr int kNumTraceCounters =
-      static_cast<int>(trace::Counter::kNumCounters);
   /// The fixed short trailing window; the long window is configurable
   /// (set_window_secs, default 60, capped by the ring size).
   static constexpr int kShortWindowSecs = 10;
@@ -159,22 +159,15 @@ class ServiceMetrics {
   obs::WindowAggregate WindowFor(ServiceVerb verb, int window_secs,
                                  int regime = kNumRegimes) const;
 
-  /// Records one request's budget outcome: how many parallel helper tasks
-  /// its decision spawned/completed (equal after every request — the pool-
-  /// quiescence invariant tests assert) and whether its deadline expired.
-  void RecordBudget(uint64_t tasks_spawned, uint64_t tasks_completed,
-                    bool deadline_exceeded) {
-    tasks_spawned_.fetch_add(tasks_spawned, std::memory_order_relaxed);
-    tasks_completed_.fetch_add(tasks_completed, std::memory_order_relaxed);
-    if (deadline_exceeded) {
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    }
+  /// Records one request whose deadline expired before it completed.
+  void RecordDeadlineExceeded() {
+    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Folds one recorded trace into the observability aggregates: every
-  /// span adds to the cumulative timer and call count of its phase (spans
-  /// aggregate by name), and every counter adds to the regime's totals.
-  void RecordTrace(Regime regime, const trace::TraceContext& trace);
+  /// Folds one recorded trace into the per-phase timers: every span adds
+  /// to the cumulative timer and call count of its phase (spans aggregate
+  /// by name).
+  void RecordTrace(const trace::TraceContext& trace);
 
   /// The per-request flight recorder (ids, wide-event ring, retention
   /// arena, crash black box). Lives here so every surface that already
@@ -185,13 +178,20 @@ class ServiceMetrics {
 
   /// Finishes and files one request's wide event: stamps the wall-clock
   /// timestamp, folds the trace's top phases in (when `trace` is non-null),
-  /// records the event into the ring, and applies the retention policy —
-  /// retain the full span renderings when the request errored (which
-  /// covers kBoundReached), ran slower than TailThresholdMicros(verb), or
-  /// falls on the head sample. The caller fills the identity fields
-  /// (id, verb, regime, catalog, latency, flags) first.
+  /// records the event into the ring, hands it to the access log (when one
+  /// is installed), and applies the retention policy — retain the full
+  /// span renderings when the request errored (which covers
+  /// kBoundReached), ran slower than TailThresholdMicros(verb), or falls
+  /// on the head sample. The caller fills the identity fields (id, verb,
+  /// regime, catalog, latency, flags) first. Every request of every verb
+  /// ends here.
   void RecordFlight(ServiceVerb verb, obs::WideEvent event,
                     const trace::TraceContext* trace);
+
+  /// Installs the JSONL access log (not owned; nullptr removes it): every
+  /// wide event RecordFlight files is also offered to it. Call before
+  /// serving traffic.
+  void set_access_log(obs::AccessLog* log) { access_log_ = log; }
 
   /// The live tail-retention threshold for `verb`: the trailing
   /// kShortWindowSecs p99 in microseconds, all regimes folded, or 0 when
@@ -222,12 +222,6 @@ class ServiceMetrics {
   uint64_t unknown_verbs() const {
     return unknown_verbs_.load(std::memory_order_relaxed);
   }
-  uint64_t tasks_spawned() const {
-    return tasks_spawned_.load(std::memory_order_relaxed);
-  }
-  uint64_t tasks_completed() const {
-    return tasks_completed_.load(std::memory_order_relaxed);
-  }
   uint64_t RegimeCount(Regime regime) const {
     return by_regime_[static_cast<int>(regime)].load(
         std::memory_order_relaxed);
@@ -238,11 +232,6 @@ class ServiceMetrics {
   /// recorded trace, and how many such spans were recorded.
   uint64_t PhaseNanos(const std::string& phase) const;
   uint64_t PhaseCalls(const std::string& phase) const;
-  /// Total of `c` across every trace recorded under `regime`.
-  uint64_t RegimeCounterTotal(Regime regime, trace::Counter c) const {
-    return counter_totals_[static_cast<int>(regime)][static_cast<int>(c)]
-        .load(std::memory_order_relaxed);
-  }
 
   /// Copies every series plus build/uptime identity into one consistent
   /// snapshot — the single source the METRICS verb, `/metrics` and
@@ -284,8 +273,6 @@ class ServiceMetrics {
   std::atomic<uint64_t> rewrite_requests_{0};
   std::atomic<uint64_t> plan_errors_{0};
   std::atomic<uint64_t> unknown_verbs_{0};
-  std::atomic<uint64_t> tasks_spawned_{0};
-  std::atomic<uint64_t> tasks_completed_{0};
   std::atomic<uint64_t> http_rejected_431_{0};
   std::atomic<uint64_t> http_rejected_408_{0};
   std::atomic<int64_t> inflight_{0};
@@ -303,11 +290,8 @@ class ServiceMetrics {
   /// by set_window_clock_for_test before traffic starts.
   std::function<uint64_t()> window_clock_;
 
-  std::array<std::array<std::atomic<uint64_t>, kNumTraceCounters>,
-             kNumRegimes>
-      counter_totals_{};
-
   obs::FlightRecorder flight_;
+  obs::AccessLog* access_log_ = nullptr;
   /// Per-verb tail-threshold cache: packed {window second : 32, p99 µs
   /// clamped to 32 bits}. Recomputed when the cached second goes stale.
   mutable std::array<std::atomic<uint64_t>, kNumVerbs> tail_cache_{};

@@ -336,7 +336,6 @@ std::string ServerSession::HandleContained(const Verb& verb, Args args,
     return "QUEUED " + std::to_string(batch_.size() - 1) + "\n";
   }
   DecisionResponse response = service_->Decide(request, &ctx_);
-  if (observer_) observer_(request, response);
   std::string out = DecisionReply(response);
   if (collect_trace) AppendTrace(response, trace_json, &out);
   return out;
@@ -414,7 +413,6 @@ std::string ServerSession::HandleBatch(const Verb& verb, Args args, bool,
     std::string out =
         "OK batch " + std::to_string(responses.size()) + "\n";
     for (size_t i = 0; i < responses.size(); ++i) {
-      if (observer_) observer_(batch_[i], responses[i]);
       out += "[" + std::to_string(i) + "] " + DecisionReply(responses[i]);
     }
     batch_.clear();
@@ -430,11 +428,8 @@ std::string ServerSession::HandleRequestz(const Verb& verb, Args args, bool,
   if (args.empty()) {
     return obs::RenderRequestzListJson(service_->metrics().flight());
   }
-  char* end = nullptr;
-  unsigned long long id = std::strtoull(args[0].c_str(), &end, 10);
-  if (args.size() > 1 || end == nullptr || *end != '\0' || id == 0) {
-    return Usage(verb);
-  }
+  const uint64_t id = obs::ParseRequestId(args[0]);
+  if (args.size() > 1 || id == 0) return Usage(verb);
   std::optional<obs::FlightRecorder::Retained> entry =
       service_->metrics().flight().FindRetained(id);
   if (!entry.has_value()) {

@@ -1,7 +1,6 @@
 #ifndef RELCONT_SERVICE_PROTOCOL_H_
 #define RELCONT_SERVICE_PROTOCOL_H_
 
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -11,13 +10,6 @@
 #include "service/service.h"
 
 namespace relcont {
-
-/// Invoked once per finished containment decision (CONTAINED?, EXPLAIN,
-/// and each batch element), after the service answered. The observer runs
-/// on the session's thread; it must be safe to call from many sessions
-/// concurrently if one observer instance is shared (obs::AccessLog is).
-using DecisionObserver =
-    std::function<void(const DecisionRequest&, const DecisionResponse&)>;
 
 /// A DEFINE'd query: its text and the canonical fingerprint DEFINE
 /// computed from it (CanonicalProgramFingerprint, goal = head of the first
@@ -90,12 +82,6 @@ class ServerSession {
   /// terminated. Empty and '%'-comment lines yield an empty response.
   std::string HandleLine(const std::string& line);
 
-  /// Installs an observer for every decision this session makes (access
-  /// logging). Pass an empty function to remove it.
-  void set_decision_observer(DecisionObserver observer) {
-    observer_ = std::move(observer);
-  }
-
  private:
   // One handler per row of Verbs() (declared through the shared type).
   Handler HandleCatalog, HandleCatalogQuery, HandleDefine, HandleContained,
@@ -107,7 +93,6 @@ class ServerSession {
   /// so it stays at the session's vocabulary size).
   WorkerContext ctx_;
   int batch_threads_;
-  DecisionObserver observer_;
   /// The queries declared with DEFINE, by name. A question copies a
   /// query's text and fingerprint into its request; a re-DEFINE replaces
   /// both together.

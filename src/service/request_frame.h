@@ -19,6 +19,7 @@
 #include "containment/canonical.h"
 #include "datalog/parser.h"
 #include "service/service.h"
+#include "trace/trace.h"
 
 namespace relcont {
 
@@ -164,7 +165,9 @@ Result<KeyedQuestion<V, N>> LookupQuestion(
 /// Runs one request inside the frame every verb shares: request id, budget
 /// and trace setup and catalog resolution before `body`; the rollback of
 /// the fresh symbols it minted, latency, inflight gauge, budget, trace and
-/// wide-event accounting after it, on every path including errors.
+/// wide-event accounting after it, on every path including errors. The
+/// trace counts the request made (its ParallelScan helpers' included) are
+/// folded into trace::ProcessCounts when it ends.
 ///
 /// `body(state, out)` keys and looks up (LookupQuestion), computes and
 /// inserts; it fills `out` and returns the regime the answer is attributed
@@ -199,6 +202,7 @@ Response ServeRequest(ContainmentService& service,
     // their own context, so traces never interleave.
     trace_scope.emplace(trace_ctx.get());
   }
+  const trace::CounterArray counts_mark = trace::ThreadCounts();
   Result<Regime> answer = [&]() -> Result<Regime> {
     RELCONT_ASSIGN_OR_RETURN(state.catalog,
                              ctx->Catalog(service.catalogs(),
@@ -215,6 +219,7 @@ Response ServeRequest(ContainmentService& service,
   out.status = answer.status();
   Regime regime = answer.ok() ? *answer : Regime::kUnknown;
   trace_scope.reset();
+  trace::FoldIntoProcess(counts_mark);
   out.latency_micros = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
@@ -225,10 +230,10 @@ Response ServeRequest(ContainmentService& service,
     NoteBoundSite(request.bound_site);
   }
   record(regime, out);
-  metrics.RecordBudget(state.budget.tasks_spawned(),
-                       state.budget.tasks_completed(),
-                       state.budget.reason() == BudgetReason::kDeadline);
-  if (trace_ctx != nullptr) metrics.RecordTrace(regime, *trace_ctx);
+  if (state.budget.reason() == BudgetReason::kDeadline) {
+    metrics.RecordDeadlineExceeded();
+  }
+  if (trace_ctx != nullptr) metrics.RecordTrace(*trace_ctx);
   obs::WideEvent event;
   event.request_id = out.request_id;
   event.latency_micros = out.latency_micros;

@@ -105,7 +105,7 @@ struct DecisionResponse {
   /// /requestz?id=N when the request was retained.
   uint64_t request_id = 0;
   /// Version of the catalog the decision ran against (0 when the request
-  /// failed before catalog resolution). Lets the access log attribute a
+  /// failed before catalog resolution). Lets the wide event attribute a
   /// decision to the exact catalog snapshot it saw.
   int64_t catalog_version = 0;
   /// The decision's span tree, present iff tracing was requested for this

@@ -19,8 +19,6 @@ uint64_t NowNs() {
           .count());
 }
 
-thread_local TraceContext* g_current = nullptr;
-
 /// Appends a JSON-escaped copy of `s` (span names are plain identifiers,
 /// but stay safe if one ever is not). Shared with the access log and the
 /// bench schema so every JSON emitter escapes identically.
@@ -30,74 +28,36 @@ void AppendJsonString(std::string_view s, std::string* out) {
 
 }  // namespace
 
-std::string_view CounterName(Counter c) {
-  switch (c) {
-    case Counter::kPlanRules:
-      return "plan_rules";
-    case Counter::kPlanDisjunctsKept:
-      return "plan_disjuncts_kept";
-    case Counter::kPlanDisjunctsDropped:
-      return "plan_disjuncts_dropped";
-    case Counter::kUnfoldResolutions:
-      return "unfold_resolutions";
-    case Counter::kUnfoldDisjuncts:
-      return "unfold_disjuncts";
-    case Counter::kExpansionsVisited:
-      return "expansions_visited";
-    case Counter::kExpansionRuleApps:
-      return "expansion_rule_apps";
-    case Counter::kFrozenQueries:
-      return "frozen_queries";
-    case Counter::kFrozenAtoms:
-      return "frozen_atoms";
-    case Counter::kFrozenConstants:
-      return "frozen_constants";
-    case Counter::kHomMappingCalls:
-      return "hom_mapping_calls";
-    case Counter::kHomCandidatesTried:
-      return "hom_candidates_tried";
-    case Counter::kHomBacktracks:
-      return "hom_backtracks";
-    case Counter::kHomMappingsFound:
-      return "hom_mappings_found";
-    case Counter::kDisjunctChecks:
-      return "disjunct_checks";
-    case Counter::kLinearizations:
-      return "linearizations";
-    case Counter::kEntailmentChecks:
-      return "entailment_checks";
-    case Counter::kClosureRecomputes:
-      return "closure_recomputes";
-    case Counter::kDenseOrderPropagations:
-      return "dense_order_propagations";
-    case Counter::kDenseOrderBranchesPruned:
-      return "dense_order_branches_pruned";
-    case Counter::kDomTreeOptions:
-      return "dom_tree_options";
-    case Counter::kDomCoresChecked:
-      return "dom_cores_checked";
-    case Counter::kDomSaturationRounds:
-      return "dom_saturation_rounds";
-    case Counter::kPlannerPlansBuilt:
-      return "planner_plans_built";
-    case Counter::kPlannerPlanRules:
-      return "planner_plan_rules";
-    case Counter::kCegarIterations:
-      return "cegar_iterations";
-    case Counter::kCegarBlockingClauses:
-      return "cegar_blocking_clauses";
-    case Counter::kCegarProposals:
-      return "cegar_proposals";
-    case Counter::kBoundHits:
-      return "bound_hits";
-    case Counter::kParallelTasksSpawned:
-      return "parallel_tasks_spawned";
-    case Counter::kParallelTasksCancelled:
-      return "parallel_tasks_cancelled";
-    case Counter::kNumCounters:
-      break;
+namespace {
+constinit thread_local TraceContext* g_current = nullptr;
+constinit thread_local CounterArray g_thread_counts{};
+// Constant-initialized, so readable from any static initializer.
+constinit std::array<std::atomic<uint64_t>, kNumCounters> g_process_counts{};
+}  // namespace
+
+TraceContext* CurrentTrace() { return g_current; }
+
+const CounterArray& ThreadCounts() { return g_thread_counts; }
+
+void Count(Counter c, uint64_t delta) {
+  g_thread_counts[static_cast<size_t>(c)] += delta;
+  if constexpr (kCompiledIn) {
+    if (g_current != nullptr) g_current->AddCount(c, delta);
   }
-  return "unknown";
+}
+
+std::array<std::atomic<uint64_t>, kNumCounters>& ProcessCounts() {
+  return g_process_counts;
+}
+
+void FoldIntoProcess(const CounterArray& mark) {
+  const CounterArray& now = g_thread_counts;
+  for (size_t c = 0; c < kNumCounters; ++c) {
+    if (now[c] != mark[c]) {
+      g_process_counts[c].fetch_add(now[c] - mark[c],
+                                    std::memory_order_relaxed);
+    }
+  }
 }
 
 TraceContext::TraceContext() : epoch_ns_(NowNs()) {}
@@ -173,8 +133,8 @@ std::string TraceContext::ToText() const {
                   static_cast<unsigned long long>(s.duration_ns() / 1000),
                   static_cast<unsigned long long>(s.duration_ns() % 1000));
     out.append(buf);
-    for (int c = 0; c < static_cast<int>(Counter::kNumCounters); ++c) {
-      uint64_t v = s.counters[static_cast<size_t>(c)];
+    for (size_t c = 0; c < kNumCounters; ++c) {
+      uint64_t v = s.counters[c];
       if (v == 0) continue;
       out.push_back(' ');
       out.append(CounterName(static_cast<Counter>(c)));
@@ -215,8 +175,8 @@ std::string TraceContext::ToChromeJson() const {
     out.append(buf);
     out.append(",\"args\":{");
     bool first_arg = true;
-    for (int c = 0; c < static_cast<int>(Counter::kNumCounters); ++c) {
-      uint64_t v = s.counters[static_cast<size_t>(c)];
+    for (size_t c = 0; c < kNumCounters; ++c) {
+      uint64_t v = s.counters[c];
       if (v == 0) continue;
       if (!first_arg) out.push_back(',');
       first_arg = false;
@@ -230,8 +190,6 @@ std::string TraceContext::ToChromeJson() const {
   out.append("]}");
   return out;
 }
-
-TraceContext* CurrentTrace() { return g_current; }
 
 TraceScope::TraceScope(TraceContext* ctx) : prev_(g_current) {
   g_current = ctx;

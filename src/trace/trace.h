@@ -2,7 +2,10 @@
 #define RELCONT_TRACE_TRACE_H_
 
 #include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,16 +17,20 @@
 /// A TraceContext records a tree of nested Spans (monotonic steady_clock
 /// timestamps) plus typed counters attributed to the innermost open span.
 /// Instrumentation sites use the RELCONT_TRACE_SPAN / RELCONT_TRACE_COUNT
-/// macros, which consult a thread-local "current context" pointer:
+/// macros:
 ///
-///   * no context installed (the common case)  -> one thread-local load and
-///     a predicted-not-taken branch; no allocation, no locking;
-///   * RELCONT_TRACE=0 at compile time        -> the macros expand to
-///     nothing and the instrumentation vanishes entirely.
+///   * RELCONT_TRACE_COUNT always adds to the calling thread's counter
+///     totals (ThreadCounts) — the one counter set every surface reads;
+///     the service folds each request's delta into ProcessCounts;
+///   * while a context is installed, spans are recorded and counts are
+///     attributed to the innermost open span too; with none installed (the
+///     common case) that costs one thread-local load and a branch;
+///   * RELCONT_TRACE=0 at compile time compiles the spans and the per-span
+///     attribution out; the thread totals stay.
 ///
-/// The classes below are always compiled (so callers need no #ifdefs);
-/// only the hook macros compile out. A context is confined to one thread:
-/// install it with TraceScope, never share one across threads.
+/// The classes below are always compiled (so callers need no #ifdefs). A
+/// context is confined to one thread: install it with TraceScope, never
+/// share one across threads.
 
 #ifndef RELCONT_TRACE
 #define RELCONT_TRACE 1
@@ -36,59 +43,162 @@ namespace trace {
 /// collected at runtime are present but empty.
 inline constexpr bool kCompiledIn = RELCONT_TRACE != 0;
 
-/// Typed counters, attributed to the innermost open span. The glossary
-/// (what exactly each one counts, and which phase emits it) lives in
-/// docs/OBSERVABILITY.md.
+/// Typed counters. Every count lands in the calling thread's running
+/// totals (always on, whatever the build) and, while a context is
+/// installed, on the innermost open span too. What each one counts is the
+/// `help` of its kCounterTable row below.
 enum class Counter : int {
-  // Plan construction (inverse rules, Section 3/5 plans).
-  kPlanRules = 0,        ///< inverse rules generated by InvertViews
-  kPlanDisjunctsKept,    ///< function-free, answerable plan disjuncts
-  kPlanDisjunctsDropped, ///< disjuncts discarded (function terms / gaps)
-  // Unfolding (datalog/unfold.cc).
-  kUnfoldResolutions,    ///< IDB resolution steps during unfolding
-  kUnfoldDisjuncts,      ///< disjuncts produced by UnfoldToUnion
-  // Expansion enumeration (containment/expansion.cc).
-  kExpansionsVisited,    ///< complete expansions handed to the visitor
-  kExpansionRuleApps,    ///< rule applications across all derivations
-  // Canonical databases (containment/canonical.cc).
-  kFrozenQueries,        ///< FreezeRule calls
-  kFrozenAtoms,          ///< facts in the canonical databases built
-  kFrozenConstants,      ///< fresh frozen constants minted
-  // Homomorphism search (containment/homomorphism.cc).
-  kHomMappingCalls,      ///< ForEachContainmentMapping invocations
-  kHomCandidatesTried,   ///< subgoal-vs-target atom match attempts
-  kHomBacktracks,        ///< dead-end retreats in the backtracking search
-  kHomMappingsFound,     ///< mappings that reached the visitor
-  // Union-level containment checks.
-  kDisjunctChecks,       ///< CQ-in-union disjunct checks performed
-  // Comparison reasoning (comparison_containment / order_constraints).
-  kLinearizations,       ///< consistent linearizations enumerated
-  kEntailmentChecks,     ///< order-constraint entailment queries
-  kClosureRecomputes,    ///< transitive-closure recomputations
-  // Dense-order engine (constraints/dense_order.cc).
-  kDenseOrderPropagations,   ///< pair-matrix cells narrowed during closure
-  kDenseOrderBranchesPruned, ///< DFS class placements rejected by the matrix
-  // Binding-pattern plan search (binding/dom_containment.cc).
-  kDomTreeOptions,       ///< distinct tree profile types saturated
-  kDomCoresChecked,      ///< (core, option assignment) combinations
-  kDomSaturationRounds,  ///< saturation rounds until fixpoint
-  // Plan service (planner/planner.cc).
-  kPlannerPlansBuilt,    ///< maximally-contained plans constructed
-  kPlannerPlanRules,     ///< rules across every plan the planner built
-  // CEGAR counterexample search (relcont/cegar.cc).
-  kCegarIterations,       ///< cover checks performed (CEGAR loop iterations)
-  kCegarBlockingClauses,  ///< blocking clauses learned from covers
-  kCegarProposals,        ///< candidate instances proposed (DFS leaves)
-  // Budgets and the parallel fan-out (common/budget.cc, common/parallel.cc).
-  kBoundHits,               ///< kBoundReached statuses minted (any site)
-  kParallelTasksSpawned,    ///< helper threads launched by parallel scans
-  kParallelTasksCancelled,  ///< scan items abandoned by early exit
+  kPlanRules = 0,
+  kPlanDisjunctsKept,
+  kPlanDisjunctsDropped,
+  kUnfoldResolutions,
+  kUnfoldDisjuncts,
+  kExpansionsVisited,
+  kExpansionRuleApps,
+  kFrozenQueries,
+  kFrozenAtoms,
+  kFrozenConstants,
+  kHomMappingCalls,
+  kHomCandidatesTried,
+  kHomBacktracks,
+  kHomMappingsFound,
+  kDisjunctChecks,
+  kLinearizations,
+  kEntailmentChecks,
+  kClosureRecomputes,
+  kDenseOrderPropagations,
+  kDenseOrderPrunedBranches,
+  kDomTreeOptions,
+  kDomCoresChecked,
+  kDomSaturationRounds,
+  kPlannerPlansBuilt,
+  kPlannerPlanRules,
+  kCegarIterations,
+  kCegarBlockingClauses,
+  kCegarProposals,
+  kBoundHits,
+  kParallelTasksSpawned,
+  kParallelTasksCompleted,
+  kParallelTasksCancelled,
   kNumCounters,
 };
 
+inline constexpr size_t kNumCounters =
+    static_cast<size_t>(Counter::kNumCounters);
+
+/// One value per counter, indexed by Counter.
+using CounterArray = std::array<uint64_t, kNumCounters>;
+
+/// Every counter, declared once: its process-wide series name and what it
+/// counts. The counter's own short name (EXPLAIN, the Chrome exporter,
+/// `/statusz` keys) is the series name without its `_total` suffix. Each
+/// `exported` row is the series `relcont_<series>` on METRICS, `/metrics`
+/// and `/statusz` (obs/series.h appends one series row per such counter).
+struct CounterDef {
+  Counter counter;
+  std::string_view series;
+  std::string_view help;
+  /// False for a count another series already carries.
+  bool exported = true;
+};
+
+inline constexpr CounterDef kCounterTable[] = {
+    {Counter::kPlanRules, "plan_rules_total",
+     "Inverse rules entering a maximally-contained plan."},
+    {Counter::kPlanDisjunctsKept, "plan_disjuncts_kept_total",
+     "Plan disjuncts that survive PlanToUnion."},
+    {Counter::kPlanDisjunctsDropped, "plan_disjuncts_dropped_total",
+     "Plan disjuncts discarded (function terms or unsatisfiable)."},
+    {Counter::kUnfoldResolutions, "unfold_resolutions_total",
+     "Resolution steps during unfolding."},
+    {Counter::kUnfoldDisjuncts, "unfold_disjuncts_total",
+     "Disjuncts emitted by unfolding."},
+    {Counter::kExpansionsVisited, "expansions_visited_total",
+     "Complete expansions handed to the visitor."},
+    {Counter::kExpansionRuleApps, "expansion_rule_apps_total",
+     "Rule applications across all expansion derivations."},
+    {Counter::kFrozenQueries, "frozen_queries_total",
+     "Queries frozen into canonical databases."},
+    {Counter::kFrozenAtoms, "frozen_atoms_total",
+     "Facts added to canonical databases."},
+    {Counter::kFrozenConstants, "frozen_constants_total",
+     "Fresh frozen constants minted."},
+    {Counter::kHomMappingCalls, "hom_mapping_calls_total",
+     "Containment-mapping searches started."},
+    {Counter::kHomCandidatesTried, "hom_candidates_tried_total",
+     "Candidate target atoms tried by the backtracking search."},
+    {Counter::kHomBacktracks, "hom_backtracks_total",
+     "Dead-end retreats of the backtracking search."},
+    {Counter::kHomMappingsFound, "hom_mappings_found_total",
+     "Complete containment mappings found."},
+    {Counter::kDisjunctChecks, "disjunct_checks_total",
+     "Disjunct-vs-disjunct (or disjunct-vs-program) tests begun."},
+    {Counter::kLinearizations, "linearizations_total",
+     "Total orders enumerated by the comparison case split."},
+    {Counter::kEntailmentChecks, "entailment_checks_total",
+     "Order-constraint entailment checks."},
+    {Counter::kClosureRecomputes, "closure_recomputes_total",
+     "Comparison closures recomputed."},
+    {Counter::kDenseOrderPropagations, "dense_order_propagations_total",
+     "Pair-matrix cell narrowings performed by the dense-order engine."},
+    {Counter::kDenseOrderPrunedBranches, "dense_order_pruned_branches_total",
+     "Linearization DFS class placements rejected by the closed pair "
+     "matrix."},
+    {Counter::kDomTreeOptions, "dom_tree_options_total",
+     "Distinct tree profile types saturated (binding patterns)."},
+    {Counter::kDomCoresChecked, "dom_cores_checked_total",
+     "(core, option assignment) combinations checked (binding patterns)."},
+    {Counter::kDomSaturationRounds, "dom_saturation_rounds_total",
+     "Dom saturation rounds until fixpoint (binding patterns)."},
+    {Counter::kPlannerPlansBuilt, "planner_plans_built_total",
+     "Maximally-contained plans the planner constructed."},
+    {Counter::kPlannerPlanRules, "planner_plan_rules_total",
+     "Rules across every plan the planner constructed."},
+    {Counter::kCegarIterations, "cegar_iterations_total",
+     "Cover checks performed by the CEGAR counterexample search (loop "
+     "iterations)."},
+    {Counter::kCegarBlockingClauses, "cegar_blocking_clauses_total",
+     "Blocking clauses learned from successful covers."},
+    {Counter::kCegarProposals, "cegar_proposals_total",
+     "Candidate source instances proposed by the CEGAR search (DFS "
+     "leaves)."},
+    {Counter::kBoundHits, "bound_hits_total",
+     "kBoundReached statuses minted (relcont_bound_hits_total{site} "
+     "carries them per site).",
+     /*exported=*/false},
+    {Counter::kParallelTasksSpawned, "parallel_tasks_spawned_total",
+     "Parallel helper tasks spawned by decisions."},
+    {Counter::kParallelTasksCompleted, "parallel_tasks_completed_total",
+     "Parallel helper tasks joined by decisions (equals spawned when "
+     "idle)."},
+    {Counter::kParallelTasksCancelled, "parallel_tasks_cancelled_total",
+     "Parallel scan items abandoned by first-counterexample-wins early "
+     "exit."},
+};
+
+namespace internal {
+inline constexpr std::string_view kSeriesSuffix = "_total";
+constexpr bool CounterTableIsIndexed() {
+  if (std::size(kCounterTable) != kNumCounters) return false;
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    if (static_cast<size_t>(kCounterTable[i].counter) != i ||
+        !kCounterTable[i].series.ends_with(kSeriesSuffix)) {
+      return false;
+    }
+  }
+  return true;
+}
+}  // namespace internal
+static_assert(internal::CounterTableIsIndexed(),
+              "kCounterTable has one row per Counter, in enum order, each "
+              "series named <counter>_total");
+
 /// Short stable snake_case name for `c` ("plan_rules", "hom_backtracks",
-/// ...), used by EXPLAIN, the Chrome exporter, and the METRICS aggregates.
-std::string_view CounterName(Counter c);
+/// ...).
+constexpr std::string_view CounterName(Counter c) {
+  const std::string_view series = kCounterTable[static_cast<size_t>(c)].series;
+  return series.substr(0, series.size() - internal::kSeriesSuffix.size());
+}
 
 /// One node of the span tree. Timestamps are steady_clock nanoseconds
 /// relative to the context's epoch (its construction time), so they are
@@ -102,7 +212,7 @@ struct SpanNode {
   int parent = -1;
   /// Nesting depth; 0 for a root.
   int depth = 0;
-  std::array<uint64_t, static_cast<size_t>(Counter::kNumCounters)> counters{};
+  CounterArray counters{};
 
   uint64_t duration_ns() const { return end_ns - start_ns; }
 };
@@ -157,8 +267,8 @@ class TraceContext {
   uint64_t request_id_ = 0;
 };
 
-/// The thread's active context, or nullptr. Instrumentation fires only
-/// while a context is installed.
+/// The thread's active context, or nullptr. Spans are recorded only while
+/// a context is installed.
 TraceContext* CurrentTrace();
 
 /// Installs `ctx` (may be nullptr) as the thread's current context for the
@@ -192,9 +302,25 @@ class TraceSpan {
   int index_ = -1;
 };
 
-inline void Count(Counter c, uint64_t delta = 1) {
-  if (TraceContext* ctx = CurrentTrace()) ctx->AddCount(c, delta);
-}
+/// The calling thread's running totals: every count this thread made
+/// since it started. Take a copy as a mark; the difference later is the
+/// work done in between.
+const CounterArray& ThreadCounts();
+
+/// Adds `delta` to `c` in the thread's totals and, when compiled in and a
+/// context is installed, on its innermost open span. Out of line, like
+/// CurrentTrace: the thread-locals stay private to trace.cc (an inline
+/// access from other objects is the initial-exec TLS form, which the
+/// linker relaxes in a way that trips UBSan's null check).
+void Count(Counter c, uint64_t delta = 1);
+
+/// The process-wide totals: the sum of every folded delta. METRICS,
+/// `/metrics` and `/statusz` read them.
+std::array<std::atomic<uint64_t>, kNumCounters>& ProcessCounts();
+
+/// Adds the thread's counts since `mark` (a copy of ThreadCounts) to
+/// ProcessCounts. A zero delta issues no atomic operation.
+void FoldIntoProcess(const CounterArray& mark);
 
 }  // namespace trace
 }  // namespace relcont
@@ -208,11 +334,10 @@ inline void Count(Counter c, uint64_t delta = 1) {
   ::relcont::trace::TraceSpan RELCONT_TRACE_CONCAT_(_relcont_span_, \
                                                     __LINE__)(name)
 /// Adds `n` to counter `c` (an unqualified Counter enumerator name).
-#define RELCONT_TRACE_COUNT(c, n) \
-  ::relcont::trace::Count(::relcont::trace::Counter::c, (n))
 #else
 #define RELCONT_TRACE_SPAN(name) ((void)0)
-#define RELCONT_TRACE_COUNT(c, n) ((void)0)
 #endif
+#define RELCONT_TRACE_COUNT(c, n) \
+  ::relcont::trace::Count(::relcont::trace::Counter::c, (n))
 
 #endif  // RELCONT_TRACE_TRACE_H_

@@ -28,6 +28,7 @@
 #include "relcont/pi2p_reduction.h"
 #include "service/protocol.h"
 #include "service/service.h"
+#include "trace/trace.h"
 
 namespace relcont {
 namespace {
@@ -129,17 +130,6 @@ TEST(WorkBudgetTest, RegionCancelDoesNotTouchParent) {
   EXPECT_TRUE(parent.Charge());  // the next phase of the request runs on
 }
 
-TEST(WorkBudgetTest, TaskCountersAccumulateOnRoot) {
-  WorkBudget root;
-  WorkBudget region(&root);
-  region.NoteHelperSpawned();
-  region.NoteHelperSpawned();
-  region.NoteHelperCompleted();
-  region.NoteHelperCompleted();
-  EXPECT_EQ(root.tasks_spawned(), 2u);
-  EXPECT_EQ(root.tasks_completed(), 2u);
-}
-
 TEST(WorkBudgetTest, ToStatusIsUniformBoundReached) {
   WorkBudget budget;
   budget.set_max_steps(1);
@@ -194,33 +184,67 @@ TEST(BudgetScopeTest, BudgetOkOrBoundReflectsExhaustion) {
 // ParallelScan.
 // ---------------------------------------------------------------------------
 
+/// What this thread counted of `c` since `mark` (a copy of ThreadCounts).
+uint64_t CountSince(const trace::CounterArray& mark, trace::Counter c) {
+  const size_t i = static_cast<size_t>(c);
+  return trace::ThreadCounts()[i] - mark[i];
+}
+
 TEST(ParallelScanTest, RunsEveryItemInline) {
   WorkBudget region;
   std::atomic<int> ran{0};
-  ParallelScanStats stats = ParallelScan(17, /*workers=*/1, &region,
-                                         [&](size_t) {
-                                           ran.fetch_add(1);
-                                           return true;
-                                         });
+  const trace::CounterArray mark = trace::ThreadCounts();
+  ParallelScan(17, /*workers=*/1, &region, [&](size_t) {
+    ran.fetch_add(1);
+    return true;
+  });
   EXPECT_EQ(ran.load(), 17);
-  EXPECT_EQ(stats.helpers_spawned, 0);
-  EXPECT_EQ(stats.items_unfinished, 0u);
+  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksSpawned), 0u);
+  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksCancelled), 0u);
 }
 
 TEST(ParallelScanTest, RunsEveryItemExactlyOnceAcrossThreads) {
   WorkBudget region;
   constexpr size_t kItems = 200;
   std::vector<std::atomic<int>> runs(kItems);
-  ParallelScanStats stats = ParallelScan(kItems, /*workers=*/4, &region,
-                                         [&](size_t i) {
-                                           runs[i].fetch_add(1);
-                                           return true;
-                                         });
+  const trace::CounterArray mark = trace::ThreadCounts();
+  ParallelScan(kItems, /*workers=*/4, &region, [&](size_t i) {
+    runs[i].fetch_add(1);
+    return true;
+  });
   for (size_t i = 0; i < kItems; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
-  EXPECT_EQ(stats.items_unfinished, 0u);
-  EXPECT_LE(stats.helpers_spawned, 3);
+  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksCancelled), 0u);
+  const uint64_t spawned =
+      CountSince(mark, trace::Counter::kParallelTasksSpawned);
+  EXPECT_LE(spawned, 3u);
   // Pool quiescence: every announced helper was joined before return.
-  EXPECT_EQ(region.tasks_spawned(), region.tasks_completed());
+  EXPECT_EQ(spawned, CountSince(mark, trace::Counter::kParallelTasksCompleted));
+}
+
+TEST(ParallelScanTest, HelperCountsReachTheCallerAndItsOpenSpan) {
+  WorkBudget region;
+  constexpr size_t kItems = 64;
+  trace::TraceContext ctx;
+  const trace::CounterArray mark = trace::ThreadCounts();
+  {
+    trace::TraceScope scope(&ctx);
+    RELCONT_TRACE_SPAN("scan");
+    ParallelScan(kItems, /*workers=*/4, &region, [](size_t) {
+      // Stay busy long enough that the helpers claim items too.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      RELCONT_TRACE_COUNT(kDisjunctChecks, 1);
+      return true;
+    });
+  }
+  // Every item's count reached the caller, whichever thread ran it.
+  EXPECT_EQ(CountSince(mark, trace::Counter::kDisjunctChecks), kItems);
+  if (trace::kCompiledIn) {
+    EXPECT_EQ(ctx.TotalCount(trace::Counter::kDisjunctChecks), kItems);
+    EXPECT_EQ(ctx.TotalCount(trace::Counter::kParallelTasksCompleted),
+              ctx.TotalCount(trace::Counter::kParallelTasksSpawned));
+  }
+  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksSpawned), 3u);
+  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksCompleted), 3u);
 }
 
 TEST(ParallelScanTest, TasksRunUnderTheRegionBudget) {
@@ -236,17 +260,18 @@ TEST(ParallelScanTest, TasksRunUnderTheRegionBudget) {
 TEST(ParallelScanTest, EarlyExitCancelsRegion) {
   WorkBudget region;
   std::atomic<int> ran{0};
-  ParallelScanStats stats = ParallelScan(1'000, /*workers=*/4, &region,
-                                         [&](size_t i) {
-                                           ran.fetch_add(1);
-                                           return i != 3;  // "counterexample"
-                                         });
+  const trace::CounterArray mark = trace::ThreadCounts();
+  ParallelScan(1'000, /*workers=*/4, &region, [&](size_t i) {
+    ran.fetch_add(1);
+    return i != 3;  // "counterexample"
+  });
   EXPECT_TRUE(region.Exhausted());
   EXPECT_EQ(region.reason(), BudgetReason::kCancelled);
   // Unclaimed items were never started.
   EXPECT_LT(ran.load(), 1'000);
-  EXPECT_GT(stats.items_unfinished, 0u);
-  EXPECT_EQ(region.tasks_spawned(), region.tasks_completed());
+  EXPECT_GT(CountSince(mark, trace::Counter::kParallelTasksCancelled), 0u);
+  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksSpawned),
+            CountSince(mark, trace::Counter::kParallelTasksCompleted));
 }
 
 TEST(ParallelScanTest, ParentExhaustionStopsTheScan) {
@@ -254,14 +279,14 @@ TEST(ParallelScanTest, ParentExhaustionStopsTheScan) {
   parent.set_max_steps(10);
   WorkBudget region(&parent);
   std::atomic<int> ran{0};
-  ParallelScanStats stats = ParallelScan(1'000, /*workers=*/2, &region,
-                                         [&](size_t) {
-                                           ran.fetch_add(1);
-                                           BudgetCharge(1);
-                                           return true;
-                                         });
+  const trace::CounterArray mark = trace::ThreadCounts();
+  ParallelScan(1'000, /*workers=*/2, &region, [&](size_t) {
+    ran.fetch_add(1);
+    BudgetCharge(1);
+    return true;
+  });
   EXPECT_TRUE(parent.Exhausted());
-  EXPECT_GT(stats.items_unfinished, 0u);
+  EXPECT_GT(CountSince(mark, trace::Counter::kParallelTasksCancelled), 0u);
   EXPECT_LT(ran.load(), 1'000);
 }
 

@@ -10,12 +10,12 @@
 //      accumulate: cover checks with blocking on never exceed (and on the
 //      handcrafted family strictly undercut) the count with blocking off.
 //   3. A budget trip mid-refinement answers kBoundReached at the
-//      `cegar_search` bound site — never a verdict — with the trace,
-//      process-wide, and per-run counters all agreeing on the partial
-//      work.
+//      `cegar_search` bound site — never a verdict — and the counts of the
+//      partial work are kept: the thread's counter delta, its span
+//      attribution and the process-wide totals it folds into agree.
 //   4. An 8-thread strategy=cegar batch returns the serial verdicts (the
 //      run also joins the TSan matrix in CI, pinning the engine's shared
-//      state — the global counters — as race-free).
+//      state — the process-wide counters — as race-free).
 
 #include <string>
 #include <vector>
@@ -55,15 +55,37 @@ ViewSet MakeViews(const std::vector<std::string>& rules, Interner* interner) {
   return views;
 }
 
+/// What one CEGAR run counted: the calling thread's counter delta.
+struct RunCounts {
+  uint64_t proposals = 0;
+  uint64_t iterations = 0;
+  uint64_t blocking_clauses = 0;
+};
+
 Result<RelativeContainmentResult> RunCegar(const GoalQuery& q1,
                                            const GoalQuery& q2,
                                            const ViewSet& views,
                                            Interner* interner, bool blocking,
-                                           CegarStats* stats) {
+                                           RunCounts* counts) {
   RelativeContainmentOptions options;
   options.strategy = ContainmentStrategy::kCegar;
   options.cegar.enable_blocking = blocking;
-  return CegarRelativelyContained(q1, q2, views, interner, options, stats);
+  const trace::CounterArray mark = trace::ThreadCounts();
+  Result<RelativeContainmentResult> out =
+      CegarRelativelyContained(q1, q2, views, interner, options);
+  auto since = [&](trace::Counter c) {
+    const size_t i = static_cast<size_t>(c);
+    return trace::ThreadCounts()[i] - mark[i];
+  };
+  counts->proposals = since(trace::Counter::kCegarProposals);
+  counts->iterations = since(trace::Counter::kCegarIterations);
+  counts->blocking_clauses = since(trace::Counter::kCegarBlockingClauses);
+  return out;
+}
+
+/// The process-wide total of `c`.
+uint64_t ProcessCount(trace::Counter c) {
+  return trace::ProcessCounts()[static_cast<size_t>(c)].load();
 }
 
 // ---------------------------------------------------------------------------
@@ -88,10 +110,10 @@ TEST(CegarPropertyTest, BlockingPrunesProvablyOnDisjointJoinFamily) {
     GoalQuery q1 = MakeQuery("q1() :- p(X, Y), q(Z, W).", &interner);
     GoalQuery q2 = MakeQuery("q2() :- q(A, B).", &interner);
 
-    CegarStats off;
+    RunCounts off;
     Result<RelativeContainmentResult> r_off =
         RunCegar(q1, q2, views, &interner, /*blocking=*/false, &off);
-    CegarStats on;
+    RunCounts on;
     Result<RelativeContainmentResult> r_on =
         RunCegar(q1, q2, views, &interner, /*blocking=*/true, &on);
     ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
@@ -135,10 +157,10 @@ TEST(CegarPropertyTest, BlockingNeverChangesVerdictsOnRandomSweep) {
     ViewSet views = RandomViews(options, /*num_views=*/5, &interner);
     if (views.empty() || r1.head.arity() != r2.head.arity()) continue;
 
-    CegarStats off;
+    RunCounts off;
     Result<RelativeContainmentResult> r_off =
         RunCegar(q1, q2, views, &interner, /*blocking=*/false, &off);
-    CegarStats on;
+    RunCounts on;
     Result<RelativeContainmentResult> r_on =
         RunCegar(q1, q2, views, &interner, /*blocking=*/true, &on);
     ASSERT_EQ(r_on.ok(), r_off.ok()) << "seed=" << seed;
@@ -176,7 +198,7 @@ TEST(CegarPropertyTest, BudgetTripAnswersBoundReachedAtCegarSearchSite) {
 
   // Reference run under an UNLIMITED budget: completes normally while
   // counting every charged step, which calibrates the bounded run below.
-  CegarStats full;
+  RunCounts full;
   int64_t total_steps = 0;
   {
     WorkBudget counter;
@@ -197,15 +219,17 @@ TEST(CegarPropertyTest, BudgetTripAnswersBoundReachedAtCegarSearchSite) {
   trace::TraceContext ctx;
   trace::TraceScope trace_scope(&ctx);
   BudgetScope budget_scope(&budget);
-  CegarGlobalCounters& global = GlobalCegarCounters();
-  uint64_t g_iterations = global.iterations.load();
-  uint64_t g_clauses = global.blocking_clauses.load();
-  uint64_t g_proposals = global.proposals.load();
+  const trace::CounterArray mark = trace::ThreadCounts();
+  const uint64_t g_iterations = ProcessCount(trace::Counter::kCegarIterations);
+  const uint64_t g_clauses =
+      ProcessCount(trace::Counter::kCegarBlockingClauses);
+  const uint64_t g_proposals = ProcessCount(trace::Counter::kCegarProposals);
 
-  CegarStats partial;
+  RunCounts partial;
   Result<RelativeContainmentResult> bounded =
       RunCegar(inst->q2, inst->q1, inst->views, &interner, /*blocking=*/true,
                &partial);
+  trace::FoldIntoProcess(mark);
 
   // Never a wrong verdict: the trip surfaces as a status, at the engine's
   // own bound site.
@@ -219,10 +243,9 @@ TEST(CegarPropertyTest, BudgetTripAnswersBoundReachedAtCegarSearchSite) {
   EXPECT_GT(partial.iterations, 0u);
   EXPECT_LT(partial.iterations, full.iterations);
 
-  // Counter deltas pinned across all three accounting paths: the per-run
-  // stats out-param, the thread's trace counters (when hooks are compiled
-  // in), and the process-wide aggregates must agree on the partial work,
-  // even on the error path.
+  // The counts of the partial work survive the error path: the thread's
+  // delta, its attribution to the open spans (when hooks are compiled in)
+  // and the process-wide totals the delta folds into agree.
   if (trace::kCompiledIn) {
     EXPECT_EQ(ctx.TotalCount(trace::Counter::kCegarIterations),
               partial.iterations);
@@ -231,10 +254,12 @@ TEST(CegarPropertyTest, BudgetTripAnswersBoundReachedAtCegarSearchSite) {
     EXPECT_EQ(ctx.TotalCount(trace::Counter::kCegarProposals),
               partial.proposals);
   }
-  EXPECT_EQ(global.iterations.load() - g_iterations, partial.iterations);
-  EXPECT_EQ(global.blocking_clauses.load() - g_clauses,
+  EXPECT_EQ(ProcessCount(trace::Counter::kCegarIterations) - g_iterations,
+            partial.iterations);
+  EXPECT_EQ(ProcessCount(trace::Counter::kCegarBlockingClauses) - g_clauses,
             partial.blocking_clauses);
-  EXPECT_EQ(global.proposals.load() - g_proposals, partial.proposals);
+  EXPECT_EQ(ProcessCount(trace::Counter::kCegarProposals) - g_proposals,
+            partial.proposals);
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +338,7 @@ TEST(CegarPropertyTest, EightThreadCegarBatchMatchesSerialVerdicts) {
     EXPECT_EQ(concurrent[i].contained, serial[i].contained) << "at " << i;
   }
   // The engine ran: the process-wide proposal counter moved.
-  EXPECT_GT(GlobalCegarCounters().proposals.load(), 0u);
+  EXPECT_GT(ProcessCount(trace::Counter::kCegarProposals), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "containment/cq_containment.h"
 #include "datalog/parser.h"
 #include "eval/evaluator.h"
+#include "support/linearization_oracle.h"
 
 namespace relcont {
 namespace {
@@ -295,7 +296,7 @@ TEST_F(ContainmentTest, ComparisonContainmentAgreesWithEvalOracle) {
     }
     ASSERT_TRUE(oc.AddAll(q1.comparisons).ok());
     bool oracle = true;
-    Result<std::vector<Linearization>> lins = oc.EnumerateLinearizations();
+    Result<std::vector<Linearization>> lins = EnumerateLinearizations(oc);
     ASSERT_TRUE(lins.ok()) << lins.status().ToString();
     for (const Linearization& lin : *lins) {
       std::map<Term, Rational> sigma = oc.Realize(lin);

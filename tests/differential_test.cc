@@ -41,6 +41,7 @@
 #include "relcont/pi2p_reduction.h"
 #include "relcont/relative_containment.h"
 #include "relcont/workload.h"
+#include "trace/trace.h"
 
 namespace relcont {
 namespace {
@@ -390,9 +391,13 @@ std::optional<bool> DecideAllEngines(const RandomTriple& t,
       RelativelyContained(t.q1, t.q2, t.views, interner, par_options);
   RelativeContainmentOptions cegar_options;
   cegar_options.strategy = ContainmentStrategy::kCegar;
-  CegarStats stats;
+  const trace::CounterArray mark = trace::ThreadCounts();
   Result<RelativeContainmentResult> cegar = CegarRelativelyContained(
-      t.q1, t.q2, t.views, interner, cegar_options, &stats);
+      t.q1, t.q2, t.views, interner, cegar_options);
+  auto cegar_count = [&](trace::Counter c) {
+    const size_t i = static_cast<size_t>(c);
+    return trace::ThreadCounts()[i] - mark[i];
+  };
 
   EXPECT_EQ(parallel.ok(), serial.ok()) << ReplayHint(seed);
   EXPECT_EQ(cegar.ok(), serial.ok()) << ReplayHint(seed);
@@ -409,7 +414,9 @@ std::optional<bool> DecideAllEngines(const RandomTriple& t,
   EXPECT_EQ(parallel->contained, serial->contained) << ReplayHint(seed);
   EXPECT_EQ(cegar->contained, serial->contained) << ReplayHint(seed);
   // Every completed CEGAR run checked each proposal it did not prune.
-  EXPECT_LE(stats.iterations, stats.proposals) << ReplayHint(seed);
+  EXPECT_LE(cegar_count(trace::Counter::kCegarIterations),
+            cegar_count(trace::Counter::kCegarProposals))
+      << ReplayHint(seed);
   ++*decided;
 
   if (!cegar->contained) {

@@ -138,11 +138,10 @@ class ObsServerTest : public testing::Test {
     StartServer();
   }
 
-  void StartServer(obs::AccessLog* access_log = nullptr) {
+  void StartServer() {
     obs::ServerOptions options;
     options.port = 0;  // ephemeral: tests never collide on a fixed port
     options.batch_threads = 2;
-    options.access_log = access_log;
     StartServerWith(options);
   }
 
@@ -659,13 +658,21 @@ TEST_F(ObsServerTest, ExpiredDeadlineAnswersBoundReachedFast) {
 #endif
   EXPECT_LT(elapsed_ms, bound_ms) << reply;
 
-  // The trip shows up in the exposition, and the helper pool is quiescent.
+  // The trip shows up in the exposition, and the helper pool is quiescent:
+  // the two task series of the one counter table agree.
   HttpReply metrics = Get(port(), "/metrics");
   EXPECT_EQ(metrics.status_line, "HTTP/1.1 200 OK");
   EXPECT_NE(metrics.body.find("relcont_deadline_exceeded_total 1"),
             std::string::npos);
-  EXPECT_EQ(service_.metrics().tasks_spawned(),
-            service_.metrics().tasks_completed());
+  auto value = [&](const std::string& series) -> int64_t {
+    const size_t at = metrics.body.find("\n" + series + " ");
+    if (at == std::string::npos) return -1;
+    return std::strtoll(metrics.body.c_str() + at + series.size() + 2,
+                        nullptr, 10);
+  };
+  const int64_t spawned = value("relcont_parallel_tasks_spawned_total");
+  EXPECT_GE(spawned, 0);
+  EXPECT_EQ(spawned, value("relcont_parallel_tasks_completed_total"));
 }
 
 /// Parses the request id out of an "ERR [id=N] ..." line (0 on mismatch).
@@ -743,6 +750,23 @@ TEST_F(ObsServerTest, RequestzVerbMatchesRequestzEndpoint) {
             "ERR InvalidArgument: request id 999999 not retained");
   EXPECT_EQ(Get(port(), "/requestz?id=999999").status_line,
             "HTTP/1.1 404 Not Found");
+
+  // An id is digits only: a sign, or a value past 64 bits, is a usage
+  // error on the verb and a 400 over HTTP on both surfaces alike — never
+  // wrapped, and never read as a different id (+3 is not 3).
+  for (const std::string bad_id :
+       {"-1", "+3", "99999999999999999999999", "18446744073709551616", "0",
+        "3x", "0x3"}) {
+    Client hostile(port());
+    ASSERT_TRUE(hostile.connected());
+    hostile.Send("REQUESTZ " + bad_id + "\n");
+    EXPECT_EQ(hostile.ReadLine(),
+              "ERR InvalidArgument: expected REQUESTZ [<id>]")
+        << bad_id;
+    EXPECT_EQ(Get(port(), "/requestz?id=" + bad_id).status_line,
+              "HTTP/1.1 400 Bad Request")
+        << bad_id;
+  }
 }
 
 /// Acceptance criterion: a deliberately slow request (1 ms deadline on a
@@ -815,44 +839,54 @@ TEST_F(ObsServerTest, BoundReachedRequestIsRetainedWithSpanTree) {
   StartServer();  // TearDown needs a live fixture server
 }
 
-TEST_F(ObsServerTest, AccessLogRecordsDecisionsAcrossSessions) {
-  // Rebuild the server with an access log attached.
-  server_->Shutdown();
-  serve_thread_.join();
-
+TEST_F(ObsServerTest, AccessLogRecordsEveryVerbAcrossSessions) {
   std::string path = testing::TempDir() + "/obs_server_access.jsonl";
   std::remove(path.c_str());
   obs::AccessLogOptions log_options;
   log_options.path = path;
   auto log = obs::AccessLog::Open(log_options);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
-  StartServer(log->get());
+  service_.metrics().set_access_log(log->get());
 
   EXPECT_EQ(RunDecision("qa1", "qb1").substr(0, 3), "YES");
   EXPECT_EQ(RunDecision("qa2", "qb2").substr(0, 3), "YES");
+  Client planner(port());
+  ASSERT_TRUE(planner.connected());
+  planner.Send("DEFINE pq pq(C) :- cardesc(C, M, red, Y).\n");
+  EXPECT_NE(planner.ReadLine().find("OK"), std::string::npos);
+  planner.Send("PLAN? pq @cars\n");
+  planner.FinishSending();
+  EXPECT_EQ(planner.ReadAll().rfind("OK plan", 0), 0u);
 
   server_->Shutdown();
   serve_thread_.join();
+  service_.metrics().set_access_log(nullptr);
   log->reset();  // flush + close before reading
 
   std::ifstream in(path);
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
+  ASSERT_EQ(lines.size(), 3u);
   double last_id = 0;
-  for (const std::string& event_line : lines) {
-    Result<json::Value> event = json::Parse(event_line);
-    ASSERT_TRUE(event.ok()) << event_line;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    // Each line is the request's wide event, rendered as /requestz does.
+    Result<json::Value> event = json::Parse(lines[i]);
+    ASSERT_TRUE(event.ok()) << lines[i];
     // The flight recorder's ids, monotonic across sessions.
-    EXPECT_EQ(event->Find("id"), nullptr);
     EXPECT_GT(event->Find("request_id")->number_value, last_id);
     last_id = event->Find("request_id")->number_value;
+    EXPECT_EQ(event->Find("verb")->string_value,
+              i < 2 ? "contained" : "plan");
     EXPECT_EQ(event->Find("catalog")->string_value, "cars");
     EXPECT_GT(event->Find("catalog_version")->number_value, 0);
-    EXPECT_EQ(event->Find("regime")->string_value, "section3");
-    EXPECT_TRUE(event->Find("contained")->bool_value);
-    EXPECT_EQ(event->Find("error")->string_value, "");
+    EXPECT_GE(event->Find("workers")->number_value, 1);
+    EXPECT_FALSE(event->Find("error")->bool_value);
+    EXPECT_FALSE(event->Find("bound")->bool_value);
+    EXPECT_FALSE(event->Find("traced")->bool_value);
+    if (i < 2) {
+      EXPECT_EQ(event->Find("regime")->string_value, "section3");
+    }
   }
 
   // Restart a plain server so TearDown has something to stop.

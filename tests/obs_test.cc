@@ -1,12 +1,13 @@
 // Tests for the observability layer that do not need a live TCP server:
 // the JSON escaper/parser, hostile-name escaping in the trace exporters,
 // the series table and the renderers that iterate it, the slowest-request
-// digest of /statusz, the access-log event format and file behavior
-// (sampling, rotation), and histogram bucket edges. The networked half
+// digest of /statusz, the access log as a wide-event sink (line format,
+// sampling, rotation), and histogram bucket edges. The networked half
 // lives in obs_server_test.cc.
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -114,7 +115,6 @@ obs::MetricsSnapshot PopulatedSnapshot() {
   s.latency_buckets = {{false, 127, 6}, {true, 0, 42}};
   s.latency_sum_micros = 1234;
   s.latency_count = 42;
-  s.trace_counter_totals = {{"section3", "hom_backtracks", 9}};
   s.phases = {{"decide \"hostile\"\\phase", 5000, 3}};
   s.window_latency = {{"contained", "all", 10, 5, 10, 20, 30, 40}};
   obs::WideEvent slow;
@@ -328,79 +328,6 @@ TEST(LatencyHistogramTest, RecordsIntoEdgeBuckets) {
 // ---------------------------------------------------------------------------
 // Access log: event shape, hostile-content escaping, sampling, rotation.
 
-TEST(AccessLogTest, RenderEventIsValidJsonWithHostileContent) {
-  DecisionRequest request;
-  request.q1_text = "q1(X) :- r(X, \"weird\\name\").";
-  request.q2_text = "q2(X) :- r(X, Y).";
-  request.catalog = "cat\"alog\n";
-  DecisionResponse response;
-  response.status = Status::InvalidArgument("parse error: got \"}\"\\");
-  response.regime = Regime::kSection3;
-  response.contained = true;
-  response.cache_hit = true;
-  response.latency_micros = 77;
-  response.catalog_version = 3;
-
-  response.request_id = 9;
-
-  std::string line =
-      obs::AccessLog::RenderEvent(1700000000000000, request, response);
-  Result<json::Value> parsed = json::Parse(line);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
-  EXPECT_DOUBLE_EQ(parsed->Find("request_id")->number_value, 9);
-  EXPECT_EQ(parsed->Find("id"), nullptr);
-  EXPECT_EQ(parsed->Find("catalog")->string_value, "cat\"alog\n");
-  EXPECT_DOUBLE_EQ(parsed->Find("catalog_version")->number_value, 3);
-  EXPECT_EQ(parsed->Find("q1")->string_value, request.q1_text);
-  EXPECT_EQ(parsed->Find("regime")->string_value, "section3");
-  EXPECT_TRUE(parsed->Find("contained")->bool_value);
-  EXPECT_TRUE(parsed->Find("cache_hit")->bool_value);
-  EXPECT_DOUBLE_EQ(parsed->Find("latency_us")->number_value, 77);
-  EXPECT_NE(parsed->Find("error")->string_value.find("parse error"),
-            std::string::npos);
-  // No trace on the response — no phases array.
-  EXPECT_EQ(parsed->Find("phases"), nullptr);
-}
-
-TEST(AccessLogTest, RenderEventIncludesTopLevelPhases) {
-  DecisionRequest request;
-  DecisionResponse response;
-  auto ctx = std::make_shared<trace::TraceContext>();
-  int root = ctx->OpenSpan("decide");
-  int child = ctx->OpenSpan("parse");
-  int grandchild = ctx->OpenSpan("intern");  // depth 2: excluded
-  ctx->CloseSpan(grandchild);
-  ctx->CloseSpan(child);
-  int child2 = ctx->OpenSpan("containment");
-  ctx->CloseSpan(child2);
-  ctx->CloseSpan(root);
-  response.trace = ctx;
-
-  std::string line =
-      obs::AccessLog::RenderEvent(1700000000000000, request, response);
-  Result<json::Value> parsed = json::Parse(line);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
-  const json::Value* phases = parsed->Find("phases");
-  ASSERT_NE(phases, nullptr);
-  ASSERT_TRUE(phases->is_array());
-  // The shared top-phase digest: largest first, so the root leads.
-  std::vector<std::pair<std::string_view, uint64_t>> expected =
-      ctx->TopPhases();
-  ASSERT_EQ(phases->array.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(phases->array[i].Find("phase")->string_value,
-              expected[i].first);
-    EXPECT_DOUBLE_EQ(phases->array[i].Find("ns")->number_value,
-                     static_cast<double>(expected[i].second));
-  }
-  EXPECT_EQ(phases->array[0].Find("phase")->string_value, "decide");
-  std::set<std::string> names;
-  for (const json::Value& phase : phases->array) {
-    names.insert(phase.Find("phase")->string_value);
-  }
-  EXPECT_EQ(names, (std::set<std::string>{"decide", "parse", "containment"}));
-}
-
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
@@ -413,23 +340,126 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return lines;
 }
 
-TEST(AccessLogTest, SamplingKeepsEveryNthRequest) {
-  std::string path = TempPath("access_sample.jsonl");
-  std::remove(path.c_str());
-  obs::AccessLogOptions options;
-  options.path = path;
-  options.sample = 3;
+/// Opens a fresh access log at TempPath(name).
+std::unique_ptr<obs::AccessLog> OpenLog(const std::string& name,
+                                        obs::AccessLogOptions options = {}) {
+  options.path = TempPath(name);
+  std::remove(options.path.c_str());
+  std::remove((options.path + ".1").c_str());
   auto log = obs::AccessLog::Open(options);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
-  DecisionRequest request;
-  DecisionResponse response;
-  for (uint64_t id = 1; id <= 9; ++id) {
-    response.request_id = id;
-    (*log)->Record(request, response);
-  }
-  log->reset();  // flush + close
+  EXPECT_TRUE(log.ok()) << log.status().ToString();
+  return log.ok() ? std::move(*log) : nullptr;
+}
 
-  std::vector<std::string> lines = ReadLines(path);
+TEST(AccessLogTest, LogsTheWideEventWithHostileCatalogName) {
+  auto log = OpenLog("access_event.jsonl");
+  ASSERT_NE(log, nullptr);
+  ServiceMetrics metrics;
+  metrics.set_access_log(log.get());
+  obs::WideEvent event;
+  event.request_id = metrics.flight().NextRequestId();
+  event.latency_micros = 77;
+  event.catalog_version = 3;
+  event.worker_count = 4;
+  event.error = 1;
+  event.cache_hit = 1;
+  event.bound = 1;
+  event.set_verb("plan");
+  event.set_regime("section3");
+  // A protocol token never holds whitespace, but may hold quotes,
+  // backslashes and other control bytes; the last are dropped.
+  event.set_catalog("cat\"alog\\\x01x");
+  event.set_bound_site("planner_plan");
+  metrics.RecordFlight(ServiceVerb::kPlan, event, nullptr);
+  metrics.set_access_log(nullptr);
+  log.reset();  // flush + close
+
+  std::vector<std::string> lines = ReadLines(TempPath("access_event.jsonl"));
+  ASSERT_EQ(lines.size(), 1u);
+  // The line is the wide event exactly as /requestz renders it.
+  std::vector<obs::WideEvent> ring = metrics.flight().RecentEvents();
+  ASSERT_EQ(ring.size(), 1u);
+  char rendered[2048];
+  EXPECT_EQ(lines[0], std::string(rendered, obs::RenderWideEventJson(
+                                                ring[0], rendered,
+                                                sizeof rendered)));
+  Result<json::Value> parsed = json::Parse(lines[0]);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << lines[0];
+  EXPECT_DOUBLE_EQ(parsed->Find("request_id")->number_value, 1);
+  EXPECT_GT(parsed->Find("ts_unix_micros")->number_value, 0);
+  EXPECT_EQ(parsed->Find("verb")->string_value, "plan");
+  EXPECT_EQ(parsed->Find("catalog")->string_value, "cat\"alog\\x");
+  EXPECT_DOUBLE_EQ(parsed->Find("catalog_version")->number_value, 3);
+  EXPECT_EQ(parsed->Find("regime")->string_value, "section3");
+  EXPECT_DOUBLE_EQ(parsed->Find("workers")->number_value, 4);
+  EXPECT_TRUE(parsed->Find("cache_hit")->bool_value);
+  EXPECT_TRUE(parsed->Find("error")->bool_value);
+  EXPECT_TRUE(parsed->Find("bound")->bool_value);
+  EXPECT_EQ(parsed->Find("bound_site")->string_value, "planner_plan");
+  EXPECT_DOUBLE_EQ(parsed->Find("latency_us")->number_value, 77);
+  // No trace: untraced, and an empty phase digest.
+  EXPECT_FALSE(parsed->Find("traced")->bool_value);
+  EXPECT_TRUE(parsed->Find("phases")->array.empty());
+}
+
+TEST(AccessLogTest, LogsTheTraceTopLevelPhases) {
+  auto log = OpenLog("access_phases.jsonl");
+  ASSERT_NE(log, nullptr);
+  ServiceMetrics metrics;
+  metrics.set_access_log(log.get());
+  trace::TraceContext ctx;
+  int root = ctx.OpenSpan("decide");
+  int child = ctx.OpenSpan("parse");
+  int grandchild = ctx.OpenSpan("intern");  // depth 2: excluded
+  ctx.CloseSpan(grandchild);
+  ctx.CloseSpan(child);
+  int child2 = ctx.OpenSpan("containment");
+  ctx.CloseSpan(child2);
+  ctx.CloseSpan(root);
+  obs::WideEvent event;
+  event.request_id = metrics.flight().NextRequestId();
+  metrics.RecordFlight(ServiceVerb::kContained, event, &ctx);
+  metrics.set_access_log(nullptr);
+  log.reset();
+
+  std::vector<std::string> lines = ReadLines(TempPath("access_phases.jsonl"));
+  ASSERT_EQ(lines.size(), 1u);
+  Result<json::Value> parsed = json::Parse(lines[0]);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << lines[0];
+  EXPECT_TRUE(parsed->Find("traced")->bool_value);
+  const json::Value* phases = parsed->Find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_TRUE(phases->is_array());
+  // The shared top-phase digest: largest first, so the root leads.
+  std::vector<std::pair<std::string_view, uint64_t>> expected =
+      ctx.TopPhases();
+  ASSERT_EQ(phases->array.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(phases->array[i].Find("name")->string_value, expected[i].first);
+    EXPECT_DOUBLE_EQ(phases->array[i].Find("ns")->number_value,
+                     static_cast<double>(expected[i].second));
+  }
+  EXPECT_EQ(phases->array[0].Find("name")->string_value, "decide");
+  std::set<std::string> names;
+  for (const json::Value& phase : phases->array) {
+    names.insert(phase.Find("name")->string_value);
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"decide", "parse", "containment"}));
+}
+
+TEST(AccessLogTest, SamplingKeepsEveryNthRequest) {
+  obs::AccessLogOptions options;
+  options.sample = 3;
+  auto log = OpenLog("access_sample.jsonl", options);
+  ASSERT_NE(log, nullptr);
+  obs::WideEvent event;
+  for (uint64_t id = 1; id <= 9; ++id) {
+    event.request_id = id;
+    log->Record(event);
+  }
+  log.reset();  // flush + close
+
+  std::vector<std::string> lines = ReadLines(TempPath("access_sample.jsonl"));
   ASSERT_EQ(lines.size(), 3u);  // ids 1, 4, 7
   std::vector<double> ids;
   for (const std::string& line : lines) {
@@ -441,23 +471,19 @@ TEST(AccessLogTest, SamplingKeepsEveryNthRequest) {
 }
 
 TEST(AccessLogTest, RotatesAtSizeLimit) {
-  std::string path = TempPath("access_rotate.jsonl");
-  std::remove(path.c_str());
-  std::remove((path + ".1").c_str());
   obs::AccessLogOptions options;
-  options.path = path;
   options.max_bytes = 512;
-  auto log = obs::AccessLog::Open(options);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
-  DecisionRequest request;
-  request.q1_text = std::string(100, 'x');  // make events chunky
-  DecisionResponse response;
+  auto log = OpenLog("access_rotate.jsonl", options);
+  ASSERT_NE(log, nullptr);
+  obs::WideEvent event;
+  event.set_catalog(std::string(100, 'x'));  // make events chunky
   for (uint64_t id = 1; id <= 20; ++id) {
-    response.request_id = id;
-    (*log)->Record(request, response);
+    event.request_id = id;
+    log->Record(event);
   }
-  log->reset();
+  log.reset();
 
+  const std::string path = TempPath("access_rotate.jsonl");
   std::vector<std::string> active = ReadLines(path);
   std::vector<std::string> rotated = ReadLines(path + ".1");
   // One rotated generation is kept; older ones age out by design.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "binding/dom_containment.h"
+#include "common/parallel.h"
 #include "containment/canonical.h"
 #include "containment/homomorphism.h"
 #include "datalog/parser.h"
@@ -26,6 +27,18 @@
 
 namespace relcont {
 namespace {
+
+/// The process-wide total of `c` (trace::ProcessCounts).
+uint64_t ProcessCount(trace::Counter c) {
+  return trace::ProcessCounts()[static_cast<size_t>(c)].load();
+}
+
+/// The pool-quiescence invariant, read from the one counter table: every
+/// parallel helper a request spawned was joined before the request ended.
+void ExpectQuiescent() {
+  EXPECT_EQ(ProcessCount(trace::Counter::kParallelTasksSpawned),
+            ProcessCount(trace::Counter::kParallelTasksCompleted));
+}
 
 // --- canonical fingerprints -------------------------------------------------
 
@@ -553,6 +566,8 @@ TEST(ServiceStressTest, ParallelWorkersUnderConcurrentLoadMatchSerial) {
 
   ContainmentService parallel;
   ASSERT_TRUE(parallel.catalogs().Register("rand", views_text).ok());
+  const uint64_t spawned_before =
+      ProcessCount(trace::Counter::kParallelTasksSpawned);
   std::vector<DecisionResponse> concurrent =
       parallel.ExecuteBatch(requests, 8);
 
@@ -567,8 +582,9 @@ TEST(ServiceStressTest, ParallelWorkersUnderConcurrentLoadMatchSerial) {
   }
   // Quiescence: every helper the decisions spawned has been joined; the
   // spawn/complete counters can only balance if no task is still running.
-  EXPECT_EQ(parallel.metrics().tasks_spawned(),
-            parallel.metrics().tasks_completed());
+  EXPECT_GT(ProcessCount(trace::Counter::kParallelTasksSpawned),
+            spawned_before);
+  ExpectQuiescent();
   EXPECT_EQ(parallel.metrics().deadline_exceeded(), 0u);
 }
 
@@ -623,8 +639,7 @@ TEST(ServiceDeadlineTest, MidFlightDeadlineAnswersBoundReachedAndQuiesces) {
   // The expired request still quiesced its helpers before returning and
   // was counted by the deadline metric.
   EXPECT_GE(service.metrics().deadline_exceeded(), 1u);
-  EXPECT_EQ(service.metrics().tasks_spawned(),
-            service.metrics().tasks_completed());
+  ExpectQuiescent();
   // A bound is an error, not a verdict: nothing may enter the cache.
   CacheStats stats = service.cache().Stats();
   EXPECT_EQ(stats.entries, 0u);
@@ -1118,23 +1133,29 @@ TEST(MetricsTest, HistogramBucketsAndDump) {
 
 TEST(MetricsTest, BudgetCountersAppearInDumpAndSnapshot) {
   ServiceMetrics metrics;
-  metrics.RecordBudget(/*tasks_spawned=*/5, /*tasks_completed=*/5,
-                       /*deadline_exceeded=*/true);
-  metrics.RecordBudget(/*tasks_spawned=*/2, /*tasks_completed=*/2,
-                       /*deadline_exceeded=*/false);
+  metrics.RecordDeadlineExceeded();
   EXPECT_EQ(metrics.deadline_exceeded(), 1u);
-  EXPECT_EQ(metrics.tasks_spawned(), 7u);
-  EXPECT_EQ(metrics.tasks_completed(), 7u);
+  // The task series are the process-wide counter totals: a 4-wide scan
+  // folded into them moves both by its 3 helpers.
+  const uint64_t spawned_before =
+      ProcessCount(trace::Counter::kParallelTasksSpawned);
+  const trace::CounterArray mark = trace::ThreadCounts();
+  WorkBudget region;
+  ParallelScan(8, /*workers=*/4, &region, [](size_t) { return true; });
+  trace::FoldIntoProcess(mark);
+  const uint64_t spawned = ProcessCount(trace::Counter::kParallelTasksSpawned);
+  EXPECT_EQ(spawned, spawned_before + 3);
+  ExpectQuiescent();
   std::string dump = obs::RenderPrometheusText(metrics.Snapshot(CacheStats{}));
   EXPECT_NE(dump.find("\nrelcont_deadline_exceeded_total 1\n"),
             std::string::npos)
       << dump;
-  EXPECT_NE(dump.find("\nrelcont_parallel_tasks_spawned_total 7\n"),
-            std::string::npos)
-      << dump;
-  EXPECT_NE(dump.find("\nrelcont_parallel_tasks_completed_total 7\n"),
-            std::string::npos)
-      << dump;
+  for (const char* series : {"spawned", "completed"}) {
+    EXPECT_NE(dump.find("\nrelcont_parallel_tasks_" + std::string(series) +
+                        "_total " + std::to_string(spawned) + "\n"),
+              std::string::npos)
+        << dump;
+  }
 }
 
 TEST(MetricsTest, CumulativeBucketsAreMonotone) {
@@ -1274,21 +1295,27 @@ TEST_F(ServiceTraceTest, ConcurrentTracedBatchIsConsistent) {
     request.bypass_cache = (i % 2 == 0);
     requests.push_back(request);
   }
+  const uint64_t calls_before =
+      ProcessCount(trace::Counter::kHomMappingCalls);
   std::vector<DecisionResponse> responses = service.ExecuteBatch(requests, 4);
   ASSERT_EQ(responses.size(), requests.size());
+  uint64_t traced_calls = 0;
   for (const DecisionResponse& r : responses) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_TRUE(r.contained);
     ASSERT_NE(r.trace, nullptr);
+    traced_calls += r.trace->TotalCount(trace::Counter::kHomMappingCalls);
   }
   EXPECT_EQ(service.metrics().requests(), requests.size());
+  const uint64_t calls = ProcessCount(trace::Counter::kHomMappingCalls) -
+                         calls_before;
+  EXPECT_GT(calls, 0u);
   if (trace::kCompiledIn) {
     // Every non-cache-hit decision opened exactly one "decide" span.
     EXPECT_GE(service.metrics().PhaseCalls("decide"), 12u);
     EXPECT_GT(service.metrics().PhaseNanos("decide"), 0u);
-    EXPECT_GT(service.metrics().RegimeCounterTotal(
-                  Regime::kSection3, trace::Counter::kHomMappingCalls),
-              0u);
+    // Concurrent workers fold the same counts their traces recorded.
+    EXPECT_EQ(calls, traced_calls);
   }
   std::string dump = obs::RenderPrometheusText(
       service.metrics().Snapshot(service.cache().Stats()));
@@ -1322,6 +1349,134 @@ TEST_F(ServiceTraceTest, ExplainVerbReturnsSpanTree) {
   session.HandleLine("BATCH BEGIN");
   EXPECT_EQ(session.HandleLine("EXPLAIN a b @c").rfind("ERR", 0), 0u);
   session.HandleLine("BATCH END");
+}
+
+// --- the one counter set ---------------------------------------------------
+
+/// The value of the unlabelled series `name` in a Prometheus rendering, or
+/// -1 when it is absent.
+int64_t SeriesValue(const std::string& text, const std::string& name) {
+  const size_t at = text.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::strtoll(text.c_str() + at + name.size() + 2, nullptr, 10);
+}
+
+TEST(CounterTableTest, UntracedContainedMovesHomMappingCallsInMetrics) {
+  // Counters are always on: a request nobody traces still folds its
+  // counts into the process table that METRICS renders (in every build,
+  // RELCONT_TRACE=OFF included).
+  ContainmentService service;
+  ServerSession session(&service);
+  session.HandleLine("CATALOG m VIEW v(X, Y) :- p(X, Y).");
+  session.HandleLine("DEFINE qa qa(X) :- p(X, X).");
+  session.HandleLine("DEFINE qb qb(A) :- p(A, B).");
+  const int64_t before = SeriesValue(session.HandleLine("METRICS"),
+                                     "relcont_hom_mapping_calls_total");
+  ASSERT_GE(before, 0);
+  EXPECT_EQ(session.HandleLine("CONTAINED? qa qb @m").rfind("YES", 0), 0u);
+  const std::string after = session.HandleLine("METRICS");
+  EXPECT_GT(SeriesValue(after, "relcont_hom_mapping_calls_total"), before)
+      << after;
+  EXPECT_EQ(service.metrics().Snapshot(service.cache().Stats())
+                .values[obs::SeriesIndex("hom_mapping_calls_total")],
+            static_cast<uint64_t>(
+                SeriesValue(after, "relcont_hom_mapping_calls_total")));
+}
+
+TEST(CounterTableTest, ProcessDeltaEqualsSumOfTracesOverSeededSweep) {
+  ServiceConfig config;
+  config.trace_requests = true;
+  ContainmentService service(config);
+  std::string views_text;
+  std::vector<DecisionRequest> requests = RandomWorkload(30, &views_text);
+  ASSERT_TRUE(service.catalogs().Register("rand", views_text).ok());
+  WorkerContext ctx;
+  trace::CounterArray before;
+  for (size_t c = 0; c < trace::kNumCounters; ++c) {
+    before[c] = trace::ProcessCounts()[c].load();
+  }
+  trace::CounterArray traced{};
+  // Every question twice: the second is a cache hit, which counts nothing.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const DecisionRequest& request : requests) {
+      DecisionResponse response = service.Decide(request, &ctx);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ASSERT_NE(response.trace, nullptr);
+      for (size_t c = 0; c < trace::kNumCounters; ++c) {
+        traced[c] +=
+            response.trace->TotalCount(static_cast<trace::Counter>(c));
+      }
+    }
+  }
+  for (size_t c = 0; c < trace::kNumCounters; ++c) {
+    const uint64_t delta = trace::ProcessCounts()[c].load() - before[c];
+    if (trace::kCompiledIn) {
+      EXPECT_EQ(delta, traced[c])
+          << trace::CounterName(static_cast<trace::Counter>(c));
+    }
+  }
+  const size_t calls = static_cast<size_t>(trace::Counter::kHomMappingCalls);
+  EXPECT_GT(trace::ProcessCounts()[calls].load(), before[calls]);
+}
+
+TEST(CounterTableTest, HelperWorkIsCountedAtAnyWidth) {
+  // A YES section 3 question whose left plan has 8 x 8 disjuncts, so a
+  // 4-wide scan spreads its disjunct checks over helper threads. The
+  // left join lists its second step first, so mappings backtrack too.
+  std::string views;
+  for (int i = 0; i < 8; ++i) {
+    views += "v" + std::to_string(i) + "(X, Y) :- p(X, Y).\n";
+  }
+  ContainmentService service;
+  ASSERT_TRUE(service.catalogs().Register("wide", views).ok());
+  DecisionRequest request;
+  request.q1_text = "q1() :- p(Y, Z), p(X, Y).";
+  request.q2_text = "q2() :- p(A, B), p(B, C).";
+  request.catalog = "wide";
+  request.bypass_cache = true;
+  request.collect_trace = true;
+  request.options.strategy = ContainmentStrategy::kScan;
+  const trace::Counter kCompared[] = {
+      trace::Counter::kHomMappingCalls, trace::Counter::kHomCandidatesTried,
+      trace::Counter::kHomBacktracks, trace::Counter::kHomMappingsFound,
+      trace::Counter::kDisjunctChecks};
+  auto run = [&](int workers, trace::CounterArray* traced,
+                 trace::CounterArray* folded) {
+    request.options.parallel_workers = workers;
+    trace::CounterArray before;
+    for (size_t c = 0; c < trace::kNumCounters; ++c) {
+      before[c] = trace::ProcessCounts()[c].load();
+    }
+    WorkerContext ctx;
+    DecisionResponse response = service.Decide(request, &ctx);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_TRUE(response.contained);
+    EXPECT_EQ(response.regime, Regime::kSection3);
+    ASSERT_NE(response.trace, nullptr);
+    for (size_t c = 0; c < trace::kNumCounters; ++c) {
+      (*traced)[c] = response.trace->TotalCount(static_cast<trace::Counter>(c));
+      (*folded)[c] = trace::ProcessCounts()[c].load() - before[c];
+    }
+    // Quiescence after every request, read from the one table.
+    ExpectQuiescent();
+  };
+  trace::CounterArray serial_traced, serial_folded;
+  trace::CounterArray wide_traced, wide_folded;
+  run(1, &serial_traced, &serial_folded);
+  run(4, &wide_traced, &wide_folded);
+  const auto spawned =
+      static_cast<size_t>(trace::Counter::kParallelTasksSpawned);
+  EXPECT_EQ(serial_folded[spawned], 0u);
+  EXPECT_EQ(wide_folded[spawned], 3u);
+  for (trace::Counter counter : kCompared) {
+    const size_t c = static_cast<size_t>(counter);
+    EXPECT_GT(serial_folded[c], 0u) << trace::CounterName(counter);
+    EXPECT_EQ(wide_folded[c], serial_folded[c]) << trace::CounterName(counter);
+    EXPECT_EQ(wide_traced[c], serial_traced[c]) << trace::CounterName(counter);
+    if (trace::kCompiledIn) {
+      EXPECT_EQ(wide_traced[c], wide_folded[c]) << trace::CounterName(counter);
+    }
+  }
 }
 
 }  // namespace

@@ -5,26 +5,34 @@
 // table cannot check is the prose. This binary checks:
 //
 //   1. every kSeriesTable row appears, as `relcont_<name>`, in the
-//      OBSERVABILITY.md glossary (argv[1]);
+//      OBSERVABILITY.md glossary (argv[1]) — the table ends in one row per
+//      series counter of trace::kCounterTable, so every series derived
+//      from a counter is covered — and every kCounterTable row appears,
+//      as `<counter name>`, in the counter glossary;
 //   2. the /statusz JSON of a live service snapshot reparses with the
 //      in-repo parser;
 //   3. the /requestz JSON (both the list and the per-id drill-down)
 //      reparses, and every key in it appears in the OBSERVABILITY.md
 //      wide-event schema table (the chrome_trace subtree is exempt — its
-//      keys are Chrome's, documented upstream).
+//      keys are Chrome's, documented upstream); so does one access-log
+//      line, and each of its keys is a row of that schema table.
 //
 // It runs as a ctest case, so CI gates on an undocumented series or key.
 //
 // Usage: metrics_lint <path/to/OBSERVABILITY.md>
 // Exit: 0 clean, 1 lint findings, 2 usage/IO error.
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "common/json.h"
+#include "obs/access_log.h"
 #include "obs/exposition.h"
 #include "obs/series.h"
 #include "service/metrics.h"
@@ -71,7 +79,7 @@ int main(int argc, char** argv) {
     ++findings;
   };
 
-  // 1. Every declared series is documented.
+  // 1. Every declared series and every counter is documented.
   for (const relcont::obs::SeriesDef& row : relcont::obs::kSeriesTable) {
     const std::string name = "relcont_" + std::string(row.name);
     if (doc.find("`" + name) == std::string::npos) {
@@ -79,11 +87,31 @@ int main(int argc, char** argv) {
            std::string(argv[1]));
     }
   }
+  for (const relcont::trace::CounterDef& row : relcont::trace::kCounterTable) {
+    const std::string name(relcont::trace::CounterName(row.counter));
+    if (doc.find("| `" + name + "` |") == std::string::npos) {
+      fail("counter '" + name + "' has no glossary row in " +
+           std::string(argv[1]));
+    }
+  }
 
   // One traced, errored request: the flight arena retains it, so the
   // snapshot carries a slow request and /requestz a drill-down with every
-  // key the renderers can emit.
+  // key the renderers can emit; the access log writes its line.
+  const std::string log_path =
+      (std::filesystem::temp_directory_path() /
+       ("metrics_lint_access_" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+  relcont::obs::AccessLogOptions log_options;
+  log_options.path = log_path;
+  auto access_log = relcont::obs::AccessLog::Open(log_options);
+  if (!access_log.ok()) {
+    std::fprintf(stderr, "metrics_lint: %s\n",
+                 access_log.status().ToString().c_str());
+    return 2;
+  }
   relcont::ServiceMetrics metrics;
+  metrics.set_access_log(access_log->get());
   relcont::trace::TraceContext trace;
   trace.CloseSpan(trace.OpenSpan("decide"));
   relcont::obs::WideEvent event;
@@ -99,6 +127,14 @@ int main(int argc, char** argv) {
   event.set_catalog("cars");
   event.set_bound_site("linearization_dfs");
   metrics.RecordFlight(relcont::ServiceVerb::kContained, event, &trace);
+  metrics.set_access_log(nullptr);
+  access_log->reset();  // flush + close
+  std::string log_line;
+  {
+    std::ifstream log_file(log_path);
+    std::getline(log_file, log_line);
+  }
+  std::filesystem::remove(log_path);
 
   // 2. /statusz reparses.
   const std::string statusz = relcont::obs::RenderStatuszJson(
@@ -141,11 +177,26 @@ int main(int argc, char** argv) {
     }
   }
 
+  // 3b. The access-log line is a wide event: it reparses, and each key is
+  // a row of the wide-event schema table.
+  auto log_parsed = relcont::json::Parse(log_line);
+  if (!log_parsed.ok() || !log_parsed->is_object()) {
+    fail("the access-log line does not reparse: '" + log_line + "'");
+  } else {
+    for (const auto& [key, member] : log_parsed->object) {
+      (void)member;
+      if (doc.find("| `" + key + "` |") == std::string::npos) {
+        fail("access-log key '" + key +
+             "' has no wide-event schema row in " + std::string(argv[1]));
+      }
+    }
+  }
+
   if (findings > 0) {
     std::fprintf(stderr, "metrics_lint: %d finding(s)\n", findings);
     return 1;
   }
-  std::printf("metrics_lint: %zu series, all documented\n",
-              relcont::obs::kNumSeries);
+  std::printf("metrics_lint: %zu series and %zu counters, all documented\n",
+              relcont::obs::kNumSeries, relcont::trace::kNumCounters);
   return 0;
 }
