@@ -7,6 +7,7 @@
 
 #include "datalog/parser.h"
 #include "relcont/binding_containment.h"
+#include "trace/trace.h"
 
 namespace relcont {
 namespace {
@@ -47,18 +48,21 @@ void BM_Binding_SweepLookupSources(benchmark::State& state) {
   int lookups = static_cast<int>(state.range(0));
   ChainScenario s;
   BuildChain(lookups, &s);
-  int tree_options = 0;
+  constexpr size_t kTreeOptions =
+      static_cast<size_t>(trace::Counter::kDomTreeOptions);
+  uint64_t tree_options = 0;
   for (auto _ : state) {
+    const uint64_t before = trace::ThreadCounts()[kTreeOptions];
     Result<BindingRelativeResult> r = RelativelyContainedWithBindingPatterns(
         s.q_any, s.q_cover, s.views, s.patterns, &s.interner);
     if (!r.ok() || !r->contained) {
       state.SkipWithError(r.ok() ? "wrong answer" : r.status().ToString().c_str());
       return;
     }
-    tree_options = r->tree_options;
+    tree_options = trace::ThreadCounts()[kTreeOptions] - before;
   }
   state.counters["lookup_sources"] = lookups;
-  state.counters["tree_profiles"] = tree_options;
+  state.counters["tree_profiles"] = static_cast<double>(tree_options);
 }
 BENCHMARK(BM_Binding_SweepLookupSources)->DenseRange(1, 4);
 

@@ -1,0 +1,121 @@
+// Per-layer harness for the binding store: the two operations every
+// decision procedure rests on, timed outside the service.
+//
+//   BM_UnfoldInverseRulesPlan    MaximallyContainedPlan of a path-view
+//                                query, then UnfoldToUnion of the plan
+//                                (renaming apart + one resolution step per
+//                                inverse rule used).
+//   BM_ContainmentMappingSearch  every containment mapping of a 3-edge path
+//                                into a 16-edge graph query
+//                                (ForEachContainmentMapping: match, extend,
+//                                undo).
+//
+// Writes BENCH_unfold.json (relcont-bench-v1, bench/harness.h), which the
+// CI bench gate compares against bench/baselines/BENCH_unfold.json.
+// RELCONT_BENCH_SMOKE=1 shrinks the repetition counts.
+
+#include <chrono>
+#include <cstdio>
+#include <string>
+
+#include "harness.h"
+#include "containment/homomorphism.h"
+#include "datalog/parser.h"
+#include "datalog/unfold.h"
+#include "relcont/workload.h"
+#include "rewriting/inverse_rules.h"
+
+namespace relcont {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Times `samples` batches of `iterations` calls of `op`; each sample is
+/// the mean ns per call of its batch.
+template <typename Op>
+bench::Samples TimePerCall(int samples, int iterations, Op op) {
+  bench::Samples out;
+  for (int s = 0; s < samples; ++s) {
+    auto start = Clock::now();
+    for (int i = 0; i < iterations; ++i) op();
+    std::chrono::duration<double, std::nano> elapsed = Clock::now() - start;
+    out.Add(elapsed.count() / iterations);
+  }
+  return out;
+}
+
+/// Returns the unfolding's disjunct count (0 on error) so the call is not
+/// optimized away and a broken run shows.
+bench::Samples BM_UnfoldInverseRulesPlan(int samples, int iterations,
+                                         size_t* disjuncts) {
+  PathViewOptions options;
+  options.num_views = 30;
+  options.num_relations = 4;
+  options.bound_probability = 0;
+  options.query_length = 2;
+  options.seed = 11;
+  PathViewWorkload w = MakePathViewWorkload(options);
+  Interner interner;
+  ViewSet views = *ParseViews(w.views_text, &interner);
+  Program query = *ParseProgram(w.query_text, &interner);
+  SymbolId goal = query.rules[0].head.predicate;
+  return TimePerCall(samples, iterations, [&] {
+    // Each call starts from the same interner state, as a served request.
+    Interner::FreshMark mark = interner.Mark();
+    Result<Program> plan = MaximallyContainedPlan(query, views, &interner);
+    Result<UnionQuery> u = plan.ok() ? UnfoldToUnion(*plan, goal, &interner)
+                                     : Result<UnionQuery>(plan.status());
+    *disjuncts = u.ok() ? u->disjuncts.size() : 0;
+    interner.Rollback(mark);
+  });
+}
+
+bench::Samples BM_ContainmentMappingSearch(int samples, int iterations,
+                                           size_t* mappings) {
+  Interner interner;
+  Rule from = *ParseRule("q(X) :- e(X, Y), e(Y, Z), e(Z, W).", &interner);
+  std::string graph = "q(N0) :- ";
+  for (int i = 0; i < 16; ++i) {
+    graph += (i > 0 ? ", " : "") + std::string("e(N") +
+             std::to_string(i % 6) + ", N" + std::to_string((i * 5 + 1) % 6) +
+             ")";
+  }
+  Rule to = *ParseRule(graph + ".", &interner);
+  return TimePerCall(samples, iterations, [&] {
+    size_t found = 0;
+    ForEachContainmentMapping(from, to, [&](const Substitution&) {
+      ++found;
+      return false;  // enumerate them all
+    });
+    *mappings = found;
+  });
+}
+
+int Main() {
+  const int samples = bench::ScaleIterations(30, 7);
+  size_t disjuncts = 0;
+  bench::Samples unfold = BM_UnfoldInverseRulesPlan(
+      samples, bench::ScaleIterations(200, 20), &disjuncts);
+  size_t mappings = 0;
+  bench::Samples search = BM_ContainmentMappingSearch(
+      samples, bench::ScaleIterations(2000, 200), &mappings);
+  std::printf("bench_unfold: unfold %.0f ns/call (%zu disjuncts), mapping "
+              "search %.0f ns/call (%zu mappings)\n",
+              unfold.Median(), disjuncts, search.Median(), mappings);
+  if (disjuncts == 0 || mappings == 0) {
+    std::fprintf(stderr, "bench_unfold: a workload did no work\n");
+    return 1;
+  }
+  std::vector<bench::Metric> metrics;
+  metrics.push_back(bench::DistributionMetric(
+      "unfold_inverse_rules_plan_ns", unfold, "ns", false));
+  metrics.push_back(bench::DistributionMetric(
+      "containment_mapping_search_ns", search, "ns", false));
+  return bench::WriteBenchJson("BENCH_unfold.json", "unfold", metrics) ? 0
+                                                                       : 1;
+}
+
+}  // namespace
+}  // namespace relcont
+
+int main() { return relcont::Main(); }

@@ -442,29 +442,29 @@ class DomDecider {
       Term marker = Term::Var(ChildMarker(involved_children[j]));
       for (size_t v = 0; v < d.vars.size(); ++v) {
         if ((e.boundary >> v) & 1) {
-          std::optional<Term> prev = seed.Lookup(d.vars[v]);
-          if (prev.has_value() && !(*prev == marker)) return;
+          const Term* prev = seed.Find(d.vars[v]);
+          if (prev != nullptr && !(*prev == marker)) return;
           seed.Bind(d.vars[v], marker);
         }
       }
       for (const auto& [v, cidx] : e.consts) {
         Term cterm = Term::Constant(const_table_[cidx]);
-        std::optional<Term> prev = seed.Lookup(d.vars[v]);
-        if (prev.has_value() && !(*prev == cterm)) return;
+        const Term* prev = seed.Find(d.vars[v]);
+        if (prev != nullptr && !(*prev == cterm)) return;
         seed.Bind(d.vars[v], cterm);
       }
     }
     // Backtracking hom for the node-placed atoms; each complete hom yields
     // one profile entry.
-    HomRec(di, node_atoms, node_atoms_chosen, 0, seed, s_mask, option);
+    HomRec(di, node_atoms, node_atoms_chosen, 0, &seed, s_mask, option);
   }
 
   void HomRec(int di, const std::vector<Atom>& node_atoms,
-              const std::vector<int>& chosen, size_t idx, Substitution subst,
+              const std::vector<int>& chosen, size_t idx, Substitution* subst,
               uint64_t s_mask, TreeOption* option) {
     const DisjunctInfo& d = disjuncts_[di];
     if (idx == chosen.size()) {
-      EmitEntry(di, subst, s_mask, option);
+      EmitEntry(di, *subst, s_mask, option);
       return;
     }
     const Atom& pattern = d.rule.body[chosen[idx]];
@@ -473,10 +473,11 @@ class DomDecider {
           target.args.size() != pattern.args.size()) {
         continue;
       }
-      Substitution extended = subst;
-      if (!MatchAtomAgainstGround(pattern, target.args, &extended)) continue;
-      HomRec(di, node_atoms, chosen, idx + 1, std::move(extended), s_mask,
-             option);
+      const size_t mark = subst->Mark();
+      if (MatchAtomAgainstGround(pattern, target.args, subst)) {
+        HomRec(di, node_atoms, chosen, idx + 1, subst, s_mask, option);
+      }
+      subst->Undo(mark);
     }
   }
 
@@ -487,8 +488,8 @@ class DomDecider {
     entry.disjunct = di;
     entry.atoms = s_mask;
     for (size_t v = 0; v < d.vars.size(); ++v) {
-      std::optional<Term> t = subst.Lookup(d.vars[v]);
-      if (!t.has_value()) continue;
+      const Term* t = subst.Find(d.vars[v]);
+      if (t == nullptr) continue;
       bool fully_inside =
           !d.in_head[v] && (d.occurrence[v] & ~s_mask) == 0;
       if (t->is_variable() && t->symbol() == boundary_marker_) {
@@ -540,6 +541,7 @@ class DomDecider {
               TreeOption option,
               BuildOption(static_cast<int>(r), /*output_const=*/-1, children));
           if (seen.insert(key_of(option)).second) {
+            RELCONT_TRACE_COUNT(kDomTreeOptions, 1);
             tree_options_.push_back(std::move(option));
             changed = true;
           }
@@ -558,6 +560,7 @@ class DomDecider {
               TreeOption option,
               BuildOption(static_cast<int>(r), cidx, children));
           if (seen.insert(key_of(option)).second) {
+            RELCONT_TRACE_COUNT(kDomTreeOptions, 1);
             tree_options_.push_back(std::move(option));
           }
         }
@@ -615,7 +618,6 @@ class DomDecider {
   Result<DomContainmentResult> CheckCores() {
     RELCONT_TRACE_SPAN("dom_check_cores");
     DomContainmentResult result;
-    result.tree_options = static_cast<int>(tree_options_.size());
     for (const Core& core : cores_) {
       // Option lists per attachment (OptionsFor is the single source of
       // truth; pick indices below index into the same lists).
@@ -633,7 +635,7 @@ class DomDecider {
       // Enumerate assignments.
       std::vector<size_t> pick(option_lists.size(), 0);
       for (;;) {
-        ++result.cores_checked;
+        RELCONT_TRACE_COUNT(kDomCoresChecked, 1);
         // CheckAssignment's embedding search is budget-free (so a negative
         // is always a real counterexample); the charge here makes the ∀∃
         // sweep interruptible between assignments.
@@ -838,15 +840,15 @@ class DomDecider {
       const Term& attachment = eff.trees[involved[j]].first;
       for (size_t v = 0; v < d.vars.size(); ++v) {
         if ((e.boundary >> v) & 1) {
-          std::optional<Term> prev = subst.Lookup(d.vars[v]);
-          if (prev.has_value() && !(*prev == attachment)) return false;
+          const Term* prev = subst.Find(d.vars[v]);
+          if (prev != nullptr && !(*prev == attachment)) return false;
           subst.Bind(d.vars[v], attachment);
         }
       }
       for (const auto& [v, cidx] : e.consts) {
         Term cterm = Term::Constant(const_table_[cidx]);
-        std::optional<Term> prev = subst.Lookup(d.vars[v]);
-        if (prev.has_value() && !(*prev == cterm)) return false;
+        const Term* prev = subst.Find(d.vars[v]);
+        if (prev != nullptr && !(*prev == cterm)) return false;
         subst.Bind(d.vars[v], cterm);
       }
     }
@@ -858,12 +860,12 @@ class DomDecider {
         return false;
       }
     }
-    return CoreHomRec(di, eff, core_atoms, 0, subst);
+    return CoreHomRec(di, eff, core_atoms, 0, &subst);
   }
 
   bool CoreHomRec(int di, const EffectiveCore& eff,
                   const std::vector<int>& core_atoms, size_t idx,
-                  Substitution subst) {
+                  Substitution* subst) {
     const DisjunctInfo& d = disjuncts_[di];
     if (idx == core_atoms.size()) return true;
     const Atom& pattern = d.rule.body[core_atoms[idx]];
@@ -872,11 +874,12 @@ class DomDecider {
           target.args.size() != pattern.args.size()) {
         continue;
       }
-      Substitution extended = subst;
-      if (!MatchAtomAgainstGround(pattern, target.args, &extended)) continue;
-      if (CoreHomRec(di, eff, core_atoms, idx + 1, std::move(extended))) {
+      const size_t mark = subst->Mark();
+      if (MatchAtomAgainstGround(pattern, target.args, subst) &&
+          CoreHomRec(di, eff, core_atoms, idx + 1, subst)) {
         return true;
       }
+      subst->Undo(mark);
     }
     return false;
   }
@@ -984,15 +987,7 @@ Result<DomContainmentResult> DomPlanContainedInUcq(
     const Program& program, SymbolId goal, SymbolId dom_pred,
     const UnionQuery& q2, Interner* interner) {
   RELCONT_TRACE_SPAN("dom_containment");
-  Result<DomContainmentResult> result =
-      DomDecider(program, goal, dom_pred, q2, interner).Run();
-  if (result.ok()) {
-    RELCONT_TRACE_COUNT(kDomTreeOptions,
-                        static_cast<uint64_t>(result->tree_options));
-    RELCONT_TRACE_COUNT(kDomCoresChecked,
-                        static_cast<uint64_t>(result->cores_checked));
-  }
-  return result;
+  return DomDecider(program, goal, dom_pred, q2, interner).Run();
 }
 
 }  // namespace relcont

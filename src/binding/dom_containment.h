@@ -46,16 +46,15 @@ Status CheckDisjunctSizes(const UnionQuery& q);
 /// (core, option assignment) combination checked charges it at site
 /// "dom_check_cores". So one budget bounds both the running time and the
 /// number of tree options kept, and with no budget installed the check
-/// runs to completion.
+/// runs to completion. The reachable tree profile types and the
+/// combinations checked are the `dom_tree_options` and `dom_cores_checked`
+/// trace counters.
 struct DomContainmentResult {
   bool contained = true;
   /// When !contained: a concrete expansion of the program that is not
   /// contained in the UCQ — freezing its body gives a counterexample
   /// database.
   std::optional<Rule> counterexample;
-  /// Statistics: reachable tree profile types and cores examined.
-  int tree_options = 0;
-  int64_t cores_checked = 0;
 };
 
 /// Decides `program ⊑ q2` where `program`'s only recursion runs through

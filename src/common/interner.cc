@@ -23,7 +23,7 @@ SymbolId Interner::Lookup(std::string_view name) const {
   return it == ids_.end() ? kInvalidSymbol : it->second;
 }
 
-SymbolId Interner::Fresh(std::string_view prefix) {
+SymbolId Interner::FreshBlock(std::string_view prefix, int32_t count) {
   uint32_t tag = 0;
   while (tag < prefixes_.size() && prefixes_[tag].text != prefix) ++tag;
   if (tag == prefixes_.size()) {
@@ -35,15 +35,20 @@ SymbolId Interner::Fresh(std::string_view prefix) {
     }
   }
   const std::unordered_set<int64_t>& taken = prefixes_[tag].taken;
-  int64_t n = counter_++;
-  while (taken.count(n) > 0) n = counter_++;
-  if (live_fresh_ == static_cast<int32_t>(fresh_.size())) fresh_.emplace_back();
-  FreshSlot& slot = fresh_[live_fresh_];
-  slot.prefix = tag;
-  slot.n = n;
-  slot.name.clear();
-  ++fresh_minted_;
-  return kFreshBase + live_fresh_++;
+  const SymbolId first = kFreshBase + live_fresh_;
+  for (int32_t i = 0; i < count; ++i) {
+    int64_t n = counter_++;
+    while (!taken.empty() && taken.count(n) > 0) n = counter_++;
+    if (live_fresh_ == static_cast<int32_t>(fresh_.size())) {
+      fresh_.emplace_back();
+    }
+    FreshSlot& slot = fresh_[live_fresh_++];
+    slot.prefix = tag;
+    slot.n = n;
+    slot.name.clear();
+  }
+  fresh_minted_ += count;
+  return first;
 }
 
 bool Interner::IsFresh(SymbolId id, std::string_view prefix) const {

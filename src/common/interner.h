@@ -81,7 +81,17 @@ class Interner {
   /// Mints a fresh symbol named "<prefix><n>", distinct from every name
   /// interned so far and every live fresh symbol. `prefix` must not end in
   /// a digit, so no two prefixes spell the same name.
-  SymbolId Fresh(std::string_view prefix);
+  SymbolId Fresh(std::string_view prefix) { return FreshBlock(prefix, 1); }
+
+  /// Mints `count` fresh symbols at once and returns the first: their ids
+  /// are the consecutive first .. first + count - 1, and they take the
+  /// names `count` Fresh(prefix) calls would. With `count` 0 it mints
+  /// nothing and returns the id the next fresh symbol will get.
+  SymbolId FreshBlock(std::string_view prefix, int32_t count);
+
+  /// The first id of the fresh range: named ids lie below it, fresh ids
+  /// (live or not) at or above it.
+  static constexpr SymbolId kFreshBase = SymbolId{1} << 30;
 
   /// True iff `id` is a live fresh id minted with `prefix`.
   bool IsFresh(SymbolId id, std::string_view prefix) const;
@@ -95,8 +105,6 @@ class Interner {
   }
 
  private:
-  static constexpr SymbolId kFreshBase = SymbolId{1} << 30;
-
   struct Prefix {
     std::string text;
     /// Counter values an interned "<text><n>" already spells.

@@ -2,7 +2,7 @@
 
 #include "common/budget.h"
 #include "containment/cq_containment.h"
-#include "datalog/substitution.h"
+#include "datalog/unfold.h"
 #include "trace/trace.h"
 
 namespace relcont {
@@ -14,17 +14,16 @@ class Enumerator {
   Enumerator(const Program& program, Interner* interner,
              const ExpansionOptions& options,
              const std::function<bool(const Rule&)>& visit)
-      : program_(program),
-        interner_(interner),
+      : interner_(interner),
         options_(options),
         visit_(visit),
-        idb_(program.IdbPredicates()) {}
+        resolver_(program) {}
 
   // Returns OK when enumeration ran to natural exhaustion.
   Result<bool> Run(SymbolId goal) {
-    for (const Rule* rule : program_.RulesFor(goal)) {
+    for (const NumberedRule& rule : resolver_.Definitions(goal)) {
       if (stop_) break;
-      Expand(RenameApart(*rule, interner_), 1);
+      Expand(rule.RenameApart(interner_), 1);
     }
     return complete_ && !stop_;
   }
@@ -42,13 +41,7 @@ class Enumerator {
       stop_ = true;
       return;
     }
-    int idb_index = -1;
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (idb_.count(rule.body[i].predicate) > 0) {
-        idb_index = static_cast<int>(i);
-        break;
-      }
-    }
+    int idb_index = resolver_.FirstIdbSubgoal(rule);
     if (idb_index < 0) {
       RELCONT_TRACE_COUNT(kExpansionsVisited, 1);
       if (!visit_(rule)) stop_ = true;
@@ -58,33 +51,23 @@ class Enumerator {
       complete_ = false;  // derivation cut off
       return;
     }
-    const Atom& subgoal = rule.body[idb_index];
-    for (const Rule* def : program_.RulesFor(subgoal.predicate)) {
+    Rule resolved;
+    for (const NumberedRule& def :
+         resolver_.Definitions(rule.body[idb_index].predicate)) {
       if (stop_) return;
-      Rule fresh = RenameApart(*def, interner_);
-      Substitution mgu;
-      if (!UnifyAtoms(subgoal, fresh.head, &mgu)) continue;
-      RELCONT_TRACE_COUNT(kExpansionRuleApps, 1);
-      Rule resolved;
-      resolved.head = mgu.Apply(rule.head);
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (static_cast<int>(i) == idb_index) {
-          for (const Atom& a : fresh.body) {
-            resolved.body.push_back(mgu.Apply(a));
-          }
-        } else {
-          resolved.body.push_back(mgu.Apply(rule.body[i]));
-        }
+      if (!def.Resolve(rule, idb_index, interner_, &store_, &resolved)) {
+        continue;
       }
+      RELCONT_TRACE_COUNT(kExpansionRuleApps, 1);
       Expand(resolved, applications + 1);
     }
   }
 
-  const Program& program_;
   Interner* interner_;
   const ExpansionOptions& options_;
   const std::function<bool(const Rule&)>& visit_;
-  std::set<SymbolId> idb_;
+  ProgramResolver resolver_;
+  Substitution store_;
   bool complete_ = true;
   bool stop_ = false;
 };

@@ -18,54 +18,12 @@ struct SearchStats {
   uint64_t found = 0;
 };
 
-// Matches a pattern term (variables of `from` are match variables) against
-// a target term (variables of `to` are opaque, frozen symbols).
-bool MatchTermFrozen(const Term& pattern, const Term& target,
-                     Substitution* subst) {
-  switch (pattern.kind()) {
-    case Term::Kind::kVariable: {
-      std::optional<Term> bound = subst->Lookup(pattern.symbol());
-      if (bound.has_value()) return *bound == target;
-      subst->Bind(pattern.symbol(), target);
-      return true;
-    }
-    case Term::Kind::kConstant:
-      return target.is_constant() && pattern.value() == target.value();
-    case Term::Kind::kFunction: {
-      if (!target.is_function() || target.symbol() != pattern.symbol() ||
-          target.args().size() != pattern.args().size()) {
-        return false;
-      }
-      for (size_t i = 0; i < pattern.args().size(); ++i) {
-        if (!MatchTermFrozen(pattern.args()[i], target.args()[i], subst)) {
-          return false;
-        }
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
+// Matches a body atom: variables of `from` are match variables, variables
+// of `to` are opaque, frozen symbols.
 bool MatchAtomFrozen(const Atom& pattern, const Atom& target,
                      Substitution* subst) {
-  if (pattern.predicate != target.predicate ||
-      pattern.args.size() != target.args.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    if (!MatchTermFrozen(pattern.args[i], target.args[i], subst)) return false;
-  }
-  return true;
-}
-
-// Matches the heads positionally, ignoring the head predicate symbol.
-bool MatchHead(const Atom& pattern, const Atom& target, Substitution* subst) {
-  if (pattern.args.size() != target.args.size()) return false;
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    if (!MatchTermFrozen(pattern.args[i], target.args[i], subst)) return false;
-  }
-  return true;
+  return pattern.predicate == target.predicate &&
+         MatchAtomAgainstGround(pattern, target.args, subst);
 }
 
 bool Backtrack(const Rule& from, const Rule& to,
@@ -84,14 +42,16 @@ bool Backtrack(const Rule& from, const Rule& to,
   }
   const Atom& pattern = from.body[order[depth]];
   for (const Atom& candidate : to.body) {
-    Substitution extended = *subst;
     ++stats->candidates;
-    if (!MatchAtomFrozen(pattern, candidate, &extended)) continue;
-    if (Backtrack(from, to, order, depth + 1, &extended, visit, stats,
-                  budget)) {
-      return true;
+    const size_t mark = subst->Mark();
+    if (MatchAtomFrozen(pattern, candidate, subst)) {
+      if (Backtrack(from, to, order, depth + 1, subst, visit, stats,
+                    budget)) {
+        return true;
+      }
+      ++stats->backtracks;
     }
-    ++stats->backtracks;
+    subst->Undo(mark);
   }
   return false;
 }
@@ -103,7 +63,8 @@ bool ForEachContainmentMapping(
     const std::function<bool(const Substitution&)>& visit) {
   RELCONT_TRACE_COUNT(kHomMappingCalls, 1);
   Substitution subst;
-  if (!MatchHead(from.head, to.head, &subst)) return false;
+  // Heads match positionally; the head predicate symbol is ignored.
+  if (!MatchAtomAgainstGround(from.head, to.head.args, &subst)) return false;
   // Visit atoms with fewer candidate targets first; this prunes early.
   std::vector<int> order(from.body.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);

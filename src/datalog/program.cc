@@ -97,14 +97,6 @@ Status Program::CheckSafe() const {
   return Status::OK();
 }
 
-std::vector<const Rule*> Program::RulesFor(SymbolId pred) const {
-  std::vector<const Rule*> out;
-  for (const Rule& r : rules) {
-    if (r.head.predicate == pred) out.push_back(&r);
-  }
-  return out;
-}
-
 Result<std::vector<SymbolId>> Program::TopologicalIdbOrder() const {
   std::set<SymbolId> idb = IdbPredicates();
   auto graph = BuildIdbGraph(*this, idb);

@@ -39,9 +39,6 @@ struct Program {
   /// is consistent by construction here, so this just checks rule safety).
   Status CheckSafe() const;
 
-  /// Rules whose head predicate is `pred`.
-  std::vector<const Rule*> RulesFor(SymbolId pred) const;
-
   /// For a nonrecursive program, returns IDB predicates in a bottom-up
   /// evaluation order (definitions before uses). Fails with kUnsupported if
   /// the program is recursive.

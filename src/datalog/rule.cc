@@ -1,18 +1,23 @@
 #include "datalog/rule.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace relcont {
 
 namespace {
 
-// Appends the distinct elements of `vars` to `out`, preserving order.
-void Dedup(const std::vector<SymbolId>& vars, std::vector<SymbolId>* out) {
-  std::unordered_set<SymbolId> seen(out->begin(), out->end());
+// The distinct elements of `vars`, in first-occurrence order. A rule has
+// few distinct variables, so a scan of the output beats a hash set.
+std::vector<SymbolId> Dedup(const std::vector<SymbolId>& vars) {
+  std::vector<SymbolId> out;
   for (SymbolId v : vars) {
-    if (seen.insert(v).second) out->push_back(v);
+    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
   }
+  return out;
+}
+
+bool Has(const std::vector<SymbolId>& vars, SymbolId v) {
+  return std::find(vars.begin(), vars.end(), v) != vars.end();
 }
 
 void CollectConstantsFromTerm(const Term& t, std::vector<Value>* out) {
@@ -35,25 +40,19 @@ std::vector<SymbolId> Rule::Variables() const {
   head.CollectVars(&all);
   for (const Atom& a : body) a.CollectVars(&all);
   for (const Comparison& c : comparisons) c.CollectVars(&all);
-  std::vector<SymbolId> out;
-  Dedup(all, &out);
-  return out;
+  return Dedup(all);
 }
 
 std::vector<SymbolId> Rule::HeadVariables() const {
   std::vector<SymbolId> all;
   head.CollectVars(&all);
-  std::vector<SymbolId> out;
-  Dedup(all, &out);
-  return out;
+  return Dedup(all);
 }
 
 std::vector<SymbolId> Rule::BodyVariables() const {
   std::vector<SymbolId> all;
   for (const Atom& a : body) a.CollectVars(&all);
-  std::vector<SymbolId> out;
-  Dedup(all, &out);
-  return out;
+  return Dedup(all);
 }
 
 std::vector<Value> Rule::Constants() const {
@@ -70,18 +69,18 @@ std::vector<Value> Rule::Constants() const {
 }
 
 Status Rule::CheckSafe() const {
-  std::vector<SymbolId> body_vars_vec = BodyVariables();
-  std::unordered_set<SymbolId> body_vars(body_vars_vec.begin(),
-                                         body_vars_vec.end());
-  for (SymbolId v : HeadVariables()) {
-    if (body_vars.find(v) == body_vars.end()) {
+  std::vector<SymbolId> body_vars = BodyVariables();
+  std::vector<SymbolId> head_vars;
+  head.CollectVars(&head_vars);
+  for (SymbolId v : head_vars) {
+    if (!Has(body_vars, v)) {
       return Status::Unsafe("head variable does not appear in the body");
     }
   }
   std::vector<SymbolId> cmp_vars;
   for (const Comparison& c : comparisons) c.CollectVars(&cmp_vars);
   for (SymbolId v : cmp_vars) {
-    if (body_vars.find(v) == body_vars.end()) {
+    if (!Has(body_vars, v)) {
       return Status::Unsafe(
           "comparison variable does not appear in an ordinary subgoal");
     }

@@ -1,11 +1,104 @@
 #include "datalog/substitution.h"
 
+#include <algorithm>
+
 namespace relcont {
 
-std::optional<Term> Substitution::Lookup(SymbolId var) const {
-  auto it = map_.find(var);
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
+const Term* Substitution::Find(SymbolId var) const {
+  const Window& w = WindowOf(var);
+  // Ids below the window wrap to large offsets.
+  uint32_t offset = static_cast<uint32_t>(var - w.lo);
+  if (offset >= w.at.size() || w.at[offset] == 0) return nullptr;
+  return &trail_[w.at[offset] - 1].term;
+}
+
+int32_t& Substitution::Cell(SymbolId var) {
+  Window& w = windows_[var >= Interner::kFreshBase ? 1 : 0];
+  const int64_t size = static_cast<int64_t>(w.at.size());
+  if (size == 0) {
+    w.lo = var;
+    w.at.assign(1, 0);
+  } else if (var < w.lo) {
+    // Grow down by at least the current size, not below the range's floor.
+    const int64_t floor = var >= Interner::kFreshBase ? Interner::kFreshBase
+                                                      : 0;
+    const SymbolId lo =
+        static_cast<SymbolId>(std::max(floor, std::min<int64_t>(
+                                                  var, w.lo - size)));
+    w.at.insert(w.at.begin(), static_cast<size_t>(w.lo - lo), 0);
+    w.lo = lo;
+  } else if (var - w.lo >= size) {
+    w.at.resize(static_cast<size_t>(std::max<int64_t>(var - w.lo + 1,
+                                                      2 * size)),
+                0);
+  }
+  return w.at[var - w.lo];
+}
+
+void Substitution::Bind(SymbolId var, Term term) {
+  int32_t& cell = Cell(var);
+  if (cell == 0) ++size_;
+  if (trail_.capacity() == 0) trail_.reserve(16);
+  trail_.push_back({var, cell, std::move(term)});
+  cell = static_cast<int32_t>(trail_.size());
+}
+
+void Substitution::Undo(size_t mark) {
+  while (trail_.size() > mark) {
+    const Entry& e = trail_.back();
+    Window& w = windows_[e.var >= Interner::kFreshBase ? 1 : 0];
+    w.at[e.var - w.lo] = e.shadowed;
+    if (e.shadowed == 0) --size_;
+    trail_.pop_back();
+  }
+}
+
+namespace {
+
+// Function term `t` with each argument mapped by `f`.
+template <typename F>
+Term MapArgs(const Term& t, F f) {
+  std::vector<Term> args;
+  args.reserve(t.args().size());
+  for (const Term& a : t.args()) args.push_back(f(a));
+  return Term::Function(t.symbol(), std::move(args));
+}
+
+template <typename F>
+Atom MapAtom(const Atom& a, F f) {
+  Atom out;
+  out.predicate = a.predicate;
+  out.args.reserve(a.args.size());
+  for (const Term& t : a.args) out.args.push_back(f(t));
+  return out;
+}
+
+template <typename F>
+Rule MapRule(const Rule& r, F f) {
+  Rule out;
+  out.head = MapAtom(r.head, f);
+  out.body.reserve(r.body.size());
+  for (const Atom& a : r.body) out.body.push_back(MapAtom(a, f));
+  out.comparisons.reserve(r.comparisons.size());
+  for (const Comparison& c : r.comparisons) {
+    out.comparisons.emplace_back(f(c.lhs), c.op, f(c.rhs));
+  }
+  return out;
+}
+
+}  // namespace
+
+bool Substitution::Touches(const Term& t) const {
+  switch (t.kind()) {
+    case Term::Kind::kVariable:
+      return Find(t.symbol()) != nullptr;
+    case Term::Kind::kConstant:
+      return false;
+    case Term::Kind::kFunction:
+      return std::any_of(t.args().begin(), t.args().end(),
+                         [this](const Term& a) { return Touches(a); });
+  }
+  return false;
 }
 
 Term Substitution::Apply(const Term& t) const {
@@ -13,31 +106,24 @@ Term Substitution::Apply(const Term& t) const {
     case Term::Kind::kConstant:
       return t;
     case Term::Kind::kVariable: {
-      auto it = map_.find(t.symbol());
-      if (it == map_.end()) return t;
+      const Term* bound = Find(t.symbol());
+      if (bound == nullptr) return t;
       // Follow chains var -> var -> term created during unification.
-      if (it->second.is_variable() && it->second.symbol() != t.symbol()) {
-        return Apply(it->second);
+      if (bound->is_variable() && bound->symbol() != t.symbol()) {
+        return Apply(*bound);
       }
-      if (it->second.is_function()) return Apply(it->second);
-      return it->second;
+      if (bound->is_function()) return Apply(*bound);
+      return *bound;
     }
-    case Term::Kind::kFunction: {
-      std::vector<Term> args;
-      args.reserve(t.args().size());
-      for (const Term& a : t.args()) args.push_back(Apply(a));
-      return Term::Function(t.symbol(), std::move(args));
-    }
+    case Term::Kind::kFunction:
+      if (!Touches(t)) return t;
+      return MapArgs(t, [this](const Term& a) { return Apply(a); });
   }
   return t;
 }
 
 Atom Substitution::Apply(const Atom& a) const {
-  Atom out;
-  out.predicate = a.predicate;
-  out.args.reserve(a.args.size());
-  for (const Term& t : a.args) out.args.push_back(Apply(t));
-  return out;
+  return MapAtom(a, [this](const Term& t) { return Apply(t); });
 }
 
 Comparison Substitution::Apply(const Comparison& c) const {
@@ -45,15 +131,7 @@ Comparison Substitution::Apply(const Comparison& c) const {
 }
 
 Rule Substitution::Apply(const Rule& r) const {
-  Rule out;
-  out.head = Apply(r.head);
-  out.body.reserve(r.body.size());
-  for (const Atom& a : r.body) out.body.push_back(Apply(a));
-  out.comparisons.reserve(r.comparisons.size());
-  for (const Comparison& c : r.comparisons) {
-    out.comparisons.push_back(Apply(c));
-  }
-  return out;
+  return MapRule(r, [this](const Term& t) { return Apply(t); });
 }
 
 Term Substitution::ApplyOnce(const Term& t) const {
@@ -61,46 +139,43 @@ Term Substitution::ApplyOnce(const Term& t) const {
     case Term::Kind::kConstant:
       return t;
     case Term::Kind::kVariable: {
-      auto it = map_.find(t.symbol());
-      return it == map_.end() ? t : it->second;
+      const Term* bound = Find(t.symbol());
+      return bound == nullptr ? t : *bound;
     }
-    case Term::Kind::kFunction: {
-      std::vector<Term> args;
-      args.reserve(t.args().size());
-      for (const Term& a : t.args()) args.push_back(ApplyOnce(a));
-      return Term::Function(t.symbol(), std::move(args));
-    }
+    case Term::Kind::kFunction:
+      if (!Touches(t)) return t;
+      return MapArgs(t, [this](const Term& a) { return ApplyOnce(a); });
   }
   return t;
 }
 
 Atom Substitution::ApplyOnce(const Atom& a) const {
-  Atom out;
-  out.predicate = a.predicate;
-  out.args.reserve(a.args.size());
-  for (const Term& t : a.args) out.args.push_back(ApplyOnce(t));
-  return out;
+  return MapAtom(a, [this](const Term& t) { return ApplyOnce(t); });
 }
 
 Comparison Substitution::ApplyOnce(const Comparison& c) const {
   return Comparison(ApplyOnce(c.lhs), c.op, ApplyOnce(c.rhs));
 }
 
+Rule Substitution::ApplyOnce(const Rule& r) const {
+  return MapRule(r, [this](const Term& t) { return ApplyOnce(t); });
+}
+
 namespace {
 
 // Resolves `t` through the substitution until it is not a bound variable.
-Term Walk(const Term& t, const Substitution& subst) {
-  Term cur = t;
-  while (cur.is_variable()) {
-    std::optional<Term> next = subst.Lookup(cur.symbol());
-    if (!next.has_value()) return cur;
-    cur = *next;
+const Term& Walk(const Term& t, const Substitution& subst) {
+  const Term* cur = &t;
+  while (cur->is_variable()) {
+    const Term* next = subst.Find(cur->symbol());
+    if (next == nullptr) break;
+    cur = next;
   }
-  return cur;
+  return *cur;
 }
 
 bool OccursIn(SymbolId var, const Term& t, const Substitution& subst) {
-  Term w = Walk(t, subst);
+  const Term& w = Walk(t, subst);
   switch (w.kind()) {
     case Term::Kind::kVariable:
       return w.symbol() == var;
@@ -117,39 +192,52 @@ bool OccursIn(SymbolId var, const Term& t, const Substitution& subst) {
 
 }  // namespace
 
-bool UnifyTerms(const Term& a, const Term& b, Substitution* subst) {
-  Term x = Walk(a, *subst);
-  Term y = Walk(b, *subst);
-  if (x.is_variable()) {
-    if (y.is_variable() && y.symbol() == x.symbol()) return true;
+bool UnifyTerms(const Term& a, const Term& b, Substitution* subst,
+                SymbolId first_bindable) {
+  const Term& x = Walk(a, *subst);
+  const Term& y = Walk(b, *subst);
+  if (x.is_variable() && y.is_variable() && x.symbol() == y.symbol()) {
+    return true;
+  }
+  if (x.is_variable() && x.symbol() >= first_bindable) {
     if (OccursIn(x.symbol(), y, *subst)) return false;
     subst->Bind(x.symbol(), y);
     return true;
   }
-  if (y.is_variable()) {
+  if (y.is_variable() && y.symbol() >= first_bindable) {
     if (OccursIn(y.symbol(), x, *subst)) return false;
     subst->Bind(y.symbol(), x);
     return true;
   }
+  // A rigid variable equals nothing but itself.
+  if (x.is_variable() || y.is_variable()) return false;
   if (x.is_constant() && y.is_constant()) return x.value() == y.value();
   if (x.is_function() && y.is_function()) {
     if (x.symbol() != y.symbol() || x.args().size() != y.args().size()) {
       return false;
     }
-    for (size_t i = 0; i < x.args().size(); ++i) {
-      if (!UnifyTerms(x.args()[i], y.args()[i], subst)) return false;
+    // Copies: a Bind below may move the store's terms that x and y are.
+    const Term xf = x;
+    const Term yf = y;
+    for (size_t i = 0; i < xf.args().size(); ++i) {
+      if (!UnifyTerms(xf.args()[i], yf.args()[i], subst, first_bindable)) {
+        return false;
+      }
     }
     return true;
   }
   return false;  // constant vs function
 }
 
-bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst) {
+bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst,
+                SymbolId first_bindable) {
   if (a.predicate != b.predicate || a.args.size() != b.args.size()) {
     return false;
   }
   for (size_t i = 0; i < a.args.size(); ++i) {
-    if (!UnifyTerms(a.args[i], b.args[i], subst)) return false;
+    if (!UnifyTerms(a.args[i], b.args[i], subst, first_bindable)) {
+      return false;
+    }
   }
   return true;
 }
@@ -160,8 +248,8 @@ bool MatchTermAgainstGround(const Term& pattern, const Term& ground,
     case Term::Kind::kConstant:
       return ground.is_constant() && pattern.value() == ground.value();
     case Term::Kind::kVariable: {
-      std::optional<Term> bound = subst->Lookup(pattern.symbol());
-      if (bound.has_value()) return *bound == ground;
+      const Term* bound = subst->Find(pattern.symbol());
+      if (bound != nullptr) return *bound == ground;
       subst->Bind(pattern.symbol(), ground);
       return true;
     }
@@ -194,12 +282,95 @@ bool MatchAtomAgainstGround(const Atom& pattern,
   return true;
 }
 
-Rule RenameApart(const Rule& rule, Interner* interner) {
-  Substitution renaming;
-  for (SymbolId v : rule.Variables()) {
-    renaming.Bind(v, Term::Var(interner->Fresh("_R")));
+namespace {
+
+// A numbered-rule term with variable i renamed to `first` + i.
+Term Renamed(const Term& t, SymbolId first) {
+  switch (t.kind()) {
+    case Term::Kind::kVariable:
+      return Term::Var(first + t.symbol());
+    case Term::Kind::kConstant:
+      return t;
+    case Term::Kind::kFunction:
+      return MapArgs(t, [first](const Term& a) { return Renamed(a, first); });
   }
-  return renaming.Apply(rule);
+  return t;
+}
+
+// Renamed, then resolved through `store`, in one pass.
+Term Resolved(const Term& t, SymbolId first, const Substitution& store) {
+  switch (t.kind()) {
+    case Term::Kind::kVariable:
+      return store.Apply(Term::Var(first + t.symbol()));
+    case Term::Kind::kConstant:
+      return t;
+    case Term::Kind::kFunction:
+      return MapArgs(t, [&](const Term& a) {
+        return Resolved(a, first, store);
+      });
+  }
+  return t;
+}
+
+}  // namespace
+
+NumberedRule::NumberedRule(const Rule& rule) {
+  std::vector<SymbolId> vars = rule.Variables();
+  num_vars_ = static_cast<int32_t>(vars.size());
+  Substitution numbering;
+  for (size_t i = 0; i < vars.size(); ++i) {
+    numbering.Bind(vars[i], Term::Var(static_cast<SymbolId>(i)));
+  }
+  rule_ = numbering.ApplyOnce(rule);
+}
+
+Rule NumberedRule::RenameApart(Interner* interner) const {
+  SymbolId first = interner->FreshBlock("_R", num_vars_);
+  return MapRule(rule_, [first](const Term& t) { return Renamed(t, first); });
+}
+
+bool NumberedRule::Resolve(const Rule& rule, size_t index,
+                           Interner* interner, Substitution* store,
+                           Rule* out) const {
+  SymbolId first = interner->FreshBlock("_R", num_vars_);
+  const Atom& subgoal = rule.body[index];
+  const size_t mark = store->Mark();
+  bool unified = subgoal.predicate == rule_.head.predicate &&
+                 subgoal.args.size() == rule_.head.args.size();
+  for (size_t i = 0; unified && i < subgoal.args.size(); ++i) {
+    unified = UnifyTerms(subgoal.args[i], Renamed(rule_.head.args[i], first),
+                         store);
+  }
+  if (unified) {
+    auto resolved = [&](const Term& t) { return Resolved(t, first, *store); };
+    out->head = store->Apply(rule.head);
+    out->body.clear();
+    out->body.reserve(rule.body.size() + rule_.body.size() - 1);
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      if (i != index) {
+        out->body.push_back(store->Apply(rule.body[i]));
+        continue;
+      }
+      for (const Atom& a : rule_.body) {
+        out->body.push_back(MapAtom(a, resolved));
+      }
+    }
+    out->comparisons.clear();
+    out->comparisons.reserve(rule.comparisons.size() +
+                             rule_.comparisons.size());
+    for (const Comparison& c : rule.comparisons) {
+      out->comparisons.push_back(store->Apply(c));
+    }
+    for (const Comparison& c : rule_.comparisons) {
+      out->comparisons.emplace_back(resolved(c.lhs), c.op, resolved(c.rhs));
+    }
+  }
+  store->Undo(mark);
+  return unified;
+}
+
+Rule RenameApart(const Rule& rule, Interner* interner) {
+  return NumberedRule(rule).RenameApart(interner);
 }
 
 }  // namespace relcont

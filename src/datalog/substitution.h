@@ -1,27 +1,43 @@
 #ifndef RELCONT_DATALOG_SUBSTITUTION_H_
 #define RELCONT_DATALOG_SUBSTITUTION_H_
 
-#include <optional>
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "datalog/program.h"
 
 namespace relcont {
 
-/// A mapping from variables to terms, applied simultaneously.
+/// The binding store: a mapping from variables to terms, applied
+/// simultaneously, with a trail for undo.
+///
+/// Bindings are indexed by variable id, not hashed: one dense window over
+/// the named ids and one over the fresh ids (Interner::kFreshBase), each
+/// spanning the ids bound so far. Every Bind appends to the trail, and
+/// Undo(mark) pops back to an earlier Mark(), so a search extends one store
+/// in place and retracts a failed branch instead of copying the store.
 class Substitution {
  public:
   Substitution() = default;
 
-  /// Binds `var` to `term`, overwriting any previous binding.
-  void Bind(SymbolId var, Term term) { map_[var] = std::move(term); }
+  /// Binds `var` to `term`, overwriting any previous binding (which an Undo
+  /// past this Bind restores).
+  void Bind(SymbolId var, Term term);
 
-  /// Returns the binding of `var`, or nullopt.
-  std::optional<Term> Lookup(SymbolId var) const;
+  /// The binding of `var`, or nullptr. Valid until the next Bind or Undo.
+  const Term* Find(SymbolId var) const;
 
-  bool Contains(SymbolId var) const { return map_.count(var) > 0; }
-  bool empty() const { return map_.empty(); }
-  size_t size() const { return map_.size(); }
+  bool Contains(SymbolId var) const { return Find(var) != nullptr; }
+  bool empty() const { return size_ == 0; }
+  /// Number of bound variables.
+  size_t size() const { return size_; }
+
+  /// The current trail position, to Undo back to.
+  size_t Mark() const { return trail_.size(); }
+  /// Retracts every Bind made since `mark`. Marks nest: undo the innermost
+  /// outstanding one first.
+  void Undo(size_t mark);
 
   /// Applies the substitution to a term / atom / comparison / rule.
   /// Application recurses through function terms and is repeated until
@@ -42,31 +58,91 @@ class Substitution {
   Term ApplyOnce(const Term& t) const;
   Atom ApplyOnce(const Atom& a) const;
   Comparison ApplyOnce(const Comparison& c) const;
-
-  const std::unordered_map<SymbolId, Term>& map() const { return map_; }
+  Rule ApplyOnce(const Rule& r) const;
 
  private:
-  std::unordered_map<SymbolId, Term> map_;
+  struct Entry {
+    SymbolId var;
+    int32_t shadowed;  // the binding this one overwrote, as in Window::at
+    Term term;
+  };
+  /// at[v - lo] is 1 + the trail index of v's live binding, or 0.
+  struct Window {
+    SymbolId lo = 0;
+    std::vector<int32_t> at;
+  };
+
+  const Window& WindowOf(SymbolId var) const {
+    return windows_[var >= Interner::kFreshBase ? 1 : 0];
+  }
+  /// The window cell of `var`, growing the window to cover it.
+  int32_t& Cell(SymbolId var);
+  /// True iff some variable of `t` is bound.
+  bool Touches(const Term& t) const;
+
+  Window windows_[2];
+  std::vector<Entry> trail_;
+  size_t size_ = 0;
 };
 
 /// Computes the most general unifier of `a` and `b` (with occurs check),
-/// extending `subst` in place. Returns false if unification fails; on
-/// failure `subst` may be partially extended and should be discarded.
-bool UnifyTerms(const Term& a, const Term& b, Substitution* subst);
+/// extending `subst` in place. Variables with ids below `first_bindable`
+/// are rigid: each unifies only with itself, like a distinct constant. The
+/// CEGAR cover search passes the first id of its right-hand templates so
+/// the candidate instance's variables stay frozen; every other caller
+/// leaves all variables bindable. Returns false if unification fails; on
+/// failure `subst` may be partially extended, so Undo to a Mark taken
+/// before the call.
+bool UnifyTerms(const Term& a, const Term& b, Substitution* subst,
+                SymbolId first_bindable = 0);
 
 /// Unifies two atoms (same predicate and arity required).
-bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst);
+bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst,
+                SymbolId first_bindable = 0);
+
+/// A rule with its k distinct variables numbered 0..k-1 in first-occurrence
+/// order (head, then body, then comparisons); each variable occurrence
+/// holds its number where a symbol would be. Renaming it apart mints one
+/// block of k fresh ids and offsets each occurrence by the block's first
+/// id: no map, and no variable scan per copy. Build one per rule that a
+/// search renames apart repeatedly.
+class NumberedRule {
+ public:
+  explicit NumberedRule(const Rule& rule);
+
+  int32_t num_vars() const { return num_vars_; }
+  SymbolId head_predicate() const { return rule_.head.predicate; }
+
+  /// A copy whose variables are fresh "_R" symbols: the names k
+  /// Interner::Fresh("_R") calls would give, in first-occurrence order.
+  Rule RenameApart(Interner* interner) const;
+
+  /// One resolution step. Renames this rule apart (minting its k fresh
+  /// symbols whether or not the step succeeds), unifies `rule.body[index]`
+  /// with the renamed head, and on success writes the resolvent to `out`:
+  /// the unifier applied to `rule` with body atom `index` replaced by the
+  /// renamed body, and the renamed comparisons appended to `rule`'s. The
+  /// unifier is built in `store` and undone before returning.
+  bool Resolve(const Rule& rule, size_t index, Interner* interner,
+               Substitution* store, Rule* out) const;
+
+ private:
+  Rule rule_;
+  int32_t num_vars_ = 0;
+};
 
 /// Renames every variable of `rule` to a fresh variable from `interner`,
 /// making it variable-disjoint from everything interned so far.
 Rule RenameApart(const Rule& rule, Interner* interner);
 
-/// One-way matching of a rule term pattern against a ground term, extending
-/// `subst`. Unlike unification the right side contributes no variables.
+/// One-way matching of a rule term pattern against a target term,
+/// extending `subst`. Unlike unification the target contributes no
+/// variables: a variable in it is an opaque symbol (a frozen variable), so
+/// this is the step of both evaluation and containment-mapping search.
 bool MatchTermAgainstGround(const Term& pattern, const Term& ground,
                             Substitution* subst);
 
-/// Matches an atom's arguments against a ground tuple of the same arity.
+/// Matches an atom's arguments against a tuple of the same arity.
 bool MatchAtomAgainstGround(const Atom& pattern,
                             const std::vector<Term>& tuple,
                             Substitution* subst);

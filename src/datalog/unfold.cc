@@ -1,6 +1,6 @@
 #include "datalog/unfold.h"
 
-#include <vector>
+#include <algorithm>
 
 #include "common/budget.h"
 #include "datalog/substitution.h"
@@ -8,19 +8,56 @@
 
 namespace relcont {
 
+ProgramResolver::ProgramResolver(const Program& program) {
+  for (const Rule& rule : program.rules) {
+    SymbolId pred = rule.head.predicate;
+    auto it = std::lower_bound(
+        groups_.begin(), groups_.end(), pred,
+        [](const Group& g, SymbolId p) { return g.predicate < p; });
+    if (it == groups_.end() || it->predicate != pred) {
+      it = groups_.insert(it, Group{pred, {}, {}});
+    }
+    it->rules.push_back(&rule);
+  }
+}
+
+ProgramResolver::Group* ProgramResolver::Find(SymbolId predicate) {
+  auto it = std::lower_bound(
+      groups_.begin(), groups_.end(), predicate,
+      [](const Group& g, SymbolId p) { return g.predicate < p; });
+  return it == groups_.end() || it->predicate != predicate ? nullptr : &*it;
+}
+
+int ProgramResolver::FirstIdbSubgoal(const Rule& rule) {
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    if (Find(rule.body[i].predicate) != nullptr) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+const std::vector<NumberedRule>& ProgramResolver::Definitions(
+    SymbolId predicate) {
+  static const std::vector<NumberedRule> kNone;
+  Group* group = Find(predicate);
+  if (group == nullptr) return kNone;
+  if (group->numbered.empty()) {
+    group->numbered.reserve(group->rules.size());
+    for (const Rule* rule : group->rules) group->numbered.emplace_back(*rule);
+  }
+  return group->numbered;
+}
+
 namespace {
 
 class Unfolder {
  public:
   Unfolder(const Program& program, Interner* interner)
-      : program_(program),
-        interner_(interner),
-        idb_(program.IdbPredicates()) {}
+      : interner_(interner), resolver_(program) {}
 
   Result<UnionQuery> Run(SymbolId goal) {
     UnionQuery out;
-    for (const Rule* rule : program_.RulesFor(goal)) {
-      RELCONT_RETURN_NOT_OK(Expand(RenameApart(*rule, interner_), &out));
+    for (const NumberedRule& rule : resolver_.Definitions(goal)) {
+      RELCONT_RETURN_NOT_OK(Expand(rule.RenameApart(interner_), &out));
     }
     return out;
   }
@@ -28,49 +65,29 @@ class Unfolder {
  private:
   // Finds the first IDB subgoal of `rule`; if none, `rule` is fully
   // unfolded. Otherwise resolves it against every defining rule.
-  Status Expand(const Rule& rule, UnionQuery* out) {
+  Status Expand(Rule rule, UnionQuery* out) {
     RELCONT_RETURN_NOT_OK(BudgetChargeOr("unfold"));
-    int idb_index = -1;
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (idb_.count(rule.body[i].predicate) > 0) {
-        idb_index = static_cast<int>(i);
-        break;
-      }
-    }
+    int idb_index = resolver_.FirstIdbSubgoal(rule);
     if (idb_index < 0) {
       RELCONT_TRACE_COUNT(kUnfoldDisjuncts, 1);
-      out->disjuncts.push_back(rule);
+      out->disjuncts.push_back(std::move(rule));
       return Status::OK();
     }
-    const Atom& subgoal = rule.body[idb_index];
-    for (const Rule* def : program_.RulesFor(subgoal.predicate)) {
-      Rule fresh = RenameApart(*def, interner_);
-      Substitution mgu;
-      if (!UnifyAtoms(subgoal, fresh.head, &mgu)) continue;
+    Rule resolved;
+    for (const NumberedRule& def :
+         resolver_.Definitions(rule.body[idb_index].predicate)) {
+      if (!def.Resolve(rule, idb_index, interner_, &store_, &resolved)) {
+        continue;
+      }
       RELCONT_TRACE_COUNT(kUnfoldResolutions, 1);
-      Rule resolved;
-      resolved.head = mgu.Apply(rule.head);
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (static_cast<int>(i) == idb_index) {
-          for (const Atom& a : fresh.body) resolved.body.push_back(mgu.Apply(a));
-        } else {
-          resolved.body.push_back(mgu.Apply(rule.body[i]));
-        }
-      }
-      for (const Comparison& c : rule.comparisons) {
-        resolved.comparisons.push_back(mgu.Apply(c));
-      }
-      for (const Comparison& c : fresh.comparisons) {
-        resolved.comparisons.push_back(mgu.Apply(c));
-      }
-      RELCONT_RETURN_NOT_OK(Expand(resolved, out));
+      RELCONT_RETURN_NOT_OK(Expand(std::move(resolved), out));
     }
     return Status::OK();
   }
 
-  const Program& program_;
   Interner* interner_;
-  std::set<SymbolId> idb_;
+  ProgramResolver resolver_;
+  Substitution store_;
 };
 
 }  // namespace

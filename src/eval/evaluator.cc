@@ -9,42 +9,6 @@ namespace relcont {
 
 namespace {
 
-// Matches a rule term pattern against a ground term, extending `subst`.
-// Unlike full unification, the right side is always ground.
-bool MatchTerm(const Term& pattern, const Term& ground, Substitution* subst) {
-  switch (pattern.kind()) {
-    case Term::Kind::kConstant:
-      return ground.is_constant() && pattern.value() == ground.value();
-    case Term::Kind::kVariable: {
-      std::optional<Term> bound = subst->Lookup(pattern.symbol());
-      if (bound.has_value()) return *bound == ground;
-      subst->Bind(pattern.symbol(), ground);
-      return true;
-    }
-    case Term::Kind::kFunction: {
-      if (!ground.is_function() || ground.symbol() != pattern.symbol() ||
-          ground.args().size() != pattern.args().size()) {
-        return false;
-      }
-      for (size_t i = 0; i < pattern.args().size(); ++i) {
-        if (!MatchTerm(pattern.args()[i], ground.args()[i], subst)) {
-          return false;
-        }
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-bool MatchAtom(const Atom& pattern, const Tuple& tuple, Substitution* subst) {
-  if (pattern.args.size() != tuple.size()) return false;
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    if (!MatchTerm(pattern.args[i], tuple[i], subst)) return false;
-  }
-  return true;
-}
-
 int TermDepth(const Term& t) {
   if (!t.is_function()) return 0;
   int max_child = 0;
@@ -133,21 +97,22 @@ class SemiNaive {
         }
       }
     }
+    auto join = [&](const Tuple& tuple) -> Status {
+      const size_t mark = subst->Mark();
+      Status status = Status::OK();
+      if (MatchAtomAgainstGround(atom, tuple, subst)) {
+        status = JoinFrom(rule, index + 1, delta_index, delta, subst, out);
+      }
+      subst->Undo(mark);
+      return status;
+    };
     if (candidates != nullptr) {
       for (int32_t position : *candidates) {
-        Substitution extended = *subst;
-        if (!MatchAtom(atom, tuples[position], &extended)) continue;
-        RELCONT_RETURN_NOT_OK(
-            JoinFrom(rule, index + 1, delta_index, delta, &extended, out));
+        RELCONT_RETURN_NOT_OK(join(tuples[position]));
       }
       return Status::OK();
     }
-    for (const Tuple& tuple : tuples) {
-      Substitution extended = *subst;
-      if (!MatchAtom(atom, tuple, &extended)) continue;
-      RELCONT_RETURN_NOT_OK(
-          JoinFrom(rule, index + 1, delta_index, delta, &extended, out));
-    }
+    for (const Tuple& tuple : tuples) RELCONT_RETURN_NOT_OK(join(tuple));
     return Status::OK();
   }
 

@@ -47,14 +47,18 @@ size_t AppendI64(char* buf, size_t cap, size_t pos, int64_t v) {
 }
 
 /// Quoted JSON string from a NUL-terminated field. Escapes quote and
-/// backslash; control characters are dropped (the fields are protocol
-/// tokens and span names, so this loses nothing in practice and keeps the
-/// renderer signal-safe and allocation-free).
+/// backslash, and writes a control byte as \u00XX, so distinct fields
+/// render distinctly; signal-safe and allocation-free.
 size_t AppendJsonStr(char* buf, size_t cap, size_t pos, const char* s) {
   pos = AppendChar(buf, cap, pos, '"');
   for (; *s != '\0'; ++s) {
     unsigned char c = static_cast<unsigned char>(*s);
-    if (c < 0x20) continue;
+    if (c < 0x20) {
+      pos = AppendStr(buf, cap, pos, "\\u00");
+      pos = AppendChar(buf, cap, pos, "0123456789abcdef"[c >> 4]);
+      pos = AppendChar(buf, cap, pos, "0123456789abcdef"[c & 0xf]);
+      continue;
+    }
     if (c == '"' || c == '\\') pos = AppendChar(buf, cap, pos, '\\');
     pos = AppendChar(buf, cap, pos, static_cast<char>(c));
   }

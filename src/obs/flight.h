@@ -42,8 +42,9 @@ namespace obs {
 
 /// One request's worth of telemetry, fixed-size and trivially copyable so
 /// it can live in the atomic-word ring and be rendered from a signal
-/// handler. String fields are truncating copies — long catalog names keep
-/// their prefix, which is enough to pivot into CATALOG?.
+/// handler. String fields are truncating copies. A catalog name too long
+/// for its field keeps a prefix and is marked (see set_catalog), so two
+/// long names never log as the same catalog.
 struct WideEvent {
   static constexpr int kMaxPhases = 4;
   static constexpr size_t kVerbChars = 12;
@@ -81,8 +82,26 @@ struct WideEvent {
   }
   void set_verb(std::string_view v) { CopyInto(verb, kVerbChars, v); }
   void set_regime(std::string_view v) { CopyInto(regime, kRegimeChars, v); }
+  /// A name longer than kCatalogChars - 1 bytes becomes its first
+  /// kCatalogPrefix bytes, a space, '#' and the 8 hex digits of the whole
+  /// name's 32-bit FNV-1a hash. A protocol token holds no space, so the
+  /// mark cannot be mistaken for a name.
+  static constexpr size_t kCatalogPrefix = kCatalogChars - 1 - 10;
   void set_catalog(std::string_view v) {
-    CopyInto(catalog, kCatalogChars, v);
+    if (v.size() < kCatalogChars) {
+      CopyInto(catalog, kCatalogChars, v);
+      return;
+    }
+    uint32_t hash = 2166136261u;
+    for (char c : v) hash = (hash ^ static_cast<unsigned char>(c)) * 16777619u;
+    v.copy(catalog, kCatalogPrefix);
+    char* mark = catalog + kCatalogPrefix;
+    *mark++ = ' ';
+    *mark++ = '#';
+    for (int shift = 28; shift >= 0; shift -= 4) {
+      *mark++ = "0123456789abcdef"[(hash >> shift) & 0xf];
+    }
+    *mark = '\0';
   }
   void set_bound_site(std::string_view v) {
     CopyInto(bound_site, kSiteChars, v);

@@ -51,8 +51,6 @@ Result<BindingRelativeResult> RelativelyContainedWithBindingPatterns(
     BindingRelativeResult out;
     out.contained = decision->contained;
     out.counterexample = decision->counterexample;
-    out.tree_options = decision->tree_options;
-    out.cores_checked = decision->cores_checked;
     return out;
   }
   if (decision.status().code() != StatusCode::kUnsupported) {

@@ -22,9 +22,6 @@ struct BindingRelativeResult {
   /// mediated schema) that Q2 does not contain; freezing it produces a
   /// counterexample source instance.
   std::optional<Rule> counterexample;
-  /// Decision-procedure statistics.
-  int tree_options = 0;
-  int64_t cores_checked = 0;
 };
 
 /// Decides Q1 ⊑_{V,B} Q2. Q1 may be recursive in principle but must stay

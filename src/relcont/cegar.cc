@@ -6,7 +6,6 @@
 #include <set>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -46,137 +45,6 @@ int64_t SatMul(int64_t a, int64_t b) {
 int64_t SatAdd(int64_t a, int64_t b) {
   return a > kWidthCap - b ? kWidthCap : a + b;
 }
-
-/// A binding environment with an undo trail. The DFS engines below bind
-/// and unbind variables millions of times per decision, so composing a
-/// fresh Substitution per node (the way the one-shot unfolder does) would
-/// dominate the runtime; here a failed branch pops back to a mark.
-///
-/// A non-null `bindable` set splits the variables into two sorts: members
-/// unify as ordinary logic variables, everything else is RIGID — it
-/// behaves like a distinct constant. The cover search uses this to give
-/// candidate instances containment-mapping semantics (candidate variables
-/// are frozen) while the right-hand plan variables stay bindable; the
-/// proposal search passes null (plain most-general unification, matching
-/// the unfolder's semantics, occurs check included).
-class Env {
- public:
-  explicit Env(const std::unordered_set<SymbolId>* bindable = nullptr)
-      : bindable_(bindable) {}
-
-  size_t Mark() const { return trail_.size(); }
-  void Undo(size_t mark) {
-    while (trail_.size() > mark) {
-      map_.erase(trail_.back());
-      trail_.pop_back();
-    }
-  }
-  void Clear() {
-    map_.clear();
-    trail_.clear();
-  }
-
-  bool UnifyAtoms(const Atom& a, const Atom& b) {
-    if (a.predicate != b.predicate || a.args.size() != b.args.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < a.args.size(); ++i) {
-      if (!Unify(a.args[i], b.args[i])) return false;
-    }
-    return true;
-  }
-
-  bool Unify(const Term& a, const Term& b) {
-    const Term& x = Walk(a);
-    const Term& y = Walk(b);
-    if (x.is_variable() && y.is_variable() && x.symbol() == y.symbol()) {
-      return true;
-    }
-    if (x.is_variable() && Bindable(x.symbol())) {
-      SymbolId v = x.symbol();
-      Term val = y;  // copy: Bind may rehash under x/y
-      if (Occurs(v, val)) return false;
-      Bind(v, std::move(val));
-      return true;
-    }
-    if (y.is_variable() && Bindable(y.symbol())) {
-      SymbolId v = y.symbol();
-      Term val = x;
-      if (Occurs(v, val)) return false;
-      Bind(v, std::move(val));
-      return true;
-    }
-    // Both sides rigid from here on: distinct rigid variables never equal
-    // each other, a rigid variable never equals a constant or function.
-    if (x.is_variable() || y.is_variable()) return false;
-    if (x.is_function() && y.is_function()) {
-      if (x.symbol() != y.symbol() || x.args().size() != y.args().size()) {
-        return false;
-      }
-      std::vector<Term> xa = x.args();  // copies: recursion may rehash
-      std::vector<Term> ya = y.args();
-      for (size_t i = 0; i < xa.size(); ++i) {
-        if (!Unify(xa[i], ya[i])) return false;
-      }
-      return true;
-    }
-    if (x.is_constant() && y.is_constant()) return x == y;
-    return false;
-  }
-
-  /// Fully applies the current bindings (chasing, recursing through
-  /// function terms). Used to materialize candidate atoms at DFS leaves.
-  Term Resolve(const Term& t) const {
-    const Term& w = Walk(t);
-    if (w.is_function()) {
-      std::vector<Term> args;
-      args.reserve(w.args().size());
-      for (const Term& a : w.args()) args.push_back(Resolve(a));
-      return Term::Function(w.symbol(), std::move(args));
-    }
-    return w;
-  }
-
-  Atom Resolve(const Atom& a) const {
-    Atom out;
-    out.predicate = a.predicate;
-    out.args.reserve(a.args.size());
-    for (const Term& t : a.args) out.args.push_back(Resolve(t));
-    return out;
-  }
-
- private:
-  bool Bindable(SymbolId v) const {
-    return bindable_ == nullptr || bindable_->count(v) > 0;
-  }
-  const Term& Walk(const Term& t) const {
-    const Term* p = &t;
-    while (p->is_variable()) {
-      auto it = map_.find(p->symbol());
-      if (it == map_.end()) break;
-      p = &it->second;
-    }
-    return *p;
-  }
-  bool Occurs(SymbolId v, const Term& t) const {
-    const Term& w = Walk(t);
-    if (w.is_variable()) return w.symbol() == v;
-    if (w.is_function()) {
-      for (const Term& a : w.args()) {
-        if (Occurs(v, a)) return true;
-      }
-    }
-    return false;
-  }
-  void Bind(SymbolId v, Term t) {
-    map_.emplace(v, std::move(t));
-    trail_.push_back(v);
-  }
-
-  const std::unordered_set<SymbolId>* bindable_;
-  std::unordered_map<SymbolId, Term> map_;
-  std::vector<SymbolId> trail_;
-};
 
 /// One inverse-rule choice for a template body atom: a renamed-apart copy
 /// (head = mediated atom, body[0] = the source atom it produces). Copies
@@ -259,11 +127,10 @@ void ComputeComponents(LeftTemplate* t) {
 class CegarSearch {
  public:
   CegarSearch(std::vector<LeftTemplate> left, std::vector<RightTemplate> right,
-              std::unordered_set<SymbolId> right_vars, const CegarOptions& opts)
+              SymbolId first_right_var, const CegarOptions& opts)
       : left_(std::move(left)),
         right_(std::move(right)),
-        right_vars_(std::move(right_vars)),
-        renv_(&right_vars_),
+        first_right_var_(first_right_var),
         opts_(opts) {}
 
   /// True when a counterexample was found (witness() set); false when the
@@ -271,7 +138,7 @@ class CegarSearch {
   Result<bool> Run() {
     for (const LeftTemplate& t : left_) {
       cur_ = &t;
-      lenv_.Clear();
+      lenv_.Undo(0);
       assign_.assign(t.positions.size(), -1);
       clauses_by_last_.assign(t.positions.size(), {});
       template_covered_ = false;
@@ -291,7 +158,7 @@ class CegarSearch {
     for (int oi = 0; oi < static_cast<int>(p.options.size()); ++oi) {
       RELCONT_RETURN_NOT_OK(BudgetChargeOr(kBoundSite));
       size_t mark = lenv_.Mark();
-      if (lenv_.UnifyAtoms(p.goal, p.options[oi].head)) {
+      if (UnifyAtoms(p.goal, p.options[oi].head, &lenv_)) {
         assign_[pos] = oi;
         if (!(opts_.enable_blocking && Blocked(pos))) {
           RELCONT_ASSIGN_OR_RETURN(bool found, Descend(pos + 1));
@@ -329,7 +196,7 @@ class CegarSearch {
     // PlanToUnion drops it, so the proposal is skipped unchecked.
     cand_body_.clear();
     for (size_t i = 0; i < t.positions.size(); ++i) {
-      Atom a = lenv_.Resolve(t.positions[i].options[assign_[i]].body[0]);
+      Atom a = lenv_.Apply(t.positions[i].options[assign_[i]].body[0]);
       for (const Term& arg : a.args) {
         if (arg.ContainsFunction()) return false;
       }
@@ -337,7 +204,7 @@ class CegarSearch {
     }
     cand_head_.clear();
     for (const Term& arg : t.rule.head.args) {
-      Term r = lenv_.Resolve(arg);
+      Term r = lenv_.Apply(arg);
       if (r.ContainsFunction()) return false;
       cand_head_.push_back(std::move(r));
     }
@@ -392,7 +259,7 @@ class CegarSearch {
     }
     std::sort(order_.begin(), order_.end(),
               [&](int a, int b) { return branching[a] < branching[b]; });
-    renv_.Clear();
+    renv_.Undo(0);
     target_assign_.assign(n, -1);
     return CoverDescend(rt, 0);
   }
@@ -404,7 +271,8 @@ class CegarSearch {
       // compared, exactly like the containment-mapping check).
       size_t mark = renv_.Mark();
       for (size_t i = 0; i < rt.rule.head.args.size(); ++i) {
-        if (!renv_.Unify(rt.rule.head.args[i], cand_head_[i])) {
+        if (!UnifyTerms(rt.rule.head.args[i], cand_head_[i], &renv_,
+                        first_right_var_)) {
           renv_.Undo(mark);
           return false;
         }
@@ -422,8 +290,9 @@ class CegarSearch {
         // Resolution (template atom vs. inverse-rule head — Skolem
         // cancellation happens here) followed by the rigid match of the
         // produced source atom against the candidate atom.
-        if (renv_.UnifyAtoms(rt.rule.body[j], o.head) &&
-            renv_.UnifyAtoms(o.body[0], cand_body_[tgt])) {
+        if (UnifyAtoms(rt.rule.body[j], o.head, &renv_, first_right_var_) &&
+            UnifyAtoms(o.body[0], cand_body_[tgt], &renv_,
+                       first_right_var_)) {
           target_assign_[j] = tgt;
           RELCONT_ASSIGN_OR_RETURN(bool found, CoverDescend(rt, k + 1));
           if (found) return true;
@@ -475,10 +344,13 @@ class CegarSearch {
 
   std::vector<LeftTemplate> left_;
   std::vector<RightTemplate> right_;
-  std::unordered_set<SymbolId> right_vars_;
+  // The cover search unifies the right-hand plan variables (all minted
+  // after every left-hand and candidate variable) and keeps the candidate's
+  // variables rigid, which gives candidates containment-mapping semantics.
+  SymbolId first_right_var_;
 
-  Env lenv_;                 // proposal side: plain unification
-  Env renv_;                 // cover side: candidate terms rigid
+  Substitution lenv_;  // proposal side: plain most-general unification
+  Substitution renv_;  // cover side: variables below first_right_var_ rigid
   const LeftTemplate* cur_ = nullptr;
   std::vector<int> assign_;  // option choice per left position
   std::vector<std::vector<Clause>> clauses_by_last_;
@@ -510,7 +382,7 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
     Interner* interner, const RelativeContainmentOptions& options) {
   std::vector<LeftTemplate> left;
   std::vector<RightTemplate> right;
-  std::unordered_set<SymbolId> right_vars;
+  SymbolId first_right_var = 0;
   int64_t estimate = 0;
   {
     RELCONT_TRACE_SPAN("build_plans");
@@ -545,10 +417,10 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
         UnionQuery t2,
         UnfoldToUnion(q2.program, q2.goal, interner));
 
-    std::unordered_map<SymbolId, std::vector<const Rule*>> inv_by_pred;
+    std::unordered_map<SymbolId, std::vector<NumberedRule>> inv_by_pred;
     for (const Rule& r : p1.rules) {
       if (r.body.size() == 1 && sources.count(r.body[0].predicate) > 0) {
-        inv_by_pred[r.head.predicate].push_back(&r);
+        inv_by_pred[r.head.predicate].emplace_back(r);
       }
     }
 
@@ -562,8 +434,8 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
         pos.goal = a;
         auto it = inv_by_pred.find(a.predicate);
         if (it != inv_by_pred.end()) {
-          for (const Rule* r : it->second) {
-            pos.options.push_back(RenameApart(*r, interner));
+          for (const NumberedRule& r : it->second) {
+            pos.options.push_back(r.RenameApart(interner));
           }
         }
         if (pos.options.empty()) {
@@ -597,6 +469,8 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
       return ScanFallback(q1, q2, views, interner, options);
     }
 
+    // Every variable minted from here on is a right-hand one.
+    first_right_var = interner->FreshBlock("_R", 0);
     for (const Rule& d : t2.disjuncts) {
       RightTemplate rt;
       rt.rule = RenameApart(d, interner);
@@ -605,8 +479,8 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
         std::vector<Rule> opts;
         auto it = inv_by_pred.find(a.predicate);
         if (it != inv_by_pred.end()) {
-          for (const Rule* r : it->second) {
-            opts.push_back(RenameApart(*r, interner));
+          for (const NumberedRule& r : it->second) {
+            opts.push_back(r.RenameApart(interner));
           }
         }
         if (opts.empty()) {
@@ -616,18 +490,12 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
         rt.options.push_back(std::move(opts));
       }
       if (!feasible) continue;
-      for (SymbolId v : rt.rule.Variables()) right_vars.insert(v);
-      for (const auto& opts : rt.options) {
-        for (const Rule& r : opts) {
-          for (SymbolId v : r.Variables()) right_vars.insert(v);
-        }
-      }
       right.push_back(std::move(rt));
     }
   }
 
   RELCONT_TRACE_SPAN("cegar_search");
-  CegarSearch search(std::move(left), std::move(right), std::move(right_vars),
+  CegarSearch search(std::move(left), std::move(right), first_right_var,
                      options.cegar);
   RELCONT_ASSIGN_OR_RETURN(bool found, search.Run());
   RelativeContainmentResult out;

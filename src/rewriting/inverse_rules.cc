@@ -1,5 +1,6 @@
 #include "rewriting/inverse_rules.h"
 
+#include <map>
 #include <unordered_set>
 
 #include "datalog/substitution.h"
@@ -135,6 +136,9 @@ Result<UnionQuery> ExpandUnionPlan(const UnionQuery& plan,
 Result<Program> ExpandPlanProgram(const Program& plan, const ViewSet& views,
                                   Interner* interner) {
   Program out;
+  // Each view is numbered once per call, when first expanded.
+  std::map<const ViewDefinition*, NumberedRule> numbered;
+  Substitution store;
   for (const Rule& rule : plan.rules) {
     Rule cur = rule;
     bool dead = false;
@@ -149,26 +153,12 @@ Result<Program> ExpandPlanProgram(const Program& plan, const ViewSet& views,
       }
       if (idx < 0) break;
       const ViewDefinition* view = views.Find(cur.body[idx].predicate);
-      Rule fresh = RenameApart(view->rule, interner);
-      Substitution mgu;
-      if (!UnifyAtoms(cur.body[idx], fresh.head, &mgu)) {
+      Rule next;
+      const NumberedRule& def =
+          numbered.try_emplace(view, view->rule).first->second;
+      if (!def.Resolve(cur, idx, interner, &store, &next)) {
         dead = true;  // e.g. a constant in the plan clashes with the view
         break;
-      }
-      Rule next;
-      next.head = mgu.Apply(cur.head);
-      for (size_t i = 0; i < cur.body.size(); ++i) {
-        if (static_cast<int>(i) == idx) {
-          for (const Atom& a : fresh.body) next.body.push_back(mgu.Apply(a));
-        } else {
-          next.body.push_back(mgu.Apply(cur.body[i]));
-        }
-      }
-      for (const Comparison& c : cur.comparisons) {
-        next.comparisons.push_back(mgu.Apply(c));
-      }
-      for (const Comparison& c : fresh.comparisons) {
-        next.comparisons.push_back(mgu.Apply(c));
       }
       cur = std::move(next);
     }

@@ -260,6 +260,117 @@ TEST_F(DatalogTest, SubstitutionFollowsChains) {
   EXPECT_EQ(out.value().number(), Rational(5));
 }
 
+TEST_F(DatalogTest, ApplyOnceSwapsWithoutChasing) {
+  SymbolId x = interner_.Intern("X");
+  SymbolId y = interner_.Intern("Y");
+  SymbolId p = interner_.Intern("p");
+  Substitution s;
+  s.Bind(x, Term::Var(y));
+  s.Bind(y, Term::Var(x));
+  Atom swapped = s.ApplyOnce(Atom(p, {Term::Var(x), Term::Var(y)}));
+  EXPECT_EQ(swapped, Atom(p, {Term::Var(y), Term::Var(x)}));
+}
+
+TEST_F(DatalogTest, ApplyChasesChainsIntoFunctionArguments) {
+  SymbolId x = interner_.Intern("X");
+  SymbolId y = interner_.Intern("Y");
+  SymbolId z = interner_.Intern("Z");
+  SymbolId v = interner_.Intern("V");
+  SymbolId w = interner_.Intern("W");
+  SymbolId f = interner_.Intern("f");
+  SymbolId g = interner_.Intern("g");
+  Substitution s;
+  s.Bind(x, Term::Var(y));
+  s.Bind(y, Term::Function(f, {Term::Var(z), Term::Var(w)}));
+  s.Bind(z, Term::Var(v));
+  s.Bind(v, Term::Number(Rational(1)));
+  Term expected =
+      Term::Function(f, {Term::Number(Rational(1)), Term::Var(w)});
+  EXPECT_EQ(s.Apply(Term::Var(x)), expected);
+  EXPECT_EQ(s.Apply(Term::Function(g, {Term::Var(x)})),
+            Term::Function(g, {expected}));
+}
+
+TEST_F(DatalogTest, RebindOverwrites) {
+  SymbolId x = interner_.Intern("X");
+  Substitution s;
+  s.Bind(x, Term::Number(Rational(1)));
+  s.Bind(x, Term::Number(Rational(2)));
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.Apply(Term::Var(x)), Term::Number(Rational(2)));
+}
+
+TEST_F(DatalogTest, UndoRestoresTheStoreAtItsMark) {
+  SymbolId x = interner_.Intern("X");
+  SymbolId y = interner_.Intern("Y");
+  SymbolId z = interner_.Fresh("_R");
+  Substitution s;
+  s.Bind(x, Term::Number(Rational(1)));
+  const size_t mark = s.Mark();
+  s.Bind(y, Term::Var(z));
+  s.Bind(z, Term::Number(Rational(2)));
+  s.Bind(x, Term::Number(Rational(3)));  // overwrites the binding at mark
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.Apply(Term::Var(y)), Term::Number(Rational(2)));
+  s.Undo(mark);
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.Apply(Term::Var(x)), Term::Number(Rational(1)));
+  EXPECT_FALSE(s.Contains(y));
+  EXPECT_FALSE(s.Contains(z));
+  s.Undo(0);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.Find(x), nullptr);
+}
+
+TEST_F(DatalogTest, RigidVariablesUnifyOnlyWithThemselves) {
+  SymbolId rigid = interner_.Fresh("_R");
+  SymbolId other_rigid = interner_.Fresh("_R");
+  SymbolId first_bindable = interner_.FreshBlock("_R", 0);
+  SymbolId free = interner_.Fresh("_R");
+  Substitution s;
+  EXPECT_TRUE(UnifyTerms(Term::Var(rigid), Term::Var(rigid), &s,
+                         first_bindable));
+  EXPECT_FALSE(UnifyTerms(Term::Var(rigid), Term::Number(Rational(1)), &s,
+                          first_bindable));
+  EXPECT_FALSE(UnifyTerms(Term::Var(rigid), Term::Var(other_rigid), &s,
+                          first_bindable));
+  EXPECT_TRUE(s.empty());
+  // A bindable variable takes the rigid one as its value.
+  EXPECT_TRUE(UnifyTerms(Term::Var(rigid), Term::Var(free), &s,
+                         first_bindable));
+  EXPECT_EQ(s.Apply(Term::Var(free)), Term::Var(rigid));
+}
+
+TEST_F(DatalogTest, OccursCheckFollowsChains) {
+  SymbolId x = interner_.Intern("X");
+  SymbolId y = interner_.Intern("Y");
+  SymbolId f = interner_.Intern("f");
+  Substitution s;
+  ASSERT_TRUE(UnifyTerms(Term::Var(x), Term::Function(f, {Term::Var(y)}),
+                         &s));
+  // Y = X would make Y = f(Y).
+  EXPECT_FALSE(UnifyTerms(Term::Var(y), Term::Var(x), &s));
+}
+
+TEST_F(DatalogTest, RenameApartMintsOneFreshNamePerVariable) {
+  const std::string text = "q(X, Y) :- p(X, Z), r(Z, Y, W), s(W, X).";
+  Rule r = MustParseRule(text);
+  int64_t before = interner_.size();
+  Rule renamed = RenameApart(r, &interner_);
+  ASSERT_EQ(interner_.size() - before, 4);
+  // The same names as four Fresh("_R") calls on an identical interner, in
+  // first-occurrence order.
+  Interner twin;
+  ASSERT_TRUE(ParseRule(text, &twin).ok());
+  std::vector<SymbolId> vars = renamed.Variables();
+  ASSERT_EQ(vars.size(), 4u);
+  for (SymbolId v : vars) {
+    EXPECT_EQ(interner_.NameOf(v), twin.NameOf(twin.Fresh("_R")));
+  }
+  EXPECT_EQ(renamed.ToString(interner_),
+            "q(_R0, _R1) :- p(_R0, _R2), r(_R2, _R1, _R3), s(_R3, _R0).");
+}
+
 TEST_F(DatalogTest, RenameApartProducesDisjointVariables) {
   Rule r = MustParseRule("q(X, Y) :- p(X, Y, Z).");
   Rule renamed = RenameApart(r, &interner_);

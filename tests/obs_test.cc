@@ -367,7 +367,7 @@ TEST(AccessLogTest, LogsTheWideEventWithHostileCatalogName) {
   event.set_verb("plan");
   event.set_regime("section3");
   // A protocol token never holds whitespace, but may hold quotes,
-  // backslashes and other control bytes; the last are dropped.
+  // backslashes and other control bytes; all three are escaped.
   event.set_catalog("cat\"alog\\\x01x");
   event.set_bound_site("planner_plan");
   metrics.RecordFlight(ServiceVerb::kPlan, event, nullptr);
@@ -388,7 +388,7 @@ TEST(AccessLogTest, LogsTheWideEventWithHostileCatalogName) {
   EXPECT_DOUBLE_EQ(parsed->Find("request_id")->number_value, 1);
   EXPECT_GT(parsed->Find("ts_unix_micros")->number_value, 0);
   EXPECT_EQ(parsed->Find("verb")->string_value, "plan");
-  EXPECT_EQ(parsed->Find("catalog")->string_value, "cat\"alog\\x");
+  EXPECT_EQ(parsed->Find("catalog")->string_value, "cat\"alog\\\x01x");
   EXPECT_DOUBLE_EQ(parsed->Find("catalog_version")->number_value, 3);
   EXPECT_EQ(parsed->Find("regime")->string_value, "section3");
   EXPECT_DOUBLE_EQ(parsed->Find("workers")->number_value, 4);
@@ -400,6 +400,30 @@ TEST(AccessLogTest, LogsTheWideEventWithHostileCatalogName) {
   // No trace: untraced, and an empty phase digest.
   EXPECT_FALSE(parsed->Find("traced")->bool_value);
   EXPECT_TRUE(parsed->Find("phases")->array.empty());
+}
+
+TEST(AccessLogTest, DistinctCatalogNamesRenderDistinctly) {
+  auto render = [](std::string_view catalog) {
+    obs::WideEvent event;
+    event.set_catalog(catalog);
+    char buf[2048];
+    std::string line(buf, obs::RenderWideEventJson(event, buf, sizeof buf));
+    Result<json::Value> parsed = json::Parse(line);
+    EXPECT_TRUE(parsed.ok()) << line;
+    return parsed.ok() ? parsed->Find("catalog")->string_value : line;
+  };
+  // A control byte is escaped, not dropped.
+  EXPECT_EQ(render("a\x01" "b"), "a\x01" "b");
+  EXPECT_NE(render("a\x01" "b"), render("ab"));
+  // Two 40-byte names that differ only past byte 31: each keeps a prefix
+  // and a mark derived from the whole name.
+  const std::string long_a(40, 'a');
+  std::string long_b = long_a;
+  long_b[35] = 'b';
+  EXPECT_NE(render(long_a), render(long_b));
+  EXPECT_EQ(render(long_a).substr(0, 16), std::string(16, 'a'));
+  // A name that fits is kept whole and unmarked.
+  EXPECT_EQ(render(std::string(31, 'c')), std::string(31, 'c'));
 }
 
 TEST(AccessLogTest, LogsTheTraceTopLevelPhases) {
