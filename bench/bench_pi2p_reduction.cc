@@ -1,7 +1,7 @@
 // Experiment X33 (Theorem 3.3): relative containment on the ∀∃-3CNF
 // hard-instance family, scan vs CEGAR. The paper proves Π₂ᴾ-completeness;
 // the measurable shape is exponential growth in the number of universal
-// variables m. The parallel scan materializes all 2^m plan disjuncts and
+// variables m. The scan materializes all 2^m plan disjuncts and
 // checks them pairwise (~4^m); the CEGAR engine proposes canonical
 // databases one at a time and prunes with blocking clauses (~2^m·poly), so
 // the two curves cross and the gap widens by another factor of 2 per

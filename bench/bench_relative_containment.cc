@@ -208,41 +208,6 @@ void BM_Lav_ChainContainment(benchmark::State& state) {
 BENCHMARK(BM_Lav_ChainContainment)->DenseRange(2, 6, 2);
 
 
-// Parallel disjunct scan on the Theorem 3.3 hard family: the same
-// decision at m ∈ {5, 6} swept over the fan-out width. Speedup is bounded
-// by the host's core count — on a single-CPU machine the curve is flat
-// and the interesting number is the overhead of spawning helpers (see
-// EXPERIMENTS.md, "Parallel disjunct scan"). Lived in
-// bench_pi2p_reduction before that binary became the standalone
-// scan-vs-CEGAR crossover harness.
-void BM_Pi2p_ParallelWorkers(benchmark::State& state) {
-  int m = static_cast<int>(state.range(0));
-  int workers = static_cast<int>(state.range(1));
-  Interner interner;
-  QbfFormula f = RandomQbf(/*num_exists=*/3, m, /*num_clauses=*/4,
-                           /*seed=*/7);
-  Result<Pi2pInstance> inst = BuildPi2pReduction(f, &interner);
-  if (!inst.ok()) {
-    state.SkipWithError("reduction failed");
-    return;
-  }
-  bool expected = ForallExistsSatisfiable(f);
-  RelativeContainmentOptions options;
-  options.parallel_workers = workers;
-  for (auto _ : state) {
-    Result<RelativeContainmentResult> r = RelativelyContained(
-        inst->q2, inst->q1, inst->views, &interner, options);
-    if (!r.ok() || r->contained != expected) {
-      state.SkipWithError("wrong answer");
-      return;
-    }
-  }
-  state.counters["forall_vars"] = m;
-  state.counters["workers"] = workers;
-}
-BENCHMARK(BM_Pi2p_ParallelWorkers)
-    ->ArgsProduct({{5, 6}, {1, 2, 4, 8}});
-
 // The brute-force ∀∃ oracle, for scale comparison with the engines in
 // bench_pi2p_reduction: also exponential in m, but over truth
 // assignments rather than containment mappings.

@@ -33,8 +33,6 @@
 //   --default-timeout-ms N  deadline for requests without timeout_ms=
 //                      (default 0 = unbounded); expired requests answer
 //                      ERR BoundReached, not a verdict
-//   --workers N        parallel scan width for requests without workers=
-//                      (default 1 = serial)
 //   --window-secs N    trailing window for the long latency percentiles in
 //                      METRICS / STATUSZ / /statusz (default 60, max 126)
 //   --drain-grace-ms N how long SIGTERM keeps /healthz at 503 before the
@@ -84,8 +82,7 @@ int Usage() {
                "[--trace]\n"
                "                     [--port N] [--access-log FILE] "
                "[--log-sample R]\n"
-               "                     [--default-timeout-ms N] [--workers N] "
-               "[--window-secs N]\n"
+               "                     [--default-timeout-ms N] [--window-secs N]\n"
                "                     [--drain-grace-ms N] [--flight-ring N] "
                "[--flight-arena-kb N]\n"
                "                     [--crash-dump FILE]\n");
@@ -151,11 +148,6 @@ int main(int argc, char** argv) {
       long long timeout = 0;
       if (!ParseIntFlag(arg, value, 1, 1LL << 40, &timeout)) return Usage();
       config.default_timeout_ms = timeout;
-      ++i;
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      long long workers = 0;
-      if (!ParseIntFlag(arg, value, 1, 1024, &workers)) return Usage();
-      config.default_parallel_workers = static_cast<int>(workers);
       ++i;
     } else if (std::strcmp(arg, "--window-secs") == 0) {
       long long window = 0;

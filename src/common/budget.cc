@@ -34,21 +34,12 @@ std::string_view BudgetReasonName(BudgetReason reason) {
       return "steps";
     case BudgetReason::kDeadline:
       return "deadline";
-    case BudgetReason::kCancelled:
-      return "cancelled";
   }
   return "unknown";
 }
 
 bool WorkBudget::Charge(uint64_t n) {
   if (exhausted_.load(std::memory_order_relaxed)) return false;
-  if (parent_ != nullptr && !parent_->Charge(n)) {
-    // The parent's exhaustion (e.g. the request deadline) propagates down
-    // into the region with the parent's reason, so the region's ToStatus
-    // reports the real cause, not a spurious "cancelled".
-    MarkExhausted(parent_->reason());
-    return false;
-  }
   uint64_t used = steps_.fetch_add(n, std::memory_order_relaxed) + n;
   if (max_steps_ > 0 && used > static_cast<uint64_t>(max_steps_)) {
     MarkExhausted(BudgetReason::kSteps);
@@ -71,8 +62,8 @@ bool WorkBudget::Charge(uint64_t n) {
 
 void WorkBudget::MarkExhausted(BudgetReason reason) {
   int expected = static_cast<int>(BudgetReason::kNone);
-  // First trip wins; later causes (e.g. a cancel racing a deadline) keep
-  // the original reason so diagnostics are stable.
+  // First trip wins, also when charges race on two threads, so
+  // diagnostics are stable.
   reason_.compare_exchange_strong(expected, static_cast<int>(reason),
                                   std::memory_order_relaxed);
   exhausted_.store(true, std::memory_order_relaxed);
@@ -87,9 +78,6 @@ Status WorkBudget::ToStatus(std::string_view site) const {
       break;
     case BudgetReason::kDeadline:
       detail = "deadline exceeded";
-      break;
-    case BudgetReason::kCancelled:
-      detail = "cancelled (a sibling task already decided the result)";
       break;
     case BudgetReason::kNone:
       detail = "budget exhausted";

@@ -15,6 +15,10 @@ namespace relcont {
 
 /// relcont::WorkBudget — one cooperative resource budget for a whole
 /// containment decision (see docs/ALGORITHMS.md, "Budgets and deadlines").
+/// A request gets exactly one: the service request frame or the library
+/// front door installs it on the thread that runs the decision, and every
+/// module charges that one budget. There are no nested regions and no
+/// cancellation.
 ///
 /// The decision procedures are Π₂ᴾ-hard: the unfolded plans can be
 /// exponentially large and every disjunct check is an NP search. A
@@ -24,34 +28,23 @@ namespace relcont {
 ///     linearizations, expansions, derived facts) across every module;
 ///   * a DEADLINE is a steady-clock point checked every few hundred steps,
 ///     so a 1 ms timeout surfaces within a fraction of a millisecond of
-///     work, not at the next coarse phase boundary;
-///   * a CANCELLATION flag lets a parallel sibling that found a definite
-///     counterexample stop the in-flight rest of the fan-out.
+///     work, not at the next coarse phase boundary.
 ///
-/// Exhaustion is sticky and one-way: once any of the three trips, every
-/// subsequent Charge() fails and the search unwinds. The exhaustion NEVER
-/// changes an answer — procedures that observe it report kBoundReached
-/// instead of a verdict (a definite YES/NO is only ever produced from a
-/// completed search; see BudgetOkOrBound below for the pattern).
+/// Exhaustion is sticky and one-way: once either trips, every subsequent
+/// Charge() fails and the search unwinds. The exhaustion NEVER changes an
+/// answer — procedures that observe it report kBoundReached instead of a
+/// verdict (a definite YES/NO is only ever produced from a completed
+/// search; see BudgetOkOrBound below for the pattern).
 ///
-/// Thread-safety: Charge/Cancel/Exhausted/reason are safe from many
-/// threads (the parallel fan-out shares one budget across
-/// workers). set_max_steps/set_deadline must be called before the budget
-/// is shared.
-///
-/// Budgets CHAIN: a region budget constructed with a parent forwards every
-/// charge to the parent, so a parallel region both respects the request's
-/// global deadline and can be cancelled locally without disturbing the
-/// parent (the next phase of the same request keeps running).
+/// Thread-safety: Charge/Exhausted/reason are safe from many threads.
+/// set_max_steps/set_deadline must be called before the budget is shared.
 enum class BudgetReason : int {
   kNone = 0,      ///< not exhausted
   kSteps,         ///< the step budget ran out
   kDeadline,      ///< the wall-clock deadline passed
-  kCancelled,     ///< Cancel() was called (first-counterexample-wins)
 };
 
-/// Short stable name for `reason` ("none", "steps", "deadline",
-/// "cancelled").
+/// Short stable name for `reason` ("none", "steps", "deadline").
 std::string_view BudgetReasonName(BudgetReason reason);
 
 class WorkBudget {
@@ -60,13 +53,8 @@ class WorkBudget {
   /// step would dominate the innermost search loops).
   static constexpr uint64_t kDeadlineCheckStride = 256;
 
-  /// An unlimited budget: never exhausts on its own, but still serves as a
-  /// cancellation token.
+  /// An unlimited budget until set_max_steps/set_deadline bound it.
   WorkBudget() = default;
-  /// A region budget chained to `parent` (may be null): every Charge also
-  /// charges the parent, and parent exhaustion propagates down. Cancel()
-  /// on the region does NOT touch the parent.
-  explicit WorkBudget(WorkBudget* parent) : parent_(parent) {}
 
   WorkBudget(const WorkBudget&) = delete;
   WorkBudget& operator=(const WorkBudget&) = delete;
@@ -102,10 +90,6 @@ class WorkBudget {
   /// fetch_add plus a clock read every kDeadlineCheckStride steps.
   bool Charge(uint64_t n = 1);
 
-  /// Marks the budget exhausted with kCancelled (used by the parallel scan
-  /// when a sibling found a definite counterexample).
-  void Cancel() { MarkExhausted(BudgetReason::kCancelled); }
-
   bool Exhausted() const {
     return exhausted_.load(std::memory_order_relaxed);
   }
@@ -113,8 +97,7 @@ class WorkBudget {
   BudgetReason reason() const {
     return static_cast<BudgetReason>(reason_.load(std::memory_order_relaxed));
   }
-  /// Steps charged so far (to this budget; a region's charges also appear
-  /// on its parent).
+  /// Steps charged so far.
   int64_t steps_used() const {
     return static_cast<int64_t>(steps_.load(std::memory_order_relaxed));
   }
@@ -126,7 +109,6 @@ class WorkBudget {
  private:
   void MarkExhausted(BudgetReason reason);
 
-  WorkBudget* parent_ = nullptr;
   int64_t max_steps_ = 0;  ///< <= 0: unlimited
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
@@ -136,8 +118,8 @@ class WorkBudget {
   std::atomic<int> reason_{static_cast<int>(BudgetReason::kNone)};
 };
 
-/// The thread's active budget, or nullptr (the common case: no bounds, no
-/// parallel region). Mirrors trace::CurrentTrace.
+/// The thread's active budget, or nullptr (the common case: no bounds).
+/// Mirrors trace::CurrentTrace.
 WorkBudget* CurrentBudget();
 
 /// Installs `budget` (may be nullptr) as the thread's current budget for

@@ -106,8 +106,6 @@ size_t RenderWideEventJson(const WideEvent& e, char* buf, size_t cap) {
   pos = AppendI64(buf, cap, pos, e.catalog_version);
   pos = AppendStr(buf, cap, pos, ",\"latency_us\":");
   pos = AppendU64(buf, cap, pos, e.latency_micros);
-  pos = AppendStr(buf, cap, pos, ",\"workers\":");
-  pos = AppendU64(buf, cap, pos, e.worker_count);
   pos = AppendStr(buf, cap, pos, ",\"cache_hit\":");
   pos = AppendBool(buf, cap, pos, e.cache_hit != 0);
   pos = AppendStr(buf, cap, pos, ",\"error\":");

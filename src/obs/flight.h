@@ -11,9 +11,9 @@
 ///     slow requests, error lines);
 ///   * a lock-free RING of fixed-size WIDE EVENTS — one per request, every
 ///     field an operator needs to triage a tail sample (verb, regime,
-///     catalog+version, cache hit, bound site, latency, worker count,
-///     phase digest). Writers pay a ticket fetch_add, a seqlock claim, and
-///     ~33 relaxed word stores; readers validate the seqlock so a torn
+///     catalog+version, cache hit, bound site, latency, phase
+///     digest). Writers pay a ticket fetch_add, a seqlock claim, and
+///     ~32 relaxed word stores; readers validate the seqlock so a torn
 ///     event is skipped, never surfaced;
 ///   * a bounded RETENTION ARENA holding the full span tree (text + Chrome
 ///     trace JSON) for the requests worth keeping: errored, kBoundReached,
@@ -57,7 +57,6 @@ struct WideEvent {
   uint64_t ts_unix_micros = 0;
   uint64_t latency_micros = 0;
   int64_t catalog_version = 0;
-  uint32_t worker_count = 0;
   uint8_t error = 0;      ///< non-OK status
   uint8_t cache_hit = 0;
   uint8_t traced = 0;     ///< a span tree was collected for this request

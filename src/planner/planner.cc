@@ -123,14 +123,11 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
     } else {
       // Theorem 5.2 route (degenerates to Theorem 3.1 without
       // comparisons): P1^exp ⊑ Q2 via the expansion.
-      RelativeContainmentOptions options;
-      options.parallel_workers = state.parallel_workers;
       Rule witness;
       RELCONT_ASSIGN_OR_RETURN(
           out.contained,
           RelativelyContainedViaExpansion(q1, q2, catalog->views,
-                                          ctx->interner(), options,
-                                          &witness));
+                                          ctx->interner(), {}, &witness));
       if (!out.contained) {
         out.witness_text = witness.ToString(*ctx->interner());
       }

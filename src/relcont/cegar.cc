@@ -122,7 +122,7 @@ void ComputeComponents(LeftTemplate* t) {
 }
 
 /// The propose/check/refine loop. One instance per decision; not
-/// thread-safe (mirrors the serial scan — parallelism lives above, in the
+/// thread-safe (like the serial scan — parallelism lives above, in the
 /// service's per-request threads).
 class CegarSearch {
  public:

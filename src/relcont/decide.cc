@@ -91,12 +91,10 @@ Result<Decision> DecideRelativeContainment(
   if (comparisons) {
     if (!HasComparisons(q1.program)) {
       RELCONT_TRACE_SPAN("regime_theorem52");
-      RelativeContainmentOptions rel_opts;
-      rel_opts.parallel_workers = options.parallel_workers;
       Rule witness;
       RELCONT_ASSIGN_OR_RETURN(
           bool contained,
-          RelativelyContainedViaExpansion(q1, q2, views, interner, rel_opts,
+          RelativelyContainedViaExpansion(q1, q2, views, interner, {},
                                           &witness));
       out.contained = contained;
       out.regime = Regime::kTheorem52;
@@ -104,11 +102,9 @@ Result<Decision> DecideRelativeContainment(
       return out;
     }
     RELCONT_TRACE_SPAN("regime_theorem51");
-    RelativeContainmentOptions rel_opts;
-    rel_opts.parallel_workers = options.parallel_workers;
     RELCONT_ASSIGN_OR_RETURN(
         RelativeContainmentResult r,
-        RelativelyContainedWithComparisons(q1, q2, views, interner, rel_opts));
+        RelativelyContainedWithComparisons(q1, q2, views, interner));
     out.contained = r.contained;
     out.regime = Regime::kTheorem51;
     out.witness = r.witness;
@@ -130,7 +126,6 @@ Result<Decision> DecideRelativeContainment(
   }
   RELCONT_TRACE_SPAN("regime_section3");
   RelativeContainmentOptions rel_opts;
-  rel_opts.parallel_workers = options.parallel_workers;
   rel_opts.strategy = options.strategy;
   RELCONT_ASSIGN_OR_RETURN(
       RelativeContainmentResult r,

@@ -47,10 +47,6 @@ struct DecideOptions {
   /// and saturation steps, derived facts) for the whole decision; <= 0 =
   /// unlimited.
   int64_t max_steps = kDefaultMaxSteps;
-  /// Fan-out width for the per-disjunct containment scans of the
-  /// section3/theorem51/theorem52 regimes; <= 1 = serial. Parallelism
-  /// changes the verdict never and the reported witness sometimes.
-  int parallel_workers = 1;
   /// Engine for the section3 regime (the other regimes always scan). The
   /// service front door defaults to kAuto — narrow instances keep the
   /// scan, wide ones get the CEGAR search (relcont/cegar.h). Exposed on

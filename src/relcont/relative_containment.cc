@@ -2,7 +2,6 @@
 
 #include "binding/dom_plan.h"
 #include "common/budget.h"
-#include "common/parallel.h"
 #include "containment/canonical.h"
 #include "containment/comparison_containment.h"
 #include "containment/cq_containment.h"
@@ -38,75 +37,29 @@ namespace {
 
 // The shared Π₂ᴾ hot loop: find some disjunct of `disjuncts` that `check`
 // reports NOT contained. Returns its index, nullopt when every disjunct is
-// covered, or an error status.
-//
-// Serial and parallel execution apply the SAME verdict policy, so the two
-// paths agree on every input:
+// covered, or an error status. The verdict policy:
 //   1. a definite counterexample (check returned false) always wins — even
-//      when some other disjunct's check erred (e.g. hit a budget bound):
+//      when an earlier disjunct's check erred (e.g. hit a budget bound):
 //      one failing disjunct already refutes the containment;
 //   2. otherwise the first error, by disjunct index, propagates;
 //   3. otherwise every disjunct completed affirmatively: contained.
-// The parallel path may report a different counterexample INDEX than the
-// serial path (whichever completes first cancels the rest) — the verdict is
-// deterministic, the witness choice is not.
-//
-// `check` must not touch the interner or any other shared mutable state:
-// with workers > 1 it runs concurrently on plain helper threads under a
-// region WorkBudget chained to the caller's (so global deadlines apply and
-// early exit cancels in-flight siblings).
 Result<std::optional<size_t>> FindUncoveredDisjunct(
-    const std::vector<Rule>& disjuncts, int workers,
+    const std::vector<Rule>& disjuncts,
     const std::function<Result<bool>(const Rule&)>& check) {
-  const size_t n = disjuncts.size();
-  if (workers <= 1 || n <= 1) {
-    std::optional<Status> first_error;
-    for (size_t i = 0; i < n; ++i) {
-      Result<bool> r = check(disjuncts[i]);
-      if (!r.ok()) {
-        if (!first_error.has_value()) first_error = r.status();
-        // Under an exhausted budget no later check can report a definite
-        // counterexample (a negative needs a completed search), so the
-        // rest of the scan could only repeat the error.
-        if (BudgetExhausted()) break;
-        continue;
-      }
-      if (!*r) return std::optional<size_t>(i);
-    }
-    if (first_error.has_value()) return *first_error;
-    return std::optional<size_t>(std::nullopt);
-  }
-
-  RELCONT_TRACE_SPAN("parallel_disjunct_scan");
-  WorkBudget region(CurrentBudget());
-  enum : char { kPending, kCovered, kUncovered, kError };
-  // Each slot is written by exactly one worker (the one that claimed index
-  // i) and read only after every worker has been joined.
-  std::vector<char> state(n, kPending);
-  std::vector<Status> errors(n);
-  ParallelScan(n, workers, &region, [&](size_t i) {
+  std::optional<Status> first_error;
+  for (size_t i = 0; i < disjuncts.size(); ++i) {
     Result<bool> r = check(disjuncts[i]);
     if (!r.ok()) {
-      errors[i] = r.status();
-      state[i] = kError;
-      return true;
+      if (!first_error.has_value()) first_error = r.status();
+      // Under an exhausted budget no later check can report a definite
+      // counterexample (a negative needs a completed search), so the
+      // rest of the scan could only repeat the error.
+      if (BudgetExhausted()) break;
+      continue;
     }
-    state[i] = *r ? kCovered : kUncovered;
-    return *r;  // false => cancel the in-flight siblings
-  });
-  for (size_t i = 0; i < n; ++i) {
-    if (state[i] == kUncovered) return std::optional<size_t>(i);
+    if (!*r) return std::optional<size_t>(i);
   }
-  // No counterexample. If the CALLER's budget (the region's parent) died,
-  // the scan was truncated by deadline/steps, not by an early exit — that
-  // outranks per-disjunct errors, which may themselves just be cancellation
-  // echoes.
-  RELCONT_RETURN_NOT_OK(BudgetOkOrBound("containment_check"));
-  for (size_t i = 0; i < n; ++i) {
-    if (state[i] == kError) return errors[i];
-  }
-  // With a healthy parent budget and no counterexample nothing was
-  // cancelled, so every disjunct completed affirmatively.
+  if (first_error.has_value()) return *first_error;
   return std::optional<size_t>(std::nullopt);
 }
 
@@ -136,7 +89,7 @@ Result<RelativeContainmentResult> RelativelyContained(
   RELCONT_ASSIGN_OR_RETURN(
       std::optional<size_t> uncovered,
       FindUncoveredDisjunct(
-          out.plan1.disjuncts, options.parallel_workers,
+          out.plan1.disjuncts,
           [&](const Rule& d) { return CqContainedInUnion(d, out.plan2); }));
   out.contained = !uncovered.has_value();
   if (uncovered.has_value()) out.witness = out.plan1.disjuncts[*uncovered];
@@ -252,7 +205,7 @@ Result<std::set<SymbolId>> RelevantSources(const GoalQuery& query,
 
 Result<bool> RelativelyContainedViaExpansion(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options,
+    Interner* interner, const RelativeContainmentOptions& /*options*/,
     Rule* witness) {
   for (const Rule& r : q1.program.rules) {
     if (!r.comparisons.empty()) {
@@ -275,10 +228,9 @@ Result<bool> RelativelyContainedViaExpansion(
   RELCONT_TRACE_SPAN("containment_check");
   RELCONT_ASSIGN_OR_RETURN(
       std::optional<size_t> uncovered,
-      FindUncoveredDisjunct(p1_exp.disjuncts, options.parallel_workers,
-                            [&](const Rule& d) {
-                              return CqContainedInUnionComplete(d, q2_ucq);
-                            }));
+      FindUncoveredDisjunct(p1_exp.disjuncts, [&](const Rule& d) {
+        return CqContainedInUnionComplete(d, q2_ucq);
+      }));
   if (uncovered.has_value()) {
     if (witness != nullptr) *witness = p1_exp.disjuncts[*uncovered];
     return false;
@@ -288,7 +240,7 @@ Result<bool> RelativelyContainedViaExpansion(
 
 Result<RelativeContainmentResult> RelativelyContainedWithComparisons(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options) {
+    Interner* interner, const RelativeContainmentOptions& /*options*/) {
   RelativeContainmentResult out;
   {
     RELCONT_TRACE_SPAN("build_plans");
@@ -299,9 +251,8 @@ Result<RelativeContainmentResult> RelativelyContainedWithComparisons(
   }
   RELCONT_TRACE_SPAN("containment_check");
   // Compare over consistent instances: each left disjunct may assume every
-  // comparison its views guarantee. Augmentation touches the interner, so
-  // it runs up front on this thread; the fanned-out checks below are
-  // interner-free.
+  // comparison its views guarantee. Every disjunct is augmented before the
+  // scan starts.
   std::vector<Rule> augmented;
   augmented.reserve(out.plan1.disjuncts.size());
   for (const Rule& d : out.plan1.disjuncts) {
@@ -311,10 +262,9 @@ Result<RelativeContainmentResult> RelativelyContainedWithComparisons(
   }
   RELCONT_ASSIGN_OR_RETURN(
       std::optional<size_t> uncovered,
-      FindUncoveredDisjunct(augmented, options.parallel_workers,
-                            [&](const Rule& a) {
-                              return CqContainedInUnionComplete(a, out.plan2);
-                            }));
+      FindUncoveredDisjunct(augmented, [&](const Rule& a) {
+        return CqContainedInUnionComplete(a, out.plan2);
+      }));
   out.contained = !uncovered.has_value();
   if (uncovered.has_value()) {
     // The witness is the *augmented* disjunct — the raw disjunct without

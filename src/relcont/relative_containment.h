@@ -29,8 +29,7 @@ struct GoalQuery {
 /// Which engine runs the Section 3 plan comparison.
 enum class ContainmentStrategy : int {
   /// Materialize both UCQ plans and scan every left disjunct against the
-  /// full right union (the Theorem 3.1 procedure as written; parallelized
-  /// per disjunct).
+  /// full right union (the Theorem 3.1 procedure as written).
   kScan = 0,
   /// Counterexample-guided search (relcont/cegar.h): propose candidate
   /// source instances from a factored left plan, check cover on demand,
@@ -67,14 +66,6 @@ struct CegarOptions {
 };
 
 struct RelativeContainmentOptions {
-  /// Fan-out width for the per-disjunct containment checks (the Π₂ᴾ hot
-  /// loop): <= 1 runs serially on the calling thread; k > 1 shares the
-  /// disjuncts across up to k threads (caller included) with
-  /// first-counterexample-wins early exit. The VERDICT is identical to the
-  /// serial path's; only which witness disjunct gets reported may differ.
-  /// Plan construction (which touches the interner) always stays on the
-  /// calling thread.
-  int parallel_workers = 1;
   /// Engine for the Section 3 check. The library default stays kScan so
   /// direct callers (oracles, differential baselines) keep the exact
   /// pipeline they had; the service front door (DecideOptions) defaults

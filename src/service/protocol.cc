@@ -1,7 +1,6 @@
 #include "service/protocol.h"
 
 #include <array>
-#include <climits>
 #include <cstdlib>
 #include <optional>
 
@@ -42,8 +41,8 @@ std::string Join(Args tokens) {
 /// Pops trailing `key=value` budget options off `args` and applies them
 /// to `options`, stopping at the `@<catalog>` word (a catalog name may
 /// contain '='). Recognized keys: timeout_ms (per-request deadline),
-/// budget (max decision steps), workers (parallel scan width), strategy
-/// (section3 engine: cegar, scan, or auto). Returns a newline-terminated
+/// budget (max decision steps), strategy (section3 engine: cegar, scan, or
+/// auto). Returns a newline-terminated
 /// "ERR ..." line on a malformed option, "" on success.
 std::string ConsumeBudgetOptions(Args* args, DecideOptions* options) {
   for (; !args->empty() && args->back()[0] != '@' &&
@@ -66,10 +65,7 @@ std::string ConsumeBudgetOptions(Args* args, DecideOptions* options) {
     }
     char* end = nullptr;
     long long parsed = std::strtoll(value.c_str(), &end, 10);
-    // workers fills an int: a wider value is malformed, never wrapped.
-    const long long max = key == "workers" ? INT_MAX : LLONG_MAX;
-    if (value.empty() || end == nullptr || *end != '\0' || parsed <= 0 ||
-        parsed > max) {
+    if (value.empty() || end == nullptr || *end != '\0' || parsed <= 0) {
       return "ERR InvalidArgument: option '" + key +
              "' needs a positive integer, got '" + value + "'\n";
     }
@@ -77,11 +73,9 @@ std::string ConsumeBudgetOptions(Args* args, DecideOptions* options) {
       options->timeout_ms = parsed;
     } else if (key == "budget") {
       options->max_steps = parsed;
-    } else if (key == "workers") {
-      options->parallel_workers = static_cast<int>(parsed);
     } else {
       return "ERR InvalidArgument: unknown option '" + key +
-             "' — try timeout_ms=, budget=, workers=, or strategy=\n";
+             "' — try timeout_ms=, budget=, or strategy=\n";
     }
   }
   return "";
@@ -199,16 +193,13 @@ std::span<const Verb> ServerSession::Verbs() {
        false},
       {"DEFINE", "<name> <rule> [<rule>]...", &ServerSession::HandleDefine,
        kRun, false},
-      {"CONTAINED?",
-       "<q1> <q2> @<catalog> [timeout_ms=N] [budget=N] [workers=N]",
+      {"CONTAINED?", "<q1> <q2> @<catalog> [timeout_ms=N] [budget=N]",
        &ServerSession::HandleContained, kQueue, false},
-      {"PLAN?", "<q> @<catalog> [timeout_ms=N] [budget=N] [workers=N]",
+      {"PLAN?", "<q> @<catalog> [timeout_ms=N] [budget=N]",
        &ServerSession::HandlePlan, kReject, true},
-      {"REWRITE?",
-       "<q1> <q2> @<catalog> [timeout_ms=N] [budget=N] [workers=N]",
+      {"REWRITE?", "<q1> <q2> @<catalog> [timeout_ms=N] [budget=N]",
        &ServerSession::HandleRewrite, kReject, true},
-      {"EXPLAIN",
-       "[JSON] <q1> <q2> @<catalog> [timeout_ms=N] [budget=N] [workers=N]",
+      {"EXPLAIN", "[JSON] <q1> <q2> @<catalog> [timeout_ms=N] [budget=N]",
        &ServerSession::HandleExplain, kReject, false},
       {"BATCH", "BEGIN or BATCH END", &ServerSession::HandleBatch, kRun,
        false},
@@ -508,8 +499,7 @@ std::string ServerSession::HandleHelp(const Verb&, Args, bool, bool) {
     }
   }
   return out +
-         "  timeout_ms: per-request deadline; budget: max decision steps; "
-         "workers: parallel scan width;\n"
+         "  timeout_ms: per-request deadline; budget: max decision steps;\n"
          "  strategy=cegar|scan|auto: section3 engine (default auto — "
          "CEGAR search on wide plans, scan otherwise).\n"
          "  A request past its bound answers ERR BoundReached (not a "

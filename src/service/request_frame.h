@@ -43,7 +43,7 @@ inline Result<GoalQuery> ParseGoalQuery(const std::string& text,
 /// answers are kept per engine. The option bytes are fixed in number and
 /// end the key, so it stays injective.
 ///
-/// The budget fields (timeout_ms, max_steps, parallel_workers) are
+/// The budget fields (timeout_ms, max_steps) are
 /// deliberately absent: a budget can only turn an answer into a non-OK
 /// kBoundReached status, and non-OK results are never cached — so every
 /// cached answer is budget-independent, and requests that differ only in
@@ -119,9 +119,6 @@ struct RequestState {
   /// (BudgetScope) around its computation only, after the cache lookup;
   /// the library sees the installed budget and skips its own (decide.cc).
   WorkBudget budget;
-  /// Parallel width granted to the request: its own parallel_workers when
-  /// above 1, else the config default.
-  int parallel_workers = 1;
 };
 
 /// A question after its keyed front half (LookupQuestion).
@@ -166,8 +163,8 @@ Result<KeyedQuestion<V, N>> LookupQuestion(
 /// and trace setup and catalog resolution before `body`; the rollback of
 /// the fresh symbols it minted, latency, inflight gauge, budget, trace and
 /// wide-event accounting after it, on every path including errors. The
-/// trace counts the request made (its ParallelScan helpers' included) are
-/// folded into trace::ProcessCounts when it ends.
+/// trace counts the request made are folded into trace::ProcessCounts when
+/// it ends.
 ///
 /// `body(state, out)` keys and looks up (LookupQuestion), computes and
 /// inserts; it fills `out` and returns the regime the answer is attributed
@@ -190,9 +187,6 @@ Response ServeRequest(ContainmentService& service,
                               ? request.options.timeout_ms
                               : config.default_timeout_ms,
                           request.options.max_steps);
-  state.parallel_workers = request.options.parallel_workers > 1
-                               ? request.options.parallel_workers
-                               : config.default_parallel_workers;
   std::shared_ptr<trace::TraceContext> trace_ctx;
   std::optional<trace::TraceScope> trace_scope;
   if (request.collect_trace || config.trace_requests) {
@@ -238,7 +232,6 @@ Response ServeRequest(ContainmentService& service,
   event.request_id = out.request_id;
   event.latency_micros = out.latency_micros;
   event.catalog_version = out.catalog_version;
-  event.worker_count = static_cast<uint32_t>(state.parallel_workers);
   event.error = out.status.ok() ? 0 : 1;
   event.cache_hit = out.cache_hit ? 1 : 0;
   event.bound = bound ? 1 : 0;

@@ -65,14 +65,12 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
       return out.regime;
     }
     const auto& [q1, q2] = question.queries;
-    DecideOptions options = request.options;
-    options.parallel_workers = state.parallel_workers;
     BudgetScope budget_scope(&state.budget);
     RELCONT_ASSIGN_OR_RETURN(
         Decision decision,
         DecideRelativeContainment(q1, q2, state.catalog->views,
                                   state.catalog->patterns, ctx->interner(),
-                                  options));
+                                  request.options));
     out.contained = decision.contained;
     out.regime = decision.regime;
     if (decision.witness.has_value()) {

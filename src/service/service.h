@@ -44,9 +44,6 @@ struct ServiceConfig {
   /// (0 = no default deadline). A request past its deadline answers
   /// kBoundReached — a bound, not an error.
   int64_t default_timeout_ms = 0;
-  /// Worker-thread count for the parallel per-disjunct scan, applied to
-  /// requests that do not set their own parallel_workers. 1 = serial.
-  int default_parallel_workers = 1;
   /// Total plan-cache capacity in entries (the planner's cache is separate
   /// from the decision cache: plans are large values with a different
   /// working set).

@@ -77,9 +77,6 @@ enum class Counter : int {
   kCegarBlockingClauses,
   kCegarProposals,
   kBoundHits,
-  kParallelTasksSpawned,
-  kParallelTasksCompleted,
-  kParallelTasksCancelled,
   kNumCounters,
 };
 
@@ -166,14 +163,6 @@ inline constexpr CounterDef kCounterTable[] = {
      "kBoundReached statuses minted (relcont_bound_hits_total{site} "
      "carries them per site).",
      /*exported=*/false},
-    {Counter::kParallelTasksSpawned, "parallel_tasks_spawned_total",
-     "Parallel helper tasks spawned by decisions."},
-    {Counter::kParallelTasksCompleted, "parallel_tasks_completed_total",
-     "Parallel helper tasks joined by decisions (equals spawned when "
-     "idle)."},
-    {Counter::kParallelTasksCancelled, "parallel_tasks_cancelled_total",
-     "Parallel scan items abandoned by first-counterexample-wins early "
-     "exit."},
 };
 
 namespace internal {

@@ -1,23 +1,19 @@
-// Unit tests for the cooperative work budget (common/budget.h), the
-// parallel scan built on it (common/parallel.h), and the unified
-// kBoundReached surface the budget gives every search in the library:
-// exhaustion never changes an answer, it only turns a truncated search
-// into "bound reached [<site>]: ..." instead of a verdict.
+// Unit tests for the cooperative work budget (common/budget.h) and the
+// unified kBoundReached surface the budget gives every search in the
+// library: exhaustion never changes an answer, it only turns a truncated
+// search into "bound reached [<site>]: ..." instead of a verdict.
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "binding/dom_containment.h"
 #include "common/budget.h"
-#include "common/parallel.h"
 #include "constraints/order_constraints.h"
 #include "containment/expansion.h"
 #include "datalog/parser.h"
@@ -92,42 +88,17 @@ TEST(WorkBudgetTest, HugeTimeoutSaturatesInsteadOfWrapping) {
   EXPECT_EQ(budget.reason(), BudgetReason::kNone);
 }
 
-TEST(WorkBudgetTest, CancelTripsWithCancelledReason) {
-  WorkBudget budget;
-  budget.Cancel();
-  EXPECT_FALSE(budget.Charge());
-  EXPECT_EQ(budget.reason(), BudgetReason::kCancelled);
-}
-
 TEST(WorkBudgetTest, FirstTripReasonWins) {
   WorkBudget budget;
   budget.set_max_steps(1);
   EXPECT_TRUE(budget.Charge());
   EXPECT_FALSE(budget.Charge());
   EXPECT_EQ(budget.reason(), BudgetReason::kSteps);
-  budget.Cancel();  // later cancellation must not rewrite the reason
+  // A deadline that has passed since must not rewrite the reason.
+  budget.set_deadline(std::chrono::steady_clock::now() -
+                      std::chrono::milliseconds(1));
+  EXPECT_FALSE(budget.Charge());
   EXPECT_EQ(budget.reason(), BudgetReason::kSteps);
-}
-
-TEST(WorkBudgetTest, RegionForwardsChargesToParent) {
-  WorkBudget parent;
-  parent.set_max_steps(5);
-  WorkBudget region(&parent);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(region.Charge());
-  // The sixth charge exhausts the parent; the region inherits its reason.
-  EXPECT_FALSE(region.Charge());
-  EXPECT_TRUE(parent.Exhausted());
-  EXPECT_TRUE(region.Exhausted());
-  EXPECT_EQ(region.reason(), BudgetReason::kSteps);
-}
-
-TEST(WorkBudgetTest, RegionCancelDoesNotTouchParent) {
-  WorkBudget parent;
-  WorkBudget region(&parent);
-  region.Cancel();
-  EXPECT_FALSE(region.Charge());
-  EXPECT_FALSE(parent.Exhausted());
-  EXPECT_TRUE(parent.Charge());  // the next phase of the request runs on
 }
 
 TEST(WorkBudgetTest, ToStatusIsUniformBoundReached) {
@@ -178,116 +149,6 @@ TEST(BudgetScopeTest, BudgetOkOrBoundReflectsExhaustion) {
   BudgetCharge(2);
   Status status = BudgetOkOrBound("site");
   EXPECT_EQ(status.code(), StatusCode::kBoundReached);
-}
-
-// ---------------------------------------------------------------------------
-// ParallelScan.
-// ---------------------------------------------------------------------------
-
-/// What this thread counted of `c` since `mark` (a copy of ThreadCounts).
-uint64_t CountSince(const trace::CounterArray& mark, trace::Counter c) {
-  const size_t i = static_cast<size_t>(c);
-  return trace::ThreadCounts()[i] - mark[i];
-}
-
-TEST(ParallelScanTest, RunsEveryItemInline) {
-  WorkBudget region;
-  std::atomic<int> ran{0};
-  const trace::CounterArray mark = trace::ThreadCounts();
-  ParallelScan(17, /*workers=*/1, &region, [&](size_t) {
-    ran.fetch_add(1);
-    return true;
-  });
-  EXPECT_EQ(ran.load(), 17);
-  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksSpawned), 0u);
-  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksCancelled), 0u);
-}
-
-TEST(ParallelScanTest, RunsEveryItemExactlyOnceAcrossThreads) {
-  WorkBudget region;
-  constexpr size_t kItems = 200;
-  std::vector<std::atomic<int>> runs(kItems);
-  const trace::CounterArray mark = trace::ThreadCounts();
-  ParallelScan(kItems, /*workers=*/4, &region, [&](size_t i) {
-    runs[i].fetch_add(1);
-    return true;
-  });
-  for (size_t i = 0; i < kItems; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
-  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksCancelled), 0u);
-  const uint64_t spawned =
-      CountSince(mark, trace::Counter::kParallelTasksSpawned);
-  EXPECT_LE(spawned, 3u);
-  // Pool quiescence: every announced helper was joined before return.
-  EXPECT_EQ(spawned, CountSince(mark, trace::Counter::kParallelTasksCompleted));
-}
-
-TEST(ParallelScanTest, HelperCountsReachTheCallerAndItsOpenSpan) {
-  WorkBudget region;
-  constexpr size_t kItems = 64;
-  trace::TraceContext ctx;
-  const trace::CounterArray mark = trace::ThreadCounts();
-  {
-    trace::TraceScope scope(&ctx);
-    RELCONT_TRACE_SPAN("scan");
-    ParallelScan(kItems, /*workers=*/4, &region, [](size_t) {
-      // Stay busy long enough that the helpers claim items too.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      RELCONT_TRACE_COUNT(kDisjunctChecks, 1);
-      return true;
-    });
-  }
-  // Every item's count reached the caller, whichever thread ran it.
-  EXPECT_EQ(CountSince(mark, trace::Counter::kDisjunctChecks), kItems);
-  if (trace::kCompiledIn) {
-    EXPECT_EQ(ctx.TotalCount(trace::Counter::kDisjunctChecks), kItems);
-    EXPECT_EQ(ctx.TotalCount(trace::Counter::kParallelTasksCompleted),
-              ctx.TotalCount(trace::Counter::kParallelTasksSpawned));
-  }
-  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksSpawned), 3u);
-  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksCompleted), 3u);
-}
-
-TEST(ParallelScanTest, TasksRunUnderTheRegionBudget) {
-  WorkBudget region;
-  std::atomic<bool> saw_region{true};
-  ParallelScan(50, /*workers=*/4, &region, [&](size_t) {
-    if (CurrentBudget() != &region) saw_region.store(false);
-    return true;
-  });
-  EXPECT_TRUE(saw_region.load());
-}
-
-TEST(ParallelScanTest, EarlyExitCancelsRegion) {
-  WorkBudget region;
-  std::atomic<int> ran{0};
-  const trace::CounterArray mark = trace::ThreadCounts();
-  ParallelScan(1'000, /*workers=*/4, &region, [&](size_t i) {
-    ran.fetch_add(1);
-    return i != 3;  // "counterexample"
-  });
-  EXPECT_TRUE(region.Exhausted());
-  EXPECT_EQ(region.reason(), BudgetReason::kCancelled);
-  // Unclaimed items were never started.
-  EXPECT_LT(ran.load(), 1'000);
-  EXPECT_GT(CountSince(mark, trace::Counter::kParallelTasksCancelled), 0u);
-  EXPECT_EQ(CountSince(mark, trace::Counter::kParallelTasksSpawned),
-            CountSince(mark, trace::Counter::kParallelTasksCompleted));
-}
-
-TEST(ParallelScanTest, ParentExhaustionStopsTheScan) {
-  WorkBudget parent;
-  parent.set_max_steps(10);
-  WorkBudget region(&parent);
-  std::atomic<int> ran{0};
-  const trace::CounterArray mark = trace::ThreadCounts();
-  ParallelScan(1'000, /*workers=*/2, &region, [&](size_t) {
-    ran.fetch_add(1);
-    BudgetCharge(1);
-    return true;
-  });
-  EXPECT_TRUE(parent.Exhausted());
-  EXPECT_GT(CountSince(mark, trace::Counter::kParallelTasksCancelled), 0u);
-  EXPECT_LT(ran.load(), 1'000);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,11 +379,12 @@ TEST(BoundSiteAttributionTest, EveryEffortSiteBoundsAtItsOwnName) {
 }
 
 TEST(BoundSiteAttributionTest, DisjunctScanTripIsAttributed) {
-  // A budget that dies *during* the parallel disjunct scan — after plan
-  // construction, before the scan completes — mints [containment_check].
-  // The right step cap depends on plan sizes, so sweep upward until the
-  // trip lands in the scan window.
-  const uint64_t before = SiteCount("containment_check");
+  // A budget that dies *during* the disjunct scan — after plan
+  // construction, before the scan completes — is attributed to the
+  // disjunct check that observed it, [cq_union_containment]. The right
+  // step cap depends on plan sizes, so sweep upward until the trip lands
+  // in the scan window.
+  const uint64_t before = SiteCount("cq_union_containment");
   Interner interner;
   QbfFormula f = RandomQbf(/*num_exists=*/2, /*num_forall=*/3,
                            /*num_clauses=*/3, /*seed=*/7);
@@ -532,17 +394,16 @@ TEST(BoundSiteAttributionTest, DisjunctScanTripIsAttributed) {
   for (int64_t steps = 1; steps <= 5000 && !tripped; ++steps) {
     DecideOptions options;
     options.max_steps = steps;
-    options.parallel_workers = 2;
     Result<Decision> d = DecideRelativeContainment(
         inst->q2, inst->q1, inst->views, {}, &interner, options);
     if (d.ok()) break;  // enough budget: no later cap can trip mid-scan
-    if (d.status().ToString().find("[containment_check]") !=
+    if (d.status().ToString().find("[cq_union_containment]") !=
         std::string::npos) {
       tripped = true;
     }
   }
   ASSERT_TRUE(tripped) << "no step cap tripped inside the disjunct scan";
-  EXPECT_GT(SiteCount("containment_check"), before);
+  EXPECT_GT(SiteCount("cq_union_containment"), before);
 }
 
 TEST(BoundSiteAttributionTest, PlannerTripIsAttributed) {
@@ -576,25 +437,6 @@ TEST(BoundSiteAttributionTest, PlannerTripIsAttributed) {
   // The planner attributes the whole bound request to its own aggregate
   // site on top of whatever inner site minted the status.
   EXPECT_EQ(SiteCount("planner_plan"), before + 1);
-}
-
-TEST(UnifiedBoundTest, ParallelWorkersPreserveTheVerdict) {
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    Interner interner;
-    QbfFormula f = RandomQbf(/*num_exists=*/2, /*num_forall=*/3,
-                             /*num_clauses=*/3, seed);
-    Result<Pi2pInstance> inst = BuildPi2pReduction(f, &interner);
-    ASSERT_TRUE(inst.ok());
-    Result<Decision> serial = DecideRelativeContainment(
-        inst->q2, inst->q1, inst->views, {}, &interner, {});
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    DecideOptions parallel;
-    parallel.parallel_workers = 4;
-    Result<Decision> fanned = DecideRelativeContainment(
-        inst->q2, inst->q1, inst->views, {}, &interner, parallel);
-    ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
-    EXPECT_EQ(fanned->contained, serial->contained) << "seed " << seed;
-  }
 }
 
 }  // namespace

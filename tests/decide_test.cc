@@ -125,6 +125,36 @@ TEST_F(DecideTest, WitnessSurfacesOnRecursiveQ1Failure) {
   EXPECT_TRUE(d.witness.has_value());
 }
 
+TEST_F(DecideTest, RecursiveQ1ContainedPairIsABoundNeverANo) {
+  // A known limit of the Theorem 3.2 route: with Q1 recursive, the bounded
+  // expansion search can refute a containment but never certify one.
+  // Every expansion of qa is contained in qb, so the search runs out of
+  // derivation depth and answers kBoundReached, never a NO verdict.
+  ViewSet views = V("e1(X, Y) :- e(X, Y).");
+  GoalQuery qa = GQ(
+      "a(X) :- t(X, Y).\n"
+      "t(X, Y) :- e(X, Y).\n"
+      "t(X, Y) :- e(X, Z), t(Z, Y).\n",
+      "a");
+  GoalQuery qb = GQ("b(X) :- e(X, Y).", "b");
+  for (int depth : {4, 12}) {
+    DecideOptions options;
+    options.max_rule_applications = depth;
+    Result<Decision> d =
+        DecideRelativeContainment(qa, qb, views, {}, &interner_, options);
+    ASSERT_FALSE(d.ok()) << "depth " << depth << ": contained="
+                         << d->contained;
+    EXPECT_EQ(d.status().code(), StatusCode::kBoundReached)
+        << d.status().ToString();
+    EXPECT_NE(d.status().ToString().find("[expansion]"), std::string::npos)
+        << d.status().ToString();
+  }
+  // The reversed pair has the recursive query on the right: exact.
+  Decision reversed = Decide(qb, qa, views);
+  EXPECT_TRUE(reversed.contained);
+  EXPECT_EQ(reversed.regime, Regime::kTheorem32);
+}
+
 TEST_F(DecideTest, Theorem51WitnessCarriesViewGuaranteedComparisons) {
   ViewSet views = V("cheap(X, P) :- item(X, P), P < 10.");
   Decision d = Decide(GQ("a(X) :- item(X, P), P < 5.", "a"),

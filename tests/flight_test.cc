@@ -38,7 +38,6 @@ WideEvent SelfConsistentEvent(uint64_t id) {
   event.ts_unix_micros = 7 * id;
   event.latency_micros = 3 * id + 1;
   event.catalog_version = static_cast<int64_t>(id);
-  event.worker_count = static_cast<uint32_t>(id % 17);
   event.error = static_cast<uint8_t>(id % 2);
   event.set_verb("contained");
   event.set_regime("section3");
@@ -63,7 +62,6 @@ TEST(FlightRingTest, ConcurrentWritersNeverSurfaceTornEvents) {
         EXPECT_EQ(event.latency_micros, expected.latency_micros);
         EXPECT_EQ(event.ts_unix_micros, expected.ts_unix_micros);
         EXPECT_EQ(event.catalog_version, expected.catalog_version);
-        EXPECT_EQ(event.worker_count, expected.worker_count);
         EXPECT_STREQ(event.catalog, "stress");
       }
     }
@@ -165,7 +163,6 @@ TEST(FlightJsonTest, RenderedWideEventParsesWithEveryField) {
   event.ts_unix_micros = 1700000000000000;
   event.latency_micros = 1234;
   event.catalog_version = 3;
-  event.worker_count = 4;
   event.error = 1;
   event.cache_hit = 1;
   event.traced = 1;
@@ -188,7 +185,7 @@ TEST(FlightJsonTest, RenderedWideEventParsesWithEveryField) {
   EXPECT_EQ(parsed->Find("catalog")->string_value, "ca\"rs");
   EXPECT_EQ(parsed->Find("bound_site")->string_value, "linearization_dfs");
   EXPECT_DOUBLE_EQ(parsed->Find("latency_us")->number_value, 1234);
-  EXPECT_DOUBLE_EQ(parsed->Find("workers")->number_value, 4);
+  EXPECT_EQ(parsed->Find("workers"), nullptr);  // requests run serially
   EXPECT_DOUBLE_EQ(parsed->Find("catalog_version")->number_value, 3);
   EXPECT_TRUE(parsed->Find("error")->bool_value);
   EXPECT_TRUE(parsed->Find("cache_hit")->bool_value);

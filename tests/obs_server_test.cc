@@ -634,7 +634,7 @@ TEST_F(ObsServerTest, ExpiredDeadlineAnswersBoundReachedFast) {
   EXPECT_NE(client.ReadLine().find("OK"), std::string::npos);
 
   auto start = std::chrono::steady_clock::now();
-  client.Send("CONTAINED? hq1 hq2 @qbf timeout_ms=1 workers=4\n");
+  client.Send("CONTAINED? hq1 hq2 @qbf timeout_ms=1\n");
   std::string reply = client.ReadLine();
   auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::steady_clock::now() - start)
@@ -658,21 +658,11 @@ TEST_F(ObsServerTest, ExpiredDeadlineAnswersBoundReachedFast) {
 #endif
   EXPECT_LT(elapsed_ms, bound_ms) << reply;
 
-  // The trip shows up in the exposition, and the helper pool is quiescent:
-  // the two task series of the one counter table agree.
+  // The trip shows up in the exposition.
   HttpReply metrics = Get(port(), "/metrics");
   EXPECT_EQ(metrics.status_line, "HTTP/1.1 200 OK");
   EXPECT_NE(metrics.body.find("relcont_deadline_exceeded_total 1"),
             std::string::npos);
-  auto value = [&](const std::string& series) -> int64_t {
-    const size_t at = metrics.body.find("\n" + series + " ");
-    if (at == std::string::npos) return -1;
-    return std::strtoll(metrics.body.c_str() + at + series.size() + 2,
-                        nullptr, 10);
-  };
-  const int64_t spawned = value("relcont_parallel_tasks_spawned_total");
-  EXPECT_GE(spawned, 0);
-  EXPECT_EQ(spawned, value("relcont_parallel_tasks_completed_total"));
 }
 
 /// Parses the request id out of an "ERR [id=N] ..." line (0 on mismatch).
@@ -880,7 +870,6 @@ TEST_F(ObsServerTest, AccessLogRecordsEveryVerbAcrossSessions) {
               i < 2 ? "contained" : "plan");
     EXPECT_EQ(event->Find("catalog")->string_value, "cars");
     EXPECT_GT(event->Find("catalog_version")->number_value, 0);
-    EXPECT_GE(event->Find("workers")->number_value, 1);
     EXPECT_FALSE(event->Find("error")->bool_value);
     EXPECT_FALSE(event->Find("bound")->bool_value);
     EXPECT_FALSE(event->Find("traced")->bool_value);

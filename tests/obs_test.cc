@@ -360,7 +360,6 @@ TEST(AccessLogTest, LogsTheWideEventWithHostileCatalogName) {
   event.request_id = metrics.flight().NextRequestId();
   event.latency_micros = 77;
   event.catalog_version = 3;
-  event.worker_count = 4;
   event.error = 1;
   event.cache_hit = 1;
   event.bound = 1;
@@ -391,7 +390,6 @@ TEST(AccessLogTest, LogsTheWideEventWithHostileCatalogName) {
   EXPECT_EQ(parsed->Find("catalog")->string_value, "cat\"alog\\\x01x");
   EXPECT_DOUBLE_EQ(parsed->Find("catalog_version")->number_value, 3);
   EXPECT_EQ(parsed->Find("regime")->string_value, "section3");
-  EXPECT_DOUBLE_EQ(parsed->Find("workers")->number_value, 4);
   EXPECT_TRUE(parsed->Find("cache_hit")->bool_value);
   EXPECT_TRUE(parsed->Find("error")->bool_value);
   EXPECT_TRUE(parsed->Find("bound")->bool_value);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "binding/dom_containment.h"
-#include "common/parallel.h"
 #include "containment/canonical.h"
 #include "containment/homomorphism.h"
 #include "datalog/parser.h"
@@ -31,13 +30,6 @@ namespace {
 /// The process-wide total of `c` (trace::ProcessCounts).
 uint64_t ProcessCount(trace::Counter c) {
   return trace::ProcessCounts()[static_cast<size_t>(c)].load();
-}
-
-/// The pool-quiescence invariant, read from the one counter table: every
-/// parallel helper a request spawned was joined before the request ended.
-void ExpectQuiescent() {
-  EXPECT_EQ(ProcessCount(trace::Counter::kParallelTasksSpawned),
-            ProcessCount(trace::Counter::kParallelTasksCompleted));
 }
 
 // --- canonical fingerprints -------------------------------------------------
@@ -329,8 +321,6 @@ TEST_F(ServiceTest, CacheKeyIsRenamingInvariantAndOptionSensitive) {
   // ...and the budget fields never do.
   EXPECT_EQ(key_with([](DecideOptions& o) { o.timeout_ms = 5; }), *k_base);
   EXPECT_EQ(key_with([](DecideOptions& o) { o.max_steps = 5; }), *k_base);
-  EXPECT_EQ(key_with([](DecideOptions& o) { o.parallel_workers = 4; }),
-            *k_base);
 }
 
 // --- fresh names -------------------------------------------------------------
@@ -542,52 +532,6 @@ TEST(ServiceStressTest, EightThreadBatchMatchesSerialBaseline) {
   EXPECT_GE(stats.hits, requests.size() - 8 * distinct.size());
 }
 
-TEST(ServiceStressTest, ParallelWorkersUnderConcurrentLoadMatchSerial) {
-  // Batch threads × per-request disjunct workers: every decision fans out
-  // its own helpers while eight batch workers run at once. Verdicts must
-  // still equal the fully serial baseline, and the helper pool must be
-  // quiescent once ExecuteBatch returns.
-  std::string views_text;
-  std::vector<DecisionRequest> distinct = RandomWorkload(12, &views_text);
-  std::vector<DecisionRequest> requests;
-  for (int i = 0; i < 240; ++i) {
-    DecisionRequest r = distinct[i % distinct.size()];
-    r.options.parallel_workers = 4;
-    r.bypass_cache = true;  // force a real decision on every repeat
-    requests.push_back(std::move(r));
-  }
-
-  ContainmentService serial;
-  ASSERT_TRUE(serial.catalogs().Register("rand", views_text).ok());
-  std::vector<DecisionRequest> serial_requests = requests;
-  for (DecisionRequest& r : serial_requests) r.options.parallel_workers = 1;
-  std::vector<DecisionResponse> baseline =
-      serial.ExecuteBatch(serial_requests, 1);
-
-  ContainmentService parallel;
-  ASSERT_TRUE(parallel.catalogs().Register("rand", views_text).ok());
-  const uint64_t spawned_before =
-      ProcessCount(trace::Counter::kParallelTasksSpawned);
-  std::vector<DecisionResponse> concurrent =
-      parallel.ExecuteBatch(requests, 8);
-
-  ASSERT_EQ(baseline.size(), requests.size());
-  ASSERT_EQ(concurrent.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(baseline[i].status.ok()) << baseline[i].status.ToString();
-    ASSERT_TRUE(concurrent[i].status.ok())
-        << concurrent[i].status.ToString();
-    EXPECT_EQ(concurrent[i].contained, baseline[i].contained) << "at " << i;
-    EXPECT_EQ(concurrent[i].regime, baseline[i].regime) << "at " << i;
-  }
-  // Quiescence: every helper the decisions spawned has been joined; the
-  // spawn/complete counters can only balance if no task is still running.
-  EXPECT_GT(ProcessCount(trace::Counter::kParallelTasksSpawned),
-            spawned_before);
-  ExpectQuiescent();
-  EXPECT_EQ(parallel.metrics().deadline_exceeded(), 0u);
-}
-
 // --- deadlines and step budgets ---------------------------------------------
 
 // Renders a Π₂ᵖ-hard pair through the text API: a random ∀∃-3CNF reduction
@@ -619,12 +563,11 @@ void HardRequestWorkload(std::string* views_text, DecisionRequest* request) {
   request->catalog = "qbf";
 }
 
-TEST(ServiceDeadlineTest, MidFlightDeadlineAnswersBoundReachedAndQuiesces) {
+TEST(ServiceDeadlineTest, MidFlightDeadlineAnswersBoundReached) {
   std::string views_text;
   DecisionRequest request;
   HardRequestWorkload(&views_text, &request);
   request.options.timeout_ms = 1;
-  request.options.parallel_workers = 4;
 
   ContainmentService service;
   ASSERT_TRUE(service.catalogs().Register("qbf", views_text).ok());
@@ -636,10 +579,8 @@ TEST(ServiceDeadlineTest, MidFlightDeadlineAnswersBoundReachedAndQuiesces) {
   EXPECT_NE(response.status.message().find("deadline exceeded"),
             std::string::npos)
       << response.status.ToString();
-  // The expired request still quiesced its helpers before returning and
-  // was counted by the deadline metric.
+  // The expired request was counted by the deadline metric.
   EXPECT_GE(service.metrics().deadline_exceeded(), 1u);
-  ExpectQuiescent();
   // A bound is an error, not a verdict: nothing may enter the cache.
   CacheStats stats = service.cache().Stats();
   EXPECT_EQ(stats.entries, 0u);
@@ -797,7 +738,7 @@ TEST(ProtocolTest, BudgetOptionsParseAndSurfaceBounds) {
 
   // Generous bounds leave the verdict untouched.
   std::string yes = session.HandleLine(
-      "CONTAINED? a b @c timeout_ms=60000 budget=1000000 workers=4");
+      "CONTAINED? a b @c timeout_ms=60000 budget=1000000");
   EXPECT_EQ(yes.rfind("YES section3", 0), 0u) << yes;
   // So does a timeout past the clock's range, on an uncached pair: it
   // means no deadline, not one that has already passed.
@@ -817,22 +758,51 @@ TEST(ProtocolTest, BudgetOptionsParseAndSurfaceBounds) {
   // Malformed options are usage errors, not silent defaults.
   for (const char* bad :
        {"CONTAINED? a b @c timeout_ms=abc", "CONTAINED? a b @c budget=0",
-        "CONTAINED? a b @c workers=-2", "CONTAINED? a b @c frobs=3",
-        // Wider than the int field: rejected, not wrapped to 2 or to the
-        // configured default.
-        "CONTAINED? a b @c workers=4294967298",
-        "CONTAINED? a b @c workers=2147483648"}) {
+        "CONTAINED? a b @c budget=-2", "CONTAINED? a b @c frobs=3"}) {
     std::string err = session.HandleLine(bad);
     EXPECT_EQ(err.rfind("ERR", 0), 0u) << bad << " -> " << err;
   }
-  EXPECT_EQ(session.HandleLine("CONTAINED? a b @c workers=4294967298"),
-            "ERR InvalidArgument: option 'workers' needs a positive "
-            "integer, got '4294967298'\n");
 
   // EXPLAIN accepts the same trailing options.
   std::string explain =
-      session.HandleLine("EXPLAIN a b @c timeout_ms=60000 workers=2");
+      session.HandleLine("EXPLAIN a b @c timeout_ms=60000 budget=1000000");
   EXPECT_EQ(explain.rfind("ERR", 0), std::string::npos) << explain;
+}
+
+TEST(ProtocolTest, RemovedWorkersOptionIsAnUnknownOption) {
+  // Requests run on one thread; an old client's workers= gets the same
+  // unknown-option line as any other key, on every question verb.
+  ContainmentService service;
+  ServerSession session(&service);
+  session.HandleLine("CATALOG c VIEW v(X, Y) :- p(X, Y).");
+  session.HandleLine("DEFINE a a(X) :- p(X, X).");
+  session.HandleLine("DEFINE b b(X) :- p(X, Y).");
+  const std::string unknown =
+      "ERR InvalidArgument: unknown option 'workers' — try timeout_ms=, "
+      "budget=, or strategy=\n";
+  EXPECT_EQ(session.HandleLine("CONTAINED? a b @c workers=4"), unknown);
+  EXPECT_EQ(session.HandleLine("EXPLAIN a b @c workers=4"), unknown);
+  EXPECT_EQ(session.HandleLine("PLAN? a @c workers=4"), unknown);
+}
+
+TEST(ProtocolTest, RecursiveQ1ContainedPairAnswersBoundReached) {
+  // The Theorem 3.2 recursive-Q1 limit on the wire: the pair is contained,
+  // but the bounded expansion search cannot certify it, so the reply is
+  // the uniform bound error, never NO; the reversed pair is decided.
+  ContainmentService service;
+  ServerSession session(&service);
+  session.HandleLine("CATALOG c VIEW e1(X, Y) :- e(X, Y).");
+  session.HandleLine(
+      "DEFINE qa a(X) :- t(X, Y). t(X, Y) :- e(X, Y). "
+      "t(X, Y) :- e(X, Z), t(Z, Y).");
+  session.HandleLine("DEFINE qb b(X) :- e(X, Y).");
+  std::string bound = session.HandleLine("CONTAINED? qa qb @c");
+  EXPECT_EQ(bound.rfind("ERR [id=", 0), 0u) << bound;
+  EXPECT_NE(bound.find("BoundReached: bound reached [expansion]"),
+            std::string::npos)
+      << bound;
+  std::string reversed = session.HandleLine("CONTAINED? qb qa @c");
+  EXPECT_EQ(reversed.rfind("YES theorem32 ", 0), 0u) << reversed;
 }
 
 TEST(ProtocolTest, HelpListsExactlyTheDispatchedVerbs) {
@@ -1135,27 +1105,10 @@ TEST(MetricsTest, BudgetCountersAppearInDumpAndSnapshot) {
   ServiceMetrics metrics;
   metrics.RecordDeadlineExceeded();
   EXPECT_EQ(metrics.deadline_exceeded(), 1u);
-  // The task series are the process-wide counter totals: a 4-wide scan
-  // folded into them moves both by its 3 helpers.
-  const uint64_t spawned_before =
-      ProcessCount(trace::Counter::kParallelTasksSpawned);
-  const trace::CounterArray mark = trace::ThreadCounts();
-  WorkBudget region;
-  ParallelScan(8, /*workers=*/4, &region, [](size_t) { return true; });
-  trace::FoldIntoProcess(mark);
-  const uint64_t spawned = ProcessCount(trace::Counter::kParallelTasksSpawned);
-  EXPECT_EQ(spawned, spawned_before + 3);
-  ExpectQuiescent();
   std::string dump = obs::RenderPrometheusText(metrics.Snapshot(CacheStats{}));
   EXPECT_NE(dump.find("\nrelcont_deadline_exceeded_total 1\n"),
             std::string::npos)
       << dump;
-  for (const char* series : {"spawned", "completed"}) {
-    EXPECT_NE(dump.find("\nrelcont_parallel_tasks_" + std::string(series) +
-                        "_total " + std::to_string(spawned) + "\n"),
-              std::string::npos)
-        << dump;
-  }
 }
 
 TEST(MetricsTest, CumulativeBucketsAreMonotone) {
@@ -1417,66 +1370,6 @@ TEST(CounterTableTest, ProcessDeltaEqualsSumOfTracesOverSeededSweep) {
   }
   const size_t calls = static_cast<size_t>(trace::Counter::kHomMappingCalls);
   EXPECT_GT(trace::ProcessCounts()[calls].load(), before[calls]);
-}
-
-TEST(CounterTableTest, HelperWorkIsCountedAtAnyWidth) {
-  // A YES section 3 question whose left plan has 8 x 8 disjuncts, so a
-  // 4-wide scan spreads its disjunct checks over helper threads. The
-  // left join lists its second step first, so mappings backtrack too.
-  std::string views;
-  for (int i = 0; i < 8; ++i) {
-    views += "v" + std::to_string(i) + "(X, Y) :- p(X, Y).\n";
-  }
-  ContainmentService service;
-  ASSERT_TRUE(service.catalogs().Register("wide", views).ok());
-  DecisionRequest request;
-  request.q1_text = "q1() :- p(Y, Z), p(X, Y).";
-  request.q2_text = "q2() :- p(A, B), p(B, C).";
-  request.catalog = "wide";
-  request.bypass_cache = true;
-  request.collect_trace = true;
-  request.options.strategy = ContainmentStrategy::kScan;
-  const trace::Counter kCompared[] = {
-      trace::Counter::kHomMappingCalls, trace::Counter::kHomCandidatesTried,
-      trace::Counter::kHomBacktracks, trace::Counter::kHomMappingsFound,
-      trace::Counter::kDisjunctChecks};
-  auto run = [&](int workers, trace::CounterArray* traced,
-                 trace::CounterArray* folded) {
-    request.options.parallel_workers = workers;
-    trace::CounterArray before;
-    for (size_t c = 0; c < trace::kNumCounters; ++c) {
-      before[c] = trace::ProcessCounts()[c].load();
-    }
-    WorkerContext ctx;
-    DecisionResponse response = service.Decide(request, &ctx);
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_TRUE(response.contained);
-    EXPECT_EQ(response.regime, Regime::kSection3);
-    ASSERT_NE(response.trace, nullptr);
-    for (size_t c = 0; c < trace::kNumCounters; ++c) {
-      (*traced)[c] = response.trace->TotalCount(static_cast<trace::Counter>(c));
-      (*folded)[c] = trace::ProcessCounts()[c].load() - before[c];
-    }
-    // Quiescence after every request, read from the one table.
-    ExpectQuiescent();
-  };
-  trace::CounterArray serial_traced, serial_folded;
-  trace::CounterArray wide_traced, wide_folded;
-  run(1, &serial_traced, &serial_folded);
-  run(4, &wide_traced, &wide_folded);
-  const auto spawned =
-      static_cast<size_t>(trace::Counter::kParallelTasksSpawned);
-  EXPECT_EQ(serial_folded[spawned], 0u);
-  EXPECT_EQ(wide_folded[spawned], 3u);
-  for (trace::Counter counter : kCompared) {
-    const size_t c = static_cast<size_t>(counter);
-    EXPECT_GT(serial_folded[c], 0u) << trace::CounterName(counter);
-    EXPECT_EQ(wide_folded[c], serial_folded[c]) << trace::CounterName(counter);
-    EXPECT_EQ(wide_traced[c], serial_traced[c]) << trace::CounterName(counter);
-    if (trace::kCompiledIn) {
-      EXPECT_EQ(wide_traced[c], wide_folded[c]) << trace::CounterName(counter);
-    }
-  }
 }
 
 }  // namespace

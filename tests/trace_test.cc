@@ -15,7 +15,6 @@
 #include "binding/adornment.h"
 #include "relcont/binding_containment.h"
 #include "relcont/decide.h"
-#include "relcont/pi2p_reduction.h"
 #include "relcont/relative_containment.h"
 #include "rewriting/inverse_rules.h"
 
@@ -476,7 +475,7 @@ TEST_F(TraceDecisionTest, DomPipelineOpensItsPhaseSpans) {
   EXPECT_TRUE(names.count("plan_executable"));
 }
 
-// --- budget and parallel counters -------------------------------------------
+// --- budget counters ---------------------------------------------------------
 
 TEST_F(TraceDecisionTest, BoundHitsCounterTracksBudgetTrips) {
   if (!trace::kCompiledIn) GTEST_SKIP() << "trace hooks compiled out";
@@ -505,40 +504,6 @@ TEST_F(TraceDecisionTest, BoundHitsCounterTracksBudgetTrips) {
   }();
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(clean.TotalCount(Counter::kBoundHits), 0u);
-}
-
-TEST_F(TraceDecisionTest, ParallelScanCountersTrackHelperFanOut) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "trace hooks compiled out";
-  // A Π₂ᵖ reduction with 2^3 = 8 plan disjuncts gives the scan something
-  // to share across helpers.
-  QbfFormula f = RandomQbf(/*num_exists=*/2, /*num_forall=*/3,
-                           /*num_clauses=*/6, /*seed=*/5);
-  Result<Pi2pInstance> inst = BuildPi2pReduction(f, &interner_);
-  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
-
-  TraceContext serial;
-  Result<Decision> serial_r = [&]() {
-    TraceScope scope(&serial);
-    return DecideRelativeContainment(inst->q2, inst->q1, inst->views, {},
-                                     &interner_, {});
-  }();
-  ASSERT_TRUE(serial_r.ok()) << serial_r.status().ToString();
-  EXPECT_EQ(serial.TotalCount(Counter::kParallelTasksSpawned), 0u);
-
-  DecideOptions options;
-  options.parallel_workers = 4;
-  TraceContext parallel;
-  Result<Decision> parallel_r = [&]() {
-    TraceScope scope(&parallel);
-    return DecideRelativeContainment(inst->q2, inst->q1, inst->views, {},
-                                     &interner_, options);
-  }();
-  ASSERT_TRUE(parallel_r.ok()) << parallel_r.status().ToString();
-  EXPECT_EQ(parallel_r->contained, serial_r->contained);
-  // The fan-out actually spawned helpers (recorded on the calling thread,
-  // where the trace context lives), bounded by the requested width.
-  EXPECT_GE(parallel.TotalCount(Counter::kParallelTasksSpawned), 1u);
-  EXPECT_LE(parallel.TotalCount(Counter::kParallelTasksSpawned), 3u);
 }
 
 }  // namespace

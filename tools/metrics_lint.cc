@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
   event.request_id = metrics.flight().NextRequestId();
   event.latency_micros = 1234;
   event.catalog_version = 3;
-  event.worker_count = 4;
   event.error = 1;
   event.cache_hit = 1;
   event.bound = 1;
