@@ -141,10 +141,14 @@ class Shell {
       std::printf("parse error: %s\n", rule.status().ToString().c_str());
       return;
     }
-    ViewDefinition def;
-    def.rule = *rule;
-    Status st = views_.Add(std::move(def));
-    if (!st.ok()) std::printf("error: %s\n", st.ToString().c_str());
+    std::vector<ViewDefinition> defs = views_.views();
+    defs.push_back({*rule, false});
+    Result<ViewSet> next = ViewSet::Make(std::move(defs), &interner_);
+    if (!next.ok()) {
+      std::printf("error: %s\n", next.status().ToString().c_str());
+      return;
+    }
+    views_ = std::move(*next);
   }
 
   void AddPattern(const std::string& text) {

@@ -3,7 +3,6 @@
 #include <map>
 #include <unordered_set>
 
-#include "datalog/substitution.h"
 #include "rewriting/inverse_rules.h"
 #include "trace/trace.h"
 
@@ -15,7 +14,6 @@ Result<ExecutablePlanResult> ExecutablePlan(const Program& query,
                                             Interner* interner) {
   RELCONT_TRACE_SPAN("plan_executable");
   RELCONT_RETURN_NOT_OK(query.CheckSafe());
-  RELCONT_RETURN_NOT_OK(views.Validate());
   for (const Rule& r : query.rules) {
     if (!r.comparisons.empty()) {
       return Status::Unsupported(
@@ -36,7 +34,8 @@ Result<ExecutablePlanResult> ExecutablePlan(const Program& query,
     plan.rules.push_back(std::move(rule));
   };
 
-  for (const ViewDefinition& view : views.views()) {
+  for (size_t v = 0; v < views.size(); ++v) {
+    const ViewDefinition& view = views.views()[v];
     const Rule& rule = view.rule;
     const std::vector<Adornment>* alternatives =
         patterns.Find(view.source_predicate());
@@ -44,19 +43,6 @@ Result<ExecutablePlanResult> ExecutablePlan(const Program& query,
         alternatives != nullptr
             ? *alternatives
             : std::vector<Adornment>{Adornment::AllFree(rule.head.arity())};
-
-    // Skolemization is per view, shared by all access-pattern alternatives.
-    std::vector<SymbolId> head_vars = rule.HeadVariables();
-    std::vector<Term> skolem_args;
-    for (SymbolId v : head_vars) skolem_args.push_back(Term::Var(v));
-    std::unordered_set<SymbolId> head_set(head_vars.begin(), head_vars.end());
-    Substitution sigma;
-    for (SymbolId v : rule.BodyVariables()) {
-      if (head_set.count(v) > 0) continue;
-      std::string name = "f_" + interner->NameOf(view.source_predicate()) +
-                         "_" + interner->NameOf(v);
-      sigma.Bind(v, Term::Function(interner->Intern(name), skolem_args));
-    }
 
     for (const Adornment& adornment : effective) {
       if (adornment.arity() != rule.head.arity()) {
@@ -75,9 +61,9 @@ Result<ExecutablePlanResult> ExecutablePlan(const Program& query,
       }
 
       // Guarded inverse rules:  gσ :- dom(Xb)..., v(X̄).
-      for (const Atom& subgoal : rule.body) {
+      for (const Rule& stored : views.InverseRulesOf(v)) {
         Rule inverse;
-        inverse.head = sigma.Apply(subgoal);
+        inverse.head = stored.head;
         inverse.body = guards;
         inverse.body.push_back(rule.head);
         add_rule(std::move(inverse));
@@ -101,9 +87,8 @@ Result<ExecutablePlanResult> ExecutablePlan(const Program& query,
   // dom facts: the constants of Q ∪ V (Definition 4.2's constant
   // discipline — executable plans may use no others).
   std::vector<Value> constants = query.Constants();
-  std::vector<Value> view_constants = views.Constants();
-  constants.insert(constants.end(), view_constants.begin(),
-                   view_constants.end());
+  constants.insert(constants.end(), views.Constants().begin(),
+                   views.Constants().end());
   std::set<Value> seen_consts;
   for (const Value& c : constants) {
     if (!seen_consts.insert(c).second) continue;
@@ -120,7 +105,7 @@ Result<Program> ExpandExecutablePlanForContainment(
   // 1. Rename the plan's mediated IDB predicates apart from the stored
   //    relations of the same name. dom, the goal, and the sources keep
   //    their names.
-  std::set<SymbolId> sources = views.SourcePredicates();
+  const std::set<SymbolId>& sources = views.SourcePredicates();
   std::map<SymbolId, SymbolId> prime;
   auto primed = [&](SymbolId pred) {
     auto it = prime.find(pred);

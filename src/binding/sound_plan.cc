@@ -18,14 +18,14 @@ Result<SoundPlanResult> CheckSoundPlan(
   RELCONT_RETURN_NOT_OK(query.CheckSafe());
   // The plan's own predicates must not collide with the mediated schema,
   // or the expansion would conflate them.
-  std::set<SymbolId> mediated = views.MediatedPredicates();
+  const std::set<SymbolId>& mediated = views.MediatedPredicates();
   for (SymbolId p : plan.IdbPredicates()) {
     if (mediated.count(p) > 0) {
       return Status::InvalidArgument(
           "plan predicate collides with a mediated relation name");
     }
   }
-  std::set<SymbolId> sources = views.SourcePredicates();
+  const std::set<SymbolId>& sources = views.SourcePredicates();
   std::set<SymbolId> plan_idb = plan.IdbPredicates();
   for (const Rule& r : plan.rules) {
     for (const Atom& a : r.body) {
@@ -43,8 +43,8 @@ Result<SoundPlanResult> CheckSoundPlan(
 
   // (2) Constant discipline: constants(P) ⊆ constants(Q ∪ V).
   std::vector<Value> allowed = query.Constants();
-  std::vector<Value> view_consts = views.Constants();
-  allowed.insert(allowed.end(), view_consts.begin(), view_consts.end());
+  allowed.insert(allowed.end(), views.Constants().begin(),
+                 views.Constants().end());
   out.constants_ok = true;
   for (const Value& c : plan.Constants()) {
     if (std::find(allowed.begin(), allowed.end(), c) == allowed.end()) {

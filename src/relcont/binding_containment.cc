@@ -13,8 +13,8 @@ Result<BindingRelativeResult> RelativelyContainedWithBindingPatterns(
   // Definition 4.5's constant discipline: constants(Q1 ∪ V) must be a
   // subset of constants(Q2 ∪ V).
   std::vector<Value> allowed = q2.program.Constants();
-  std::vector<Value> view_consts = views.Constants();
-  allowed.insert(allowed.end(), view_consts.begin(), view_consts.end());
+  allowed.insert(allowed.end(), views.Constants().begin(),
+                 views.Constants().end());
   for (const Value& c : q1.program.Constants()) {
     if (std::find(allowed.begin(), allowed.end(), c) == allowed.end()) {
       return Status::InvalidArgument(

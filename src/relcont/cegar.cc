@@ -48,9 +48,9 @@ int64_t SatAdd(int64_t a, int64_t b) {
 
 /// One inverse-rule choice for a template body atom: a renamed-apart copy
 /// (head = mediated atom, body[0] = the source atom it produces). Copies
-/// are per (position, option) — InvertViews leaves the view's variables
-/// shared across its inverse rules, so reusing one copy at two positions
-/// would link unrelated bindings.
+/// are per (position, option) — the compiled inverse rules
+/// (ViewSet::inverse_rules) share the view's variables, so reusing one copy
+/// at two positions would link unrelated bindings.
 struct LeftPosition {
   Atom goal;
   std::vector<Rule> options;
@@ -386,18 +386,14 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
   int64_t estimate = 0;
   {
     RELCONT_TRACE_SPAN("build_plans");
-    // Validation parity with the scan: MaximallyContainedPlan performs the
-    // Section 3 input checks (safety, comparison-free, mediated schema
-    // only) for both queries and returns the inverse rules embedded in the
-    // plan program, so error cases answer identically to the scan.
-    RELCONT_ASSIGN_OR_RETURN(
-        Program p1, MaximallyContainedPlan(q1.program, views, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        Program p2, MaximallyContainedPlan(q2.program, views, interner));
-    (void)p2;
+    // Validation parity with the scan: the Section 3 input checks of
+    // MaximallyContainedPlan (safety, comparison-free, mediated schema
+    // only), Q1 before Q2, so error cases answer identically to the scan.
+    RELCONT_RETURN_NOT_OK(CheckPlannableQuery(q1.program, views));
+    RELCONT_RETURN_NOT_OK(CheckPlannableQuery(q2.program, views));
 
-    std::set<SymbolId> sources = views.SourcePredicates();
-    std::set<SymbolId> mediated = views.MediatedPredicates();
+    const std::set<SymbolId>& sources = views.SourcePredicates();
+    const std::set<SymbolId>& mediated = views.MediatedPredicates();
     // Factorization precondition: a query IDB colliding with a catalog
     // predicate would resolve against BOTH definitions in the joint
     // unfold; the two-level factorization cannot mirror that, so the scan
@@ -417,12 +413,18 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
         UnionQuery t2,
         UnfoldToUnion(q2.program, q2.goal, interner));
 
-    std::unordered_map<SymbolId, std::vector<NumberedRule>> inv_by_pred;
-    for (const Rule& r : p1.rules) {
-      if (r.body.size() == 1 && sources.count(r.body[0].predicate) > 0) {
-        inv_by_pred[r.head.predicate].emplace_back(r);
+    // The inverse rules that can resolve a mediated atom, each renamed
+    // apart.
+    auto options_for = [&](const Atom& a) {
+      std::vector<Rule> out;
+      const std::vector<Rule>& inverse = views.inverse_rules().rules;
+      for (size_t i = 0; i < inverse.size(); ++i) {
+        if (inverse[i].head.predicate == a.predicate) {
+          out.push_back(views.NumberedInverseRule(i).RenameApart(interner));
+        }
       }
-    }
+      return out;
+    };
 
     for (const Rule& d : t1.disjuncts) {
       LeftTemplate lt;
@@ -432,12 +434,7 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
       for (const Atom& a : d.body) {
         LeftPosition pos;
         pos.goal = a;
-        auto it = inv_by_pred.find(a.predicate);
-        if (it != inv_by_pred.end()) {
-          for (const NumberedRule& r : it->second) {
-            pos.options.push_back(r.RenameApart(interner));
-          }
-        }
+        pos.options = options_for(a);
         if (pos.options.empty()) {
           // A mediated atom no source covers: the whole template is
           // unanswerable (PlanToUnion drops these disjuncts).
@@ -476,13 +473,7 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
       rt.rule = RenameApart(d, interner);
       bool feasible = true;
       for (const Atom& a : rt.rule.body) {
-        std::vector<Rule> opts;
-        auto it = inv_by_pred.find(a.predicate);
-        if (it != inv_by_pred.end()) {
-          for (const NumberedRule& r : it->second) {
-            opts.push_back(r.RenameApart(interner));
-          }
-        }
+        std::vector<Rule> opts = options_for(a);
         if (opts.empty()) {
           feasible = false;
           break;

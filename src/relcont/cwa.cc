@@ -40,7 +40,8 @@ Result<std::optional<CwaRefutation>> RefuteCwaContainment(
   // Mark every view complete.
   std::vector<ViewDefinition> defs = views.views();
   for (ViewDefinition& d : defs) d.complete = true;
-  ViewSet complete_views(std::move(defs));
+  RELCONT_ASSIGN_OR_RETURN(ViewSet complete_views,
+                           ViewSet::Make(std::move(defs), interner));
 
   // Domain: query/view constants plus fresh symbols.
   std::vector<Value> domain;

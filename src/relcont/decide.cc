@@ -16,13 +16,6 @@ bool HasComparisons(const Program& p) {
   return false;
 }
 
-bool HasComparisons(const ViewSet& views) {
-  for (const ViewDefinition& v : views.views()) {
-    if (!v.rule.comparisons.empty()) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 std::string_view RegimeName(Regime regime) {
@@ -70,7 +63,7 @@ Result<Decision> DecideRelativeContainment(
     local_scope.emplace(&*local_budget);
   }
   bool comparisons = HasComparisons(q1.program) || HasComparisons(q2.program) ||
-                     HasComparisons(views);
+                     views.has_comparisons();
   Decision out;
   if (!patterns.empty()) {
     if (comparisons) {

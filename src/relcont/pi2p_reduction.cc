@@ -128,6 +128,7 @@ Result<Pi2pInstance> BuildPi2pReduction(const QbfFormula& formula,
 
   // --- Views: v_i mirrors r_i; w_{j,0} / w_{j,1} fix each truth value of
   // the universal variables.
+  std::vector<ViewDefinition> views;
   for (size_t i = 0; i < formula.clauses.size(); ++i) {
     ViewDefinition v;
     Term z1 = Term::Var(interner->Intern("Z1"));
@@ -137,7 +138,7 @@ Result<Pi2pInstance> BuildPi2pReduction(const QbfFormula& formula,
                        {z1, z2, z3});
     v.rule.body.emplace_back(interner->Lookup("r" + std::to_string(i)),
                              std::vector<Term>{z1, z2, z3});
-    RELCONT_RETURN_NOT_OK(out.views.Add(std::move(v)));
+    views.push_back(std::move(v));
   }
   for (int j = 0; j < formula.num_forall; ++j) {
     for (int b = 0; b <= 1; ++b) {
@@ -148,9 +149,11 @@ Result<Pi2pInstance> BuildPi2pReduction(const QbfFormula& formula,
                {});
       w.rule.body.emplace_back(interner->Lookup("e" + std::to_string(j)),
                                std::vector<Term>{b == 0 ? zero : one});
-      RELCONT_RETURN_NOT_OK(out.views.Add(std::move(w)));
+      views.push_back(std::move(w));
     }
   }
+  RELCONT_ASSIGN_OR_RETURN(out.views,
+                           ViewSet::Make(std::move(views), interner));
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "relcont/relative_containment.h"
 
+#include <algorithm>
+
 #include "binding/dom_plan.h"
 #include "common/budget.h"
 #include "containment/canonical.h"
@@ -183,18 +185,17 @@ Result<std::set<SymbolId>> RelevantSources(const GoalQuery& query,
                            PlanToUnion(plan, query.goal, views, interner));
   std::set<SymbolId> relevant;
   for (const ViewDefinition& dropped : views.views()) {
-    ViewSet fewer;
-    for (const ViewDefinition& v : views.views()) {
-      if (v.source_predicate() != dropped.source_predicate()) {
-        RELCONT_RETURN_NOT_OK(fewer.Add(v));
+    // The plan without `dropped` is the full plan's disjuncts that do not
+    // read it: a disjunct picks one inverse rule per mediated atom, and
+    // each pick leaves its source atom in the disjunct.
+    UnionQuery reduced;
+    for (const Rule& d : full.disjuncts) {
+      if (std::ranges::none_of(d.body, [&](const Atom& a) {
+            return a.predicate == dropped.source_predicate();
+          })) {
+        reduced.disjuncts.push_back(d);
       }
     }
-    RELCONT_ASSIGN_OR_RETURN(
-        Program reduced_plan,
-        MaximallyContainedPlan(query.program, fewer, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        UnionQuery reduced,
-        PlanToUnion(reduced_plan, query.goal, fewer, interner));
     // The reduced plan is always contained in the full one; the source is
     // relevant iff the converse fails.
     RELCONT_ASSIGN_OR_RETURN(bool same, UnionContainedInUnion(full, reduced));

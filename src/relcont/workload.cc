@@ -80,7 +80,7 @@ Rule StarQuery(int rays, std::string_view head_name,
 ViewSet RandomViews(const RandomQueryOptions& options, int num_views,
                     Interner* interner) {
   std::mt19937_64 rng(options.seed * 7919 + 13);
-  ViewSet out;
+  std::vector<ViewDefinition> views;
   std::uniform_int_distribution<int> pred(0, options.num_predicates - 1);
   std::uniform_int_distribution<int> body_atoms(1, 2);
   for (int i = 0; i < num_views; ++i) {
@@ -105,13 +105,10 @@ ViewSet RandomViews(const RandomQueryOptions& options, int num_views,
     if (head_vars.empty()) head_vars.push_back(vars[0]);
     rule.head.predicate = interner->Intern("view" + std::to_string(i));
     for (SymbolId v : head_vars) rule.head.args.push_back(Term::Var(v));
-    ViewDefinition def;
-    def.rule = std::move(rule);
-    // Adding can only fail on duplicates, which the naming prevents.
-    Status st = out.Add(std::move(def));
-    (void)st;
+    views.push_back({std::move(rule), false});
   }
-  return out;
+  // Distinct view names, safe heads and "p" bodies: Make cannot fail.
+  return std::move(*ViewSet::Make(std::move(views), interner));
 }
 
 Database RandomInstance(const ViewSet& views, int num_facts, int domain_size,

@@ -46,7 +46,7 @@ class BucketBuilder {
             continue;
           }
           // Quick feasibility: the subgoals must unify in isolation.
-          Rule fresh = RenameApart(view, interner_);
+          Rule fresh = views_.NumberedView(v).RenameApart(interner_);
           Substitution probe;
           if (!UnifyAtoms(q.body[i], fresh.body[w], &probe)) continue;
           buckets[i].push_back(
@@ -155,7 +155,7 @@ class BucketBuilder {
       std::vector<Rule> copies;
       for (int b = 0; b < blocks; ++b) {
         copies.push_back(
-            RenameApart(views_.views()[view_index].rule, interner_));
+            views_.NumberedView(view_index).RenameApart(interner_));
       }
       for (size_t k = 0; k < subgoals.size(); ++k) {
         int i = subgoals[k];
@@ -195,18 +195,15 @@ Result<UnionQuery> BucketRewriting(const Program& query, SymbolId goal,
                                    const ViewSet& views, Interner* interner,
                                    BucketStats* stats) {
   RELCONT_RETURN_NOT_OK(query.CheckSafe());
-  RELCONT_RETURN_NOT_OK(views.Validate());
   for (const Rule& r : query.rules) {
     if (!r.comparisons.empty()) {
       return Status::Unsupported(
           "the bucket implementation covers comparison-free queries");
     }
   }
-  for (const ViewDefinition& v : views.views()) {
-    if (!v.rule.comparisons.empty()) {
-      return Status::Unsupported(
-          "the bucket implementation covers comparison-free views");
-    }
+  if (views.has_comparisons()) {
+    return Status::Unsupported(
+        "the bucket implementation covers comparison-free views");
   }
   RELCONT_ASSIGN_OR_RETURN(UnionQuery query_ucq,
                            UnfoldToUnion(query, goal, interner));

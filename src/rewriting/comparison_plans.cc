@@ -78,10 +78,9 @@ Result<Rule> AugmentWithViewConstraints(const Rule& plan_rule,
                                         Interner* interner) {
   Rule out = plan_rule;
   for (const Atom& atom : plan_rule.body) {
-    const ViewDefinition* view = views.Find(atom.predicate);
-    if (view == nullptr) continue;
-    if (view->rule.comparisons.empty()) continue;
-    Rule fresh = RenameApart(view->rule, interner);
+    int view = views.IndexOf(atom.predicate);
+    if (view < 0 || views.views()[view].rule.comparisons.empty()) continue;
+    Rule fresh = views.NumberedView(view).RenameApart(interner);
     // Unify with the view head on the left so the unifier binds the fresh
     // view variables to the plan's terms (not vice versa) — the projected
     // comparisons must land on the plan's own variables.
@@ -113,27 +112,18 @@ Result<UnionQuery> ComparisonAwarePlan(const Program& query, SymbolId goal,
                                        const ViewSet& views,
                                        Interner* interner) {
   RELCONT_TRACE_SPAN("plan_comparison_aware");
-  RELCONT_RETURN_NOT_OK(query.CheckSafe());
-  std::set<SymbolId> sources = views.SourcePredicates();
-  for (const Rule& r : query.rules) {
-    for (const Atom& a : r.body) {
-      if (sources.count(a.predicate) > 0) {
-        return Status::InvalidArgument(
-            "query must be over the mediated schema, not the sources");
-      }
-    }
-  }
+  RELCONT_RETURN_NOT_OK(
+      CheckPlannableQuery(query, views, /*allow_comparisons=*/true));
+  const std::set<SymbolId>& sources = views.SourcePredicates();
   // The query as a UCQ over the mediated schema (soundness reference).
   RELCONT_ASSIGN_OR_RETURN(UnionQuery query_ucq,
                            UnfoldToUnion(query, goal, interner));
 
   // Candidate plans: unfold the query (comparisons and all) against the
   // inverse rules.
-  RELCONT_ASSIGN_OR_RETURN(Program inverse, InvertViews(views, interner));
-  Program plan = query;
-  for (Rule& r : inverse.rules) plan.rules.push_back(std::move(r));
-  RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
-                           UnfoldToUnion(plan, goal, interner));
+  RELCONT_ASSIGN_OR_RETURN(
+      UnionQuery unfolded,
+      UnfoldToUnion(AppendInverseRules(query, views), goal, interner));
 
   UnionQuery out;
   for (Rule& candidate : unfolded.disjuncts) {

@@ -1,53 +1,19 @@
 #include "rewriting/inverse_rules.h"
 
-#include <map>
-#include <unordered_set>
-
-#include "datalog/substitution.h"
 #include "trace/trace.h"
 
 namespace relcont {
 
-Result<Program> InvertViews(const ViewSet& views, Interner* interner) {
-  RELCONT_RETURN_NOT_OK(views.Validate());
-  Program out;
-  for (const ViewDefinition& view : views.views()) {
-    const Rule& rule = view.rule;
-    // Distinguished (head) variables in order, for Skolem arguments.
-    std::vector<SymbolId> head_vars = rule.HeadVariables();
-    std::vector<Term> skolem_args;
-    skolem_args.reserve(head_vars.size());
-    for (SymbolId v : head_vars) skolem_args.push_back(Term::Var(v));
-    std::unordered_set<SymbolId> head_set(head_vars.begin(), head_vars.end());
-
-    // sigma: existential variable -> Skolem term over the head variables.
-    Substitution sigma;
-    for (SymbolId v : rule.BodyVariables()) {
-      if (head_set.count(v) > 0) continue;
-      std::string name = "f_" + interner->NameOf(view.source_predicate()) +
-                         "_" + interner->NameOf(v);
-      sigma.Bind(v, Term::Function(interner->Intern(name), skolem_args));
-    }
-
-    for (const Atom& subgoal : rule.body) {
-      Rule inverse;
-      inverse.head = sigma.Apply(subgoal);
-      inverse.body.push_back(rule.head);
-      out.rules.push_back(std::move(inverse));
-      RELCONT_TRACE_COUNT(kPlanRules, 1);
-    }
-  }
-  return out;
+Result<Program> InvertViews(const ViewSet& views, Interner* /*interner*/) {
+  return views.inverse_rules();
 }
 
-Result<Program> MaximallyContainedPlan(const Program& query,
-                                       const ViewSet& views,
-                                       Interner* interner) {
-  RELCONT_TRACE_SPAN("plan_inverse_rules");
+Status CheckPlannableQuery(const Program& query, const ViewSet& views,
+                           bool allow_comparisons) {
   RELCONT_RETURN_NOT_OK(query.CheckSafe());
-  std::set<SymbolId> sources = views.SourcePredicates();
+  const std::set<SymbolId>& sources = views.SourcePredicates();
   for (const Rule& r : query.rules) {
-    if (!r.comparisons.empty()) {
+    if (!allow_comparisons && !r.comparisons.empty()) {
       return Status::Unsupported(
           "queries with comparisons need the Section 5 plan constructions");
     }
@@ -58,10 +24,23 @@ Result<Program> MaximallyContainedPlan(const Program& query,
       }
     }
   }
-  RELCONT_ASSIGN_OR_RETURN(Program plan, InvertViews(views, interner));
+  return Status::OK();
+}
+
+Program AppendInverseRules(const Program& query, const ViewSet& views) {
+  const std::vector<Rule>& inverse = views.inverse_rules().rules;
   Program out = query;
-  for (Rule& r : plan.rules) out.rules.push_back(std::move(r));
+  out.rules.insert(out.rules.end(), inverse.begin(), inverse.end());
+  RELCONT_TRACE_COUNT(kPlanRules, inverse.size());
   return out;
+}
+
+Result<Program> MaximallyContainedPlan(const Program& query,
+                                       const ViewSet& views,
+                                       Interner* /*interner*/) {
+  RELCONT_TRACE_SPAN("plan_inverse_rules");
+  RELCONT_RETURN_NOT_OK(CheckPlannableQuery(query, views));
+  return AppendInverseRules(query, views);
 }
 
 namespace {
@@ -89,7 +68,7 @@ Result<UnionQuery> PlanToUnion(const Program& plan, SymbolId goal,
   RELCONT_TRACE_SPAN("plan_to_union");
   RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
                            UnfoldToUnion(plan, goal, interner));
-  std::set<SymbolId> sources = views.SourcePredicates();
+  const std::set<SymbolId>& sources = views.SourcePredicates();
   UnionQuery out;
   for (Rule& d : unfolded.disjuncts) {
     if (RuleHasFunctionTerm(d)) {
@@ -136,27 +115,22 @@ Result<UnionQuery> ExpandUnionPlan(const UnionQuery& plan,
 Result<Program> ExpandPlanProgram(const Program& plan, const ViewSet& views,
                                   Interner* interner) {
   Program out;
-  // Each view is numbered once per call, when first expanded.
-  std::map<const ViewDefinition*, NumberedRule> numbered;
   Substitution store;
   for (const Rule& rule : plan.rules) {
     Rule cur = rule;
     bool dead = false;
     // Repeatedly replace the first source subgoal by its view body.
     for (;;) {
-      int idx = -1;
-      for (size_t i = 0; i < cur.body.size(); ++i) {
-        if (views.Find(cur.body[i].predicate) != nullptr) {
-          idx = static_cast<int>(i);
-          break;
-        }
+      size_t idx = 0;
+      int view = -1;
+      for (; idx < cur.body.size(); ++idx) {
+        view = views.IndexOf(cur.body[idx].predicate);
+        if (view >= 0) break;
       }
-      if (idx < 0) break;
-      const ViewDefinition* view = views.Find(cur.body[idx].predicate);
+      if (view < 0) break;
       Rule next;
-      const NumberedRule& def =
-          numbered.try_emplace(view, view->rule).first->second;
-      if (!def.Resolve(cur, idx, interner, &store, &next)) {
+      if (!views.NumberedView(view).Resolve(cur, idx, interner, &store,
+                                            &next)) {
         dead = true;  // e.g. a constant in the plan clashes with the view
         break;
       }

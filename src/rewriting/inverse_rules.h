@@ -6,22 +6,30 @@
 
 namespace relcont {
 
-/// The inverse-rules algorithm of Duschka–Genesereth–Levy (Section 2.3 of
-/// the paper): each view  v(X̄) :- b1, ..., bn  is inverted into n rules
-/// bi σ :- v(X̄), where σ maps each existential variable of the view to a
-/// Skolem term f_v_var(X̄) over the view's distinguished variables.
-/// Comparison subgoals of the view are dropped from the inverse rules (the
-/// source guarantees them); they reappear in expansions.
+/// The inverse rules of `views` (Section 2.3 of the paper), as compiled
+/// by ViewSet::Make: see ViewSet::inverse_rules. `interner` is unused; the
+/// Skolem names were interned when the set was built.
 Result<Program> InvertViews(const ViewSet& views, Interner* interner);
+
+/// The input checks shared by the plans built from the inverse rules:
+/// `query` is safe, mentions no source predicate (it is over the mediated
+/// schema) and, unless `allow_comparisons` (the Section 5 constructions of
+/// rewriting/comparison_plans.h), has no comparison.
+Status CheckPlannableQuery(const Program& query, const ViewSet& views,
+                           bool allow_comparisons = false);
 
 /// The maximally-contained query plan for `query` using `views`
 /// (Definition 2.2): the query's rules plus the inverse rules. The plan's
-/// EDB predicates are the source predicates. Fails if the query mentions
-/// source predicates directly or contains comparisons (see
-/// rewriting/comparison_plans.h for the Section 5 constructions).
+/// EDB predicates are the source predicates. Fails if CheckPlannableQuery
+/// does (see rewriting/comparison_plans.h for queries with comparisons).
 Result<Program> MaximallyContainedPlan(const Program& query,
                                        const ViewSet& views,
                                        Interner* interner);
+
+/// `query`'s rules followed by the inverse rules of `views`, counted as
+/// plan_rules; the plan construction MaximallyContainedPlan and the
+/// comparison-aware plan share after their input checks.
+Program AppendInverseRules(const Program& query, const ViewSet& views);
 
 /// Unfolds a nonrecursive plan into a union of conjunctive queries over the
 /// source predicates and performs function-term elimination: disjuncts in

@@ -9,11 +9,9 @@ namespace relcont {
 Result<LosslessnessResult> CheckLossless(const Program& query, SymbolId goal,
                                          const ViewSet& views,
                                          Interner* interner) {
-  for (const ViewDefinition& v : views.views()) {
-    if (!v.rule.comparisons.empty()) {
-      return Status::Unsupported(
-          "losslessness is implemented for comparison-free views");
-    }
+  if (views.has_comparisons()) {
+    return Status::Unsupported(
+        "losslessness is implemented for comparison-free views");
   }
   LosslessnessResult out;
   RELCONT_ASSIGN_OR_RETURN(Program plan,

@@ -1,64 +1,80 @@
 #include "rewriting/views.h"
 
+#include <algorithm>
+
 #include "datalog/parser.h"
 
 namespace relcont {
 
-Status ViewSet::Add(ViewDefinition view) {
-  if (Find(view.source_predicate()) != nullptr) {
-    return Status::InvalidArgument(
-        "duplicate view definition for a source predicate");
+Result<ViewSet> ViewSet::Make(std::vector<ViewDefinition> views,
+                              Interner* interner) {
+  ViewSet out;
+  for (const ViewDefinition& view : views) {
+    SymbolId source = view.source_predicate();
+    if (!out.index_.emplace(source, static_cast<int>(out.index_.size()))
+             .second) {
+      return Status::InvalidArgument(
+          "duplicate view definition for a source predicate");
+    }
+    if (view.rule.body.empty()) {
+      return Status::InvalidArgument("view body must not be empty");
+    }
+    RELCONT_RETURN_NOT_OK(view.rule.CheckSafe());
+    out.sources_.insert(source);
+    out.has_comparisons_ |= !view.rule.comparisons.empty();
   }
-  if (view.rule.body.empty()) {
-    return Status::InvalidArgument("view body must not be empty");
-  }
-  RELCONT_RETURN_NOT_OK(view.rule.CheckSafe());
-  views_.push_back(std::move(view));
-  return Status::OK();
-}
-
-const ViewDefinition* ViewSet::Find(SymbolId source_pred) const {
-  for (const ViewDefinition& v : views_) {
-    if (v.source_predicate() == source_pred) return &v;
-  }
-  return nullptr;
-}
-
-std::set<SymbolId> ViewSet::SourcePredicates() const {
-  std::set<SymbolId> out;
-  for (const ViewDefinition& v : views_) out.insert(v.source_predicate());
-  return out;
-}
-
-std::set<SymbolId> ViewSet::MediatedPredicates() const {
-  std::set<SymbolId> out;
-  for (const ViewDefinition& v : views_) {
-    for (const Atom& a : v.rule.body) out.insert(a.predicate);
-  }
-  return out;
-}
-
-std::vector<Value> ViewSet::Constants() const {
-  std::vector<Value> out;
-  for (const ViewDefinition& v : views_) {
-    std::vector<Value> c = v.rule.Constants();
-    out.insert(out.end(), c.begin(), c.end());
-  }
-  return out;
-}
-
-Status ViewSet::Validate() const {
-  std::set<SymbolId> sources = SourcePredicates();
-  for (const ViewDefinition& v : views_) {
-    RELCONT_RETURN_NOT_OK(v.rule.CheckSafe());
-    for (const Atom& a : v.rule.body) {
-      if (sources.count(a.predicate) > 0) {
+  for (const ViewDefinition& view : views) {
+    for (const Atom& a : view.rule.body) {
+      if (out.sources_.count(a.predicate) > 0) {
         return Status::InvalidArgument(
             "a source predicate occurs in a view body");
       }
+      out.mediated_.insert(a.predicate);
     }
   }
-  return Status::OK();
+  // Checked: compile. A rejected set interns nothing.
+  for (const ViewDefinition& view : views) {
+    // σ maps each existential variable, in body order, to the Skolem term
+    // f_<source>_<var> over the head variables.
+    const Rule& rule = view.rule;
+    std::vector<SymbolId> head_vars = rule.HeadVariables();
+    std::vector<Term> skolem_args;
+    for (SymbolId v : head_vars) skolem_args.push_back(Term::Var(v));
+    Substitution sigma;
+    for (SymbolId v : rule.BodyVariables()) {
+      if (std::ranges::find(head_vars, v) != head_vars.end()) continue;
+      std::string name = "f_" + interner->NameOf(view.source_predicate()) +
+                         "_" + interner->NameOf(v);
+      sigma.Bind(v, Term::Function(interner->Intern(name), skolem_args));
+    }
+    for (const Atom& subgoal : rule.body) {
+      out.inverse_rules_.rules.emplace_back(sigma.Apply(subgoal),
+                                            std::vector<Atom>{rule.head});
+      out.numbered_inverse_.emplace_back(out.inverse_rules_.rules.back());
+    }
+    out.inverse_begin_.push_back(out.inverse_rules_.rules.size());
+    out.numbered_.emplace_back(rule);
+    std::vector<Value> constants = rule.Constants();
+    out.constants_.insert(out.constants_.end(), constants.begin(),
+                          constants.end());
+  }
+  out.views_ = std::move(views);
+  return out;
+}
+
+int ViewSet::IndexOf(SymbolId source_pred) const {
+  auto it = index_.find(source_pred);
+  return it == index_.end() ? -1 : it->second;
+}
+
+const ViewDefinition* ViewSet::Find(SymbolId source_pred) const {
+  int i = IndexOf(source_pred);
+  return i < 0 ? nullptr : &views_[i];
+}
+
+std::span<const Rule> ViewSet::InverseRulesOf(size_t i) const {
+  return std::span<const Rule>(inverse_rules_.rules)
+      .subspan(inverse_begin_[i], inverse_begin_[i + 1] - inverse_begin_[i]);
 }
 
 std::string ViewSet::ToString(const Interner& interner) const {
@@ -73,14 +89,10 @@ std::string ViewSet::ToString(const Interner& interner) const {
 
 Result<ViewSet> ParseViews(std::string_view text, Interner* interner) {
   RELCONT_ASSIGN_OR_RETURN(Program program, ParseProgram(text, interner));
-  ViewSet out;
-  for (Rule& r : program.rules) {
-    ViewDefinition v;
-    v.rule = std::move(r);
-    RELCONT_RETURN_NOT_OK(out.Add(std::move(v)));
-  }
-  RELCONT_RETURN_NOT_OK(out.Validate());
-  return out;
+  std::vector<ViewDefinition> views;
+  views.reserve(program.rules.size());
+  for (Rule& r : program.rules) views.push_back({std::move(r), false});
+  return ViewSet::Make(std::move(views), interner);
 }
 
 }  // namespace relcont

@@ -1,13 +1,15 @@
 #ifndef RELCONT_REWRITING_VIEWS_H_
 #define RELCONT_REWRITING_VIEWS_H_
 
-#include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "datalog/program.h"
+#include "datalog/substitution.h"
 
 namespace relcont {
 
@@ -22,43 +24,78 @@ struct ViewDefinition {
   SymbolId source_predicate() const { return rule.head.predicate; }
 };
 
-/// The set of available sources of a data integration system.
+/// The compiled catalog of a data integration system: the available
+/// sources, checked once when the set is built and immutable afterwards,
+/// together with everything that depends only on them (the source and
+/// mediated predicate sets, the source index and the inverse rules).
+/// Every decider reads these; none derives them again per request.
 class ViewSet {
  public:
+  /// The empty catalog.
   ViewSet() = default;
-  explicit ViewSet(std::vector<ViewDefinition> views)
-      : views_(std::move(views)) {}
 
-  /// Adds a view. The source predicate must be fresh (one view per source)
-  /// and must not appear in any view body (sources are not mediated
-  /// relations).
-  Status Add(ViewDefinition view);
+  /// Checks and compiles `views`: one view per source, non-empty bodies,
+  /// safe rules, and no source predicate in any view body (sources are not
+  /// mediated relations). Interns the Skolem function names of the
+  /// inverse rules into `interner`; the compiled rules hold no fresh ids.
+  static Result<ViewSet> Make(std::vector<ViewDefinition> views,
+                              Interner* interner);
 
   const std::vector<ViewDefinition>& views() const { return views_; }
   bool empty() const { return views_.empty(); }
   size_t size() const { return views_.size(); }
 
+  /// The position in views() of the view defining `source_pred`, or -1.
+  int IndexOf(SymbolId source_pred) const;
   /// The view defining `source_pred`, or nullptr.
   const ViewDefinition* Find(SymbolId source_pred) const;
 
   /// All source predicates.
-  std::set<SymbolId> SourcePredicates() const;
+  const std::set<SymbolId>& SourcePredicates() const { return sources_; }
   /// All mediated-schema predicates mentioned in view bodies.
-  std::set<SymbolId> MediatedPredicates() const;
-  /// All constants in the view definitions.
-  std::vector<Value> Constants() const;
+  const std::set<SymbolId>& MediatedPredicates() const { return mediated_; }
+  /// All constants in the view definitions, in view order.
+  const std::vector<Value>& Constants() const { return constants_; }
+  /// True iff some view has a comparison subgoal.
+  bool has_comparisons() const { return has_comparisons_; }
 
-  /// Checks each view is safe and conjunctive (single rule per source).
-  Status Validate() const;
+  /// The inverse rules of Duschka–Genesereth–Levy (Section 2.3): each view
+  /// v(X̄) :- b1, ..., bn  contributes  b1σ :- v(X̄) ... bnσ :- v(X̄)  in
+  /// view order, σ mapping each existential variable of the view (in body
+  /// order) to a Skolem term f_v_var(X̄) over its distinguished variables.
+  /// Comparison subgoals are dropped; the source guarantees them.
+  const Program& inverse_rules() const { return inverse_rules_; }
+  /// The inverse rules of views()[i], a contiguous run of inverse_rules().
+  std::span<const Rule> InverseRulesOf(size_t i) const;
+  /// inverse_rules().rules[i] with its variables numbered, for renaming it
+  /// apart.
+  const NumberedRule& NumberedInverseRule(size_t i) const {
+    return numbered_inverse_[i];
+  }
+  /// views()[i]'s rule with its variables numbered, for resolving a source
+  /// subgoal against the view definition.
+  const NumberedRule& NumberedView(size_t i) const { return numbered_[i]; }
 
   std::string ToString(const Interner& interner) const;
 
  private:
   std::vector<ViewDefinition> views_;
+  std::unordered_map<SymbolId, int> index_;
+  std::set<SymbolId> sources_;
+  std::set<SymbolId> mediated_;
+  std::vector<Value> constants_;
+  bool has_comparisons_ = false;
+  Program inverse_rules_;
+  /// InverseRulesOf(i) starts at inverse_begin_[i] and ends at
+  /// inverse_begin_[i + 1].
+  std::vector<size_t> inverse_begin_{0};
+  std::vector<NumberedRule> numbered_inverse_;
+  std::vector<NumberedRule> numbered_;
 };
 
-/// Parses one view definition per rule. All parsed views are incomplete
-/// (open-world) sources; flip `complete` on the result for closed-world
+/// Parses one view definition per rule and builds them with
+/// ViewSet::Make. All parsed views are incomplete (open-world) sources;
+/// copy views(), flip `complete` and Make again for closed-world
 /// experiments.
 Result<ViewSet> ParseViews(std::string_view text, Interner* interner);
 

@@ -7,7 +7,6 @@ Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
   MaterializedCatalog out;
   out.version = spec.version;
   RELCONT_ASSIGN_OR_RETURN(out.views, ParseViews(spec.views_text, interner));
-  RELCONT_RETURN_NOT_OK(out.views.Validate());
   for (const auto& [source, adornment_text] : spec.patterns) {
     SymbolId pred = interner->Lookup(source);
     const ViewDefinition* view =

@@ -39,15 +39,18 @@ struct CatalogSpec {
   std::vector<std::pair<std::string, std::string>> patterns;
 };
 
-/// A CatalogSpec parsed against one worker's interner.
+/// A CatalogSpec parsed against one worker's interner. `views` is the
+/// compiled catalog (ViewSet::Make): checked, indexed and with its inverse
+/// rules Skolemized, once per worker and version.
 struct MaterializedCatalog {
   int64_t version = 0;
   ViewSet views;
   BindingPatterns patterns;
 };
 
-/// Parses `spec` against `interner`: views must parse and validate, every
-/// pattern must name a declared source with a matching arity.
+/// Parses and compiles `spec` against `interner`: views must parse and pass
+/// ViewSet::Make, every pattern must name a declared source with a
+/// matching arity.
 Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
                                                Interner* interner);
 

@@ -79,7 +79,7 @@ TEST_F(ApiSurfaceTest, ViewSetToStringMarksCompleteSources) {
   ASSERT_TRUE(parsed.ok());
   std::vector<ViewDefinition> defs = parsed->views();
   defs[0].complete = true;
-  ViewSet views(std::move(defs));
+  ViewSet views = *ViewSet::Make(std::move(defs), &interner_);
   EXPECT_NE(views.ToString(interner_).find("% complete"), std::string::npos);
 }
 

@@ -45,14 +45,15 @@ GoalQuery MakeQuery(const std::string& text, Interner* interner) {
 }
 
 ViewSet MakeViews(const std::vector<std::string>& rules, Interner* interner) {
-  ViewSet views;
+  std::vector<ViewDefinition> defs;
   for (const std::string& text : rules) {
     Result<Rule> rule = ParseRule(text, interner);
     EXPECT_TRUE(rule.ok()) << rule.status().ToString() << "\n" << text;
-    Status added = views.Add(ViewDefinition{*rule, /*complete=*/false});
-    EXPECT_TRUE(added.ok()) << added.ToString();
+    defs.push_back(ViewDefinition{*rule, /*complete=*/false});
   }
-  return views;
+  Result<ViewSet> views = ViewSet::Make(std::move(defs), interner);
+  EXPECT_TRUE(views.ok()) << views.status().ToString();
+  return views.ok() ? *views : ViewSet();
 }
 
 /// What one CEGAR run counted: the calling thread's counter delta.

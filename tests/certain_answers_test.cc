@@ -152,7 +152,7 @@ TEST_F(CertainAnswersTest, Example5ClosedWorld) {
   ASSERT_TRUE(parsed.ok());
   std::vector<ViewDefinition> defs = parsed->views();
   for (ViewDefinition& d : defs) d.complete = true;
-  ViewSet views(std::move(defs));
+  ViewSet views = *ViewSet::Make(std::move(defs), &interner_);
 
   Program q1 = P("q1(X, Y) :- p(X, Y).");
   Program q2 = P("q2(X, Y) :- r(X, Y).");

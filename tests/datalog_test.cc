@@ -168,6 +168,34 @@ TEST_F(DatalogTest, RecursionDetection) {
   EXPECT_TRUE(mutual.IsRecursive());
   EXPECT_EQ(mutual.RecursivePredicates().size(), 2u);
   EXPECT_EQ(mutual.RecursivePredicates().count(interner_.Lookup("c")), 0u);
+
+  // Two paths to one predicate are not a cycle.
+  Program diamond = MustParseProgram(
+      "a(X) :- b(X), c(X).\n"
+      "b(X) :- d(X).\n"
+      "c(X) :- d(X).\n"
+      "d(X) :- e(X).\n");
+  EXPECT_FALSE(diamond.IsRecursive());
+  EXPECT_TRUE(diamond.RecursivePredicates().empty());
+
+  // A deep acyclic chain p0 :- p1 :- ... :- p199 :- e, rules listed from
+  // the bottom up; closing it makes every predicate recursive.
+  std::string chain;
+  for (int i = 199; i >= 0; --i) {
+    std::string body = i == 199 ? "e(X)" : "p" + std::to_string(i + 1) + "(X)";
+    chain += "p" + std::to_string(i) + "(X) :- " + body + ".\n";
+  }
+  EXPECT_FALSE(MustParseProgram(chain).IsRecursive());
+  Program closed = MustParseProgram(chain + "p199(X) :- p0(X).\n");
+  EXPECT_TRUE(closed.IsRecursive());
+  EXPECT_EQ(closed.RecursivePredicates().size(), 200u);
+
+  // A cycle the goal cannot reach still makes the program recursive.
+  Program unreachable = MustParseProgram(
+      "q(X) :- e(X).\n"
+      "t(X) :- t(X).\n");
+  EXPECT_TRUE(unreachable.IsRecursive());
+  EXPECT_EQ(unreachable.RecursivePredicates().size(), 1u);
 }
 
 TEST_F(DatalogTest, TopologicalOrderRespectsDependencies) {

@@ -322,13 +322,11 @@ TEST(DifferentialTest, CwaRefutationsVerifiedByBruteForce) {
     }
     // Re-verify the refutation against the independent oracle, with every
     // view complete (the refuter's closed-world reading).
-    ViewSet complete_views;
-    for (const ViewDefinition& v : t.views.views()) {
-      ViewDefinition closed = v;
-      closed.complete = true;
-      Status added = complete_views.Add(std::move(closed));
-      ASSERT_TRUE(added.ok()) << added.ToString();
-    }
+    std::vector<ViewDefinition> closed = t.views.views();
+    for (ViewDefinition& v : closed) v.complete = true;
+    Result<ViewSet> made = ViewSet::Make(std::move(closed), &interner);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    const ViewSet& complete_views = *made;
     const Database& instance = (*refutation)->instance;
     Result<std::vector<Tuple>> c1 = BruteForceCertainAnswers(
         t.q1.program, t.q1.goal, complete_views, instance, &interner);

@@ -145,7 +145,7 @@ TEST_F(ExtensionsTest, CwaRefuterFindsExample5Counterexample) {
   // The refutation instance must behave as claimed: recompute the oracle.
   std::vector<ViewDefinition> defs = views.views();
   for (ViewDefinition& d : defs) d.complete = true;
-  ViewSet complete(std::move(defs));
+  ViewSet complete = *ViewSet::Make(std::move(defs), &interner_);
   Result<std::vector<Tuple>> c1 = BruteForceCertainAnswers(
       q1.program, q1.goal, complete, (*r)->instance, &interner_);
   ASSERT_TRUE(c1.ok());

@@ -225,11 +225,20 @@ GoalQuery MapRules(const GoalQuery& q,
   return out;
 }
 
+/// Builds `views` again through ViewSet::Make, so a reordering reorders
+/// the compiled catalog too.
+ViewSet Remade(std::vector<ViewDefinition> views, Interner* interner) {
+  Result<ViewSet> out = ViewSet::Make(std::move(views), interner);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? *out : ViewSet();
+}
+
 ViewSet MapViews(const ViewSet& views,
-                 const std::function<Rule(const Rule&, size_t)>& f) {
+                 const std::function<Rule(const Rule&, size_t)>& f,
+                 Interner* interner) {
   std::vector<ViewDefinition> out = views.views();
   for (size_t i = 0; i < out.size(); ++i) out[i].rule = f(out[i].rule, i);
-  return ViewSet(std::move(out));
+  return Remade(std::move(out), interner);
 }
 
 Rule BodyReordered(const Rule& r) {
@@ -261,7 +270,8 @@ std::vector<Variant> Variants(const Case& base, uint64_t seed,
                   MapViews(base.views,
                            [&](const Rule& r, size_t i) {
                              return i == renamed_view ? alpha(r) : r;
-                           })},
+                           },
+                           interner)},
                  2});
   out.push_back({"reorder Q1 body",
                  {MapRules(base.q1, BodyReordered), base.q2, base.views}, 1});
@@ -272,14 +282,16 @@ std::vector<Variant> Variants(const Case& base, uint64_t seed,
                   MapViews(base.views,
                            [](const Rule& r, size_t) {
                              return BodyReordered(r);
-                           })},
+                           },
+                           interner)},
                  3});
   Case rules = base;
   rules.q1.program.rules = Reordered(base.q1.program.rules);
   rules.q2.program.rules = Reordered(base.q2.program.rules);
   out.push_back({"reorder rules", rules, 1});
   out.push_back({"reorder views",
-                 {base.q1, base.q2, ViewSet(Reordered(base.views.views()))},
+                 {base.q1, base.q2,
+                  Remade(Reordered(base.views.views()), interner)},
                  4});
   return out;
 }

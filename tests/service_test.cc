@@ -713,6 +713,51 @@ TEST(ProtocolTest, ErrorsAreLineDelimited) {
   EXPECT_NE(unknown_catalog.find("unknown catalog"), std::string::npos);
 }
 
+// Catalog validation lives in ViewSet::Make; ParseViews and CATALOG
+// registration reach it and answer with its message unchanged.
+TEST(ProtocolTest, CatalogRejectionsMatchViewSetMake) {
+  struct Rejection {
+    std::vector<std::string> views;
+    std::string message;
+  };
+  const std::vector<Rejection> rejections = {
+      {{"v(X) :- w(X).", "w(X) :- p(X)."},
+       "InvalidArgument: a source predicate occurs in a view body"},
+      {{"w(X) :- p(X).", "v(X) :- w(X)."},
+       "InvalidArgument: a source predicate occurs in a view body"},
+      {{"v(X) :- p(X).", "v(X) :- r(X)."},
+       "InvalidArgument: duplicate view definition for a source predicate"},
+      {{"v(a)."}, "InvalidArgument: view body must not be empty"},
+      {{"v(X, Y) :- p(X)."},
+       "Unsafe: head variable does not appear in the body"},
+  };
+  ContainmentService service;
+  ServerSession session(&service);
+  for (const Rejection& r : rejections) {
+    std::string text;
+    std::string line = "CATALOG c";
+    for (const std::string& v : r.views) {
+      text += v + "\n";
+      line += " VIEW " + v;
+    }
+    SCOPED_TRACE(text);
+    Interner interner;
+    Program program = *ParseProgram(text, &interner);
+    std::vector<ViewDefinition> defs;
+    for (const Rule& rule : program.rules) defs.push_back({rule, false});
+    Result<ViewSet> made = ViewSet::Make(std::move(defs), &interner);
+    ASSERT_FALSE(made.ok());
+    EXPECT_EQ(made.status().ToString(), r.message);
+    Interner parse_interner;
+    Result<ViewSet> parsed = ParseViews(text, &parse_interner);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().ToString(), r.message);
+    EXPECT_EQ(session.HandleLine(line), "ERR " + r.message + "\n");
+  }
+  // Nothing was registered.
+  EXPECT_EQ(service.catalogs().size(), 0u);
+}
+
 TEST(ProtocolTest, DisjunctOverTheMaskLimitIsUnsupportedOnPatternCatalogs) {
   ContainmentService service;
   ServerSession session(&service);
