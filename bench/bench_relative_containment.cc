@@ -124,12 +124,11 @@ void BM_Rewriting_InverseRules(benchmark::State& state) {
   Program q({RandomConjunctiveQuery(opts, "g", &interner)});
   SymbolId goal = q.rules[0].head.predicate;
   for (auto _ : state) {
-    Result<Program> plan = MaximallyContainedPlan(q, views, &interner);
-    if (!plan.ok()) {
+    Result<UnionQuery> ucq = UnionPlan(q, goal, views, &interner);
+    if (!ucq.ok()) {
       state.SkipWithError("plan failed");
       return;
     }
-    Result<UnionQuery> ucq = PlanToUnion(*plan, goal, views, &interner);
     benchmark::DoNotOptimize(ucq);
   }
   state.counters["atoms"] = atoms;

@@ -9,6 +9,12 @@
 //                                into a 16-edge graph query
 //                                (ForEachContainmentMapping: match, extend,
 //                                undo).
+//   BM_ManyViews                 UnionPlan and ExpandUnionPlan of a 2-atom
+//                                path query over path-view catalogs of 10^2,
+//                                10^3 and 10^4 views (num_relations =
+//                                views/4, so the query touches O(1) views):
+//                                the cost must follow the views the query
+//                                touches, not the catalog size.
 //
 // Writes BENCH_unfold.json (relcont-bench-v1, bench/harness.h), which the
 // CI bench gate compares against bench/baselines/BENCH_unfold.json.
@@ -70,6 +76,46 @@ bench::Samples BM_UnfoldInverseRulesPlan(int samples, int iterations,
   });
 }
 
+/// One many-views catalog: the UCQ plan's and its expansion's ns per
+/// call, and the plan's disjunct count.
+struct ManyViews {
+  bench::Samples plan;
+  bench::Samples expand;
+  size_t disjuncts = 0;
+};
+
+ManyViews BM_ManyViews(int num_views, int samples, int iterations) {
+  PathViewOptions options;
+  options.num_views = num_views;
+  options.num_relations = num_views / 4;
+  options.bound_probability = 0;
+  options.skew = 0;  // uniform: each relation in ~10 views at every size
+  options.query_length = 2;
+  options.seed = 11;
+  PathViewWorkload w = MakePathViewWorkload(options);
+  Interner interner;
+  ViewSet views = *ParseViews(w.views_text, &interner);
+  Program query = *ParseProgram(w.query_text, &interner);
+  SymbolId goal = query.rules[0].head.predicate;
+  ManyViews out;
+  out.plan = TimePerCall(samples, iterations, [&] {
+    Interner::FreshMark mark = interner.Mark();
+    Result<UnionQuery> u = UnionPlan(query, goal, views, &interner);
+    out.disjuncts = u.ok() ? u->disjuncts.size() : 0;
+    interner.Rollback(mark);
+  });
+  Result<UnionQuery> plan = UnionPlan(query, goal, views, &interner);
+  out.expand = TimePerCall(samples, iterations, [&] {
+    Interner::FreshMark mark = interner.Mark();
+    Result<UnionQuery> e = ExpandUnionPlan(*plan, views, &interner);
+    if (!e.ok() || e->disjuncts.size() != plan->disjuncts.size()) {
+      out.disjuncts = 0;
+    }
+    interner.Rollback(mark);
+  });
+  return out;
+}
+
 bench::Samples BM_ContainmentMappingSearch(int samples, int iterations,
                                            size_t* mappings) {
   Interner interner;
@@ -111,6 +157,22 @@ int Main() {
       "unfold_inverse_rules_plan_ns", unfold, "ns", false));
   metrics.push_back(bench::DistributionMetric(
       "containment_mapping_search_ns", search, "ns", false));
+  for (int num_views : {100, 1000, 10000}) {
+    ManyViews m =
+        BM_ManyViews(num_views, samples, bench::ScaleIterations(100, 10));
+    std::printf("bench_unfold: %d views: UCQ plan %.0f ns/call (%zu "
+                "disjuncts), expansion %.0f ns/call\n",
+                num_views, m.plan.Median(), m.disjuncts, m.expand.Median());
+    if (m.disjuncts == 0) {
+      std::fprintf(stderr, "bench_unfold: %d views: no plan\n", num_views);
+      return 1;
+    }
+    const std::string suffix = "_" + std::to_string(num_views) + "_views_ns";
+    metrics.push_back(bench::DistributionMetric("many_views_plan" + suffix,
+                                                m.plan, "ns", false));
+    metrics.push_back(bench::DistributionMetric("many_views_expand" + suffix,
+                                                m.expand, "ns", false));
+  }
   return bench::WriteBenchJson("BENCH_unfold.json", "unfold", metrics) ? 0
                                                                        : 1;
 }

@@ -65,7 +65,7 @@ int main() {
   std::printf("%s", plan1.ToString(interner).c_str());
 
   Banner("Function-term elimination and unfolding (Example 3)");
-  UnionQuery ucq1 = *PlanToUnion(plan1, q1.goal, views, &interner);
+  UnionQuery ucq1 = *UnionPlan(q1.program, q1.goal, views, &interner);
   std::printf("%s", ucq1.ToString(interner).c_str());
 
   Banner("Relative containment (Example 1)");

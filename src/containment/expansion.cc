@@ -7,73 +7,6 @@
 
 namespace relcont {
 
-namespace {
-
-class Enumerator {
- public:
-  Enumerator(const Program& program, Interner* interner,
-             const ExpansionOptions& options,
-             const std::function<bool(const Rule&)>& visit)
-      : interner_(interner),
-        options_(options),
-        visit_(visit),
-        resolver_(program) {}
-
-  // Returns OK when enumeration ran to natural exhaustion.
-  Result<bool> Run(SymbolId goal) {
-    for (const NumberedRule& rule : resolver_.Definitions(goal)) {
-      if (stop_) break;
-      Expand(rule.RenameApart(interner_), 1);
-    }
-    return complete_ && !stop_;
-  }
-
- private:
-  // `rule` has some prefix of EDB atoms and possibly IDB atoms; resolve the
-  // first IDB atom against every alternative.
-  void Expand(const Rule& rule, int applications) {
-    if (stop_) return;
-    // One budget step per resolution node; exhaustion truncates the
-    // enumeration (complete_ = false), so the caller's BoundReached path
-    // reports it.
-    if (!BudgetCharge(1)) {
-      complete_ = false;
-      stop_ = true;
-      return;
-    }
-    int idb_index = resolver_.FirstIdbSubgoal(rule);
-    if (idb_index < 0) {
-      RELCONT_TRACE_COUNT(kExpansionsVisited, 1);
-      if (!visit_(rule)) stop_ = true;
-      return;
-    }
-    if (applications >= options_.max_rule_applications) {
-      complete_ = false;  // derivation cut off
-      return;
-    }
-    Rule resolved;
-    for (const NumberedRule& def :
-         resolver_.Definitions(rule.body[idb_index].predicate)) {
-      if (stop_) return;
-      if (!def.Resolve(rule, idb_index, interner_, &store_, &resolved)) {
-        continue;
-      }
-      RELCONT_TRACE_COUNT(kExpansionRuleApps, 1);
-      Expand(resolved, applications + 1);
-    }
-  }
-
-  Interner* interner_;
-  const ExpansionOptions& options_;
-  const std::function<bool(const Rule&)>& visit_;
-  ProgramResolver resolver_;
-  Substitution store_;
-  bool complete_ = true;
-  bool stop_ = false;
-};
-
-}  // namespace
-
 Result<bool> ForEachExpansion(const Program& program, SymbolId goal,
                               Interner* interner,
                               const ExpansionOptions& options,
@@ -85,7 +18,18 @@ Result<bool> ForEachExpansion(const Program& program, SymbolId goal,
     }
   }
   RELCONT_TRACE_SPAN("expansion");
-  return Enumerator(program, interner, options, visit).Run(goal);
+  Resolver resolver(program.rules);
+  UnfoldLimits limits;
+  limits.max_rule_applications = options.max_rule_applications;
+  UnfoldRun run =
+      Unfold(resolver, goal, interner, limits, [&visit](Rule&& expansion) {
+        RELCONT_TRACE_COUNT(kExpansionsVisited, 1);
+        return visit(expansion);
+      });
+  if (run.resolutions > 0) {
+    RELCONT_TRACE_COUNT(kExpansionRuleApps, run.resolutions);
+  }
+  return run.complete;
 }
 
 Result<bool> DatalogContainedInUcqBounded(const Program& program,

@@ -1,8 +1,9 @@
 #include "datalog/program.h"
 
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
+
+#include "datalog/unfold.h"
 
 namespace relcont {
 
@@ -61,14 +62,6 @@ std::set<SymbolId> Program::EdbPredicates() const {
   return out;
 }
 
-std::set<SymbolId> Program::AllPredicates() const {
-  std::set<SymbolId> out = IdbPredicates();
-  for (const Rule& r : rules) {
-    for (const Atom& a : r.body) out.insert(a.predicate);
-  }
-  return out;
-}
-
 std::vector<Value> Program::Constants() const {
   std::vector<Value> out;
   for (const Rule& r : rules) {
@@ -78,42 +71,7 @@ std::vector<Value> Program::Constants() const {
   return out;
 }
 
-bool Program::IsRecursive() const {
-  // The IDB graph over dense node numbers.
-  std::unordered_map<SymbolId, int> node;
-  for (const Rule& r : rules) {
-    node.try_emplace(r.head.predicate, static_cast<int>(node.size()));
-  }
-  std::vector<std::vector<int>> edges(node.size());
-  for (const Rule& r : rules) {
-    std::vector<int>& out = edges[node[r.head.predicate]];
-    for (const Atom& a : r.body) {
-      auto it = node.find(a.predicate);
-      if (it != node.end()) out.push_back(it->second);
-    }
-  }
-  // One three-colour DFS: an edge to a node still on the stack (grey)
-  // closes a cycle.
-  enum Colour : char { kWhite, kGrey, kBlack };
-  std::vector<Colour> colour(node.size(), kWhite);
-  std::vector<std::pair<int, size_t>> stack;  // node, next edge
-  for (int root = 0; root < static_cast<int>(node.size()); ++root) {
-    if (colour[root] == kWhite) stack.emplace_back(root, 0);
-    while (!stack.empty()) {
-      auto& [v, next] = stack.back();
-      colour[v] = kGrey;
-      if (next == edges[v].size()) {
-        colour[v] = kBlack;
-        stack.pop_back();
-      } else if (int w = edges[v][next++]; colour[w] == kGrey) {
-        return true;
-      } else if (colour[w] == kWhite) {
-        stack.emplace_back(w, 0);
-      }
-    }
-  }
-  return false;
-}
+bool Program::IsRecursive() const { return Resolver(rules).IsRecursive(); }
 
 std::set<SymbolId> Program::RecursivePredicates() const {
   std::set<SymbolId> idb = IdbPredicates();

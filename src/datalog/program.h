@@ -23,8 +23,6 @@ struct Program {
   std::set<SymbolId> IdbPredicates() const;
   /// Predicates only read (appear in bodies but never in a head).
   std::set<SymbolId> EdbPredicates() const;
-  /// All predicates mentioned anywhere.
-  std::set<SymbolId> AllPredicates() const;
   /// All constants mentioned anywhere.
   std::vector<Value> Constants() const;
 

@@ -111,7 +111,9 @@ class NumberedRule {
   explicit NumberedRule(const Rule& rule);
 
   int32_t num_vars() const { return num_vars_; }
-  SymbolId head_predicate() const { return rule_.head.predicate; }
+  /// The body atoms, variables numbered: only their predicates mean
+  /// anything outside this class.
+  const std::vector<Atom>& body() const { return rule_.body; }
 
   /// A copy whose variables are fresh "_R" symbols: the names k
   /// Interner::Fresh("_R") calls would give, in first-occurrence order.

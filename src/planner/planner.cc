@@ -54,12 +54,8 @@ PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
       // Section 2.3/3: inverse rules, then function-term elimination down
       // to the executable UCQ over the sources.
       RELCONT_ASSIGN_OR_RETURN(
-          Program plan,
-          MaximallyContainedPlan(query.program, catalog->views,
-                                 ctx->interner()));
-      RELCONT_ASSIGN_OR_RETURN(
-          UnionQuery ucq,
-          PlanToUnion(plan, query.goal, catalog->views, ctx->interner()));
+          UnionQuery ucq, UnionPlan(query.program, query.goal, catalog->views,
+                                    ctx->interner()));
       out.plan_text = ucq.ToString(*ctx->interner());
       out.num_rules = static_cast<int>(ucq.disjuncts.size());
       out.recursive = false;

@@ -193,7 +193,7 @@ class CegarSearch {
     RELCONT_TRACE_COUNT(kCegarProposals, 1);
     // Materialize the candidate. A surviving Skolem term means this plan
     // disjunct can never hold on a real source instance — the scan's
-    // PlanToUnion drops it, so the proposal is skipped unchecked.
+    // UnionPlan drops it, so the proposal is skipped unchecked.
     cand_body_.clear();
     for (size_t i = 0; i < t.positions.size(); ++i) {
       Atom a = lenv_.Apply(t.positions[i].options[assign_[i]].body[0]);
@@ -417,11 +417,8 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
     // apart.
     auto options_for = [&](const Atom& a) {
       std::vector<Rule> out;
-      const std::vector<Rule>& inverse = views.inverse_rules().rules;
-      for (size_t i = 0; i < inverse.size(); ++i) {
-        if (inverse[i].head.predicate == a.predicate) {
-          out.push_back(views.NumberedInverseRule(i).RenameApart(interner));
-        }
+      for (const NumberedRule& r : views.InverseRulesWithHead(a.predicate)) {
+        out.push_back(r.RenameApart(interner));
       }
       return out;
     };
@@ -437,7 +434,7 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
         pos.options = options_for(a);
         if (pos.options.empty()) {
           // A mediated atom no source covers: the whole template is
-          // unanswerable (PlanToUnion drops these disjuncts).
+          // unanswerable (UnionPlan drops these disjuncts).
           answerable = false;
           break;
         }

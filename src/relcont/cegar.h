@@ -23,7 +23,7 @@ namespace relcont {
 ///             is one left plan disjunct — a candidate source instance
 ///             (its frozen body) on which Q1 has a certain answer.
 ///             Candidates in which a Skolem term survives are skipped,
-///             mirroring PlanToUnion's function-term elimination.
+///             mirroring UnionPlan's function-term elimination.
 ///
 ///   CHECK     Decide whether Q2 covers the candidate WITHOUT unfolding
 ///             P2: a second DFS assigns every body atom of a right

@@ -22,11 +22,9 @@ Result<std::vector<Tuple>> CertainAnswers(const Program& query, SymbolId goal,
 Result<ProvenanceResult> CertainAnswersWithProvenance(
     const Program& query, SymbolId goal, const ViewSet& views,
     const Database& instance, Interner* interner) {
-  RELCONT_ASSIGN_OR_RETURN(Program plan,
-                           MaximallyContainedPlan(query, views, interner));
   ProvenanceResult out;
   RELCONT_ASSIGN_OR_RETURN(out.plan,
-                           PlanToUnion(plan, goal, views, interner));
+                           UnionPlan(query, goal, views, interner));
   std::map<Tuple, int> index_of;  // answer -> position in out.answers
   for (size_t d = 0; d < out.plan.disjuncts.size(); ++d) {
     Program single;

@@ -78,14 +78,14 @@ Result<RelativeContainmentResult> RelativelyContained(
   RelativeContainmentResult out;
   {
     RELCONT_TRACE_SPAN("build_plans");
+    // Both input checks before either unfolding, Q1 first: an input error
+    // outranks an unfolding error, as in CEGAR.
+    RELCONT_RETURN_NOT_OK(CheckPlannableQuery(q1.program, views));
+    RELCONT_RETURN_NOT_OK(CheckPlannableQuery(q2.program, views));
     RELCONT_ASSIGN_OR_RETURN(
-        Program p1, MaximallyContainedPlan(q1.program, views, interner));
+        out.plan1, UnionPlan(q1.program, q1.goal, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
-        Program p2, MaximallyContainedPlan(q2.program, views, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        out.plan1, PlanToUnion(p1, q1.goal, views, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        out.plan2, PlanToUnion(p2, q2.goal, views, interner));
+        out.plan2, UnionPlan(q2.program, q2.goal, views, interner));
   }
   RELCONT_TRACE_SPAN("containment_check");
   RELCONT_ASSIGN_OR_RETURN(
@@ -137,9 +137,7 @@ Result<bool> RelativelyContainedOneRecursive(
     {
       RELCONT_TRACE_SPAN("build_plans");
       RELCONT_ASSIGN_OR_RETURN(
-          Program p1, MaximallyContainedPlan(q1.program, views, interner));
-      RELCONT_ASSIGN_OR_RETURN(
-          plan1, PlanToUnion(p1, q1.goal, views, interner));
+          plan1, UnionPlan(q1.program, q1.goal, views, interner));
       RELCONT_ASSIGN_OR_RETURN(
           p2, MaximallyContainedPlan(q2.program, views, interner));
     }
@@ -180,9 +178,7 @@ Result<std::set<SymbolId>> RelevantSources(const GoalQuery& query,
                                            const ViewSet& views,
                                            Interner* interner) {
   RELCONT_ASSIGN_OR_RETURN(
-      Program plan, MaximallyContainedPlan(query.program, views, interner));
-  RELCONT_ASSIGN_OR_RETURN(UnionQuery full,
-                           PlanToUnion(plan, query.goal, views, interner));
+      UnionQuery full, UnionPlan(query.program, query.goal, views, interner));
   std::set<SymbolId> relevant;
   for (const ViewDefinition& dropped : views.views()) {
     // The plan without `dropped` is the full plan's disjuncts that do not
@@ -219,9 +215,7 @@ Result<bool> RelativelyContainedViaExpansion(
   {
     RELCONT_TRACE_SPAN("build_plans");
     RELCONT_ASSIGN_OR_RETURN(
-        Program p1, MaximallyContainedPlan(q1.program, views, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        UnionQuery plan1, PlanToUnion(p1, q1.goal, views, interner));
+        UnionQuery plan1, UnionPlan(q1.program, q1.goal, views, interner));
     RELCONT_ASSIGN_OR_RETURN(p1_exp, ExpandUnionPlan(plan1, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
         q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner));

@@ -28,7 +28,7 @@ struct BucketStats {
 
 /// Computes the maximally-contained UCQ plan of the (nonrecursive,
 /// comparison-free) query via buckets. The result is equivalent — as a
-/// query over the sources — to PlanToUnion(MaximallyContainedPlan(...)).
+/// query over the sources — to UnionPlan(query, goal, views, ...).
 Result<UnionQuery> BucketRewriting(const Program& query, SymbolId goal,
                                    const ViewSet& views, Interner* interner,
                                    BucketStats* stats = nullptr);

@@ -1,6 +1,5 @@
 #include "rewriting/comparison_plans.h"
 
-#include "constraints/order_constraints.h"
 #include "containment/comparison_containment.h"
 #include "datalog/substitution.h"
 #include "rewriting/inverse_rules.h"
@@ -14,63 +13,11 @@ bool IsNumericConst(const Term& t) {
   return t.is_constant() && t.value().is_number();
 }
 
-// Emits the strongest comparison entailed between two visible points, if
-// any.
-void EmitStrongest(const OrderConstraints& solver, const Term& a,
-                   const Term& b, std::vector<Comparison>* out) {
-  auto entails = [&](ComparisonOp op) {
-    return solver.Entails(Comparison(a, op, b));
-  };
-  if (entails(ComparisonOp::kEq)) {
-    out->emplace_back(a, ComparisonOp::kEq, b);
-    return;
-  }
-  if (entails(ComparisonOp::kLt)) {
-    out->emplace_back(a, ComparisonOp::kLt, b);
-    return;
-  }
-  if (entails(ComparisonOp::kGt)) {
-    out->emplace_back(a, ComparisonOp::kGt, b);
-    return;
-  }
-  bool le = entails(ComparisonOp::kLe);
-  bool ge = entails(ComparisonOp::kGe);
-  bool ne = entails(ComparisonOp::kNe);
-  if (le) out->emplace_back(a, ComparisonOp::kLe, b);
-  if (ge) out->emplace_back(a, ComparisonOp::kGe, b);
-  if (ne && !le && !ge) out->emplace_back(a, ComparisonOp::kNe, b);
-}
-
-Result<std::vector<Comparison>> ProjectConstraints(const Rule& view_rule) {
-  OrderConstraints solver;
-  for (SymbolId v : view_rule.BodyVariables()) {
-    RELCONT_RETURN_NOT_OK(solver.AddPoint(Term::Var(v)));
-  }
-  std::vector<Term> visible;
-  for (SymbolId v : view_rule.HeadVariables()) visible.push_back(Term::Var(v));
-  for (const Value& c : view_rule.Constants()) {
-    if (c.is_number()) {
-      Term t = Term::Constant(c);
-      RELCONT_RETURN_NOT_OK(solver.AddPoint(t));
-      visible.push_back(t);
-    }
-  }
-  RELCONT_RETURN_NOT_OK(solver.AddAll(view_rule.comparisons));
-  std::vector<Comparison> out;
-  for (size_t i = 0; i < visible.size(); ++i) {
-    for (size_t j = i + 1; j < visible.size(); ++j) {
-      if (IsNumericConst(visible[i]) && IsNumericConst(visible[j])) continue;
-      EmitStrongest(solver, visible[i], visible[j], &out);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-Result<std::vector<Comparison>> ProjectViewConstraintsToHead(
-    const ViewDefinition& view) {
-  return ProjectConstraints(view.rule);
+const Result<std::vector<Comparison>>& ProjectViewConstraintsToHead(
+    const ViewSet& views, size_t i) {
+  return views.HeadConstraints(i);
 }
 
 Result<Rule> AugmentWithViewConstraints(const Rule& plan_rule,
@@ -93,10 +40,21 @@ Result<Rule> AugmentWithViewConstraints(const Rule& plan_rule,
                                    Term::Number(Rational(0)));
       return out;
     }
-    RELCONT_ASSIGN_OR_RETURN(std::vector<Comparison> projected,
-                             ProjectConstraints(fresh));
-    for (const Comparison& c : projected) {
-      Comparison mapped = mgu.Apply(c);
+    const Result<std::vector<Comparison>>& projected =
+        views.HeadConstraints(view);
+    if (!projected.ok()) return projected.status();
+    // The stored projection is over the view's own head variables: map
+    // each, position by position, to the renamed head and through the mgu.
+    const Atom& head = views.views()[view].rule.head;
+    Substitution to_plan;
+    for (size_t k = 0; k < head.args.size(); ++k) {
+      const Term& v = head.args[k];
+      if (v.is_variable() && !to_plan.Contains(v.symbol())) {
+        to_plan.Bind(v.symbol(), mgu.Apply(fresh.head.args[k]));
+      }
+    }
+    for (const Comparison& c : *projected) {
+      Comparison mapped = to_plan.ApplyOnce(c);
       auto usable = [](const Term& t) {
         return t.is_variable() || IsNumericConst(t);
       };
@@ -121,9 +79,9 @@ Result<UnionQuery> ComparisonAwarePlan(const Program& query, SymbolId goal,
 
   // Candidate plans: unfold the query (comparisons and all) against the
   // inverse rules.
-  RELCONT_ASSIGN_OR_RETURN(
-      UnionQuery unfolded,
-      UnfoldToUnion(AppendInverseRules(query, views), goal, interner));
+  Resolver resolver = PlanResolver(query, views);
+  RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
+                           UnfoldToUnion(resolver, goal, interner));
 
   UnionQuery out;
   for (Rule& candidate : unfolded.disjuncts) {

@@ -18,13 +18,12 @@ namespace relcont {
 /// guarantee are dropped again, so e.g. the AntiqueCars disjunct of paper
 /// Example 4 carries no explicit Year < 1970 test.
 
-/// Computes the dense-order constraints of `view`'s body projected onto its
+/// The dense-order constraints of views()[i]'s body projected onto its
 /// distinguished (head) variables and the numeric constants occurring in
-/// the view: the strongest comparisons between visible points entailed by
-/// the view definition. E.g. v(X) :- p(X, Y), X < Y, Y < 5 projects to
-/// X < 5.
-Result<std::vector<Comparison>> ProjectViewConstraintsToHead(
-    const ViewDefinition& view);
+/// the view, as ViewSet::Make stored them (see ProjectConstraintsToHead).
+/// E.g. v(X) :- p(X, Y), X < Y, Y < 5 projects to X < 5.
+const Result<std::vector<Comparison>>& ProjectViewConstraintsToHead(
+    const ViewSet& views, size_t i);
 
 /// Adds to `plan_rule` (a CQ over source predicates) every comparison the
 /// view definitions guarantee about its visible variables. Used to decide

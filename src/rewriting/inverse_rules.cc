@@ -27,7 +27,11 @@ Status CheckPlannableQuery(const Program& query, const ViewSet& views,
   return Status::OK();
 }
 
-Program AppendInverseRules(const Program& query, const ViewSet& views) {
+Result<Program> MaximallyContainedPlan(const Program& query,
+                                       const ViewSet& views,
+                                       Interner* /*interner*/) {
+  RELCONT_TRACE_SPAN("plan_inverse_rules");
+  RELCONT_RETURN_NOT_OK(CheckPlannableQuery(query, views));
   const std::vector<Rule>& inverse = views.inverse_rules().rules;
   Program out = query;
   out.rules.insert(out.rules.end(), inverse.begin(), inverse.end());
@@ -35,12 +39,11 @@ Program AppendInverseRules(const Program& query, const ViewSet& views) {
   return out;
 }
 
-Result<Program> MaximallyContainedPlan(const Program& query,
-                                       const ViewSet& views,
-                                       Interner* /*interner*/) {
-  RELCONT_TRACE_SPAN("plan_inverse_rules");
-  RELCONT_RETURN_NOT_OK(CheckPlannableQuery(query, views));
-  return AppendInverseRules(query, views);
+Resolver PlanResolver(const Program& query, const ViewSet& views) {
+  RELCONT_TRACE_COUNT(kPlanRules, views.inverse_rules().rules.size());
+  return Resolver(query.rules, [&views](SymbolId predicate) {
+    return views.InverseRulesWithHead(predicate);
+  });
 }
 
 namespace {
@@ -63,11 +66,13 @@ bool RuleHasFunctionTerm(const Rule& r) {
 
 }  // namespace
 
-Result<UnionQuery> PlanToUnion(const Program& plan, SymbolId goal,
-                               const ViewSet& views, Interner* interner) {
-  RELCONT_TRACE_SPAN("plan_to_union");
+Result<UnionQuery> UnionPlan(const Program& query, SymbolId goal,
+                             const ViewSet& views, Interner* interner) {
+  RELCONT_TRACE_SPAN("plan_inverse_rules");
+  RELCONT_RETURN_NOT_OK(CheckPlannableQuery(query, views));
+  Resolver resolver = PlanResolver(query, views);
   RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
-                           UnfoldToUnion(plan, goal, interner));
+                           UnfoldToUnion(resolver, goal, interner));
   const std::set<SymbolId>& sources = views.SourcePredicates();
   UnionQuery out;
   for (Rule& d : unfolded.disjuncts) {
@@ -92,11 +97,23 @@ Result<UnionQuery> PlanToUnion(const Program& plan, SymbolId goal,
   return out;
 }
 
+namespace {
+
+// Resolves each source subgoal against the one view defining its source.
+Resolver::StoredRules ViewDefinitions(const ViewSet& views) {
+  return [&views](SymbolId predicate) -> std::span<const NumberedRule> {
+    int i = views.IndexOf(predicate);
+    if (i < 0) return {};
+    return {&views.NumberedView(i), 1};
+  };
+}
+
+}  // namespace
+
 Result<UnionQuery> ExpandUnionPlan(const UnionQuery& plan,
                                    const ViewSet& views, Interner* interner) {
   // The expansion is the unfolding of the plan disjuncts against the view
   // definitions (views are exactly rules defining the source predicates).
-  Program program;
   if (plan.disjuncts.empty()) return UnionQuery{};
   SymbolId goal = plan.disjuncts[0].head.predicate;
   for (const Rule& d : plan.disjuncts) {
@@ -104,40 +121,24 @@ Result<UnionQuery> ExpandUnionPlan(const UnionQuery& plan,
       return Status::InvalidArgument(
           "plan disjuncts must share a head predicate");
     }
-    program.rules.push_back(d);
   }
-  for (const ViewDefinition& v : views.views()) {
-    program.rules.push_back(v.rule);
-  }
-  return UnfoldToUnion(program, goal, interner);
+  Resolver resolver(plan.disjuncts, ViewDefinitions(views));
+  return UnfoldToUnion(resolver, goal, interner);
 }
 
 Result<Program> ExpandPlanProgram(const Program& plan, const ViewSet& views,
                                   Interner* interner) {
+  // Only source subgoals resolve: the plan's own IDB predicates stay. A
+  // rule whose source subgoal clashes with its view's head (e.g. on a
+  // constant) has no expansion and is dropped.
+  Resolver resolver({}, ViewDefinitions(views));
+  UnfoldLimits limits;
+  limits.charge_budget = false;
   Program out;
-  Substitution store;
-  for (const Rule& rule : plan.rules) {
-    Rule cur = rule;
-    bool dead = false;
-    // Repeatedly replace the first source subgoal by its view body.
-    for (;;) {
-      size_t idx = 0;
-      int view = -1;
-      for (; idx < cur.body.size(); ++idx) {
-        view = views.IndexOf(cur.body[idx].predicate);
-        if (view >= 0) break;
-      }
-      if (view < 0) break;
-      Rule next;
-      if (!views.NumberedView(view).Resolve(cur, idx, interner, &store,
-                                            &next)) {
-        dead = true;  // e.g. a constant in the plan clashes with the view
-        break;
-      }
-      cur = std::move(next);
-    }
-    if (!dead) out.rules.push_back(std::move(cur));
-  }
+  UnfoldRules(resolver, plan.rules, interner, limits, [&out](Rule&& rule) {
+    out.rules.push_back(std::move(rule));
+    return true;
+  });
   return out;
 }
 

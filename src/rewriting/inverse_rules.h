@@ -19,26 +19,29 @@ Status CheckPlannableQuery(const Program& query, const ViewSet& views,
                            bool allow_comparisons = false);
 
 /// The maximally-contained query plan for `query` using `views`
-/// (Definition 2.2): the query's rules plus the inverse rules. The plan's
-/// EDB predicates are the source predicates. Fails if CheckPlannableQuery
-/// does (see rewriting/comparison_plans.h for queries with comparisons).
+/// (Definition 2.2) as a program: the query's rules plus a copy of the
+/// inverse rules, for callers that evaluate it. The plan's EDB predicates
+/// are the source predicates. Fails if CheckPlannableQuery does (see
+/// rewriting/comparison_plans.h for queries with comparisons).
 Result<Program> MaximallyContainedPlan(const Program& query,
                                        const ViewSet& views,
                                        Interner* interner);
 
-/// `query`'s rules followed by the inverse rules of `views`, counted as
-/// plan_rules; the plan construction MaximallyContainedPlan and the
-/// comparison-aware plan share after their input checks.
-Program AppendInverseRules(const Program& query, const ViewSet& views);
+/// The resolver of the plan for `query`: the query's own rules, then the
+/// catalog's inverse rules for each mediated predicate (nothing copied).
+/// Counts the inverse rules as plan_rules.
+Resolver PlanResolver(const Program& query, const ViewSet& views);
 
-/// Unfolds a nonrecursive plan into a union of conjunctive queries over the
-/// source predicates and performs function-term elimination: disjuncts in
-/// which a Skolem term survives (in the head or in a source subgoal) can
-/// never produce a ground answer on a real source instance and are removed
-/// (paper Example 3). Disjuncts mentioning a mediated-schema predicate that
-/// no source covers are likewise unanswerable and removed.
-Result<UnionQuery> PlanToUnion(const Program& plan, SymbolId goal,
-                               const ViewSet& views, Interner* interner);
+/// The maximally-contained plan for the nonrecursive `query` as a union of
+/// conjunctive queries over the source predicates: the query unfolded
+/// against its own rules and the catalog's inverse rules, then
+/// function-term elimination. Disjuncts in which a Skolem term survives
+/// (in the head or in a source subgoal) can never produce a ground answer
+/// on a real source instance and are removed (paper Example 3); disjuncts
+/// mentioning a mediated-schema predicate that no source covers are
+/// likewise unanswerable and removed. Fails if CheckPlannableQuery does.
+Result<UnionQuery> UnionPlan(const Program& query, SymbolId goal,
+                             const ViewSet& views, Interner* interner);
 
 /// The expansion P^exp of a UCQ plan over the sources: every source
 /// subgoal is replaced by the body of its view definition with fresh

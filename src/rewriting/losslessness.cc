@@ -14,10 +14,8 @@ Result<LosslessnessResult> CheckLossless(const Program& query, SymbolId goal,
         "losslessness is implemented for comparison-free views");
   }
   LosslessnessResult out;
-  RELCONT_ASSIGN_OR_RETURN(Program plan,
-                           MaximallyContainedPlan(query, views, interner));
   RELCONT_ASSIGN_OR_RETURN(out.plan,
-                           PlanToUnion(plan, goal, views, interner));
+                           UnionPlan(query, goal, views, interner));
   RELCONT_ASSIGN_OR_RETURN(UnionQuery expansion,
                            ExpandUnionPlan(out.plan, views, interner));
   RELCONT_ASSIGN_OR_RETURN(UnionQuery query_ucq,

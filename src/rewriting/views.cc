@@ -2,9 +2,71 @@
 
 #include <algorithm>
 
+#include "constraints/order_constraints.h"
 #include "datalog/parser.h"
 
 namespace relcont {
+
+namespace {
+
+bool IsNumericConst(const Term& t) {
+  return t.is_constant() && t.value().is_number();
+}
+
+// Emits the strongest comparison entailed between two visible points, if
+// any.
+void EmitStrongest(const OrderConstraints& solver, const Term& a,
+                   const Term& b, std::vector<Comparison>* out) {
+  auto entails = [&](ComparisonOp op) {
+    return solver.Entails(Comparison(a, op, b));
+  };
+  if (entails(ComparisonOp::kEq)) {
+    out->emplace_back(a, ComparisonOp::kEq, b);
+    return;
+  }
+  if (entails(ComparisonOp::kLt)) {
+    out->emplace_back(a, ComparisonOp::kLt, b);
+    return;
+  }
+  if (entails(ComparisonOp::kGt)) {
+    out->emplace_back(a, ComparisonOp::kGt, b);
+    return;
+  }
+  bool le = entails(ComparisonOp::kLe);
+  bool ge = entails(ComparisonOp::kGe);
+  bool ne = entails(ComparisonOp::kNe);
+  if (le) out->emplace_back(a, ComparisonOp::kLe, b);
+  if (ge) out->emplace_back(a, ComparisonOp::kGe, b);
+  if (ne && !le && !ge) out->emplace_back(a, ComparisonOp::kNe, b);
+}
+
+}  // namespace
+
+Result<std::vector<Comparison>> ProjectConstraintsToHead(
+    const Rule& view_rule) {
+  OrderConstraints solver;
+  for (SymbolId v : view_rule.BodyVariables()) {
+    RELCONT_RETURN_NOT_OK(solver.AddPoint(Term::Var(v)));
+  }
+  std::vector<Term> visible;
+  for (SymbolId v : view_rule.HeadVariables()) visible.push_back(Term::Var(v));
+  for (const Value& c : view_rule.Constants()) {
+    if (c.is_number()) {
+      Term t = Term::Constant(c);
+      RELCONT_RETURN_NOT_OK(solver.AddPoint(t));
+      visible.push_back(t);
+    }
+  }
+  RELCONT_RETURN_NOT_OK(solver.AddAll(view_rule.comparisons));
+  std::vector<Comparison> out;
+  for (size_t i = 0; i < visible.size(); ++i) {
+    for (size_t j = i + 1; j < visible.size(); ++j) {
+      if (IsNumericConst(visible[i]) && IsNumericConst(visible[j])) continue;
+      EmitStrongest(solver, visible[i], visible[j], &out);
+    }
+  }
+  return out;
+}
 
 Result<ViewSet> ViewSet::Make(std::vector<ViewDefinition> views,
                               Interner* interner) {
@@ -50,10 +112,14 @@ Result<ViewSet> ViewSet::Make(std::vector<ViewDefinition> views,
     for (const Atom& subgoal : rule.body) {
       out.inverse_rules_.rules.emplace_back(sigma.Apply(subgoal),
                                             std::vector<Atom>{rule.head});
-      out.numbered_inverse_.emplace_back(out.inverse_rules_.rules.back());
+      out.inverse_by_head_[subgoal.predicate].emplace_back(
+          out.inverse_rules_.rules.back());
     }
     out.inverse_begin_.push_back(out.inverse_rules_.rules.size());
     out.numbered_.emplace_back(rule);
+    out.head_constraints_.push_back(
+        rule.comparisons.empty() ? std::vector<Comparison>{}
+                                 : ProjectConstraintsToHead(rule));
     std::vector<Value> constants = rule.Constants();
     out.constants_.insert(out.constants_.end(), constants.begin(),
                           constants.end());
@@ -75,6 +141,13 @@ const ViewDefinition* ViewSet::Find(SymbolId source_pred) const {
 std::span<const Rule> ViewSet::InverseRulesOf(size_t i) const {
   return std::span<const Rule>(inverse_rules_.rules)
       .subspan(inverse_begin_[i], inverse_begin_[i + 1] - inverse_begin_[i]);
+}
+
+std::span<const NumberedRule> ViewSet::InverseRulesWithHead(
+    SymbolId mediated) const {
+  auto it = inverse_by_head_.find(mediated);
+  if (it == inverse_by_head_.end()) return {};
+  return it->second;
 }
 
 std::string ViewSet::ToString(const Interner& interner) const {

@@ -67,14 +67,21 @@ class ViewSet {
   const Program& inverse_rules() const { return inverse_rules_; }
   /// The inverse rules of views()[i], a contiguous run of inverse_rules().
   std::span<const Rule> InverseRulesOf(size_t i) const;
-  /// inverse_rules().rules[i] with its variables numbered, for renaming it
-  /// apart.
-  const NumberedRule& NumberedInverseRule(size_t i) const {
-    return numbered_inverse_[i];
-  }
+  /// The inverse rules with head predicate `mediated`, in inverse_rules()
+  /// order and with their variables numbered (for resolving a mediated
+  /// subgoal); empty for a predicate no view body mentions.
+  std::span<const NumberedRule> InverseRulesWithHead(SymbolId mediated) const;
   /// views()[i]'s rule with its variables numbered, for resolving a source
   /// subgoal against the view definition.
   const NumberedRule& NumberedView(size_t i) const { return numbered_[i]; }
+  /// The dense-order constraints views()[i] guarantees about its head
+  /// (ProjectConstraintsToHead of its rule), computed once here. A view
+  /// without comparisons guarantees none. A projection that fails is
+  /// stored as its status; it surfaces when a plan reads the view, never
+  /// at Make.
+  const Result<std::vector<Comparison>>& HeadConstraints(size_t i) const {
+    return head_constraints_[i];
+  }
 
   std::string ToString(const Interner& interner) const;
 
@@ -89,9 +96,18 @@ class ViewSet {
   /// InverseRulesOf(i) starts at inverse_begin_[i] and ends at
   /// inverse_begin_[i + 1].
   std::vector<size_t> inverse_begin_{0};
-  std::vector<NumberedRule> numbered_inverse_;
+  std::unordered_map<SymbolId, std::vector<NumberedRule>> inverse_by_head_;
   std::vector<NumberedRule> numbered_;
+  std::vector<Result<std::vector<Comparison>>> head_constraints_;
 };
+
+/// The dense-order constraints of `view_rule`'s body projected onto its
+/// distinguished (head) variables and the numeric constants occurring in
+/// it: the strongest comparisons between visible points entailed by the
+/// view definition, in head-variable order. E.g. v(X) :- p(X, Y), X < Y,
+/// Y < 5 projects to X < 5.
+Result<std::vector<Comparison>> ProjectConstraintsToHead(
+    const Rule& view_rule);
 
 /// Parses one view definition per rule and builds them with
 /// ViewSet::Make. All parsed views are incomplete (open-world) sources;

@@ -103,7 +103,7 @@ inline constexpr CounterDef kCounterTable[] = {
     {Counter::kPlanRules, "plan_rules_total",
      "Inverse rules entering a maximally-contained plan."},
     {Counter::kPlanDisjunctsKept, "plan_disjuncts_kept_total",
-     "Plan disjuncts that survive PlanToUnion."},
+     "Plan disjuncts that survive function-term elimination."},
     {Counter::kPlanDisjunctsDropped, "plan_disjuncts_dropped_total",
      "Plan disjuncts discarded (function terms or unsatisfiable)."},
     {Counter::kUnfoldResolutions, "unfold_resolutions_total",

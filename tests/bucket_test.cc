@@ -29,10 +29,7 @@ class BucketTest : public ::testing::Test {
     Result<UnionQuery> bucket =
         BucketRewriting(q, S(goal), views, &interner_);
     ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
-    Result<Program> plan = MaximallyContainedPlan(q, views, &interner_);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    Result<UnionQuery> inverse =
-        PlanToUnion(*plan, S(goal), views, &interner_);
+    Result<UnionQuery> inverse = UnionPlan(q, S(goal), views, &interner_);
     ASSERT_TRUE(inverse.ok()) << inverse.status().ToString();
     Result<bool> eq = UnionEquivalent(*bucket, *inverse);
     ASSERT_TRUE(eq.ok()) << eq.status().ToString();
@@ -141,9 +138,7 @@ TEST_P(BucketAgreementTest, BucketEquivalentToInverseRules) {
 
   Result<UnionQuery> bucket = BucketRewriting(q, goal, views, &interner);
   ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
-  Result<Program> plan = MaximallyContainedPlan(q, views, &interner);
-  ASSERT_TRUE(plan.ok());
-  Result<UnionQuery> inverse = PlanToUnion(*plan, goal, views, &interner);
+  Result<UnionQuery> inverse = UnionPlan(q, goal, views, &interner);
   ASSERT_TRUE(inverse.ok());
   Result<bool> eq = UnionEquivalent(*bucket, *inverse);
   ASSERT_TRUE(eq.ok());

@@ -1,8 +1,14 @@
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "containment/comparison_containment.h"
 #include "containment/cq_containment.h"
 #include "datalog/parser.h"
+#include "datalog/substitution.h"
 #include "relcont/relative_containment.h"
 #include "rewriting/comparison_plans.h"
 
@@ -27,11 +33,55 @@ constexpr char kQ3[] =
     "q3(CarNo, Review) :- cardesc(CarNo, Model, C, Y), "
     "review(Model, Review, 10), Y < 1970.";
 
+/// Every stored head projection of `views` equals one computed afresh,
+/// both from the view's rule and from a renamed-apart copy mapped back
+/// position by position (what AugmentWithViewConstraints relies on).
+void ExpectStoredProjectionsFresh(const ViewSet& views, Interner* interner) {
+  for (size_t i = 0; i < views.size(); ++i) {
+    const Rule& rule = views.views()[i].rule;
+    SCOPED_TRACE(rule.ToString(*interner));
+    const Result<std::vector<Comparison>>& stored =
+        ProjectViewConstraintsToHead(views, i);
+    if (rule.comparisons.empty()) {
+      ASSERT_TRUE(stored.ok());
+      EXPECT_TRUE(stored->empty());
+      continue;
+    }
+    Result<std::vector<Comparison>> fresh = ProjectConstraintsToHead(rule);
+    Rule renamed = RenameApart(rule, interner);
+    Result<std::vector<Comparison>> via_renamed =
+        ProjectConstraintsToHead(renamed);
+    ASSERT_EQ(stored.ok(), fresh.ok());
+    ASSERT_EQ(stored.ok(), via_renamed.ok());
+    if (!stored.ok()) {
+      EXPECT_EQ(stored.status().ToString(), fresh.status().ToString());
+      EXPECT_EQ(stored.status().ToString(), via_renamed.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(*stored, *fresh);
+    Substitution back;
+    for (size_t k = 0; k < rule.head.args.size(); ++k) {
+      const Term& v = renamed.head.args[k];
+      if (v.is_variable() && !back.Contains(v.symbol())) {
+        back.Bind(v.symbol(), rule.head.args[k]);
+      }
+    }
+    std::vector<Comparison> mapped;
+    for (const Comparison& c : *via_renamed) {
+      mapped.push_back(back.ApplyOnce(c));
+    }
+    EXPECT_EQ(*stored, mapped);
+  }
+}
+
 class ComparisonPlansTest : public ::testing::Test {
  protected:
+  /// Parses `text` into a catalog whose stored projections are checked
+  /// against fresh ones, so every catalog of this suite is covered.
   ViewSet V(const std::string& text) {
     Result<ViewSet> v = ParseViews(text, &interner_);
     EXPECT_TRUE(v.ok()) << v.status().ToString();
+    ExpectStoredProjectionsFresh(*v, &interner_);
     return *v;
   }
   GoalQuery GQ(const std::string& text, const char* goal) {
@@ -62,7 +112,7 @@ class ComparisonPlansTest : public ::testing::Test {
 TEST_F(ComparisonPlansTest, ProjectionKeepsHeadConstraints) {
   ViewSet v = V("antique(C, M, Y) :- cardesc(C, M, Col, Y), Y < 1970.");
   Result<std::vector<Comparison>> proj =
-      ProjectViewConstraintsToHead(v.views()[0]);
+      ProjectViewConstraintsToHead(v, 0);
   ASSERT_TRUE(proj.ok());
   ASSERT_EQ(proj->size(), 1u);
   EXPECT_EQ((*proj)[0].op, ComparisonOp::kLt);
@@ -72,7 +122,7 @@ TEST_F(ComparisonPlansTest, ProjectionEliminatesExistentials) {
   // X < Y, Y < 5 with Y existential projects onto X < 5.
   ViewSet v = V("src(X) :- p(X, Y), X < Y, Y < 5.");
   Result<std::vector<Comparison>> proj =
-      ProjectViewConstraintsToHead(v.views()[0]);
+      ProjectViewConstraintsToHead(v, 0);
   ASSERT_TRUE(proj.ok());
   bool found = false;
   for (const Comparison& c : *proj) {
@@ -87,9 +137,60 @@ TEST_F(ComparisonPlansTest, ProjectionEliminatesExistentials) {
 TEST_F(ComparisonPlansTest, ProjectionDropsUnconstrainedHeads) {
   ViewSet v = V("src(X, Z) :- p(X, Y, Z), X < Y.");
   Result<std::vector<Comparison>> proj =
-      ProjectViewConstraintsToHead(v.views()[0]);
+      ProjectViewConstraintsToHead(v, 0);
   ASSERT_TRUE(proj.ok());
   EXPECT_TRUE(proj->empty());  // nothing visible is entailed
+}
+
+TEST_F(ComparisonPlansTest, StoredProjectionsMatchFreshOnSeededCatalogs) {
+  // 200 seeded semi-interval catalogs: three views over p0/p1, the first
+  // two with one or two semi-interval comparisons on body variables.
+  static const char* kVars[] = {"X", "Y", "Z"};
+  static const char* kOps[] = {"<", "<=", ">", ">="};
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
+    std::string text;
+    for (int i = 0; i < 3; ++i) {
+      std::vector<std::string> vars;
+      std::string body;
+      for (int a = 0, atoms = 1 + pick(2); a < atoms; ++a) {
+        std::string x = kVars[pick(3)], y = kVars[pick(3)];
+        body += (a > 0 ? ", p" : "p") + std::to_string(pick(2)) + "(" + x +
+                ", " + y + ")";
+        for (const std::string& v : {x, y}) {
+          if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
+            vars.push_back(v);
+          }
+        }
+      }
+      for (int c = 0, n = i < 2 ? 1 + pick(2) : 0; c < n; ++c) {
+        body += ", " + vars[pick(static_cast<int>(vars.size()))] + " " +
+                kOps[pick(4)] + " " + std::to_string(1 + pick(3));
+      }
+      std::string head = "c" + std::to_string(i) + "(" + vars[0];
+      if (vars.size() > 1 && pick(2) == 0) head += ", " + vars[1];
+      text += head + ") :- " + body + ".\n";
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + ":\n" + text);
+    V(text);
+  }
+}
+
+TEST_F(ComparisonPlansTest, FailedProjectionSurfacesWhenAPlanReadsTheView) {
+  // A comparison on a symbol constant has no dense-order projection. The
+  // catalog still builds; the stored failure is what augmenting a plan
+  // over the view reports.
+  ViewSet views = V("named(X) :- p(X, Y), Y < abc.");
+  const Result<std::vector<Comparison>>& stored =
+      ProjectViewConstraintsToHead(views, 0);
+  ASSERT_FALSE(stored.ok());
+  Result<Rule> plan_rule = ParseRule("g(X) :- named(X).", &interner_);
+  ASSERT_TRUE(plan_rule.ok());
+  Result<Rule> augmented =
+      AugmentWithViewConstraints(*plan_rule, views, &interner_);
+  ASSERT_FALSE(augmented.ok());
+  EXPECT_EQ(augmented.status().ToString(), stored.status().ToString());
 }
 
 TEST_F(ComparisonPlansTest, AugmentAddsViewGuarantees) {

@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include "datalog/parser.h"
 #include "datalog/substitution.h"
 #include "relcont/cegar.h"
 #include "relcont/certain_answers.h"
@@ -550,6 +551,119 @@ TEST(DifferentialTest, LibraryWitnessTextIsPinned) {
   }
   EXPECT_EQ(witnesses, 161);
   EXPECT_EQ(digest, 18392652466446328661ULL);
+}
+
+/// The Theorem 5.1 case for `seed`: SemiIntervalTriple's shape with a
+/// semi-interval comparison on Q1 and on the first two views as well, so
+/// the comparison-aware plans and the view-constraint projections both
+/// run. nullopt when the case is skipped.
+std::optional<RandomTriple> ComparisonTriple(uint64_t seed,
+                                             Interner* interner) {
+  std::optional<RandomTriple> t = SemiIntervalTriple(seed, interner);
+  if (!t.has_value()) return std::nullopt;
+  static const ComparisonOp kOps[] = {ComparisonOp::kLt, ComparisonOp::kLe,
+                                      ComparisonOp::kGt, ComparisonOp::kGe};
+  auto bound = [seed](const Rule& r, uint64_t k) {
+    std::vector<SymbolId> vars = r.BodyVariables();
+    uint64_t h = seed * 31 + k;
+    return Comparison(Term::Var(vars[h % vars.size()]), kOps[(h / 7) % 4],
+                      Term::Number(Rational(static_cast<int64_t>(1 + h % 3))));
+  };
+  Rule& r1 = t->q1.program.rules[0];
+  r1.comparisons.push_back(bound(r1, 0));
+  std::vector<ViewDefinition> views = t->views.views();
+  for (size_t i = 0; i < views.size() && i < 2; ++i) {
+    views[i].rule.comparisons.push_back(bound(views[i].rule, i + 1));
+  }
+  Result<ViewSet> made = ViewSet::Make(std::move(views), interner);
+  if (!made.ok()) return std::nullopt;
+  t->views = std::move(*made);
+  return t;
+}
+
+/// The Theorem 5.1 path, pinned like the witnesses above: the plan texts
+/// ComparisonAwarePlan builds for both queries, the witness (the augmented
+/// disjunct) and every error text of RelativelyContainedWithComparisons on
+/// the first 100 comparison cases.
+TEST(DifferentialTest, Theorem51WitnessTextIsPinned) {
+  uint64_t digest = 14695981039346656037ULL;
+  int folded = 0;
+  auto fold = [&](const std::string& text) {
+    for (char c : text + "\n") {
+      digest ^= static_cast<unsigned char>(c);
+      digest *= 1099511628211ULL;
+    }
+    ++folded;
+  };
+  for (uint64_t i = 0; i < 100; ++i) {
+    Interner interner;
+    std::optional<RandomTriple> t = ComparisonTriple(7'000'000 + i, &interner);
+    if (!t.has_value()) continue;
+    Result<RelativeContainmentResult> r = RelativelyContainedWithComparisons(
+        t->q1, t->q2, t->views, &interner, {});
+    if (!r.ok()) {
+      fold(r.status().ToString());
+      continue;
+    }
+    fold(r->plan1.ToString(interner));
+    fold(r->plan2.ToString(interner));
+    if (r->witness.has_value()) fold(r->witness->ToString(interner));
+  }
+  EXPECT_EQ(folded, 247);
+  EXPECT_EQ(digest, 5987181925101416114ULL);
+}
+
+/// A query IDB predicate that is also a mediated predicate resolves
+/// against the query's own rule first and the inverse rules after it; one
+/// that names a source closes a cycle through the inverse rules. The
+/// Section 3 scan, CEGAR (which hands both to the scan) and Theorem 5.2
+/// answer with these verdicts, witnesses and errors.
+TEST(DifferentialTest, QueryIdbNamingCatalogPredicateIsPinned) {
+  Interner interner;
+  Result<ViewSet> views =
+      ParseViews("v1(X, Y) :- p(X, Y).\nv2(X) :- r(X).", &interner);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  auto goal = [&](const char* text, const char* name) {
+    Result<Program> p = ParseProgram(text, &interner);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    return GoalQuery{p.ok() ? *p : Program(), interner.Intern(name)};
+  };
+  GoalQuery mediated_idb = goal("q1(X) :- r(X).\nr(X) :- p(X, Y).", "q1");
+  GoalQuery source_idb = goal("q3(X) :- p(X, Y).\nv2(X) :- r(X).", "q3");
+  GoalQuery plain = goal("q2(X) :- p(X, Y).", "q2");
+
+  std::vector<std::string> seen;
+  auto render = [&](const Result<RelativeContainmentResult>& r) {
+    if (!r.ok()) return r.status().ToString();
+    return std::string(r->contained ? "YES" : "NO ") +
+           (r->witness.has_value() ? r->witness->ToString(interner) : "");
+  };
+  for (ContainmentStrategy strategy :
+       {ContainmentStrategy::kScan, ContainmentStrategy::kCegar}) {
+    RelativeContainmentOptions options;
+    options.strategy = strategy;
+    seen.push_back(render(
+        RelativelyContained(mediated_idb, plain, *views, &interner, options)));
+    seen.push_back(render(
+        RelativelyContained(plain, mediated_idb, *views, &interner, options)));
+    seen.push_back(render(
+        RelativelyContained(source_idb, plain, *views, &interner, options)));
+  }
+  for (const GoalQuery* q1 : {&mediated_idb, &plain, &source_idb}) {
+    const GoalQuery& q2 = q1 == &plain ? mediated_idb : plain;
+    Rule witness;
+    Result<bool> r = RelativelyContainedViaExpansion(*q1, q2, *views,
+                                                     &interner, {}, &witness);
+    seen.push_back(!r.ok() ? r.status().ToString()
+                   : *r    ? std::string("YES")
+                           : "NO " + witness.ToString(interner));
+  }
+  const std::string kCycle = "Unsupported: cannot unfold a recursive program";
+  EXPECT_EQ(seen, std::vector<std::string>({
+                      "NO q1(_R5) :- v2(_R5).", "YES", kCycle,  // scan
+                      "NO q1(_R25) :- v2(_R25).", "YES", kCycle,  // CEGAR
+                      "NO q1(_R51) :- r(_R51).", "YES", kCycle,  // Thm 5.2
+                  }));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Metamorphic invariance sweep: semantics-preserving rewrites of a
 // question never change its verdict or its regime.
 //
-// For seeded (Q1, Q2, V) cases of four regimes (Section 3, Theorem 3.2,
-// Theorem 5.1 and Theorem 5.2; RELCONT_DIFF_CASES each, default 500) the
-// sweep decides the case and then each of its variants:
+// For seeded (Q1, Q2, V) cases of five regimes (Section 3, Theorem 3.2,
+// Section 4, Theorem 5.1 and Theorem 5.2) and of the closed-world refuter
+// (Section 6; RELCONT_DIFF_CASES each, default 500) the sweep decides the
+// case and then each of its variants:
 //
 //   * alpha-renaming the variables of Q1, of Q2, or of one view;
 //   * reordering the body atoms of Q1, of Q2, or of every view;
@@ -32,8 +33,10 @@
 #include "containment/canonical.h"
 #include "datalog/parser.h"
 #include "datalog/substitution.h"
+#include "relcont/cwa.h"
 #include "relcont/decide.h"
 #include "relcont/workload.h"
+#include "service/catalog.h"
 #include "service/request_frame.h"
 
 namespace relcont {
@@ -65,6 +68,7 @@ struct Case {
   GoalQuery q1;
   GoalQuery q2;
   ViewSet views;
+  BindingPatterns patterns;  // by source name, so every variant keeps them
 };
 
 // ---- generators -----------------------------------------------------------
@@ -149,7 +153,7 @@ Case Section3Case(uint64_t seed, Interner* interner) {
   Rule r2 = RandomConjunctiveQuery(options2, "q2", interner);
   return Case{GoalQuery{Program({r1}), r1.head.predicate},
               GoalQuery{Program({r2}), r2.head.predicate},
-              RandomViews(options, 3, interner)};
+              RandomViews(options, 3, interner), {}};
 }
 
 /// Q2 is a transitive closure (left or right recursive), Q1 a CQ over the
@@ -171,7 +175,55 @@ Case Theorem32Case(uint64_t seed, Interner* interner) {
   if (gen.Coin()) views += "loop(X) :- e(X, X).\n";
   return Case{MustParseGoal(q1, "a", interner),
               MustParseGoal(q2, "b", interner),
-              MustParseViews(views, interner)};
+              MustParseViews(views, interner), {}};
+}
+
+/// Chain queries over a small path-view catalog (MakePathViewWorkload, the
+/// Romero–Preda–Suchanek family) whose input-bound views carry a `bf`
+/// pattern: Section 4 whenever some view is bound.
+Case Section4Case(uint64_t seed, Interner* interner) {
+  PathViewOptions options;
+  options.num_views = 3 + static_cast<int>(seed % 3);
+  options.num_relations = 2;
+  options.max_length = 2;
+  options.bound_probability = 0.5;
+  options.query_length = 1 + static_cast<int>(seed % 2);
+  options.seed = seed;
+  PathViewWorkload w = MakePathViewWorkload(options);
+  options.query_length = 1 + static_cast<int>((seed / 2) % 2);
+  options.seed = seed * 2654435761ULL + 97;
+  std::string q2 = MakePathViewWorkload(options).query_text;
+  CatalogSpec spec;
+  spec.views_text = w.views_text;
+  spec.patterns = w.patterns;
+  Result<MaterializedCatalog> catalog = MaterializeCatalog(spec, interner);
+  EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+  // The generator names both queries q; rename their heads apart.
+  return Case{MustParseGoal("qa" + w.query_text.substr(1), "qa", interner),
+              MustParseGoal("qb" + q2.substr(1), "qb", interner),
+              catalog.ok() ? catalog->views : ViewSet(),
+              catalog.ok() ? catalog->patterns : BindingPatterns()};
+}
+
+/// The closed-world refuter's case: two unary relations and two views, a
+/// vocabulary tiny enough for its doubly exponential search yet one on
+/// which about a third of the cases are refuted.
+Case CwaCase(uint64_t seed, Interner* interner) {
+  RandomQueryOptions options;
+  options.num_atoms = 1 + static_cast<int>(seed % 2);
+  options.num_variables = 2;
+  options.num_predicates = 2;
+  options.arity = 1;
+  options.constant_probability = 0.0;
+  options.head_arity = 1;
+  options.seed = seed;
+  Rule r1 = RandomConjunctiveQuery(options, "q1", interner);
+  RandomQueryOptions options2 = options;
+  options2.seed = seed * 2654435761ULL + 97;
+  Rule r2 = RandomConjunctiveQuery(options2, "q2", interner);
+  return Case{GoalQuery{Program({r1}), r1.head.predicate},
+              GoalQuery{Program({r2}), r2.head.predicate},
+              RandomViews(options, 2, interner), {}};
 }
 
 /// Views and Q2 carry semi-interval comparisons; Q1 does too under
@@ -197,7 +249,7 @@ Case ComparisonCase(uint64_t seed, bool q1_compares, Interner* interner) {
   std::string q2 = gen.Query("qb", gen.Uniform(1, 2), preds, 3, true);
   return Case{MustParseGoal(q1, "qa", interner),
               MustParseGoal(q2, "qb", interner),
-              MustParseViews(views, interner)};
+              MustParseViews(views, interner), {}};
 }
 
 // ---- rewrites -----------------------------------------------------------
@@ -261,9 +313,11 @@ std::vector<Variant> Variants(const Case& base, uint64_t seed,
   size_t renamed_view = base.views.empty() ? 0 : seed % base.views.size();
   std::vector<Variant> out;
   out.push_back({"base", base, 1});
-  out.push_back({"alpha Q1", {MapRules(base.q1, alpha), base.q2, base.views},
+  out.push_back({"alpha Q1",
+                 {MapRules(base.q1, alpha), base.q2, base.views, base.patterns},
                  1});
-  out.push_back({"alpha Q2", {base.q1, MapRules(base.q2, alpha), base.views},
+  out.push_back({"alpha Q2",
+                 {base.q1, MapRules(base.q2, alpha), base.views, base.patterns},
                  1});
   out.push_back({"alpha one view",
                  {base.q1, base.q2,
@@ -271,19 +325,25 @@ std::vector<Variant> Variants(const Case& base, uint64_t seed,
                            [&](const Rule& r, size_t i) {
                              return i == renamed_view ? alpha(r) : r;
                            },
-                           interner)},
+                           interner),
+                  base.patterns},
                  2});
   out.push_back({"reorder Q1 body",
-                 {MapRules(base.q1, BodyReordered), base.q2, base.views}, 1});
+                 {MapRules(base.q1, BodyReordered), base.q2, base.views,
+                  base.patterns},
+                 1});
   out.push_back({"reorder Q2 body",
-                 {base.q1, MapRules(base.q2, BodyReordered), base.views}, 1});
+                 {base.q1, MapRules(base.q2, BodyReordered), base.views,
+                  base.patterns},
+                 1});
   out.push_back({"reorder view bodies",
                  {base.q1, base.q2,
                   MapViews(base.views,
                            [](const Rule& r, size_t) {
                              return BodyReordered(r);
                            },
-                           interner)},
+                           interner),
+                  base.patterns},
                  3});
   Case rules = base;
   rules.q1.program.rules = Reordered(base.q1.program.rules);
@@ -291,7 +351,8 @@ std::vector<Variant> Variants(const Case& base, uint64_t seed,
   out.push_back({"reorder rules", rules, 1});
   out.push_back({"reorder views",
                  {base.q1, base.q2,
-                  Remade(Reordered(base.views.views()), interner)},
+                  Remade(Reordered(base.views.views()), interner),
+                  base.patterns},
                  4});
   return out;
 }
@@ -310,25 +371,47 @@ struct SweepStats {
   std::map<Regime, int> regimes;
 };
 
+/// Decides one variant.
+using Decider = std::function<Outcome(const Case&, Interner*)>;
+
+Outcome Decide(const Case& c, Interner* interner) {
+  Result<Decision> d = DecideRelativeContainment(c.q1, c.q2, c.views,
+                                                 c.patterns, interner);
+  Outcome o;
+  o.code = d.status().code();
+  if (d.ok()) {
+    o.contained = d->contained;
+    o.regime = d->regime;
+  }
+  return o;
+}
+
+/// The closed-world refuter reads every view as complete. "Contained"
+/// means no refutation within its bounds; it has no regime.
+Outcome RefuteCwa(const Case& c, Interner* interner) {
+  CwaRefuterOptions options;
+  options.max_instance_facts = 2;
+  options.domain_size = 2;
+  Result<std::optional<CwaRefutation>> r =
+      RefuteCwaContainment(c.q1, c.q2, c.views, interner, options);
+  Outcome o;
+  o.code = r.status().code();
+  if (r.ok()) o.contained = !r->has_value();
+  return o;
+}
+
 /// Decides `base` and its variants; every variant must answer like the
 /// base, and variants with equal cache keys must answer alike.
-void CheckCase(uint64_t seed, const Case& base, Interner* interner,
-               SweepStats* stats) {
+void CheckCase(uint64_t seed, const Case& base, const Decider& decide,
+               Interner* interner, SweepStats* stats) {
   std::map<std::string, Outcome> by_key;
   std::optional<Outcome> expected;
   for (const Variant& v : Variants(base, seed, interner)) {
     SCOPED_TRACE(v.name + "; " + ReplayHint(seed));
-    Result<Decision> d = DecideRelativeContainment(
-        v.c.q1, v.c.q2, v.c.views, BindingPatterns(), interner);
-    Outcome o;
-    o.code = d.status().code();
-    if (d.ok()) {
-      o.contained = d->contained;
-      o.regime = d->regime;
-    }
+    Outcome o = decide(v.c, interner);
     if (!expected.has_value()) {
       expected = o;
-      if (!d.ok()) {
+      if (o.code != StatusCode::kOk) {
         ++stats->skipped;  // outside every decidable shape: nothing to vary
         return;
       }
@@ -338,7 +421,7 @@ void CheckCase(uint64_t seed, const Case& base, Interner* interner,
     }
     // A budget trip is not an answer; search order may move it.
     if (o.code == StatusCode::kBoundReached) continue;
-    EXPECT_EQ(o.code, expected->code) << d.status().ToString();
+    EXPECT_EQ(o.code, expected->code);
     EXPECT_EQ(o.contained, expected->contained);
     EXPECT_EQ(o.regime, expected->regime);
 
@@ -359,12 +442,13 @@ void CheckCase(uint64_t seed, const Case& base, Interner* interner,
 }
 
 void Sweep(uint64_t base_seed, Regime regime,
-           const std::function<Case(uint64_t, Interner*)>& make) {
+           const std::function<Case(uint64_t, Interner*)>& make,
+           const Decider& decide = Decide) {
   SweepStats stats;
   ForEachCase(base_seed, [&](uint64_t seed) {
     Interner interner;
     Case c = make(seed, &interner);
-    CheckCase(seed, c, &interner, &stats);
+    CheckCase(seed, c, decide, &interner, &stats);
   });
   ::testing::Test::RecordProperty("decided", stats.decided);
   ::testing::Test::RecordProperty("contained", stats.contained);
@@ -381,6 +465,14 @@ TEST(MetamorphicTest, Section3VerdictsAreInvariant) {
 
 TEST(MetamorphicTest, Theorem32VerdictsAreInvariant) {
   Sweep(2'000'000, Regime::kTheorem32, Theorem32Case);
+}
+
+TEST(MetamorphicTest, Section4VerdictsAreInvariant) {
+  Sweep(5'000'000, Regime::kSection4, Section4Case);
+}
+
+TEST(MetamorphicTest, CwaRefutationsAreInvariant) {
+  Sweep(6'000'000, Regime::kUnknown, CwaCase, RefuteCwa);
 }
 
 TEST(MetamorphicTest, Theorem51VerdictsAreInvariant) {

@@ -203,6 +203,26 @@ TEST_F(ObsServerTest, SpeaksTheProtocolOverTcp) {
   EXPECT_EQ(verdict.substr(0, 3), "YES") << verdict;
 }
 
+TEST_F(ObsServerTest, DeepChainAnswersOverTcp) {
+  // A 35,001-rule nonrecursive chain (0.82 MB, under the 1 MiB line cap):
+  // its unfolding is 35,000 resolution steps deep on a session thread.
+  std::string define = "DEFINE deep";
+  for (int i = 0; i < 35000; ++i) {
+    define += " p" + std::to_string(i) + "(C) :- p" + std::to_string(i + 1) +
+              "(C).";
+  }
+  define += " p35000(C) :- cardesc(C, M, red, Y).\n";
+  Client client(port());
+  ASSERT_TRUE(client.connected());
+  client.Send(define);
+  EXPECT_EQ(client.ReadLine().rfind("OK", 0), 0u);
+  client.Send("DEFINE all all(C) :- cardesc(C, M, Col, Y).\n");
+  EXPECT_EQ(client.ReadLine().rfind("OK", 0), 0u);
+  client.Send("CONTAINED? deep all @cars\n");
+  std::string verdict = client.ReadLine();
+  EXPECT_EQ(verdict.rfind("YES", 0), 0u) << verdict;
+}
+
 TEST_F(ObsServerTest, SessionsAreIsolatedAndConcurrent) {
   Client a(port());
   Client b(port());

@@ -122,12 +122,10 @@ TEST(PlanDifferentialTest, ServedPlanMatchesLibraryPlan) {
       WorkBudget budget;
       budget.set_max_steps(DecideOptions::kDefaultMaxSteps);
       BudgetScope scope(&budget);
-      Result<Program> plan =
-          MaximallyContainedPlan(*query, catalog->views, &lib);
-      ASSERT_TRUE(plan.ok()) << plan.status().ToString() << "\n"
-                             << ReplayHint(seed);
-      Result<UnionQuery> ucq =
-          PlanToUnion(*plan, goal, catalog->views, &lib);
+      Status plannable = CheckPlannableQuery(*query, catalog->views);
+      ASSERT_TRUE(plannable.ok()) << plannable.ToString() << "\n"
+                                  << ReplayHint(seed);
+      Result<UnionQuery> ucq = UnionPlan(*query, goal, catalog->views, &lib);
       if (ucq.ok()) {
         library_plan = ucq->ToString(lib);
       } else {

@@ -128,14 +128,12 @@ TEST_F(RewritingTest, PlanRejectsQueryOverSources) {
 
 // Paper Example 3: function-term elimination and unfolding yield exactly
 // two conjunctive plans for Q1.
-TEST_F(RewritingTest, PlanToUnionMatchesExample3) {
+TEST_F(RewritingTest, UnionPlanMatchesExample3) {
   ViewSet v = MustParseViews(kCarViews);
   Program q1 = MustParseProgram(
       "q1(CarNo, Review) :- cardesc(CarNo, Model, C, Y), "
       "review(Model, Review, Rating).");
-  Result<Program> plan = MaximallyContainedPlan(q1, v, &interner_);
-  ASSERT_TRUE(plan.ok());
-  Result<UnionQuery> ucq = PlanToUnion(*plan, S("q1"), v, &interner_);
+  Result<UnionQuery> ucq = UnionPlan(q1, S("q1"), v, &interner_);
   ASSERT_TRUE(ucq.ok()) << ucq.status().ToString();
   ASSERT_EQ(ucq->disjuncts.size(), 2u);
 
@@ -153,7 +151,7 @@ TEST_F(RewritingTest, PlanToUnionMatchesExample3) {
   EXPECT_TRUE(*eq);
 }
 
-TEST_F(RewritingTest, PlanToUnionDropsSkolemJoinsThatCannotGround) {
+TEST_F(RewritingTest, UnionPlanDropsSkolemJoinsThatCannotGround) {
   // Asking for the (unknown) color of antique cars must yield only the
   // red-cars plan: the antique color Skolem cannot join `pcolor`.
   ViewSet v = MustParseViews(
@@ -162,22 +160,18 @@ TEST_F(RewritingTest, PlanToUnionDropsSkolemJoinsThatCannotGround) {
       "pcolor(Col) :- popular(Col).\n");
   Program q = MustParseProgram(
       "q(C) :- cardesc(C, M, Col, Y), popular(Col).");
-  Result<Program> plan = MaximallyContainedPlan(q, v, &interner_);
-  ASSERT_TRUE(plan.ok());
-  Result<UnionQuery> ucq = PlanToUnion(*plan, S("q"), v, &interner_);
+  Result<UnionQuery> ucq = UnionPlan(q, S("q"), v, &interner_);
   ASSERT_TRUE(ucq.ok());
   ASSERT_EQ(ucq->disjuncts.size(), 1u);
   EXPECT_EQ(ucq->disjuncts[0].body[0].predicate, S("redcars"));
 }
 
-TEST_F(RewritingTest, PlanToUnionKeepsSelfJoinThroughSameSkolem) {
+TEST_F(RewritingTest, UnionPlanKeepsSelfJoinThroughSameSkolem) {
   // Joining an unknown value with itself is fine: both sides resolve to the
   // same Skolem term, which unifies away.
   ViewSet v = MustParseViews("src(X, Y) :- p(X, Z), q(Z, Y).");
   Program query = MustParseProgram("qq(X, Y) :- p(X, Z), q(Z, Y).");
-  Result<Program> plan = MaximallyContainedPlan(query, v, &interner_);
-  ASSERT_TRUE(plan.ok());
-  Result<UnionQuery> ucq = PlanToUnion(*plan, S("qq"), v, &interner_);
+  Result<UnionQuery> ucq = UnionPlan(query, S("qq"), v, &interner_);
   ASSERT_TRUE(ucq.ok());
   ASSERT_EQ(ucq->disjuncts.size(), 1u);
   // The Skolems for Z unify, collapsing both subgoals onto one src atom;

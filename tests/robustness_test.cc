@@ -7,9 +7,12 @@
 #include "binding/dom_containment.h"
 #include "containment/expansion.h"
 #include "datalog/parser.h"
+#include "datalog/unfold.h"
 #include "eval/evaluator.h"
 #include "relcont/binding_containment.h"
 #include "relcont/workload.h"
+#include "service/protocol.h"
+#include "service/service.h"
 
 namespace relcont {
 namespace {
@@ -83,6 +86,59 @@ TEST(ParserRobustnessTest, LongProgramsParse) {
   Result<Program> p = ParseProgram(text, &interner);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->rules.size(), 500u);
+}
+
+// ---------------------------------------------------------------------------
+// Deep programs: resolution keeps its frames on the heap, so a long
+// nonrecursive chain answers on every verb instead of overflowing the
+// thread's stack.
+// ---------------------------------------------------------------------------
+
+/// p0(X) :- p1(X). ... p<n-1>(X) :- p<n>(X). p<n>(X) :- e(X).
+std::string ChainRules(int n) {
+  std::string text;
+  for (int i = 0; i < n; ++i) {
+    text += "p" + std::to_string(i) + "(X) :- p" + std::to_string(i + 1) +
+            "(X). ";
+  }
+  return text + "p" + std::to_string(n) + "(X) :- e(X).";
+}
+
+constexpr int kDeepChain = 35000;
+
+TEST(DeepProgramTest, LongChainUnfolds) {
+  Interner interner;
+  Result<Program> chain = ParseProgram(ChainRules(kDeepChain), &interner);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  Result<UnionQuery> u =
+      UnfoldToUnion(*chain, interner.Intern("p0"), &interner);
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  ASSERT_EQ(u->disjuncts.size(), 1u);
+  EXPECT_EQ(u->disjuncts[0].ToString(interner).rfind("p0(", 0), 0u);
+  ASSERT_EQ(u->disjuncts[0].body.size(), 1u);
+  EXPECT_EQ(u->disjuncts[0].body[0].predicate, interner.Intern("e"));
+}
+
+TEST(DeepProgramTest, LongChainAnswersEveryVerb) {
+  ContainmentService service;
+  ServerSession session(&service);
+  const std::string define = "DEFINE a " + ChainRules(kDeepChain);
+  // Under the TCP line cap, so a network client can send it too.
+  ASSERT_LT(define.size(), 1u << 20);
+  ASSERT_EQ(session.HandleLine("CATALOG c VIEW v(X) :- e(X).").rfind("OK", 0),
+            0u);
+  ASSERT_EQ(session.HandleLine(define).rfind("OK", 0), 0u);
+  ASSERT_EQ(session.HandleLine("DEFINE b b(X) :- e(X).").rfind("OK", 0), 0u);
+  for (const char* request :
+       {"CONTAINED? a b @c", "CONTAINED? b a @c", "REWRITE? a b @c",
+        "EXPLAIN a b @c", "EXPLAIN JSON b a @c"}) {
+    std::string reply = session.HandleLine(request);
+    EXPECT_NE(reply.find("YES"), std::string::npos) << request << ": "
+                                                    << reply.substr(0, 200);
+  }
+  std::string plan = session.HandleLine("PLAN? a @c");
+  EXPECT_EQ(plan.rfind("OK plan", 0), 0u) << plan.substr(0, 200);
+  EXPECT_NE(plan.find("p0(_R"), std::string::npos) << plan.substr(0, 200);
 }
 
 // ---------------------------------------------------------------------------

@@ -1246,11 +1246,8 @@ TEST_F(ServiceTraceTest, TraceCountersMatchIndependentRecount) {
                interner.Intern("q1")};
   GoalQuery q2{*ParseProgram("q2(C) :- cardesc(C, M, Col, Y).", &interner),
                interner.Intern("q2")};
-  Result<Program> p1 = MaximallyContainedPlan(q1.program, views, &interner);
-  Result<Program> p2 = MaximallyContainedPlan(q2.program, views, &interner);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  Result<UnionQuery> plan1 = PlanToUnion(*p1, q1.goal, views, &interner);
-  Result<UnionQuery> plan2 = PlanToUnion(*p2, q2.goal, views, &interner);
+  Result<UnionQuery> plan1 = UnionPlan(q1.program, q1.goal, views, &interner);
+  Result<UnionQuery> plan2 = UnionPlan(q2.program, q2.goal, views, &interner);
   ASSERT_TRUE(plan1.ok() && plan2.ok());
   EXPECT_EQ(response.trace->TotalCount(trace::Counter::kPlanDisjunctsKept),
             plan1->disjuncts.size() + plan2->disjuncts.size());

@@ -350,8 +350,8 @@ TEST_F(TraceDecisionTest, PlanAndDisjunctCountersMatchRecount) {
   Result<UnionQuery> u1 = UnfoldToUnion(*p1, q1.goal, &interner_);
   Result<UnionQuery> u2 = UnfoldToUnion(*p2, q2.goal, &interner_);
   ASSERT_TRUE(u1.ok() && u2.ok());
-  Result<UnionQuery> plan1 = PlanToUnion(*p1, q1.goal, views, &interner_);
-  Result<UnionQuery> plan2 = PlanToUnion(*p2, q2.goal, views, &interner_);
+  Result<UnionQuery> plan1 = UnionPlan(q1.program, q1.goal, views, &interner_);
+  Result<UnionQuery> plan2 = UnionPlan(q2.program, q2.goal, views, &interner_);
   ASSERT_TRUE(plan1.ok() && plan2.ok());
 
   // Each view body atom contributes one inverse rule, built once per plan.
