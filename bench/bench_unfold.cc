@@ -15,11 +15,18 @@
 //                                views/4, so the query touches O(1) views):
 //                                the cost must follow the views the query
 //                                touches, not the catalog size.
+//   BM_Section4                  over path-view catalogs of 8, 64 and 512
+//                                views (half of them `bf`): compiling the
+//                                catalog's executable plan template
+//                                (section4_compile, once per catalog) and
+//                                one Section 4 decision of two 2-atom path
+//                                queries over it (section4_decide).
 //
 // Writes BENCH_unfold.json (relcont-bench-v1, bench/harness.h), which the
 // CI bench gate compares against bench/baselines/BENCH_unfold.json.
 // RELCONT_BENCH_SMOKE=1 shrinks the repetition counts.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -28,8 +35,10 @@
 #include "containment/homomorphism.h"
 #include "datalog/parser.h"
 #include "datalog/unfold.h"
+#include "relcont/binding_containment.h"
 #include "relcont/workload.h"
 #include "rewriting/inverse_rules.h"
+#include "service/catalog.h"
 
 namespace relcont {
 namespace {
@@ -116,6 +125,49 @@ ManyViews BM_ManyViews(int num_views, int samples, int iterations) {
   return out;
 }
 
+/// One Section 4 catalog: the template compile's and one decision's ns per
+/// call, and whether the decisions all succeeded.
+struct Section4 {
+  bench::Samples compile;
+  bench::Samples decide;
+  bool ok = true;
+};
+
+Section4 BM_Section4(int num_views, int samples, int iterations) {
+  PathViewOptions options;
+  options.num_views = num_views;
+  options.num_relations = std::max(2, num_views / 4);
+  options.bound_probability = 0.5;
+  options.query_length = 2;
+  options.seed = 11;
+  PathViewWorkload w = MakePathViewWorkload(options);
+  options.seed = 12;
+  std::string q2_text = MakePathViewWorkload(options).query_text;
+  Interner interner;
+  CatalogSpec spec;
+  spec.views_text = w.views_text;
+  spec.patterns = w.patterns;
+  MaterializedCatalog catalog = *MaterializeCatalog(spec, &interner);
+  GoalQuery q1{*ParseProgram("a" + w.query_text.substr(1), &interner),
+               interner.Intern("a")};
+  GoalQuery q2{*ParseProgram("b" + q2_text.substr(1), &interner),
+               interner.Intern("b")};
+  Section4 out;
+  out.compile = TimePerCall(samples, iterations, [&] {
+    Result<ExecutablePlanTemplate> plan =
+        ExecutablePlanTemplate::Compile(catalog.views, catalog.patterns);
+    out.ok &= plan.ok();
+  });
+  out.decide = TimePerCall(samples, iterations, [&] {
+    Interner::FreshMark mark = interner.Mark();
+    Result<BindingRelativeResult> r = RelativelyContainedWithBindingPatterns(
+        q1, q2, catalog.views, *catalog.plan, &interner);
+    out.ok &= r.ok();
+    interner.Rollback(mark);
+  });
+  return out;
+}
+
 bench::Samples BM_ContainmentMappingSearch(int samples, int iterations,
                                            size_t* mappings) {
   Interner interner;
@@ -172,6 +224,22 @@ int Main() {
                                                 m.plan, "ns", false));
     metrics.push_back(bench::DistributionMetric("many_views_expand" + suffix,
                                                 m.expand, "ns", false));
+  }
+  for (int num_views : {8, 64, 512}) {
+    Section4 s = BM_Section4(num_views, samples, bench::ScaleIterations(50, 5));
+    std::printf("bench_unfold: %d views: section4 compile %.0f ns/call, "
+                "decide %.0f ns/call\n",
+                num_views, s.compile.Median(), s.decide.Median());
+    if (!s.ok) {
+      std::fprintf(stderr, "bench_unfold: %d views: section4 failed\n",
+                   num_views);
+      return 1;
+    }
+    const std::string suffix = "_" + std::to_string(num_views) + "_views_ns";
+    metrics.push_back(bench::DistributionMetric("section4_compile" + suffix,
+                                                s.compile, "ns", false));
+    metrics.push_back(bench::DistributionMetric("section4_decide" + suffix,
+                                                s.decide, "ns", false));
   }
   return bench::WriteBenchJson("BENCH_unfold.json", "unfold", metrics) ? 0
                                                                        : 1;

@@ -1,12 +1,14 @@
 #include "binding/dom_containment.h"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
 
 #include "common/budget.h"
+#include "containment/expansion.h"
 #include "datalog/substitution.h"
 #include "trace/trace.h"
 
@@ -27,9 +29,10 @@ struct DisjunctInfo {
   std::vector<bool> in_head;           // per var: occurs in the head
 };
 
-// A dom node rule  dom(X) :- dom(Y1), ..., dom(Yk), e1, ..., em.
+// A dom node rule  dom(X) :- dom(Y1), ..., dom(Yk), e1, ..., em  renamed
+// apart for one run.
 struct NodeRule {
-  Rule rule;                       // renamed-apart copy
+  const DomNodeRule* numbered;
   SymbolId output_var;
   std::vector<SymbolId> guard_vars;  // distinct, in first-occurrence order
   std::vector<Atom> body_edb;
@@ -71,18 +74,27 @@ struct TreeOption {
   std::map<int, uint64_t> atom_union;
 };
 
+// Orders tree types by profile: output and entries (the type's identity).
+struct ProfileLess {
+  bool operator()(const TreeOption* a, const TreeOption* b) const {
+    return std::tie(a->output_const, a->entries) <
+           std::tie(b->output_const, b->entries);
+  }
+};
+
 // ---------------------------------------------------------------------------
 // The decider.
 // ---------------------------------------------------------------------------
 
 class DomDecider {
  public:
-  DomDecider(const Program& program, SymbolId goal, SymbolId dom_pred,
+  DomDecider(const DomProgram& program, SymbolId goal, SymbolId dom_pred,
              const UnionQuery& q2, Interner* interner)
       : goal_(goal),
         dom_(dom_pred),
         interner_(interner),
         program_(program),
+        rest_(program.rest),
         q2_(q2) {}
 
   Result<DomContainmentResult> Run() {
@@ -104,34 +116,27 @@ class DomDecider {
   }
 
   Status Preprocess() {
-    RELCONT_RETURN_NOT_OK(program_.CheckSafe());
-    // Split the program into dom facts, dom node rules, and the rest.
-    for (const Rule& r : program_.rules) {
-      if (!r.comparisons.empty()) {
-        return Status::Unsupported("program must be comparison-free");
+    // Rename the node rules apart, one block of fresh ids each.
+    for (const DomNodeRule& n : program_.nodes) {
+      SymbolId first = interner_->FreshBlock("_R", n.num_vars);
+      NodeRule node{&n, first + n.output, {}, {}};
+      for (int32_t g : n.guards) node.guard_vars.push_back(first + g);
+      for (const Atom& a : n.body_edb) {
+        node.body_edb.push_back(InstantiateNumbered(a, first));
       }
-      if (r.head.predicate != dom_) {
-        rest_.rules.push_back(r);
-        continue;
-      }
-      if (r.head.arity() != 1) {
-        return Status::Unsupported("dom predicate must be unary");
-      }
-      if (r.body.empty()) {
-        if (!r.head.args[0].is_constant()) {
-          return Status::Unsupported("dom facts must be constants");
-        }
-        dom_fact_consts_.insert(InternConst(r.head.args[0].value()));
-        continue;
-      }
-      RELCONT_RETURN_NOT_OK(AddNodeRule(r));
+      node_rules_.push_back(std::move(node));
+    }
+    for (const Value& v : program_.constants) InternConst(v);
+    for (const Value& v : program_.facts) {
+      dom_fact_consts_.insert(InternConst(v));
     }
     if (rest_.IsRecursive()) {
       return Status::Unsupported(
           "recursion outside the dom predicate is not in the decidable "
           "shape");
     }
-    std::set<SymbolId> rest_idb = rest_.IdbPredicates();
+    std::set<SymbolId> rest_idb;
+    for (const Rule& r : program_.rest) rest_idb.insert(r.head.predicate);
     if (rest_idb.count(dom_) > 0) {
       return Status::Internal("dom rules were not split out");
     }
@@ -143,8 +148,7 @@ class DomDecider {
         }
       }
     }
-    // Constant tables: everything in the program and the UCQ.
-    for (const Value& v : program_.Constants()) InternConst(v);
+    // Constant table: the program's (above), then the UCQ's.
     for (const Rule& d : q2_.disjuncts) {
       if (!d.comparisons.empty()) {
         return Status::Unsupported("UCQ must be comparison-free");
@@ -183,47 +187,6 @@ class DomDecider {
     return Status::OK();
   }
 
-  Status AddNodeRule(const Rule& r) {
-    NodeRule node;
-    node.rule = RenameApart(r, interner_);
-    const Term& head_arg = node.rule.head.args[0];
-    if (!head_arg.is_variable()) {
-      return Status::Unsupported("dom rule heads must be variables");
-    }
-    node.output_var = head_arg.symbol();
-    std::set<SymbolId> seen_guards;
-    for (const Atom& a : node.rule.body) {
-      if (a.predicate != dom_) {
-        node.body_edb.push_back(a);
-        continue;
-      }
-      if (a.arity() != 1) {
-        return Status::Unsupported("dom predicate must be unary");
-      }
-      const Term& arg = a.args[0];
-      if (arg.is_constant()) {
-        // A constant guard is only tractable when a dom fact satisfies it.
-        int idx = InternConst(arg.value());
-        if (dom_fact_consts_.count(idx) == 0) {
-          return Status::Unsupported(
-              "constant dom guard without a matching dom fact");
-        }
-        continue;  // satisfied; contributes nothing
-      }
-      if (!arg.is_variable()) {
-        return Status::Unsupported("dom guards must be variables");
-      }
-      if (arg.symbol() == node.output_var) {
-        return Status::Unsupported("dom rule output guarded by itself");
-      }
-      if (seen_guards.insert(arg.symbol()).second) {
-        node.guard_vars.push_back(arg.symbol());
-      }
-    }
-    node_rules_.push_back(std::move(node));
-    return Status::OK();
-  }
-
   // ---- cores ------------------------------------------------------------
 
   struct Core {
@@ -233,10 +196,11 @@ class DomDecider {
   };
 
   Status BuildCores() {
-    RELCONT_ASSIGN_OR_RETURN(
-        UnionQuery cores,
-        UnfoldToUnion(rest_, goal_, interner_));
+    RELCONT_ASSIGN_OR_RETURN(UnionQuery cores,
+                             UnfoldToUnion(rest_, goal_, interner_));
+    const SkolemFilter skolems(program_.rest);
     for (Rule& r : cores.disjuncts) {
+      if (skolems.DerivesNothing(r)) continue;
       Core core;
       core.unfolded = r;
       std::vector<Term> seen;
@@ -513,38 +477,39 @@ class DomDecider {
   }
 
   // Computes the saturated set of variable-output tree types, then the
-  // constant-output types the cores need.
+  // constant-output types the cores need. Semi-naive: a rule's child
+  // combination whose tree children were all kept before the rule was last
+  // enumerated was built then, and builds the same type again, so from
+  // its second enumeration on a rule builds only the combinations with a
+  // child kept since. The kept types, their order and the rounds are the
+  // naive loop's.
   Status Saturate() {
     RELCONT_TRACE_SPAN("dom_saturate");
-    auto key_of = [](const TreeOption& o) {
-      std::string key = std::to_string(o.output_const) + "|";
-      for (const ProfileEntry& e : o.entries) {
-        key += std::to_string(e.disjunct) + "," + std::to_string(e.atoms) +
-               "," + std::to_string(e.boundary);
-        for (const auto& [v, c] : e.consts) {
-          key += ":" + std::to_string(v) + "=" + std::to_string(c);
-        }
-        key += ";";
-      }
-      return key;
+    std::set<const TreeOption*, ProfileLess> seen;
+    // Keeps `option` if its type is new; true if kept.
+    auto keep = [&](TreeOption&& option) {
+      if (seen.count(&option) > 0) return false;
+      RELCONT_TRACE_COUNT(kDomTreeOptions, 1);
+      tree_options_.push_back(std::move(option));
+      seen.insert(&tree_options_.back());
+      return true;
     };
-    std::set<std::string> seen;
+    // Per rule: the pool size when it was last enumerated (-1: never).
+    std::vector<int> enumerated(node_rules_.size(), -1);
     bool changed = true;
     while (changed) {
       RELCONT_TRACE_COUNT(kDomSaturationRounds, 1);
       changed = false;
       for (size_t r = 0; r < node_rules_.size(); ++r) {
         std::vector<std::vector<ChildRef>> combos;
-        RELCONT_RETURN_NOT_OK(ChildCombos(node_rules_[r], &combos));
+        int since = enumerated[r];
+        enumerated[r] = static_cast<int>(tree_options_.size());
+        RELCONT_RETURN_NOT_OK(ChildCombos(node_rules_[r], since, &combos));
         for (const std::vector<ChildRef>& children : combos) {
           RELCONT_ASSIGN_OR_RETURN(
               TreeOption option,
               BuildOption(static_cast<int>(r), /*output_const=*/-1, children));
-          if (seen.insert(key_of(option)).second) {
-            RELCONT_TRACE_COUNT(kDomTreeOptions, 1);
-            tree_options_.push_back(std::move(option));
-            changed = true;
-          }
+          changed |= keep(std::move(option));
         }
       }
     }
@@ -554,15 +519,12 @@ class DomDecider {
     for (int cidx : needed_const_outputs_) {
       for (size_t r = 0; r < node_rules_.size(); ++r) {
         std::vector<std::vector<ChildRef>> combos;
-        RELCONT_RETURN_NOT_OK(ChildCombos(node_rules_[r], &combos));
+        RELCONT_RETURN_NOT_OK(ChildCombos(node_rules_[r], -1, &combos));
         for (const std::vector<ChildRef>& children : combos) {
           RELCONT_ASSIGN_OR_RETURN(
               TreeOption option,
               BuildOption(static_cast<int>(r), cidx, children));
-          if (seen.insert(key_of(option)).second) {
-            RELCONT_TRACE_COUNT(kDomTreeOptions, 1);
-            tree_options_.push_back(std::move(option));
-          }
+          keep(std::move(option));
         }
       }
     }
@@ -570,10 +532,12 @@ class DomDecider {
   }
 
   // All assignments of the rule's guards to {dom-fact constants} ∪
-  // {existing variable-output tree types}. Children always come from the
-  // variable-output pool: guard resolution unifies a VARIABLE with the
-  // child rule's head, so constant-output types never serve as children.
-  Status ChildCombos(const NodeRule& node,
+  // {existing variable-output tree types}, in odometer order; with `since`
+  // >= 0 only those with a tree child at index `since` or later. Children
+  // always come from the variable-output pool: guard resolution unifies a
+  // VARIABLE with the child rule's head, so constant-output types never
+  // serve as children.
+  Status ChildCombos(const NodeRule& node, int since,
                      std::vector<std::vector<ChildRef>>* out) {
     std::vector<ChildRef> choices;
     for (int c : dom_fact_consts_) choices.push_back({true, c});
@@ -594,18 +558,23 @@ class DomDecider {
       }
     }
     std::vector<ChildRef> current(k);
+    // Children at index `since` or later among the current choices.
+    int recent = 0;
     std::function<void(size_t)> rec = [&](size_t i) {
       if (i == k) {
-        out->push_back(current);
+        if (since < 0 || recent > 0) out->push_back(current);
         return;
       }
       for (const ChildRef& c : choices) {
         current[i] = c;
+        bool is_recent = !c.is_const && c.index >= since;
+        recent += is_recent;
         rec(i + 1);
+        recent -= is_recent;
       }
     };
     if (k == 0) {
-      out->push_back({});
+      if (since < 0) out->push_back({});
     } else {
       if (choices.empty()) return Status::OK();  // no way to feed guards
       rec(0);
@@ -912,28 +881,17 @@ class DomDecider {
 
   Status MaterializeTree(const TreeRep& rep, const Term& attachment,
                          Substitution* subst, std::vector<Atom>* atoms) {
-    Rule fresh = RenameApart(node_rules_[rep.rule_index].rule, interner_);
-    // Recover the fresh guard variables in order.
-    std::vector<SymbolId> guards;
-    std::set<SymbolId> seen;
-    SymbolId output = fresh.head.args[0].symbol();
-    std::vector<Atom> edb;
-    for (const Atom& a : fresh.body) {
-      if (a.predicate == dom_) {
-        if (a.args[0].is_variable() && a.args[0].symbol() != output &&
-            seen.insert(a.args[0].symbol()).second) {
-          guards.push_back(a.args[0].symbol());
-        }
-      } else {
-        edb.push_back(a);
-      }
-    }
-    if (!UnifyTerms(Term::Var(output), attachment, subst)) {
+    // A fresh copy of the node rule.
+    const DomNodeRule& node = *node_rules_[rep.rule_index].numbered;
+    SymbolId first = interner_->FreshBlock("_R", node.num_vars);
+    if (!UnifyTerms(Term::Var(first + node.output), attachment, subst)) {
       return Status::Internal("tree output failed to unify with attachment");
     }
-    for (size_t i = 0; i < rep.children.size() && i < guards.size(); ++i) {
+    for (size_t i = 0; i < rep.children.size() && i < node.guards.size();
+         ++i) {
+      SymbolId guard = first + node.guards[i];
       if (rep.children[i].is_const) {
-        if (!UnifyTerms(Term::Var(guards[i]),
+        if (!UnifyTerms(Term::Var(guard),
                         Term::Constant(const_table_[rep.children[i].index]),
                         subst)) {
           return Status::Internal("guard failed to unify with constant");
@@ -941,10 +899,12 @@ class DomDecider {
       } else {
         RELCONT_RETURN_NOT_OK(
             MaterializeTree(tree_options_[rep.children[i].index].rep,
-                            Term::Var(guards[i]), subst, atoms));
+                            Term::Var(guard), subst, atoms));
       }
     }
-    for (const Atom& a : edb) atoms->push_back(a);
+    for (const Atom& a : node.body_edb) {
+      atoms->push_back(InstantiateNumbered(a, first));
+    }
     return Status::OK();
   }
 
@@ -953,17 +913,18 @@ class DomDecider {
   SymbolId goal_;
   SymbolId dom_;
   Interner* interner_;
-  const Program& program_;
+  const DomProgram& program_;
+  Resolver rest_;
   const UnionQuery& q2_;
 
-  Program rest_;
   std::vector<NodeRule> node_rules_;
   std::set<int> dom_fact_consts_;
   std::vector<Value> const_table_;
   std::vector<DisjunctInfo> disjuncts_;
   std::vector<Core> cores_;
   std::set<int> needed_const_outputs_;
-  std::vector<TreeOption> tree_options_;
+  // A deque: kept types stay put, so Saturate can index them by address.
+  std::deque<TreeOption> tree_options_;
   int var_option_count_ = 0;
   SymbolId boundary_marker_ = kInvalidSymbol;
   std::vector<SymbolId> child_markers_;
@@ -983,11 +944,110 @@ Status CheckDisjunctSizes(const UnionQuery& q) {
   return Status::OK();
 }
 
-Result<DomContainmentResult> DomPlanContainedInUcq(
-    const Program& program, SymbolId goal, SymbolId dom_pred,
+Result<DomContainmentResult> DomProgramContainedInUcq(
+    const DomProgram& program, SymbolId goal, SymbolId dom_pred,
     const UnionQuery& q2, Interner* interner) {
   RELCONT_TRACE_SPAN("dom_containment");
   return DomDecider(program, goal, dom_pred, q2, interner).Run();
+}
+
+namespace {
+
+// Checks the node shape of `rule` (a unary `dom` head over a variable;
+// unary dom guards over variables or constants, none over the head
+// variable; no comparisons) and numbers it; kUnsupported otherwise.
+Result<DomNodeRule> AnalyzeNodeRule(const Rule& rule, SymbolId dom) {
+  if (!rule.comparisons.empty()) {
+    return Status::Unsupported("program must be comparison-free");
+  }
+  if (rule.head.predicate != dom || rule.head.arity() != 1) {
+    return Status::Unsupported("dom predicate must be unary");
+  }
+  const Term& head_arg = rule.head.args[0];
+  if (!head_arg.is_variable()) {
+    return Status::Unsupported("dom rule heads must be variables");
+  }
+  NumberedRule numbered(rule);
+  DomNodeRule out;
+  out.num_vars = numbered.num_vars();
+  out.output = 0;  // the head variable occurs first
+  std::vector<bool> guarded(out.num_vars, false);
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    const Atom& a = rule.body[i];
+    if (a.predicate != dom) {
+      out.body_edb.push_back(numbered.body()[i]);
+      continue;
+    }
+    if (a.arity() != 1) {
+      return Status::Unsupported("dom predicate must be unary");
+    }
+    const Term& arg = a.args[0];
+    if (arg.is_constant()) {
+      out.constant_guards.push_back(arg.value());
+      continue;
+    }
+    if (!arg.is_variable()) {
+      return Status::Unsupported("dom guards must be variables");
+    }
+    if (arg.symbol() == head_arg.symbol()) {
+      return Status::Unsupported("dom rule output guarded by itself");
+    }
+    int32_t v = numbered.body()[i].args[0].symbol();
+    if (!guarded[v]) {
+      guarded[v] = true;
+      out.guards.push_back(v);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<DomContainmentResult> DomPlanContainedInUcq(
+    const Program& program, SymbolId goal, SymbolId dom_pred,
+    const UnionQuery& q2, Interner* interner) {
+  RELCONT_RETURN_NOT_OK(program.CheckSafe());
+  // Split the program into dom facts, dom node rules, and the rest.
+  std::vector<Rule> rest;
+  std::vector<DomNodeRule> nodes;
+  DomProgram split;
+  for (const Rule& r : program.rules) {
+    if (!r.comparisons.empty()) {
+      return Status::Unsupported("program must be comparison-free");
+    }
+    if (r.head.predicate != dom_pred) {
+      rest.push_back(r);
+      continue;
+    }
+    if (r.head.arity() != 1) {
+      return Status::Unsupported("dom predicate must be unary");
+    }
+    if (r.body.empty()) {
+      if (!r.head.args[0].is_constant()) {
+        return Status::Unsupported("dom facts must be constants");
+      }
+      split.facts.push_back(r.head.args[0].value());
+      split.constants.push_back(r.head.args[0].value());
+      continue;
+    }
+    RELCONT_ASSIGN_OR_RETURN(DomNodeRule node,
+                             AnalyzeNodeRule(r, dom_pred));
+    for (const Value& c : node.constant_guards) {
+      // A constant guard is only tractable when a dom fact satisfies it.
+      split.constants.push_back(c);
+      if (std::ranges::find(split.facts, c) == split.facts.end()) {
+        return Status::Unsupported(
+            "constant dom guard without a matching dom fact");
+      }
+    }
+    nodes.push_back(std::move(node));
+  }
+  std::vector<Value> constants = program.Constants();
+  split.constants.insert(split.constants.end(), constants.begin(),
+                         constants.end());
+  split.rest = rest;
+  split.nodes = nodes;
+  return DomProgramContainedInUcq(split, goal, dom_pred, q2, interner);
 }
 
 }  // namespace relcont

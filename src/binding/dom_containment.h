@@ -2,6 +2,7 @@
 #define RELCONT_BINDING_DOM_CONTAINMENT_H_
 
 #include <optional>
+#include <span>
 
 #include "datalog/unfold.h"
 
@@ -56,6 +57,41 @@ struct DomContainmentResult {
   /// database.
   std::optional<Rule> counterexample;
 };
+
+/// A dom node rule  dom(X) :- dom(Y1), ..., dom(Yk), e1, ..., em  as the
+/// decider reads it, analyzed once: variables numbered 0..num_vars-1 in
+/// first-occurrence order (as NumberedRule numbers them), so instantiating
+/// it on a block of num_vars fresh ids renames the rule apart.
+struct DomNodeRule {
+  int32_t num_vars = 0;
+  /// The head variable.
+  int32_t output = 0;
+  /// The distinct variable guards, in body order.
+  std::vector<int32_t> guards;
+  /// The body atoms other than dom, numbered.
+  std::vector<Atom> body_edb;
+  /// The constant guards dom(c), in body order.
+  std::vector<Value> constant_guards;
+};
+
+/// A dom-shaped program split into what the decider reads.
+struct DomProgram {
+  /// The rules that do not define dom.
+  std::span<const Rule> rest;
+  /// The dom node rules, in program order.
+  std::span<const DomNodeRule> nodes;
+  /// The constants of the dom facts, in program order.
+  std::vector<Value> facts;
+  /// Leading entries of the decider's constant table, in order: the
+  /// program's constants as it first meets them.
+  std::vector<Value> constants;
+};
+
+/// Decides `program ⊑ q2` for a program already split (see
+/// DomPlanContainedInUcq, which splits and then calls this).
+Result<DomContainmentResult> DomProgramContainedInUcq(
+    const DomProgram& program, SymbolId goal, SymbolId dom_pred,
+    const UnionQuery& q2, Interner* interner);
 
 /// Decides `program ⊑ q2` where `program`'s only recursion runs through
 /// the unary predicate `dom_pred` (shape above) and everything is

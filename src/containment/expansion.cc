@@ -1,5 +1,7 @@
 #include "containment/expansion.h"
 
+#include <algorithm>
+
 #include "common/budget.h"
 #include "containment/cq_containment.h"
 #include "datalog/unfold.h"
@@ -32,6 +34,36 @@ Result<bool> ForEachExpansion(const Program& program, SymbolId goal,
   return run.complete;
 }
 
+namespace {
+
+bool MentionsFunction(const Term& t, const std::set<SymbolId>& functions) {
+  if (!t.is_function()) return false;
+  return functions.count(t.symbol()) > 0 ||
+         std::ranges::any_of(t.args(), [&](const Term& arg) {
+           return MentionsFunction(arg, functions);
+         });
+}
+
+}  // namespace
+
+SkolemFilter::SkolemFilter(std::span<const Rule> rules) {
+  for (const Rule& r : rules) {
+    for (const Term& t : r.head.args) {
+      if (t.is_function()) skolems_.insert(t.symbol());
+    }
+  }
+}
+
+bool SkolemFilter::DerivesNothing(const Rule& expansion) const {
+  if (expansion.head.HasFunctionTerm()) return true;
+  if (skolems_.empty()) return false;
+  return std::ranges::any_of(expansion.body, [&](const Atom& a) {
+    return std::ranges::any_of(a.args, [&](const Term& t) {
+      return MentionsFunction(t, skolems_);
+    });
+  });
+}
+
 Result<bool> DatalogContainedInUcqBounded(const Program& program,
                                           SymbolId goal, const UnionQuery& q,
                                           Interner* interner,
@@ -40,8 +72,10 @@ Result<bool> DatalogContainedInUcqBounded(const Program& program,
   bool all_contained = true;
   Rule counterexample;
   Status inner_error;
+  const SkolemFilter skolems(program.rules);
   Result<bool> complete = ForEachExpansion(
       program, goal, interner, options, [&](const Rule& expansion) {
+        if (skolems.DerivesNothing(expansion)) return true;
         Result<bool> contained = CqContainedInUnion(expansion, q);
         if (!contained.ok()) {
           inner_error = contained.status();

@@ -2,6 +2,8 @@
 #define RELCONT_CONTAINMENT_EXPANSION_H_
 
 #include <functional>
+#include <set>
+#include <span>
 
 #include "common/status.h"
 #include "datalog/program.h"
@@ -35,9 +37,25 @@ Result<bool> ForEachExpansion(const Program& program, SymbolId goal,
                               const ExpansionOptions& options,
                               const std::function<bool(const Rule&)>& visit);
 
+/// The expansions of a program that derive no answer over a database. A
+/// goal tuple carrying a function term is no answer (the evaluator drops
+/// it). A function symbol some rule head builds is a Skolem function: its
+/// terms are values no stored relation holds, so an expansion with one in
+/// a body atom derives nothing either. Function terms that only bodies
+/// write are opaque values.
+class SkolemFilter {
+ public:
+  explicit SkolemFilter(std::span<const Rule> rules);
+
+  bool DerivesNothing(const Rule& expansion) const;
+
+ private:
+  std::set<SymbolId> skolems_;
+};
+
 /// Bounded containment check of a datalog program in a UCQ
 /// (comparison-free): searches the program's expansions for one not
-/// contained in `q`.
+/// contained in `q`, skipping those that derive nothing (SkolemFilter).
 ///  * Finds a counterexample within the bounds -> returns false (definite;
 ///    `witness` receives the offending expansion).
 ///  * Full enumeration, all contained -> returns true (definite).

@@ -9,6 +9,13 @@ bool Atom::IsGround() const {
   return true;
 }
 
+bool Atom::HasFunctionTerm() const {
+  for (const Term& t : args) {
+    if (t.is_function()) return true;
+  }
+  return false;
+}
+
 void Atom::CollectVars(std::vector<SymbolId>* out) const {
   for (const Term& t : args) t.CollectVars(out);
 }

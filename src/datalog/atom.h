@@ -19,6 +19,8 @@ struct Atom {
 
   int arity() const { return static_cast<int>(args.size()); }
   bool IsGround() const;
+  /// True iff a function (Skolem) term is an argument.
+  bool HasFunctionTerm() const;
   /// Appends all variables occurring in the atom to `out` (with repeats).
   void CollectVars(std::vector<SymbolId>* out) const;
 

@@ -68,6 +68,14 @@ std::vector<Value> Rule::Constants() const {
   return out;
 }
 
+bool Rule::HasFunctionTerm() const {
+  return head.HasFunctionTerm() ||
+         std::ranges::any_of(body, &Atom::HasFunctionTerm) ||
+         std::ranges::any_of(comparisons, [](const Comparison& c) {
+           return c.lhs.is_function() || c.rhs.is_function();
+         });
+}
+
 Status Rule::CheckSafe() const {
   std::vector<SymbolId> body_vars = BodyVariables();
   std::vector<SymbolId> head_vars;

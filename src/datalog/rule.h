@@ -37,6 +37,8 @@ struct Rule {
   std::vector<SymbolId> BodyVariables() const;
   /// All constant values occurring anywhere in the rule.
   std::vector<Value> Constants() const;
+  /// True iff a function (Skolem) term occurs anywhere in the rule.
+  bool HasFunctionTerm() const;
 
   /// Checks the safety requirements from Section 2.1: every head variable
   /// appears in a relational body subgoal, and every variable used in a

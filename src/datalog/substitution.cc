@@ -324,9 +324,25 @@ NumberedRule::NumberedRule(const Rule& rule) {
   rule_ = numbering.ApplyOnce(rule);
 }
 
+NumberedRule::NumberedRule(const Rule& rule, std::span<const SymbolId> order)
+    : num_vars_(static_cast<int32_t>(order.size())) {
+  Substitution numbering;
+  for (size_t i = 0; i < order.size(); ++i) {
+    numbering.Bind(order[i], Term::Var(static_cast<SymbolId>(i)));
+  }
+  rule_ = numbering.ApplyOnce(rule);
+}
+
 Rule NumberedRule::RenameApart(Interner* interner) const {
-  SymbolId first = interner->FreshBlock("_R", num_vars_);
+  return Instantiate(interner->FreshBlock("_R", num_vars_));
+}
+
+Rule NumberedRule::Instantiate(SymbolId first) const {
   return MapRule(rule_, [first](const Term& t) { return Renamed(t, first); });
+}
+
+Atom InstantiateNumbered(const Atom& numbered, SymbolId first) {
+  return MapAtom(numbered, [first](const Term& t) { return Renamed(t, first); });
 }
 
 bool NumberedRule::Resolve(const Rule& rule, size_t index,

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "datalog/program.h"
@@ -109,6 +110,10 @@ bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst,
 class NumberedRule {
  public:
   explicit NumberedRule(const Rule& rule);
+  /// Numbers `rule`'s variables by their position in `order`, which lists
+  /// every variable of the rule once (e.g. a view's variables, so that
+  /// rules built from one view share its numbering).
+  NumberedRule(const Rule& rule, std::span<const SymbolId> order);
 
   int32_t num_vars() const { return num_vars_; }
   /// The body atoms, variables numbered: only their predicates mean
@@ -118,6 +123,9 @@ class NumberedRule {
   /// A copy whose variables are fresh "_R" symbols: the names k
   /// Interner::Fresh("_R") calls would give, in first-occurrence order.
   Rule RenameApart(Interner* interner) const;
+  /// The copy with variable i renamed to `first` + i, for a block of
+  /// num_vars() fresh ids minted by the caller.
+  Rule Instantiate(SymbolId first) const;
 
   /// One resolution step. Renames this rule apart (minting its k fresh
   /// symbols whether or not the step succeeds), unifies `rule.body[index]`
@@ -132,6 +140,10 @@ class NumberedRule {
   Rule rule_;
   int32_t num_vars_ = 0;
 };
+
+/// `numbered` (an atom whose variables hold numbers, as in NumberedRule)
+/// with variable i renamed to `first` + i.
+Atom InstantiateNumbered(const Atom& numbered, SymbolId first);
 
 /// Renames every variable of `rule` to a fresh variable from `interner`,
 /// making it variable-disjoint from everything interned so far.

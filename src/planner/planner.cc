@@ -38,13 +38,13 @@ PlanResponse Planner::Plan(const PlanRequest& request, WorkerContext* ctx) {
     const GoalQuery& query = question.queries[0];
     BudgetScope budget_scope(&state.budget);
     RELCONT_TRACE_SPAN("planner_plan");
-    if (!catalog->patterns.empty()) {
+    if (catalog->plan) {
       // Section 4: the executable maximally-contained plan — recursive
       // through the unary dom accumulator, Skolem terms in the guarded
       // inverse rules (they round-trip through ParseProgram).
       RELCONT_ASSIGN_OR_RETURN(
           ExecutablePlanResult plan,
-          ExecutablePlan(query.program, catalog->views, catalog->patterns,
+          ExecutablePlan(query.program, catalog->views, *catalog->plan,
                          ctx->interner()));
       out.plan_text = plan.program.ToString(*ctx->interner());
       out.dom_predicate = ctx->interner()->NameOf(plan.dom_predicate);
@@ -89,7 +89,7 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
     const MaterializedCatalog* catalog = state.catalog;
     // Known before the cache lookup, so cache hits attribute their window
     // sample to the regime the cached answer came from.
-    bool used_patterns = !catalog->patterns.empty();
+    bool used_patterns = catalog->plan.has_value();
     Regime regime = used_patterns ? Regime::kSection4 : Regime::kSection3;
     const std::array<QuestionQuery, 2> queries = {
         {{request.q1_text, request.q1_fingerprint},
@@ -111,7 +111,7 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
       RELCONT_ASSIGN_OR_RETURN(
           BindingRelativeResult result,
           RelativelyContainedWithBindingPatterns(
-              q1, q2, catalog->views, catalog->patterns, ctx->interner()));
+              q1, q2, catalog->views, *catalog->plan, ctx->interner()));
       out.contained = result.contained;
       if (result.counterexample.has_value()) {
         out.witness_text = result.counterexample->ToString(*ctx->interner());

@@ -24,12 +24,20 @@ struct BindingRelativeResult {
   std::optional<Rule> counterexample;
 };
 
-/// Decides Q1 ⊑_{V,B} Q2. Q1 may be recursive in principle but must stay
-/// within the decidable shape (conjunctive/nonrecursive in this
-/// implementation); Q2 must be nonrecursive; everything comparison-free.
-/// Definition 4.5 requires the constants of Q1 ∪ V to be a subset of those
-/// of Q2 ∪ V; violations are reported as kInvalidArgument. A Q2 disjunct
-/// over the kMaxDisjunctSize representation limit is kUnsupported.
+/// Decides Q1 ⊑_{V,B} Q2 over the catalog's compiled executable plan
+/// `plan` (of `views` under its binding patterns). Q1 may be recursive in
+/// principle but must stay within the decidable shape
+/// (conjunctive/nonrecursive in this implementation; a recursive Q1 falls
+/// back to the bounded expansion search, definite only on a NO); Q2 must
+/// be nonrecursive; everything comparison-free. Definition 4.5 requires
+/// the constants of Q1 ∪ V to be a subset of those of Q2 ∪ V; violations
+/// are reported as kInvalidArgument. A Q2 disjunct over the
+/// kMaxDisjunctSize representation limit is kUnsupported.
+Result<BindingRelativeResult> RelativelyContainedWithBindingPatterns(
+    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
+    const ExecutablePlanTemplate& plan, Interner* interner);
+
+/// Compiles the plan of `views` under `patterns`, then as above.
 Result<BindingRelativeResult> RelativelyContainedWithBindingPatterns(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     const BindingPatterns& patterns, Interner* interner);

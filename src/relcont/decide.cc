@@ -49,6 +49,19 @@ Result<Decision> DecideRelativeContainment(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     const BindingPatterns& patterns, Interner* interner,
     const DecideOptions& options) {
+  if (patterns.empty()) {
+    return DecideRelativeContainment(q1, q2, views, nullptr, interner,
+                                     options);
+  }
+  RELCONT_ASSIGN_OR_RETURN(ExecutablePlanTemplate plan,
+                           ExecutablePlanTemplate::Compile(views, patterns));
+  return DecideRelativeContainment(q1, q2, views, &plan, interner, options);
+}
+
+Result<Decision> DecideRelativeContainment(
+    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
+    const ExecutablePlanTemplate* plan, Interner* interner,
+    const DecideOptions& options) {
   RELCONT_TRACE_SPAN("decide");
   // Library-direct callers with no installed budget get a local root
   // budget for this call. When a budget is already installed (the
@@ -65,7 +78,7 @@ Result<Decision> DecideRelativeContainment(
   bool comparisons = HasComparisons(q1.program) || HasComparisons(q2.program) ||
                      views.has_comparisons();
   Decision out;
-  if (!patterns.empty()) {
+  if (plan != nullptr) {
     if (comparisons) {
       return Status::Unsupported(
           "binding patterns combined with comparison predicates are outside "
@@ -74,7 +87,7 @@ Result<Decision> DecideRelativeContainment(
     RELCONT_TRACE_SPAN("regime_section4");
     RELCONT_ASSIGN_OR_RETURN(
         BindingRelativeResult r,
-        RelativelyContainedWithBindingPatterns(q1, q2, views, patterns,
+        RelativelyContainedWithBindingPatterns(q1, q2, views, *plan,
                                                interner));
     out.contained = r.contained;
     out.regime = Regime::kSection4;

@@ -92,6 +92,17 @@ struct Decision {
 /// constants). Interner is NOT thread-safe, so concurrent callers must not
 /// share one — give each thread its own Interner and parse the inputs
 /// against it (see service/service.h for the worker-arena pattern).
+///
+/// `plan` is the executable plan of `views` under the catalog's binding
+/// patterns (ExecutablePlanTemplate::Compile), or null when the catalog has
+/// none. With a plan the question is one for Section 4.
+Result<Decision> DecideRelativeContainment(
+    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
+    const ExecutablePlanTemplate* plan, Interner* interner,
+    const DecideOptions& options = {});
+
+/// Compiles the plan of `views` under `patterns` when there are patterns,
+/// then as above.
 Result<Decision> DecideRelativeContainment(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     const BindingPatterns& patterns, Interner* interner,

@@ -144,34 +144,24 @@ Result<bool> RelativelyContainedOneRecursive(
     RELCONT_TRACE_SPAN("containment_check");
     return UnionContainedInDatalog(plan1, p2, q2.goal, interner, witness);
   }
-  // Q1 recursive: P1^exp ⊑ Q2 via bounded expansion search. Build the
-  // expansion with the binding-pattern machinery (empty pattern set) so
-  // the plan's mediated relations are renamed apart from the stored ones,
-  // then drop the unused dom apparatus.
-  Program pruned;
+  // Q1 recursive: P1^exp ⊑ Q2 via bounded expansion search over the
+  // expansion of Q1's plan against the catalog's unguarded inverse rules
+  // (no dom rules: without binding patterns every source is callable).
+  ExpandedExecutablePlan p1_exp;
   UnionQuery q2_ucq;
   {
     RELCONT_TRACE_SPAN("build_plans");
-    BindingPatterns no_patterns;
     RELCONT_ASSIGN_OR_RETURN(
-        ExecutablePlanResult plan,
-        ExecutablePlan(q1.program, views, no_patterns, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        Program p1_exp,
-        ExpandExecutablePlanForContainment(plan, q1.goal, views, interner));
-    for (Rule& r : p1_exp.rules) {
-      if (r.head.predicate != plan.dom_predicate) {
-        pruned.rules.push_back(std::move(r));
-      }
-    }
+        p1_exp, ExpandExecutablePlan(q1.program, q1.goal, views,
+                                     /*plan=*/nullptr, interner));
     RELCONT_ASSIGN_OR_RETURN(
         q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner));
   }
   RELCONT_TRACE_SPAN("containment_check");
   ExpansionOptions bounds;
   bounds.max_rule_applications = options.max_rule_applications;
-  return DatalogContainedInUcqBounded(pruned, q1.goal, q2_ucq, interner,
-                                      bounds, witness);
+  return DatalogContainedInUcqBounded(p1_exp.program, q1.goal, q2_ucq,
+                                      interner, bounds, witness);
 }
 
 Result<std::set<SymbolId>> RelevantSources(const GoalQuery& query,

@@ -46,26 +46,6 @@ Resolver PlanResolver(const Program& query, const ViewSet& views) {
   });
 }
 
-namespace {
-
-bool RuleHasFunctionTerm(const Rule& r) {
-  auto term_has = [](const Term& t) { return t.is_function(); };
-  for (const Term& t : r.head.args) {
-    if (term_has(t)) return true;
-  }
-  for (const Atom& a : r.body) {
-    for (const Term& t : a.args) {
-      if (term_has(t)) return true;
-    }
-  }
-  for (const Comparison& c : r.comparisons) {
-    if (term_has(c.lhs) || term_has(c.rhs)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 Result<UnionQuery> UnionPlan(const Program& query, SymbolId goal,
                              const ViewSet& views, Interner* interner) {
   RELCONT_TRACE_SPAN("plan_inverse_rules");
@@ -76,7 +56,7 @@ Result<UnionQuery> UnionPlan(const Program& query, SymbolId goal,
   const std::set<SymbolId>& sources = views.SourcePredicates();
   UnionQuery out;
   for (Rule& d : unfolded.disjuncts) {
-    if (RuleHasFunctionTerm(d)) {
+    if (d.HasFunctionTerm()) {
       RELCONT_TRACE_COUNT(kPlanDisjunctsDropped, 1);
       continue;
     }

@@ -124,6 +124,20 @@ Result<ViewSet> ViewSet::Make(std::vector<ViewDefinition> views,
     out.constants_.insert(out.constants_.end(), constants.begin(),
                           constants.end());
   }
+  for (SymbolId p : out.mediated_) {
+    out.primed_.emplace(p, interner->Intern(PrimedName(interner->NameOf(p))));
+  }
+  for (size_t v = 0; v < views.size(); ++v) {
+    std::vector<SymbolId> order = views[v].rule.Variables();
+    for (const Rule& inverse : out.InverseRulesOf(v)) {
+      Atom head = inverse.head;
+      head.predicate = out.primed_.at(head.predicate);
+      out.inverse_view_.push_back(v);
+      // Instantiated at 0: the head with its variables' view numbers.
+      out.primed_heads_.push_back(
+          NumberedRule(Rule(std::move(head), {}), order).Instantiate(0).head);
+    }
+  }
   out.views_ = std::move(views);
   return out;
 }
@@ -136,6 +150,21 @@ int ViewSet::IndexOf(SymbolId source_pred) const {
 const ViewDefinition* ViewSet::Find(SymbolId source_pred) const {
   int i = IndexOf(source_pred);
   return i < 0 ? nullptr : &views_[i];
+}
+
+Rule ViewSet::ExpandedInverseRule(size_t i, SymbolId first) const {
+  Rule out = numbered_[inverse_view_[i]].Instantiate(first);
+  out.head = InstantiateNumbered(primed_heads_[i], first);
+  return out;
+}
+
+SymbolId ViewSet::Primed(SymbolId mediated) const {
+  auto it = primed_.find(mediated);
+  return it == primed_.end() ? kInvalidSymbol : it->second;
+}
+
+std::string PrimedName(std::string_view name) {
+  return std::string(name) + "'";
 }
 
 std::span<const Rule> ViewSet::InverseRulesOf(size_t i) const {

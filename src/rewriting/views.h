@@ -74,6 +74,21 @@ class ViewSet {
   /// views()[i]'s rule with its variables numbered, for resolving a source
   /// subgoal against the view definition.
   const NumberedRule& NumberedView(size_t i) const { return numbered_[i]; }
+
+  /// The plan's copy of the mediated predicate `mediated` in an expanded
+  /// plan (P^exp), which reads the stored relation of the same name; or
+  /// kInvalidSymbol if no view body mentions it. Interned by Make with the
+  /// spelling PrimedName.
+  SymbolId Primed(SymbolId mediated) const;
+  /// inverse_rules()[i] expanded over the stored relations and renamed
+  /// onto the block of fresh ids from `first` (as many as its view's
+  /// NumberedView has variables): its head with the predicate Primed, then
+  /// the body and comparisons of its view. This is what resolving the
+  /// inverse rule's source subgoal against the view renamed onto that
+  /// block gives.
+  Rule ExpandedInverseRule(size_t i, SymbolId first) const;
+  /// The view whose inverse rule is inverse_rules()[i].
+  size_t ViewOfInverseRule(size_t i) const { return inverse_view_[i]; }
   /// The dense-order constraints views()[i] guarantees about its head
   /// (ProjectConstraintsToHead of its rule), computed once here. A view
   /// without comparisons guarantees none. A projection that fails is
@@ -98,6 +113,11 @@ class ViewSet {
   std::vector<size_t> inverse_begin_{0};
   std::unordered_map<SymbolId, std::vector<NumberedRule>> inverse_by_head_;
   std::vector<NumberedRule> numbered_;
+  std::unordered_map<SymbolId, SymbolId> primed_;
+  /// Per inverse rule: its view, and its head primed and numbered as its
+  /// view's NumberedView.
+  std::vector<size_t> inverse_view_;
+  std::vector<Atom> primed_heads_;
   std::vector<Result<std::vector<Comparison>>> head_constraints_;
 };
 
@@ -108,6 +128,10 @@ class ViewSet {
 /// Y < 5 projects to X < 5.
 Result<std::vector<Comparison>> ProjectConstraintsToHead(
     const Rule& view_rule);
+
+/// The name of the primed copy of predicate `name`: "name'". The parser
+/// reads no quote in an identifier, so no query or catalog spells it.
+std::string PrimedName(std::string_view name);
 
 /// Parses one view definition per rule and builds them with
 /// ViewSet::Make. All parsed views are incomplete (open-world) sources;

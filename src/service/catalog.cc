@@ -25,6 +25,10 @@ Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
     }
     out.patterns.AddAlternative(pred, std::move(adornment));
   }
+  if (!out.patterns.empty()) {
+    RELCONT_ASSIGN_OR_RETURN(
+        out.plan, ExecutablePlanTemplate::Compile(out.views, out.patterns));
+  }
   return out;
 }
 

@@ -5,11 +5,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "binding/adornment.h"
+#include "binding/dom_plan.h"
 #include "common/interner.h"
 #include "common/status.h"
 #include "rewriting/views.h"
@@ -41,11 +43,14 @@ struct CatalogSpec {
 
 /// A CatalogSpec parsed against one worker's interner. `views` is the
 /// compiled catalog (ViewSet::Make): checked, indexed and with its inverse
-/// rules Skolemized, once per worker and version.
+/// rules Skolemized, once per worker and version; `plan` is the catalog's
+/// share of the Section 4 executable plan under `patterns`, compiled with
+/// it (absent without patterns).
 struct MaterializedCatalog {
   int64_t version = 0;
   ViewSet views;
   BindingPatterns patterns;
+  std::optional<ExecutablePlanTemplate> plan;
 };
 
 /// Parses and compiles `spec` against `interner`: views must parse and pass

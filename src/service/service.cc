@@ -68,9 +68,10 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
     BudgetScope budget_scope(&state.budget);
     RELCONT_ASSIGN_OR_RETURN(
         Decision decision,
-        DecideRelativeContainment(q1, q2, state.catalog->views,
-                                  state.catalog->patterns, ctx->interner(),
-                                  request.options));
+        DecideRelativeContainment(
+            q1, q2, state.catalog->views,
+            state.catalog->plan ? &*state.catalog->plan : nullptr,
+            ctx->interner(), request.options));
     out.contained = decision.contained;
     out.regime = decision.regime;
     if (decision.witness.has_value()) {

@@ -3,7 +3,9 @@
 
 #include "binding/dom_plan.h"
 #include "datalog/parser.h"
+#include "datalog/substitution.h"
 #include "eval/evaluator.h"
+#include "relcont/decide.h"
 
 namespace relcont {
 namespace {
@@ -233,23 +235,24 @@ TEST_F(BindingTest, ExpandedPlanSeparatesPlanRelationsFromStored) {
   BindingPatterns patterns;
   patterns.Set(S("pricelookup"), A("bf"));
   Program query = P("q(P) :- price(I, P).");
-  Result<ExecutablePlanResult> plan =
-      ExecutablePlan(query, views, patterns, &interner_);
+  Result<ExecutablePlanTemplate> plan =
+      ExecutablePlanTemplate::Compile(views, patterns);
   ASSERT_TRUE(plan.ok());
-  Result<Program> expanded = ExpandExecutablePlanForContainment(
-      *plan, S("q"), views, &interner_);
+  Result<ExpandedExecutablePlan> expanded =
+      ExpandExecutablePlan(query, S("q"), views, &*plan, &interner_);
   ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
   // EDB schema is the mediated schema; the plan's own reconstruction of
   // price is a distinct (primed) IDB predicate.
-  std::set<SymbolId> edb = expanded->EdbPredicates();
+  std::set<SymbolId> edb = expanded->program.EdbPredicates();
   EXPECT_TRUE(edb.count(S("book")) > 0);
   EXPECT_TRUE(edb.count(S("price")) > 0);
-  std::set<SymbolId> idb = expanded->IdbPredicates();
+  std::set<SymbolId> idb = expanded->program.IdbPredicates();
   EXPECT_TRUE(idb.count(S("q")) > 0);
   EXPECT_EQ(idb.count(S("price")), 0u);
+  EXPECT_TRUE(idb.count(views.Primed(S("price"))) > 0);
   // Recursion survives only through dom.
-  EXPECT_EQ(expanded->RecursivePredicates(),
-            std::set<SymbolId>{plan->dom_predicate});
+  EXPECT_EQ(expanded->program.RecursivePredicates(),
+            std::set<SymbolId>{expanded->dom});
 }
 
 TEST_F(BindingTest, ExpandedPlanDropsUncoveredMediatedRelations) {
@@ -259,17 +262,97 @@ TEST_F(BindingTest, ExpandedPlanDropsUncoveredMediatedRelations) {
   Program query = P(
       "q(X) :- p(X).\n"
       "q(X) :- s(X).\n");
-  Result<ExecutablePlanResult> plan =
-      ExecutablePlan(query, views, patterns, &interner_);
+  Result<ExecutablePlanTemplate> plan =
+      ExecutablePlanTemplate::Compile(views, patterns);
   ASSERT_TRUE(plan.ok());
-  Result<Program> expanded = ExpandExecutablePlanForContainment(
-      *plan, S("q"), views, &interner_);
+  Result<ExpandedExecutablePlan> expanded =
+      ExpandExecutablePlan(query, S("q"), views, &*plan, &interner_);
   ASSERT_TRUE(expanded.ok());
   int q_rules = 0;
-  for (const Rule& r : expanded->rules) {
+  for (const Rule& r : expanded->program.rules) {
     if (r.head.predicate == S("q")) ++q_rules;
   }
   EXPECT_EQ(q_rules, 1);
+}
+
+// A relation spelled like the old primed copies ("_plan_" + name) is an
+// ordinary mediated relation: the plan's copy of e is spelled e', which no
+// parsed identifier spells, so it never merges with _plan_e.
+TEST_F(BindingTest, RelationSpelledLikeAPlanCopyStaysApart) {
+  ViewSet views = V(
+      "v(X, Y) :- e(X, Y).\n"
+      "w(X, Y) :- _plan_e(X, Y).\n"
+      "u(X, Y) :- e(X, Y).\n");
+  BindingPatterns patterns;
+  patterns.Set(S("u"), A("bf"));
+  GoalQuery a{P("a(X) :- _plan_e(X, Y)."), S("a")};
+  GoalQuery b{P("b(X) :- _plan_e(X, Y)."), S("b")};
+  Result<Decision> d =
+      DecideRelativeContainment(a, b, views, patterns, &interner_);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_TRUE(d->contained);
+  EXPECT_EQ(d->regime, Regime::kSection4);
+  EXPECT_NE(views.Primed(S("e")), views.Primed(S("_plan_e")));
+  EXPECT_EQ(interner_.NameOf(views.Primed(S("e"))), "e'");
+
+  // Theorem 3.2 with the recursion on Q1: the bounded search cannot certify
+  // the containment, and it must not refute it.
+  ViewSet open = V(
+      "v(X, Y) :- e(X, Y).\n"
+      "w(X, Y) :- _plan_e(X, Y).\n");
+  GoalQuery tc{P("a(X) :- t(X, Y).\n"
+                 "t(X, Y) :- _plan_e(X, Y).\n"
+                 "t(X, Y) :- _plan_e(X, Z), t(Z, Y).\n"),
+               S("a")};
+  Result<Decision> rec =
+      DecideRelativeContainment(tc, b, open, BindingPatterns(), &interner_);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kBoundReached);
+}
+
+// A Section 4 NO from the bounded fallback (Q1 recursive, outside the dom
+// shape) carries the witness every regime promises, and the witness is a
+// real counterexample: frozen, its induced source instance has the head
+// among Q1's reachable certain answers and not among Q2's.
+TEST_F(BindingTest, FallbackRefutationCarriesAWitness) {
+  ViewSet views = V(
+      "v(X, Y) :- e(X, Y).\n"
+      "u(X, Y) :- f(X, Y).\n");
+  BindingPatterns patterns;
+  patterns.Set(S("u"), A("bf"));
+  GoalQuery q1{P("a(X) :- t(X, Y).\n"
+                 "t(X, Y) :- e(X, Y).\n"
+                 "t(X, Y) :- e(X, Z), t(Z, Y).\n"),
+               S("a")};
+  GoalQuery q2{P("b(X) :- e(X, Y), e(Y, Z)."), S("b")};
+  Result<Decision> d =
+      DecideRelativeContainment(q1, q2, views, patterns, &interner_);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_FALSE(d->contained);
+  EXPECT_EQ(d->regime, Regime::kSection4);
+  ASSERT_TRUE(d->witness.has_value());
+  // Freeze the witness and take every view's full extension over it.
+  Substitution freeze;
+  for (SymbolId v : d->witness->Variables()) {
+    freeze.Bind(v, Term::Symbol(interner_.Fresh("_w")));
+  }
+  Database mediated;
+  for (const Atom& a : d->witness->body) mediated.Add(freeze.Apply(a));
+  Tuple head = freeze.Apply(d->witness->head).args;
+  Database sources;
+  for (const ViewDefinition& v : views.views()) {
+    Result<std::vector<Tuple>> ext =
+        EvaluateGoal(Program({v.rule}), v.source_predicate(), mediated);
+    ASSERT_TRUE(ext.ok());
+    for (Tuple& t : *ext) sources.Add(v.source_predicate(), std::move(t));
+  }
+  Result<std::vector<Tuple>> r1 = ReachableCertainAnswers(
+      q1.program, q1.goal, views, patterns, sources, &interner_);
+  Result<std::vector<Tuple>> r2 = ReachableCertainAnswers(
+      q2.program, q2.goal, views, patterns, sources, &interner_);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  EXPECT_NE(std::find(r1->begin(), r1->end(), head), r1->end());
+  EXPECT_EQ(std::find(r2->begin(), r2->end(), head), r2->end());
 }
 
 // Cross-validation: plan-based reachable certain answers equal evaluation

@@ -19,6 +19,11 @@
 //     are additionally pinned to the ∀∃-satisfiability oracle. Every CEGAR
 //     NO is re-verified the same way as the scan's: the witness instance
 //     carries a Q1 certain answer that Q2 does not.
+//   * Section 4 (three sub-sweeps over MakePathViewWorkload catalogs with
+//     `bf` patterns): the exact dom decider must agree with the bounded
+//     expansion search over P1^exp wherever that search is definite, and
+//     every NO witness, frozen into a source instance, must carry a
+//     reachable certain answer of Q1 (Definition 4.3) that Q2 lacks.
 //
 // Every failure message carries the seed; replay one case with
 //   RELCONT_DIFF_SEED=<seed> ./build/tests/differential_test
@@ -33,14 +38,21 @@
 
 #include <gtest/gtest.h>
 
+#include "binding/dom_plan.h"
+#include "common/budget.h"
+#include "containment/expansion.h"
 #include "datalog/parser.h"
 #include "datalog/substitution.h"
+#include "eval/evaluator.h"
+#include "relcont/binding_containment.h"
 #include "relcont/cegar.h"
 #include "relcont/certain_answers.h"
 #include "relcont/cwa.h"
+#include "relcont/decide.h"
 #include "relcont/pi2p_reduction.h"
 #include "relcont/relative_containment.h"
 #include "relcont/workload.h"
+#include "service/catalog.h"
 #include "trace/trace.h"
 
 namespace relcont {
@@ -664,6 +676,301 @@ TEST(DifferentialTest, QueryIdbNamingCatalogPredicateIsPinned) {
                       "NO q1(_R25) :- v2(_R25).", "YES", kCycle,  // CEGAR
                       "NO q1(_R51) :- r(_R51).", "YES", kCycle,  // Thm 5.2
                   }));
+}
+
+// ---------------------------------------------------------------------------
+// Fragment 5: Section 4, binding patterns over path views.
+// ---------------------------------------------------------------------------
+
+struct Section4Triple {
+  GoalQuery q1;
+  GoalQuery q2;
+  ViewSet views;
+  BindingPatterns patterns;
+};
+
+GoalQuery MustParseGoal(const std::string& text, const char* goal,
+                        Interner* interner) {
+  Result<Program> p = ParseProgram(text, interner);
+  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
+  return GoalQuery{p.ok() ? *p : Program(), interner->Intern(goal)};
+}
+
+/// The Section 4 case of sub-sweep `shape` for `seed`: a path-view catalog
+/// (Romero–Preda–Suchanek) whose input-bound views carry `bf`, and two
+/// chain queries over its relations. nullopt when no view is bound (the
+/// case would not be Section 4).
+std::optional<Section4Triple> MakeSection4Triple(int shape, uint64_t seed,
+                                                 Interner* interner) {
+  PathViewOptions options;
+  options.seed = seed;
+  switch (shape) {
+    case 0:  // small catalogs, short queries
+      options.num_views = 3 + static_cast<int>(seed % 3);
+      options.num_relations = 2;
+      options.max_length = 2;
+      options.bound_probability = 0.5;
+      options.query_length = 1 + static_cast<int>(seed % 2);
+      break;
+    case 1:  // wider catalogs over three relations
+      options.num_views = 4 + static_cast<int>(seed % 5);
+      options.num_relations = 3;
+      options.max_length = 3;
+      options.bound_probability = 0.7;
+      options.query_length = 1 + static_cast<int>(seed % 3);
+      break;
+    default:  // mostly bound views, longer queries
+      options.num_views = 2 + static_cast<int>(seed % 4);
+      options.num_relations = 3;
+      options.max_length = 2;
+      options.bound_probability = 0.8;
+      options.query_length = 2 + static_cast<int>(seed % 2);
+      break;
+  }
+  PathViewWorkload w = MakePathViewWorkload(options);
+  if (w.patterns.empty()) return std::nullopt;
+  options.query_length = 1 + static_cast<int>((seed / 2) % 2);
+  options.seed = seed * 2654435761ULL + 97;
+  std::string q2 = MakePathViewWorkload(options).query_text;
+  CatalogSpec spec;
+  spec.views_text = w.views_text;
+  spec.patterns = w.patterns;
+  Result<MaterializedCatalog> catalog = MaterializeCatalog(spec, interner);
+  EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+  if (!catalog.ok()) return std::nullopt;
+  // The generator names both queries q; rename their heads apart.
+  return Section4Triple{
+      MustParseGoal("qa" + w.query_text.substr(1), "qa", interner),
+      MustParseGoal("qb" + q2.substr(1), "qb", interner),
+      std::move(catalog->views), std::move(catalog->patterns)};
+}
+
+/// P1^exp of Theorem 4.1 for `t.q1`.
+Result<Program> ExpandedPlanOf(const Section4Triple& t, Interner* interner) {
+  RELCONT_ASSIGN_OR_RETURN(ExecutablePlanTemplate plan,
+                           ExecutablePlanTemplate::Compile(t.views, t.patterns));
+  RELCONT_ASSIGN_OR_RETURN(
+      ExpandedExecutablePlan p1_exp,
+      ExpandExecutablePlan(t.q1.program, t.q1.goal, t.views, &plan, interner));
+  return std::move(p1_exp.program);
+}
+
+/// The source instance a frozen witness database induces: every view's
+/// full extension over it (sound views may hold exactly that).
+Database SourceInstance(const ViewSet& views, const Database& mediated) {
+  Database out;
+  for (const ViewDefinition& v : views.views()) {
+    Result<std::vector<Tuple>> ext =
+        EvaluateGoal(Program({v.rule}), v.source_predicate(), mediated);
+    EXPECT_TRUE(ext.ok()) << ext.status().ToString();
+    if (!ext.ok()) continue;
+    for (Tuple& tuple : *ext) out.Add(v.source_predicate(), std::move(tuple));
+  }
+  return out;
+}
+
+/// Definition 4.3 re-check of a Section 4 NO: freezing `witness` gives a
+/// mediated instance whose induced source instance has the frozen head
+/// among Q1's reachable certain answers and not among Q2's.
+void ExpectSection4Refutation(const Section4Triple& t, const Rule& witness,
+                              Interner* interner, const std::string& hint) {
+  FrozenWitness w = FreezeWitness(witness, interner);
+  Database sources = SourceInstance(t.views, w.instance);
+  Result<std::vector<Tuple>> r1 = ReachableCertainAnswers(
+      t.q1.program, t.q1.goal, t.views, t.patterns, sources, interner);
+  Result<std::vector<Tuple>> r2 = ReachableCertainAnswers(
+      t.q2.program, t.q2.goal, t.views, t.patterns, sources, interner);
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString() << "\n" << hint;
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString() << "\n" << hint;
+  EXPECT_NE(std::find(r1->begin(), r1->end(), w.head), r1->end())
+      << witness.ToString(*interner) << "\n" << hint;
+  EXPECT_EQ(std::find(r2->begin(), r2->end(), w.head), r2->end())
+      << witness.ToString(*interner) << "\n" << hint;
+}
+
+void RunSection4Sweep(int shape) {
+  int decided = 0, refuted = 0, oracle_definite = 0, skipped = 0;
+  ForEachCase(8'000'000 + 1'000'000 * static_cast<uint64_t>(shape),
+              [&](uint64_t seed) {
+    Interner interner;
+    std::optional<Section4Triple> t =
+        MakeSection4Triple(shape, seed, &interner);
+    if (!t.has_value()) {
+      ++skipped;
+      return;
+    }
+    Result<BindingRelativeResult> exact = RelativelyContainedWithBindingPatterns(
+        t->q1, t->q2, t->views, t->patterns, &interner);
+    if (!exact.ok()) {
+      ++skipped;
+      return;
+    }
+    ++decided;
+    if (!exact->contained) {
+      ASSERT_TRUE(exact->counterexample.has_value()) << ReplayHint(seed);
+      ExpectSection4Refutation(*t, *exact->counterexample, &interner,
+                               ReplayHint(seed));
+      ++refuted;
+    }
+    // The oracle: bounded expansion search over the same P1^exp. It is
+    // definite on a NO it finds (and on a complete enumeration).
+    Result<Program> p1_exp = ExpandedPlanOf(*t, &interner);
+    ASSERT_TRUE(p1_exp.ok()) << p1_exp.status().ToString() << "\n"
+                             << ReplayHint(seed);
+    Result<UnionQuery> q2_ucq =
+        UnfoldToUnion(t->q2.program, t->q2.goal, &interner);
+    ASSERT_TRUE(q2_ucq.ok()) << ReplayHint(seed);
+    WorkBudget budget;
+    budget.set_limits(/*timeout_ms=*/0, /*max_steps=*/20'000);
+    BudgetScope scope(&budget);
+    ExpansionOptions bounds;
+    bounds.max_rule_applications = 6;
+    Rule oracle_witness;
+    Result<bool> oracle = DatalogContainedInUcqBounded(
+        *p1_exp, t->q1.goal, *q2_ucq, &interner, bounds, &oracle_witness);
+    if (!oracle.ok()) return;
+    ++oracle_definite;
+    EXPECT_EQ(*oracle, exact->contained) << ReplayHint(seed);
+  });
+  ::testing::Test::RecordProperty("decided", decided);
+  ::testing::Test::RecordProperty("refuted", refuted);
+  ::testing::Test::RecordProperty("oracle_definite", oracle_definite);
+  ::testing::Test::RecordProperty("skipped", skipped);
+  EXPECT_GT(decided, skipped);
+  EXPECT_GT(refuted, 0);
+  EXPECT_GT(oracle_definite, 0);
+}
+
+TEST(DifferentialTest, Section4SmallCatalogsMatchExpansionOracle) {
+  RunSection4Sweep(0);
+}
+
+TEST(DifferentialTest, Section4WideCatalogsMatchExpansionOracle) {
+  RunSection4Sweep(1);
+}
+
+TEST(DifferentialTest, Section4BoundCatalogsMatchExpansionOracle) {
+  RunSection4Sweep(2);
+}
+
+/// The Section 4 front door on the first 100 cases of the small-catalog
+/// sweep, folded into one FNV-1a digest: the verdict (or error text), the
+/// regime, the witness text and Q1's executable plan text. Witness
+/// variables and the plan's dom predicate are fresh symbols, so the
+/// digest also pins the fresh numbering the decision mints.
+TEST(DifferentialTest, Section4TextIsPinned) {
+  uint64_t digest = 14695981039346656037ULL;
+  int folded = 0;
+  auto fold = [&](const std::string& text) {
+    for (char c : text + "\n") {
+      digest ^= static_cast<unsigned char>(c);
+      digest *= 1099511628211ULL;
+    }
+    ++folded;
+  };
+  for (uint64_t i = 0; i < 100; ++i) {
+    Interner interner;
+    std::optional<Section4Triple> t =
+        MakeSection4Triple(/*shape=*/0, 8'000'000 + i, &interner);
+    if (!t.has_value()) continue;
+    Result<Decision> d = DecideRelativeContainment(
+        t->q1, t->q2, t->views, t->patterns, &interner, {});
+    if (!d.ok()) {
+      fold(d.status().ToString());
+    } else {
+      fold(d->contained ? "YES" : "NO");
+      fold(std::string(d->regime_name()));
+      if (d->witness.has_value()) fold(d->witness->ToString(interner));
+    }
+    Result<ExecutablePlanResult> plan =
+        ExecutablePlan(t->q1.program, t->views, t->patterns, &interner);
+    fold(plan.ok() ? plan->program.ToString(interner)
+                   : plan.status().ToString());
+  }
+  EXPECT_EQ(folded, 333);
+  EXPECT_EQ(digest, 14105222063713029717ULL);
+}
+
+/// Catalog-shaped corner cases of Q1, decided through Section 4 (with a
+/// `bf` pattern) and through Theorem 3.2 (no patterns, recursive Q1): an
+/// IDB predicate named like a mediated relation, one named like a source,
+/// and constants shared with the views.
+TEST(DifferentialTest, Section4AndTheorem32CornerCasesArePinned) {
+  Interner interner;
+  const std::string views_text =
+      "v(X, Y) :- e(X, Y).\nu(X, Y) :- f(X, Y).\nw(X) :- e(X, c).";
+  Result<ViewSet> views = ParseViews(views_text, &interner);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  BindingPatterns patterns;
+  patterns.AddAlternative(interner.Intern("v"), *Adornment::Parse("bf"));
+  auto goal = [&](const char* text, const char* name) {
+    return MustParseGoal(text, name, &interner);
+  };
+  const GoalQuery q2 = goal("b(X) :- e(X, Y).", "b");
+  const GoalQuery q2_const = goal("b(X) :- e(X, c).", "b");
+  struct Corner {
+    GoalQuery q1;
+    const GoalQuery* q2;
+    bool recursive;
+  };
+  const std::vector<Corner> corners = {
+      // Q1 IDB f, a mediated relation of u.
+      {goal("a(X) :- f(X, Y).\nf(X, Y) :- e(X, Y).", "a"), &q2, false},
+      {goal("a(X) :- f(X, Y).\nf(X, Y) :- e(X, Y).\n"
+            "f(X, Y) :- e(X, Z), f(Z, Y).",
+            "a"),
+       &q2, true},
+      // Q1 IDB u, a source.
+      {goal("a(X) :- u(X, Y).\nu(X, Y) :- e(X, Y).", "a"), &q2, false},
+      {goal("a(X) :- u(X, Y).\nu(X, Y) :- e(X, Y).\n"
+            "u(X, Y) :- e(X, Z), u(Z, Y).",
+            "a"),
+       &q2, true},
+      // Q1 constants shared with the views.
+      {goal("a(X) :- e(X, c).", "a"), &q2_const, false},
+      {goal("a(X) :- e(c, X).", "a"), &q2, false},
+      {goal("a(X) :- t(X, c).\nt(X, Y) :- e(X, Y).\n"
+            "t(X, Y) :- e(X, Z), t(Z, Y).",
+            "a"),
+       &q2_const, true},
+  };
+  std::vector<std::string> seen;
+  auto render = [&](const Result<Decision>& d) {
+    if (!d.ok()) return d.status().ToString();
+    return std::string(d->contained ? "YES " : "NO ") +
+           std::string(d->regime_name()) +
+           (d->witness.has_value() ? " " + d->witness->ToString(interner)
+                                   : "");
+  };
+  for (const Corner& c : corners) {
+    seen.push_back(render(DecideRelativeContainment(c.q1, *c.q2, *views,
+                                                    patterns, &interner, {})));
+    if (c.recursive) {
+      seen.push_back(render(DecideRelativeContainment(
+          c.q1, *c.q2, *views, BindingPatterns(), &interner, {})));
+    }
+  }
+  EXPECT_EQ(seen,
+            std::vector<std::string>({
+                // IDB named like a mediated relation.
+                "NO section4 a(_R29) :- f(_R29, _R30).",
+                "NO section4 a(_R16395) :- f(_R16395, _R16396).",
+                "NO theorem32 a(_R17031) :- f(_R17031, _R17032).",
+                // IDB named like a source.
+                "NO section4 a(_R17057) :- f(_R17057, _R17058).",
+                "NO section4 a(_R17085) :- f(_R17085, _R17086).",
+                "NO theorem32 a(_R17098) :- f(_R17098, _R17099).",
+                // Constants shared with the views.
+                "YES section4",
+                "NO section4 a(_R17149) :- e(c, _R17149).",
+                "NO section4 a(_R17246) :- f(_R17294, _R17295), "
+                "e(_R17294, _R17256), e(_R17256, _R17254), "
+                "e(_R17254, _R17252), e(_R17252, _R17250), "
+                "e(_R17250, _R17248), e(_R17248, _R17246), "
+                "e(_R17246, _R17300), e(_R17300, c).",
+                "NO theorem32 a(_R17316) :- e(_R17316, _R17320), "
+                "e(_R17320, c).",
+            }));
 }
 
 }  // namespace

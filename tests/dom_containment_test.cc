@@ -252,6 +252,41 @@ TEST_F(DomContainmentTest, AgreesWithBoundedOracle) {
   }
 }
 
+// A function term only a body writes is an opaque value; one a rule head
+// builds (a Skolem) is held by no stored relation; a goal tuple carrying
+// either is no answer. The exact decider and the bounded expansion search
+// read all three the same way.
+TEST_F(DomContainmentTest, FunctionTermsMeanTheSameToDeciderAndOracle) {
+  struct Case {
+    std::string program;
+    std::vector<std::string> ucq;
+    bool contained;
+  };
+  const std::string skolem =
+      "q(X, Y) :- s(X, Y), dom(X).\ns(X, f(X)) :- t(X).\ndom(c).\n";
+  const std::vector<Case> cases = {
+      {"q(X) :- r(X, f(X)), dom(X).\ndom(c).\n", {"p(X) :- r(X, W)."}, true},
+      {"q(X) :- r(X, f(X)), dom(X).\ndom(c).\n", {"p(X) :- r(X, c)."},
+       false},
+      // The only expansion needs r to store a value s builds.
+      {"q(X) :- s(X, Y), r(Y), dom(X).\ns(X, f(X)) :- t(X).\ndom(c).\n",
+       {"p(X) :- u(X)."},
+       true},
+      // The only expansion answers a value s builds.
+      {skolem, {"p(X, Y) :- u(X)."}, true},
+      // A Skolem-free sibling rule still refutes.
+      {skolem + "s(X, X) :- t(X).\n", {"p(X, Y) :- u(X)."}, false},
+  };
+  for (const Case& c : cases) {
+    Program prog = P(c.program);
+    UnionQuery ucq = U(c.ucq);
+    EXPECT_EQ(Decide(prog, "q", ucq), c.contained) << c.program;
+    Result<bool> oracle = Bounded(prog, "q", ucq, 7);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_EQ(*oracle, c.contained) << c.program;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Theorem 4.1 / 4.2 end to end.
 // ---------------------------------------------------------------------------

@@ -236,12 +236,11 @@ TEST_P(DomRandomAgreementTest, ExactDeciderAgreesWithBoundedOracle) {
                           << text;
 
   // Oracle: bounded expansion search over the same expanded plan.
-  BindingPatterns patterns_copy = patterns;
-  Result<ExecutablePlanResult> plan =
-      ExecutablePlan(q1.program, views, patterns_copy, &interner);
+  Result<ExecutablePlanTemplate> plan =
+      ExecutablePlanTemplate::Compile(views, patterns);
   ASSERT_TRUE(plan.ok());
-  Result<Program> p1_exp = ExpandExecutablePlanForContainment(
-      *plan, q1.goal, views, &interner);
+  Result<ExpandedExecutablePlan> p1_exp =
+      ExpandExecutablePlan(q1.program, q1.goal, views, &*plan, &interner);
   ASSERT_TRUE(p1_exp.ok());
   Result<UnionQuery> q2_ucq =
       UnfoldToUnion(q2.program, q2.goal, &interner);
@@ -249,7 +248,7 @@ TEST_P(DomRandomAgreementTest, ExactDeciderAgreesWithBoundedOracle) {
   ExpansionOptions bounds;
   bounds.max_rule_applications = 9;
   Result<bool> oracle = DatalogContainedInUcqBounded(
-      *p1_exp, q1.goal, *q2_ucq, &interner, bounds);
+      p1_exp->program, q1.goal, *q2_ucq, &interner, bounds);
   if (oracle.ok()) {
     EXPECT_EQ(exact->contained, *oracle) << "cover:\n" << text;
   } else {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <regex>
 #include <set>
 #include <string>
 #include <string_view>
@@ -772,6 +773,112 @@ TEST(ProtocolTest, DisjunctOverTheMaskLimitIsUnsupportedOnPatternCatalogs) {
   std::string out = session.HandleLine("CONTAINED? a w @s");
   EXPECT_EQ(out.rfind("ERR", 0), 0u) << out;
   EXPECT_NE(out.find("Unsupported"), std::string::npos) << out;
+}
+
+// A catalog relation spelled "_plan_e" stays apart from the plan's copy
+// of e, under Section 4 and under Theorem 3.2; and a Section 4 NO from the
+// bounded fallback (recursive Q1) carries a witness.
+TEST(ProtocolTest, Section4PlanCopiesAndFallbackWitness) {
+  ContainmentService service;
+  ServerSession session(&service);
+  session.HandleLine(
+      "CATALOG s VIEW v(X, Y) :- e(X, Y). VIEW w(X, Y) :- _plan_e(X, Y). "
+      "VIEW u(X, Y) :- e(X, Y). PATTERN u bf");
+  session.HandleLine("DEFINE a a(X) :- _plan_e(X, Y).");
+  session.HandleLine("DEFINE b b(X) :- _plan_e(X, Y).");
+  std::string yes = session.HandleLine("CONTAINED? a b @s");
+  EXPECT_EQ(yes.rfind("YES section4 MISS", 0), 0u) << yes;
+
+  session.HandleLine(
+      "CATALOG t VIEW v(X, Y) :- e(X, Y). VIEW w(X, Y) :- _plan_e(X, Y).");
+  session.HandleLine(
+      "DEFINE c a(X) :- t(X, Y). t(X, Y) :- _plan_e(X, Y). "
+      "t(X, Y) :- _plan_e(X, Z), t(Z, Y).");
+  std::string bound = session.HandleLine("CONTAINED? c b @t");
+  EXPECT_EQ(bound.rfind("ERR", 0), 0u) << bound;
+  EXPECT_NE(bound.find("BoundReached"), std::string::npos) << bound;
+
+  session.HandleLine(
+      "CATALOG f VIEW v(X, Y) :- e(X, Y). VIEW u(X, Y) :- f(X, Y). "
+      "PATTERN u bf");
+  session.HandleLine(
+      "DEFINE r a(X) :- t(X, Y). t(X, Y) :- e(X, Y). "
+      "t(X, Y) :- e(X, Z), t(Z, Y).");
+  session.HandleLine("DEFINE p b(X) :- e(X, Y), e(Y, Z).");
+  std::string no = session.HandleLine("CONTAINED? r p @f");
+  EXPECT_EQ(no.rfind("NO section4 MISS", 0), 0u) << no;
+  EXPECT_NE(no.find("witness: a("), std::string::npos) << no;
+}
+
+/// A reply with its latency and request id masked.
+std::string Masked(const std::string& reply) {
+  static const std::regex kTiming(R"(\d+us id=\d+)");
+  return std::regex_replace(reply, kTiming, "<t>");
+}
+
+// The Section 4 replies of PLAN?, CONTAINED? and REWRITE?, byte for byte
+// (timings and request ids masked), from two sessions sharing the service.
+// Re-registering the catalog under the same name with other views and
+// patterns moves every reply to the new version: no plan compiled for the
+// old version is ever served.
+TEST(ProtocolTest, Section4RepliesFollowCatalogReRegistration) {
+  ContainmentService service;
+  ServerSession first(&service);
+  ServerSession second(&service);
+  for (ServerSession* s : {&first, &second}) {
+    s->HandleLine("DEFINE a a(X) :- e(X, Y).");
+    s->HandleLine("DEFINE b b(X) :- e(X, Y), f(Y, Z).");
+  }
+  auto ask = [](ServerSession& s) {
+    return std::vector<std::string>{
+        Masked(s.HandleLine("PLAN? a @s")),
+        Masked(s.HandleLine("CONTAINED? a b @s")),
+        Masked(s.HandleLine("CONTAINED? b a @s")),
+        Masked(s.HandleLine("REWRITE? a b @s"))};
+  };
+  EXPECT_EQ(first.HandleLine("CATALOG s VIEW v(X, Y) :- e(X, Y). "
+                             "VIEW u(X, Y) :- f(X, Y). PATTERN v bf"),
+            "OK catalog s v1 views=2 patterns=1\n");
+  const std::string v1_plan =
+      "a(X) :- e(X, Y).\n"
+      "e(X, Y) :- dom0(X), v(X, Y).\n"
+      "dom0(Y) :- dom0(X), v(X, Y).\n"
+      "f(X, Y) :- u(X, Y).\n"
+      "dom0(X) :- u(X, Y).\n"
+      "dom0(Y) :- u(X, Y).\n";
+  const std::string v1_witness =
+      " <t> witness: a(_R22) :- e(_R22, _R23), f(_R22, _R25).\n";
+  // The replies of one version, cached or not.
+  auto v1 = [&](const std::string& lookup) {
+    return std::vector<std::string>{
+        "OK plan catalog=s v1 kind=recursive rules=6 dom=dom0 " + lookup +
+            " <t>\n" + v1_plan,
+        "NO section4 " + lookup + v1_witness,
+        "YES section4 " + lookup + " <t>\n",
+        "NO plan " + lookup + v1_witness};
+  };
+  EXPECT_EQ(ask(first), v1("MISS"));
+  EXPECT_EQ(ask(second), v1("HIT"));
+
+  EXPECT_EQ(second.HandleLine("CATALOG s VIEW v(X, Y) :- e(X, Y), f(Y, Z). "
+                              "VIEW w(X) :- e(X, X). PATTERN w b"),
+            "OK catalog s v2 views=2 patterns=1\n");
+  auto v2 = [](const std::string& lookup) {
+    return std::vector<std::string>{
+        "OK plan catalog=s v2 kind=recursive rules=6 dom=dom0 " + lookup +
+            " <t>\n"
+            "a(X) :- e(X, Y).\n"
+            "e(X, Y) :- v(X, Y).\n"
+            "f(Y, f_v_Z(X, Y)) :- v(X, Y).\n"
+            "dom0(X) :- v(X, Y).\n"
+            "dom0(Y) :- v(X, Y).\n"
+            "e(X, X) :- dom0(X), w(X).\n",
+        "YES section4 " + lookup + " <t>\n",
+        "YES section4 " + lookup + " <t>\n",
+        "YES plan " + lookup + " <t>\n"};
+  };
+  EXPECT_EQ(ask(second), v2("MISS"));
+  EXPECT_EQ(ask(first), v2("HIT"));
 }
 
 TEST(ProtocolTest, BudgetOptionsParseAndSurfaceBounds) {
