@@ -15,6 +15,12 @@
 //                                views/4, so the query touches O(1) views):
 //                                the cost must follow the views the query
 //                                touches, not the catalog size.
+//   BM_LongChainPlan             UnionPlan of one chain query
+//                                a(X0) :- e(X0, X1), ..., e(X(n-1), Xn) of
+//                                1,000 and 4,000 atoms over v(X, Y) :-
+//                                e(X, Y): one rule with n IDB subgoals, so
+//                                the time must grow linearly in n (4x, not
+//                                16x, from 1,000 to 4,000).
 //   BM_Section4                  over path-view catalogs of 8, 64 and 512
 //                                views (half of them `bf`): compiling the
 //                                catalog's executable plan template
@@ -125,6 +131,28 @@ ManyViews BM_ManyViews(int num_views, int samples, int iterations) {
   return out;
 }
 
+/// Returns the plan's body atom count (0 on error) through `atoms`.
+bench::Samples BM_LongChainPlan(int length, int samples, int iterations,
+                                size_t* atoms) {
+  Interner interner;
+  ViewSet views = *ParseViews("v(X, Y) :- e(X, Y).", &interner);
+  std::string text = "a(X0) :- ";
+  for (int i = 0; i < length; ++i) {
+    text += (i > 0 ? ", " : "") + std::string("e(X") + std::to_string(i) +
+            ", X" + std::to_string(i + 1) + ")";
+  }
+  Program query = *ParseProgram(text + ".", &interner);
+  SymbolId goal = query.rules[0].head.predicate;
+  return TimePerCall(samples, iterations, [&] {
+    Interner::FreshMark mark = interner.Mark();
+    Result<UnionQuery> u = UnionPlan(query, goal, views, &interner);
+    *atoms = u.ok() && u->disjuncts.size() == 1
+                 ? u->disjuncts[0].body.size()
+                 : 0;
+    interner.Rollback(mark);
+  });
+}
+
 /// One Section 4 catalog: the template compile's and one decision's ns per
 /// call, and whether the decisions all succeeded.
 struct Section4 {
@@ -224,6 +252,21 @@ int Main() {
                                                 m.plan, "ns", false));
     metrics.push_back(bench::DistributionMetric("many_views_expand" + suffix,
                                                 m.expand, "ns", false));
+  }
+  for (int length : {1000, 4000}) {
+    size_t atoms = 0;
+    bench::Samples chain = BM_LongChainPlan(
+        length, samples, bench::ScaleIterations(20, 3), &atoms);
+    std::printf("bench_unfold: %d-atom chain: UCQ plan %.0f ns/call\n",
+                length, chain.Median());
+    if (atoms != static_cast<size_t>(length)) {
+      std::fprintf(stderr, "bench_unfold: %d-atom chain: wrong plan\n",
+                   length);
+      return 1;
+    }
+    metrics.push_back(bench::DistributionMetric(
+        "long_chain_plan_" + std::to_string(length) + "_atoms_ns", chain, "ns",
+        false));
   }
   for (int num_views : {8, 64, 512}) {
     Section4 s = BM_Section4(num_views, samples, bench::ScaleIterations(50, 5));

@@ -24,10 +24,11 @@ Result<bool> ForEachExpansion(const Program& program, SymbolId goal,
   UnfoldLimits limits;
   limits.max_rule_applications = options.max_rule_applications;
   UnfoldRun run =
-      Unfold(resolver, goal, interner, limits, [&visit](Rule&& expansion) {
-        RELCONT_TRACE_COUNT(kExpansionsVisited, 1);
-        return visit(expansion);
-      });
+      Unfold(resolver, goal, interner, limits,
+             [&visit](const UnfoldLeaf& expansion) {
+               RELCONT_TRACE_COUNT(kExpansionsVisited, 1);
+               return visit(expansion.Build());
+             });
   if (run.resolutions > 0) {
     RELCONT_TRACE_COUNT(kExpansionRuleApps, run.resolutions);
   }

@@ -1,17 +1,26 @@
 #include "datalog/rule.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace relcont {
 
 namespace {
 
-// The distinct elements of `vars`, in first-occurrence order. A rule has
-// few distinct variables, so a scan of the output beats a hash set.
+// The distinct elements of `vars`, in first-occurrence order. Most rules
+// have few distinct variables, and a scan of the output beats a hash set;
+// past kScanLimit of them (a long chain query) a hash set keeps this linear.
 std::vector<SymbolId> Dedup(const std::vector<SymbolId>& vars) {
+  constexpr size_t kScanLimit = 64;
   std::vector<SymbolId> out;
+  std::unordered_set<SymbolId> seen;
   for (SymbolId v : vars) {
-    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+    if (out.size() < kScanLimit) {
+      if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+      continue;
+    }
+    if (seen.empty()) seen.insert(out.begin(), out.end());
+    if (seen.insert(v).second) out.push_back(v);
   }
   return out;
 }

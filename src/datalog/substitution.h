@@ -116,9 +116,13 @@ class NumberedRule {
   NumberedRule(const Rule& rule, std::span<const SymbolId> order);
 
   int32_t num_vars() const { return num_vars_; }
-  /// The body atoms, variables numbered: only their predicates mean
-  /// anything outside this class.
+  /// The head, body atoms and comparisons, variables numbered: read them
+  /// through InstantiateNumbered (or for their predicates alone).
+  const Atom& head() const { return rule_.head; }
   const std::vector<Atom>& body() const { return rule_.body; }
+  const std::vector<Comparison>& comparisons() const {
+    return rule_.comparisons;
+  }
 
   /// A copy whose variables are fresh "_R" symbols: the names k
   /// Interner::Fresh("_R") calls would give, in first-occurrence order.
@@ -126,15 +130,6 @@ class NumberedRule {
   /// The copy with variable i renamed to `first` + i, for a block of
   /// num_vars() fresh ids minted by the caller.
   Rule Instantiate(SymbolId first) const;
-
-  /// One resolution step. Renames this rule apart (minting its k fresh
-  /// symbols whether or not the step succeeds), unifies `rule.body[index]`
-  /// with the renamed head, and on success writes the resolvent to `out`:
-  /// the unifier applied to `rule` with body atom `index` replaced by the
-  /// renamed body, and the renamed comparisons appended to `rule`'s. The
-  /// unifier is built in `store` and undone before returning.
-  bool Resolve(const Rule& rule, size_t index, Interner* interner,
-               Substitution* store, Rule* out) const;
 
  private:
   Rule rule_;
@@ -144,6 +139,7 @@ class NumberedRule {
 /// `numbered` (an atom whose variables hold numbers, as in NumberedRule)
 /// with variable i renamed to `first` + i.
 Atom InstantiateNumbered(const Atom& numbered, SymbolId first);
+Term InstantiateNumbered(const Term& numbered, SymbolId first);
 
 /// Renames every variable of `rule` to a fresh variable from `interner`,
 /// making it variable-disjoint from everything interned so far.

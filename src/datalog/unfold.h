@@ -39,12 +39,9 @@ class Resolver {
   /// `own` must outlive the resolver.
   explicit Resolver(std::span<const Rule> own, StoredRules stored = nullptr);
 
-  /// Valid for the resolver's lifetime.
+  /// Valid for the resolver's lifetime. Empty for a predicate nothing
+  /// defines (an EDB predicate).
   Definitions DefinitionsOf(SymbolId predicate);
-
-  /// Index of the first body atom of `rule` whose predicate has a
-  /// definition (an IDB subgoal), or -1.
-  int FirstIdbSubgoal(const Rule& rule);
 
   /// True iff some predicate depends on itself through the definitions.
   bool IsRecursive();
@@ -77,15 +74,60 @@ struct UnfoldRun {
   uint64_t resolutions = 0;
 };
 
-/// Receives each rule with no IDB subgoal left; false stops the run.
-using UnfoldVisitor = std::function<bool(Rule&&)>;
+class UnfoldDriver;
+
+/// A fully resolved derivation, read off the driver's binding store: its
+/// head, its body atoms in resolution order and its comparisons, each a
+/// numbered atom (or comparison) with the first id of its fresh block,
+/// under the unifier the derivation built. Nothing is materialized until
+/// Build(). Valid only during the visitor call that receives it.
+class UnfoldLeaf {
+ public:
+  /// True iff a function (Skolem) term occurs in the head or a body atom.
+  bool AtomsHaveFunctionTerm() const;
+  /// Build().HasFunctionTerm(), without building: the atoms or a
+  /// comparison hold a function term.
+  bool HasFunctionTerm() const;
+  /// The derived rule: the root rule under the unifier, with each resolved
+  /// subgoal replaced by its definition's renamed body and every resolved
+  /// definition's renamed comparisons appended to the root's.
+  Rule Build() const;
+
+  /// An atom or comparison of a numbered rule, its variable i renamed to
+  /// `first` + i (a root given as a plain rule has `first` 0).
+  template <typename T>
+  struct Placed {
+    const T* item;
+    SymbolId first;
+  };
+
+ private:
+  friend class UnfoldDriver;
+  UnfoldLeaf(Placed<Atom> head, std::span<const Placed<Atom>> body,
+             std::span<const Placed<Comparison>> comparisons,
+             const Substitution& store)
+      : head_(head), body_(body), comparisons_(comparisons), store_(store) {}
+
+  Placed<Atom> head_;
+  std::span<const Placed<Atom>> body_;
+  std::span<const Placed<Comparison>> comparisons_;
+  const Substitution& store_;
+};
+
+/// Receives each derivation with no IDB subgoal left; false stops the run.
+using UnfoldVisitor = std::function<bool(const UnfoldLeaf&)>;
 
 /// The one resolution driver. Renames apart each rule defining `goal` in
-/// turn and, depth first, resolves the first IDB subgoal of each resolvent
-/// against every definition of its predicate (NumberedRule::Resolve),
-/// handing each fully resolved rule to `visit`. It keeps an explicit stack
-/// of (resolvent, subgoal, next definition) frames, so a derivation's depth
-/// is bounded by memory, not by the thread's stack.
+/// turn and, depth first, resolves the first IDB subgoal of each
+/// derivation against every definition of its predicate, handing each
+/// fully resolved derivation to `visit`. A derivation lives on one
+/// trail-based Substitution and is never copied: a step mints the
+/// definition's fresh block (whether or not it unifies), unifies the
+/// subgoal with the renamed head and pushes the definition's body as a
+/// new goal segment; the next IDB subgoal is searched from the resolved
+/// position, and backtracking undoes the trail. Frames live on an
+/// explicit stack, so a derivation's depth is bounded by memory, not by
+/// the thread's stack.
 UnfoldRun Unfold(Resolver& resolver, SymbolId goal, Interner* interner,
                  const UnfoldLimits& limits, const UnfoldVisitor& visit);
 
@@ -104,6 +146,13 @@ UnfoldRun UnfoldRules(Resolver& resolver, std::span<const Rule> roots,
 /// WorkBudget at site "unfold".
 Result<UnionQuery> UnfoldToUnion(Resolver& resolver, SymbolId goal,
                                  Interner* interner);
+
+/// UnfoldToUnion keeping only the disjuncts `keep` accepts; the others are
+/// never built (UnionPlan drops every disjunct holding a Skolem term).
+/// Every disjunct, kept or not, counts as unfolded.
+Result<UnionQuery> UnfoldToUnion(
+    Resolver& resolver, SymbolId goal, Interner* interner,
+    const std::function<bool(const UnfoldLeaf&)>& keep);
 
 /// UnfoldToUnion over `program`'s own rules.
 Result<UnionQuery> UnfoldToUnion(const Program& program, SymbolId goal,

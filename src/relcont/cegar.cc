@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <functional>
 #include <set>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -413,6 +414,36 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
         UnionQuery t2,
         UnfoldToUnion(q2.program, q2.goal, interner));
 
+    // The width (number of option combinations) of Q1's answerable
+    // templates, and the fresh ids renaming their options apart mints,
+    // both read off the option counts before anything is renamed.
+    int64_t left_ids = 0;
+    for (const Rule& d : t1.disjuncts) {
+      int64_t width = 1;
+      bool answerable = true;
+      for (const Atom& a : d.body) {
+        std::span<const NumberedRule> opts =
+            views.InverseRulesWithHead(a.predicate);
+        if (opts.empty()) {
+          answerable = false;
+          break;
+        }
+        for (const NumberedRule& r : opts) left_ids += r.num_vars();
+        width = SatMul(width, static_cast<int64_t>(opts.size()));
+      }
+      if (answerable) estimate = SatAdd(estimate, width);
+    }
+
+    if (options.strategy == ContainmentStrategy::kAuto &&
+        estimate < options.cegar.auto_width_threshold) {
+      // The scan decides. One block reserves the ids the templates would
+      // have minted, so fresh numbering is that of a run that built them.
+      if (left_ids > 0) {
+        interner->FreshBlock("_R", static_cast<int32_t>(left_ids));
+      }
+      return ScanFallback(q1, q2, views, interner, options);
+    }
+
     // The inverse rules that can resolve a mediated atom, each renamed
     // apart.
     auto options_for = [&](const Atom& a) {
@@ -427,7 +458,6 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
       LeftTemplate lt;
       lt.rule = d;
       bool answerable = true;
-      int64_t width = 1;
       for (const Atom& a : d.body) {
         LeftPosition pos;
         pos.goal = a;
@@ -438,7 +468,6 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
           answerable = false;
           break;
         }
-        width = SatMul(width, static_cast<int64_t>(pos.options.size()));
         lt.positions.push_back(std::move(pos));
       }
       if (!answerable) continue;
@@ -454,13 +483,7 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
         if (p.options.size() > 1) ++lt.num_branching;
       }
       ComputeComponents(&lt);
-      estimate = SatAdd(estimate, width);
       left.push_back(std::move(lt));
-    }
-
-    if (options.strategy == ContainmentStrategy::kAuto &&
-        estimate < options.cegar.auto_width_threshold) {
-      return ScanFallback(q1, q2, views, interner, options);
     }
 
     // Every variable minted from here on is a right-hand one.

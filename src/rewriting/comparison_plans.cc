@@ -1,5 +1,7 @@
 #include "rewriting/comparison_plans.h"
 
+#include <algorithm>
+
 #include "containment/comparison_containment.h"
 #include "datalog/substitution.h"
 #include "rewriting/inverse_rules.h"
@@ -78,25 +80,23 @@ Result<UnionQuery> ComparisonAwarePlan(const Program& query, SymbolId goal,
                            UnfoldToUnion(query, goal, interner));
 
   // Candidate plans: unfold the query (comparisons and all) against the
-  // inverse rules.
+  // inverse rules. Heads and relational subgoals must be Skolem-free, so a
+  // candidate with a Skolem term in an atom is never built.
   Resolver resolver = PlanResolver(query, views);
-  RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
-                           UnfoldToUnion(resolver, goal, interner));
+  RELCONT_ASSIGN_OR_RETURN(
+      UnionQuery unfolded,
+      UnfoldToUnion(resolver, goal, interner, [](const UnfoldLeaf& leaf) {
+        return !leaf.AtomsHaveFunctionTerm();
+      }));
 
   UnionQuery out;
   for (Rule& candidate : unfolded.disjuncts) {
-    // Heads and relational subgoals must be Skolem-free and source-only.
-    bool viable = true;
-    for (const Term& t : candidate.head.args) {
-      if (t.is_function()) viable = false;
+    // Relational subgoals must be source-only.
+    if (!std::ranges::all_of(candidate.body, [&](const Atom& a) {
+          return sources.count(a.predicate) > 0;
+        })) {
+      continue;
     }
-    for (const Atom& a : candidate.body) {
-      if (sources.count(a.predicate) == 0) viable = false;
-      for (const Term& t : a.args) {
-        if (t.is_function()) viable = false;
-      }
-    }
-    if (!viable) continue;
     // Pull back the comparisons that landed on visible terms; comparisons
     // stranded on Skolem terms must be guaranteed by the views, which the
     // soundness check below verifies after we remove them.

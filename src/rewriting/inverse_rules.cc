@@ -51,15 +51,23 @@ Result<UnionQuery> UnionPlan(const Program& query, SymbolId goal,
   RELCONT_TRACE_SPAN("plan_inverse_rules");
   RELCONT_RETURN_NOT_OK(CheckPlannableQuery(query, views));
   Resolver resolver = PlanResolver(query, views);
-  RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
-                           UnfoldToUnion(resolver, goal, interner));
+  // Function-term elimination: a disjunct still holding a Skolem term is
+  // dropped before it is built.
+  uint64_t skolem_dropped = 0;
+  RELCONT_ASSIGN_OR_RETURN(
+      UnionQuery unfolded,
+      UnfoldToUnion(resolver, goal, interner,
+                    [&skolem_dropped](const UnfoldLeaf& leaf) {
+                      if (!leaf.HasFunctionTerm()) return true;
+                      ++skolem_dropped;
+                      return false;
+                    }));
+  if (skolem_dropped > 0) {
+    RELCONT_TRACE_COUNT(kPlanDisjunctsDropped, skolem_dropped);
+  }
   const std::set<SymbolId>& sources = views.SourcePredicates();
   UnionQuery out;
   for (Rule& d : unfolded.disjuncts) {
-    if (d.HasFunctionTerm()) {
-      RELCONT_TRACE_COUNT(kPlanDisjunctsDropped, 1);
-      continue;
-    }
     bool answerable = true;
     for (const Atom& a : d.body) {
       if (sources.count(a.predicate) == 0) {
@@ -115,10 +123,11 @@ Result<Program> ExpandPlanProgram(const Program& plan, const ViewSet& views,
   UnfoldLimits limits;
   limits.charge_budget = false;
   Program out;
-  UnfoldRules(resolver, plan.rules, interner, limits, [&out](Rule&& rule) {
-    out.rules.push_back(std::move(rule));
-    return true;
-  });
+  UnfoldRules(resolver, plan.rules, interner, limits,
+              [&out](const UnfoldLeaf& leaf) {
+                out.rules.push_back(leaf.Build());
+                return true;
+              });
   return out;
 }
 
